@@ -1,10 +1,23 @@
 """Exact integer matrices, polynomials, and characteristic polynomials.
 
-Two independent exact routes to det(xI - A) live here.  The primary one
-evaluates the shifted determinant at n+1 integer points with Bareiss
-elimination and interpolates; the second runs Faddeev-LeVerrier.  They
-share no intermediate code beyond raw integer arithmetic, so agreement
-between them is meaningful evidence of correctness.
+Two independent exact routes to det(xI - A) live here.
+
+- char_poly_exact, the primary route, is multi-modular.  The coefficients
+  are bounded through the Gershgorin radius R (max absolute row sum):
+  |c_i| <= (1 + R)^n.  The largest 31-bit primes are taken until their
+  product exceeds twice that bound.  Modulo each prime the matrix is
+  reduced to Hessenberg form with numpy int64 row and column operations,
+  whose characteristic polynomial follows by recurrence; residues stay
+  below 2^31 and every product of two is reduced mod p before it is
+  summed, so no int64 value overflows.  A CRT lift into the symmetric
+  range gives the exact integer coefficients.  At runtime the lifted
+  polynomial is compared with an exact Bareiss det(x0 I - A) at
+  x0 = R + 1; a difference raises ArithmeticError.
+- char_poly_leverrier, the cross-check route, runs fraction-free
+  Faddeev-LeVerrier on Python ints.
+
+They share no intermediate code beyond raw integer arithmetic, so
+agreement between them is meaningful evidence of correctness.
 """
 
 from __future__ import annotations
@@ -13,6 +26,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from . import kernels
 
@@ -288,57 +303,147 @@ def det_exact(m: IntMatrix) -> int:
     return kernels.det_bareiss(m.to_lists())
 
 
-def _shifted_rows(m: IntMatrix, x: int) -> list[list[int]]:
-    # xI - M
-    return [
-        [(x if i == j else 0) - v for j, v in enumerate(row)]
-        for i, row in enumerate(m.rows)
-    ]
+# Residues of 31-bit primes stay below 2^31, so a product of two fits in
+# int64 (below 2^62) and a sum of up to 2^32 reduced products cannot overflow.
+_PRIME_BITS = 31
 
 
-def _newton_interpolate_integer(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
-    """Interpolating polynomial through (xs, ys), coefficients ascending.
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; bases 2, 7, 61 are exact below 4759123141."""
+    if n < 2:
+        return False
+    for a in (2, 7, 61):
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 7, 61):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
-    Divided differences run over Fractions; the final coefficients must
-    come out integral or the whole computation is rejected loudly.
+
+def _primes_exceeding(bound: int) -> list[int]:
+    """The largest 31-bit primes, descending, until their product exceeds bound."""
+    primes, product = [], 1
+    candidate = (1 << _PRIME_BITS) - 1
+    while product <= bound:
+        if _is_prime(candidate):
+            primes.append(candidate)
+            product *= candidate
+        candidate -= 2
+    return primes
+
+
+def _gershgorin_radius(m: IntMatrix) -> int:
+    """Max absolute row sum: every eigenvalue of m lies in |z| <= this."""
+    return max((sum(abs(v) for v in row) for row in m.rows), default=0)
+
+
+def _coefficient_bound(n: int, radius: int) -> int:
+    """|c_i| <= C(n, i) radius^(n-i) <= (1 + radius)^n for every coefficient
+    of the characteristic polynomial of an n x n matrix with this radius."""
+    return (1 + radius) ** n
+
+
+def _hessenberg_charpoly_mod(m: IntMatrix, p: int) -> np.ndarray:
+    """Coefficients of det(xI - m) mod p, ascending, as int64 residues.
+
+    Reduces m to upper Hessenberg form by similarity transforms mod p
+    (Cohen, Algorithm 2.2.9), then runs the Hessenberg recurrence for the
+    characteristic polynomials of the leading principal submatrices.  Every
+    product of two residues is reduced mod p before it enters a sum.
     """
-    npts = len(xs)
-    dd = [Fraction(y) for y in ys]
-    for j in range(1, npts):
-        for i in range(npts - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
-    coeffs = [Fraction(0)] * npts
-    coeffs[0] = dd[npts - 1]
-    degree = 0
-    for i in range(npts - 2, -1, -1):
-        # multiply accumulated poly by (x - xs[i]) and add dd[i]
-        for d in range(degree, -1, -1):
-            coeffs[d + 1] += coeffs[d]
-            coeffs[d] = -coeffs[d] * xs[i]
-        degree += 1
-        coeffs[0] += dd[i]
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ArithmeticError(f"interpolated coefficient {c} is not an integer")
-        out.append(int(c))
-    return out
+    n = m.n
+    # Entries are arbitrary Python ints; reduce them before they meet int64.
+    h = np.array([[v % p for v in row] for row in m.rows], dtype=np.int64)
+    for col in range(n - 2):
+        nonzero = h[col + 1 :, col] != 0
+        piv = int(nonzero.argmax())
+        if not nonzero[piv]:
+            continue
+        piv += col + 1
+        if piv != col + 1:
+            h[[col + 1, piv], :] = h[[piv, col + 1], :]
+            h[:, [col + 1, piv]] = h[:, [piv, col + 1]]
+        below = col + 2
+        u = h[below:, col] * pow(int(h[col + 1, col]), p - 2, p) % p
+        # rows: r_i -= u_i r_{col+1}; then columns: c_{col+1} += sum_i u_i c_i
+        h[below:, col:] = (h[below:, col:] - u[:, None] * h[col + 1, col:] % p) % p
+        h[:, col + 1] = (h[:, col + 1] + (h[:, below:] * u % p).sum(axis=1)) % p
+    # polys[k, :k+1] holds the characteristic polynomial of h[:k, :k].
+    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
+    polys[0, 0] = 1
+    # At step k, chain[j] = h[j+1, j] * h[j+2, j+1] * ... * h[k-1, k-2] mod p.
+    chain = np.zeros(n, dtype=np.int64)
+    for k in range(1, n + 1):
+        prev = polys[k - 1, :k]
+        poly = polys[k, : k + 1]
+        poly[1:] = prev
+        poly[:k] -= h[k - 1, k - 1] * prev % p
+        if k > 1:
+            a = chain[: k - 1] * h[: k - 1, k - 1] % p
+            poly[: k - 1] -= (a[:, None] * polys[: k - 1, : k - 1] % p).sum(axis=0)
+        poly %= p
+        if k < n:
+            chain[: k - 1] = chain[: k - 1] * h[k, k - 1] % p
+            chain[k - 1] = h[k, k - 1]
+    return polys[n]
+
+
+def _crt_lift(primes: Sequence[int], residues: Sequence[np.ndarray]) -> list[int]:
+    """Garner/CRT: the integers congruent to the residues modulo every
+    prime, taken in the symmetric range (-M/2, M/2] of the product M."""
+    lifted = [int(r) for r in residues[0]]
+    modulus = primes[0]
+    for p, res in zip(primes[1:], residues[1:]):
+        inv = pow(modulus % p, -1, p)
+        lifted = [x + modulus * ((int(r) - x) * inv % p) for x, r in zip(lifted, res)]
+        modulus *= p
+    half = modulus // 2
+    return [x - modulus if x > half else x for x in lifted]
 
 
 def char_poly_exact(m: IntMatrix) -> IntPolynomial:
-    """det(xI - M) by evaluation at x = 0..n and exact interpolation.
+    """det(xI - M) by Hessenberg reduction modulo 31-bit primes and CRT.
 
-    Always monic of degree n.  This is the primary route; see
-    char_poly_leverrier for the independent cross-check.
+    With R the Gershgorin radius (max absolute row sum) every coefficient
+    satisfies |c_i| <= (1 + R)^n.  The largest 31-bit primes are taken until
+    their product exceeds 2 (1 + R)^n, the characteristic polynomial is
+    computed modulo each by Hessenberg reduction on int64 residues, and the
+    coefficients are lifted by CRT into the symmetric range, which makes
+    them exact.  As a runtime cross-check the lifted polynomial is evaluated
+    at x0 = R + 1 and compared with the exact Bareiss det(x0 I - M), which
+    is non-zero because x0 I - M is strictly diagonally dominant; any
+    difference raises ArithmeticError.  Always monic of degree n.  See
+    char_poly_leverrier for the independent cross-check route.
     """
     _check_cap(m.n)
     n = m.n
-    xs = list(range(n + 1))
-    ys = [kernels.det_bareiss(_shifted_rows(m, x)) for x in xs]
-    coeffs = _newton_interpolate_integer(xs, ys)
-    poly = IntPolynomial.from_coeffs(coeffs)
-    if poly.degree != n or not poly.is_monic:
-        raise ArithmeticError("characteristic polynomial came out non-monic")
+    if n == 0:
+        return IntPolynomial((1,))
+    radius = _gershgorin_radius(m)
+    primes = _primes_exceeding(2 * _coefficient_bound(n, radius))
+    residues = [_hessenberg_charpoly_mod(m, p) for p in primes]
+    poly = IntPolynomial.from_coeffs(_crt_lift(primes, residues))
+    x0 = radius + 1
+    shifted = [
+        [(x0 if i == j else 0) - v for j, v in enumerate(row)]
+        for i, row in enumerate(m.rows)
+    ]
+    if poly(x0) != kernels.det_bareiss(shifted):
+        raise ArithmeticError(
+            f"modular characteristic polynomial disagrees with det({x0}I - M)"
+        )
     return poly
 
 

@@ -585,8 +585,10 @@ def sweep(
     jobs: int = 1,
 ) -> list[VerificationReport]:
     """Verify every (k, p) pair of the two lists; rejects invalid parameters
-    up front.  jobs > 1 fans the pairs out to a process pool; errors inside
-    one pair are contained in that pair's report."""
+    and jobs < 1 up front.  jobs > 1 fans the pairs out to a process pool;
+    errors inside one pair are contained in that pair's report."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     pairs = [(k, p) for k in ks for p in ps]
     if not pairs:
         return []
@@ -816,3 +818,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError, MatrixCapExceeded, ArithmeticError) as exc:
         print(f"powspec: error: {exc}", file=sys.stderr)
         return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from powspec import kernels
+from powspec import exact_linalg, kernels
 from powspec.exact_linalg import (
     CAP_ENV_VAR,
     FactoredPolynomial,
@@ -40,6 +40,9 @@ def det_cofactor(rows):
 def random_int_matrix(rng, n, lo=-5, hi=5):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
 
+
+# Entries far beyond int64 must be reduced before they meet numpy.
+HUGE = 2**70
 
 small_polys = st.builds(
     IntPolynomial.from_coeffs,
@@ -148,6 +151,14 @@ class TestCharPoly:
             n = rng.randint(1, 6)
             m = IntMatrix.from_rows(random_int_matrix(rng, n, -7, 7))
             assert char_poly_exact(m) == char_poly_leverrier(m)
+        for _ in range(10):
+            n = rng.randint(1, 6)
+            rows = [
+                [rng.choice((-HUGE, HUGE, rng.randint(-7, 7))) for _ in range(n)]
+                for _ in range(n)
+            ]
+            m = IntMatrix.from_rows(rows)
+            assert char_poly_exact(m) == char_poly_leverrier(m)
 
     def test_two_routes_agree_on_power_graphs(self):
         for q in (6, 9, 12):
@@ -159,7 +170,11 @@ class TestCharPoly:
     @given(
         st.integers(1, 4).flatmap(
             lambda n: st.lists(
-                st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                st.lists(
+                    st.integers(-6, 6) | st.sampled_from((-HUGE, HUGE)),
+                    min_size=n,
+                    max_size=n,
+                ),
                 min_size=n,
                 max_size=n,
             )
@@ -169,6 +184,47 @@ class TestCharPoly:
     def test_two_routes_agree_property(self, rows):
         m = IntMatrix.from_rows(rows)
         assert char_poly_exact(m) == char_poly_leverrier(m)
+
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+
+        def sympy_charpoly(m):
+            coeffs = sympy.Matrix(m.to_lists()).charpoly(x).all_coeffs()
+            return tuple(int(c) for c in reversed(coeffs))
+
+        rng = random.Random(31)
+        for _ in range(12):
+            m = IntMatrix.from_rows(random_int_matrix(rng, rng.randint(1, 10), -9, 9))
+            assert char_poly_exact(m).coeffs == sympy_charpoly(m)
+        for q in (6, 9, 12):
+            g = build_power_graph(Cyclic(q))
+            for kind in ("adjacency", "laplacian", "signless"):
+                m = matrix_of(g, kind)
+                assert char_poly_exact(m).coeffs == sympy_charpoly(m)
+
+    def test_point_cross_check_fires_on_a_bad_bound(self, monkeypatch):
+        # With a bound of 1 a single prime is used, which cannot hold the
+        # ~2^80 coefficients; the lift is wrong and must not be returned.
+        monkeypatch.setattr(exact_linalg, "_coefficient_bound", lambda n, radius: 1)
+        m = IntMatrix.from_rows([[2**40, 3], [5, -(2**40)]])
+        with pytest.raises(ArithmeticError, match="disagrees"):
+            char_poly_exact(m)
+
+    def test_primes_cover_the_bound(self):
+        composites_passing_weak_tests = (2047, 1373653, 25326001, 3215031751)
+        assert not any(exact_linalg._is_prime(c) for c in composites_passing_weak_tests)
+        sieve = [k for k in range(2000) if k > 1 and all(k % d for d in range(2, int(k**0.5) + 1))]
+        assert [k for k in range(2000) if exact_linalg._is_prime(k)] == sieve
+        bound = 2**200
+        primes = exact_linalg._primes_exceeding(bound)
+        assert primes[0] == 2**31 - 1
+        assert all(p < 2**31 and exact_linalg._is_prime(p) for p in primes)
+        assert len(set(primes)) == len(primes)
+        product = 1
+        for p in primes:
+            product *= p
+        assert product > bound and product // primes[-1] <= bound
 
 
 class TestBackends:

@@ -1,10 +1,13 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import powspec
 from powspec import verify_cli
 from powspec.exact_linalg import CAP_ENV_VAR
 from powspec.group_core import SemidihedralType
@@ -124,6 +127,13 @@ class TestSweep:
         serial = sweep([2], [3, 5], kinds=())
         parallel = sweep([2], [3, 5], kinds=(), jobs=2)
         assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
+
+    def test_rejects_jobs_below_one(self, capsys):
+        for jobs in (0, -1):
+            with pytest.raises(ValueError, match="jobs must be at least 1"):
+                sweep([2], [3], kinds=(), jobs=jobs)
+        assert main(["sweep", "--k", "2", "--p", "3", "--jobs", "0"]) == 2
+        assert "jobs must be at least 1, got 0" in capsys.readouterr().err
 
     def test_error_isolation(self, monkeypatch):
         real = run_verification
@@ -250,3 +260,29 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "status: pass" in proc.stdout
+
+
+class TestModuleEntryPoint:
+    """python -m powspec.verify_cli runs the same CLI as the console script."""
+
+    def run_module(self, *args):
+        src_dir = str(Path(powspec.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src_dir + (os.pathsep + path if path else "")}
+        return subprocess.run(
+            [sys.executable, "-m", "powspec.verify_cli", *args],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+
+    def test_valid_pair_passes(self):
+        proc = self.run_module("verify", "--k", "2", "--p", "3")
+        assert proc.returncode == 0
+        assert any(line.startswith("status: pass") for line in proc.stdout.splitlines())
+
+    def test_invalid_p_exits_2(self):
+        proc = self.run_module("verify", "--k", "2", "--p", "4")
+        assert proc.returncode == 2
+        assert "error" in proc.stderr
