@@ -3,16 +3,17 @@
 Two independent exact routes to det(xI - A) live here.
 
 - char_poly_exact, the primary route, is multi-modular.  The coefficients
-  are bounded through the Gershgorin radius R (max absolute row sum):
-  |c_i| <= (1 + R)^n.  The largest 31-bit primes are taken until their
-  product exceeds twice that bound.  Modulo each prime the matrix is
-  reduced to Hessenberg form with numpy int64 row and column operations,
-  whose characteristic polynomial follows by recurrence; residues stay
-  below 2^31 and every product of two is reduced mod p before it is
-  summed, so no int64 value overflows.  A CRT lift into the symmetric
-  range gives the exact integer coefficients.  At runtime the lifted
-  polynomial is compared with an exact Bareiss det(x0 I - A) at
-  x0 = R + 1; a difference raises ArithmeticError.
+  are bounded by Hadamard's inequality on the rows: with r_i the ceiling
+  of the Euclidean norm of row i, |c_i| <= prod_i (1 + r_i).  The largest
+  31-bit primes are taken until their product exceeds twice that bound.
+  Modulo each prime the matrix is reduced to Hessenberg form with numpy
+  int64 row and column operations, whose characteristic polynomial
+  follows by recurrence; residues stay below 2^31 and every product of
+  two is reduced mod p before it is summed, so no int64 value overflows.
+  A CRT lift into the symmetric range gives the exact integer
+  coefficients.  At runtime the lifted polynomial is compared with an
+  exact Bareiss det(x0 I - A) at x0 = R + 1, R the Gershgorin radius
+  (max absolute row sum); a difference raises ArithmeticError.
 - char_poly_leverrier, the cross-check route, runs fraction-free
   Faddeev-LeVerrier on Python ints.
 
@@ -22,6 +23,7 @@ agreement between them is meaningful evidence of correctness.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -349,10 +351,25 @@ def _gershgorin_radius(m: IntMatrix) -> int:
     return max((sum(abs(v) for v in row) for row in m.rows), default=0)
 
 
-def _coefficient_bound(n: int, radius: int) -> int:
-    """|c_i| <= C(n, i) radius^(n-i) <= (1 + radius)^n for every coefficient
-    of the characteristic polynomial of an n x n matrix with this radius."""
-    return (1 + radius) ** n
+def _coefficient_bound(m: IntMatrix) -> int:
+    """prod_i (1 + r_i), r_i = ceil(||row_i||_2): a bound on every |c_i| of
+    det(xI - m).
+
+    c_(n-k) = (-1)^k sum over |S| = k of det m[S, S].  Hadamard's
+    inequality on the rows of each principal submatrix gives
+    |det m[S, S]| <= prod_(i in S) ||row_i||_2, so |c_(n-k)| <= e_k(r),
+    the k-th elementary symmetric function of r, and every e_k(r) is a
+    term of prod_i (1 + r_i).  For integer rows ceil(||row||_2) <=
+    ||row||_1 <= R, the Gershgorin radius, so this is never looser than
+    (1 + R)^n.  Integers only: r_i = isqrt(s_i - 1) + 1 for the row's sum
+    of squares s_i > 0, and r_i = 0 for a zero row.
+    """
+    bound = 1
+    for row in m.rows:
+        s = sum(v * v for v in row)
+        r = math.isqrt(s - 1) + 1 if s else 0
+        bound *= 1 + r
+    return bound
 
 
 def _hessenberg_charpoly_mod(m: IntMatrix, p: int) -> np.ndarray:
@@ -416,26 +433,28 @@ def _crt_lift(primes: Sequence[int], residues: Sequence[np.ndarray]) -> list[int
 def char_poly_exact(m: IntMatrix) -> IntPolynomial:
     """det(xI - M) by Hessenberg reduction modulo 31-bit primes and CRT.
 
-    With R the Gershgorin radius (max absolute row sum) every coefficient
-    satisfies |c_i| <= (1 + R)^n.  The largest 31-bit primes are taken until
-    their product exceeds 2 (1 + R)^n, the characteristic polynomial is
-    computed modulo each by Hessenberg reduction on int64 residues, and the
-    coefficients are lifted by CRT into the symmetric range, which makes
-    them exact.  As a runtime cross-check the lifted polynomial is evaluated
-    at x0 = R + 1 and compared with the exact Bareiss det(x0 I - M), which
-    is non-zero because x0 I - M is strictly diagonally dominant; any
-    difference raises ArithmeticError.  Always monic of degree n.  See
+    Every coefficient satisfies |c_i| <= B = prod_i (1 + r_i), with r_i the
+    ceiling of the Euclidean norm of row i: each c_i is a signed sum of
+    principal minors, and Hadamard's inequality bounds each minor by the
+    product of its row norms (see _coefficient_bound).  The largest 31-bit
+    primes are taken until their product exceeds 2B, the characteristic
+    polynomial is computed modulo each by Hessenberg reduction on int64
+    residues, and the coefficients are lifted by CRT into the symmetric
+    range, which makes them exact.  As a runtime cross-check the lifted
+    polynomial is evaluated at x0 = R + 1, R the Gershgorin radius (max
+    absolute row sum), and compared with the exact Bareiss det(x0 I - M),
+    which is non-zero because x0 I - M is strictly diagonally dominant;
+    any difference raises ArithmeticError.  Always monic of degree n.  See
     char_poly_leverrier for the independent cross-check route.
     """
     _check_cap(m.n)
     n = m.n
     if n == 0:
         return IntPolynomial((1,))
-    radius = _gershgorin_radius(m)
-    primes = _primes_exceeding(2 * _coefficient_bound(n, radius))
+    primes = _primes_exceeding(2 * _coefficient_bound(m))
     residues = [_hessenberg_charpoly_mod(m, p) for p in primes]
     poly = IntPolynomial.from_coeffs(_crt_lift(primes, residues))
-    x0 = radius + 1
+    x0 = _gershgorin_radius(m) + 1
     shifted = [
         [(x0 if i == j else 0) - v for j, v in enumerate(row)]
         for i, row in enumerate(m.rows)

@@ -669,9 +669,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    ks, ps = _parse_k_range(args.k), _parse_int_list(args.p)
+    if not ks or not ps:
+        raise ValueError(
+            f"empty (k, p) grid: --k {args.k!r} gives {ks}, --p {args.p!r} gives {ps}"
+        )
     reports = sweep(
-        _parse_k_range(args.k),
-        _parse_int_list(args.p),
+        ks,
+        ps,
         kinds=_parse_kinds(args.matrix),
         constructions=_parse_constructions(args.construction),
         jobs=args.jobs,

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from powspec import exact_linalg, kernels
+from powspec import _kernels_py, exact_linalg, kernels
 from powspec.exact_linalg import (
     CAP_ENV_VAR,
     FactoredPolynomial,
@@ -88,12 +88,34 @@ class TestDeterminant:
         m = IntMatrix.from_rows([[0, 2, 1], [3, 0, 0], [1, 1, 1]])
         assert det_exact(m) == det_cofactor(m.to_lists())
 
+    def test_symmetric_zero_pivot_falls_back(self):
+        # a zero first pivot, and a zero pivot that only appears at step 2
+        for rows in ([[0, 2, 1], [2, 0, 3], [1, 3, 1]], [[1, 1, 0], [1, 1, 2], [0, 2, 5]]):
+            assert _kernels_py._det_bareiss_symmetric(rows) is None
+            assert det_exact(IntMatrix.from_rows(rows)) == det_cofactor(rows)
+
     def test_against_cofactor_oracle(self):
         rng = random.Random(20260819)
         for _ in range(30):
             n = rng.randint(1, 6)
             rows = random_int_matrix(rng, n, -9, 9)
             assert det_exact(IntMatrix.from_rows(rows)) == det_cofactor(rows)
+        fallbacks = 0
+        for trial in range(45):
+            n = rng.randint(1, 6)
+            pool = (-HUGE, HUGE) if trial % 3 == 1 else ()
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    rows[i][j] = rows[j][i] = rng.choice(pool + (rng.randint(-9, 9),))
+            if trial % 3 == 2:
+                # zero diagonal entries, the first always: a zero pivot
+                for i in range(n):
+                    if i == 0 or rng.random() < 0.5:
+                        rows[i][i] = 0
+            fallbacks += _kernels_py._det_bareiss_symmetric(rows) is None
+            assert det_exact(IntMatrix.from_rows(rows)) == det_cofactor(rows)
+        assert fallbacks >= 10
 
     def test_rank_one_update_formula(self):
         # constant diagonal x, constant off-diagonal y
@@ -206,7 +228,7 @@ class TestCharPoly:
     def test_point_cross_check_fires_on_a_bad_bound(self, monkeypatch):
         # With a bound of 1 a single prime is used, which cannot hold the
         # ~2^80 coefficients; the lift is wrong and must not be returned.
-        monkeypatch.setattr(exact_linalg, "_coefficient_bound", lambda n, radius: 1)
+        monkeypatch.setattr(exact_linalg, "_coefficient_bound", lambda m: 1)
         m = IntMatrix.from_rows([[2**40, 3], [5, -(2**40)]])
         with pytest.raises(ArithmeticError, match="disagrees"):
             char_poly_exact(m)
@@ -225,6 +247,30 @@ class TestCharPoly:
         for p in primes:
             product *= p
         assert product > bound and product // primes[-1] <= bound
+
+    def test_coefficient_bound_holds(self):
+        def check(m):
+            bound = exact_linalg._coefficient_bound(m)
+            assert bound >= max(abs(c) for c in char_poly_leverrier(m).coeffs)
+            radius = max(sum(abs(v) for v in row) for row in m.rows)
+            assert bound <= (1 + radius) ** m.n
+
+        rng = random.Random(5150)
+        for _ in range(20):
+            check(IntMatrix.from_rows(random_int_matrix(rng, rng.randint(1, 8), -9, 9)))
+        for _ in range(10):
+            n = rng.randint(1, 6)
+            rows = [
+                [rng.choice((-HUGE, HUGE, rng.randint(-7, 7))) for _ in range(n)]
+                for _ in range(n)
+            ]
+            check(IntMatrix.from_rows(rows))
+        check(IntMatrix.zeros(3))
+        check(IntMatrix.identity(4))  # unit rows: norms rounded down would bound by 1 < 6
+        for q in (6, 9, 12):
+            g = build_power_graph(Cyclic(q))
+            for kind in ("adjacency", "laplacian", "signless"):
+                check(matrix_of(g, kind))
 
 
 class TestBackends:

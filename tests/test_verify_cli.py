@@ -189,6 +189,13 @@ class TestCliExitCodes:
         payload = json.loads(out.read_text())
         assert [r["params"]["n"] for r in payload] == [24, 48]
 
+    def test_sweep_cli_rejects_empty_grid(self, capsys):
+        for argv in (["--k", "3..2", "--p", "3"], ["--k", "2", "--p", ""]):
+            assert main(["sweep", *argv]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("powspec: error: empty (k, p) grid")
+
     def test_range_and_list_parsing(self):
         assert verify_cli._parse_k_range("2..4") == [2, 3, 4]
         assert verify_cli._parse_k_range("2,5") == [2, 5]
