@@ -7,10 +7,18 @@ the closed-form polynomials are derived from; it forces the rotation
 subgroup into a clique, so the two graphs differ inside that subgroup
 and nowhere else.  The verifier keeps both and reports the gap rather
 than deciding which one is intended.
+
+A graph is stored as packed bit rows: row i is an int whose bit j is set
+when i ~ j (the arc i -> j when directed).  build_power_graph computes one
+cyclic subgroup per generator class rather than one per vertex, and every
+consumer (neighbors, edges, edge_count, graph_diff, the symmetry check)
+walks set bits or whole rows, so it costs O(n + edges) big-int steps
+instead of testing all n^2 index pairs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .exact_linalg import IntMatrix
@@ -63,11 +71,8 @@ class Graph:
                 raise ValueError("adjacency row has bits outside the vertex range")
             if (mask >> i) & 1:
                 raise ValueError("loops are not allowed")
-        if not directed:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if ((row_masks[i] >> j) & 1) != ((row_masks[j] >> i) & 1):
-                        raise ValueError("undirected graph must be symmetric")
+        if not directed and _transpose(row_masks) != list(row_masks):
+            raise ValueError("undirected graph must be symmetric")
         self.labels = labels
         self._rows = row_masks
         self.directed = directed
@@ -87,18 +92,12 @@ class Graph:
         return self._rows[i].bit_count()
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        mask = self._rows[i]
-        return tuple(j for j in range(self.n) if (mask >> j) & 1)
+        return tuple(_bits(self._rows[i]))
 
     def edges(self) -> list[tuple[int, int]]:
-        """Index pairs, (i, j) with i < j when undirected, arcs otherwise."""
-        out = []
-        for i in range(self.n):
-            mask = self._rows[i]
-            for j in range(self.n):
-                if (mask >> j) & 1 and (self.directed or i < j):
-                    out.append((i, j))
-        return out
+        """Index pairs, (i, j) with i < j when undirected, arcs otherwise,
+        sorted by (i, j)."""
+        return _pairs(self._rows, self.directed)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -113,15 +112,30 @@ class Graph:
         return hash((self.labels, self._rows, self.directed))
 
 
-def _graph_from_pairs(
-    labels: tuple[GroupElement, ...], pairs, directed: bool = False
-) -> Graph:
-    rows = [0] * len(labels)
-    for i, j in pairs:
-        rows[i] |= 1 << j
-        if not directed:
-            rows[j] |= 1 << i
-    return Graph(labels, tuple(rows), directed)
+def _bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _transpose(rows) -> list[int]:
+    out = [0] * len(rows)
+    for i, mask in enumerate(rows):
+        bit = 1 << i
+        for j in _bits(mask):
+            out[j] |= bit
+    return out
+
+
+def _pairs(rows, directed: bool) -> list[tuple[int, int]]:
+    """The set bits of rows as sorted (i, j) pairs; only j > i when undirected."""
+    if directed:
+        return [(i, j) for i, mask in enumerate(rows) for j in _bits(mask)]
+    return [
+        (i, i + 1 + j) for i, mask in enumerate(rows) for j in _bits(mask >> (i + 1))
+    ]
 
 
 def quartic_flip_pairs(spec: SemidihedralType) -> tuple[tuple[GroupElement, GroupElement], ...]:
@@ -160,22 +174,35 @@ def canonical_order(spec: GroupSpec) -> tuple[GroupElement, ...]:
 
 def build_power_graph(spec: GroupSpec, directed: bool = False) -> Graph:
     """The true power graph: an edge (arc) wherever one vertex is a power
-    of the other (wherever the target lies in the source's cyclic subgroup)."""
+    of the other (wherever the target lies in the source's cyclic subgroup).
+
+    The subgroups come from the group law alone (cyclic_subgroup, i.e.
+    repeated multiplication), with no closed form for any element, so the
+    graph stays an independent check on the structure claimed for it.
+    One subgroup is computed per generator class: if <x> = (x^0, ..., x^(m-1))
+    then x^t generates the same subgroup exactly when gcd(t, m) = 1, so
+    its index mask is assigned to all of those powers at once.  The arc
+    row of vertex i is its subgroup mask without bit i; the undirected
+    row is the arc row OR the transposed arc rows, built over set bits.
+    """
     labels = canonical_order(spec)
-    gen = {x: frozenset(cyclic_subgroup(spec, x)) for x in labels}
-    pairs = []
-    if directed:
-        for i, x in enumerate(labels):
-            for j, y in enumerate(labels):
-                if i != j and y in gen[x]:
-                    pairs.append((i, j))
-    else:
-        for i, x in enumerate(labels):
-            for j in range(i + 1, len(labels)):
-                y = labels[j]
-                if y in gen[x] or x in gen[y]:
-                    pairs.append((i, j))
-    return _graph_from_pairs(labels, pairs, directed)
+    index = {x: i for i, x in enumerate(labels)}
+    gen = [0] * len(labels)  # index mask of <labels[i]>; 0 until known
+    for i, x in enumerate(labels):
+        if gen[i]:
+            continue
+        powers = cyclic_subgroup(spec, x)
+        m = len(powers)
+        mask = 0
+        for y in powers:
+            mask |= 1 << index[y]
+        for t, y in enumerate(powers):
+            if math.gcd(t, m) == 1:
+                gen[index[y]] = mask
+    rows = [mask & ~(1 << i) for i, mask in enumerate(gen)]
+    if not directed:
+        rows = [row | col for row, col in zip(rows, _transpose(rows))]
+    return Graph(labels, tuple(rows), directed)
 
 
 def build_model_graph(k: int, p: int) -> Graph:
@@ -186,19 +213,22 @@ def build_model_graph(k: int, p: int) -> Graph:
     with the core); each order-2 flip hangs off the identity alone.
     """
     spec = SemidihedralType(k, p)
-    labels = canonical_order(spec)
     q = spec.rotation_order
-    pairs = [(i, j) for i in range(q) for j in range(i + 1, q)]
-    for t in range(q // 4):
-        a, b = q + 2 * t, q + 2 * t + 1
-        pairs += [(0, a), (0, b), (1, a), (1, b), (a, b)]
-    flat_start = q + q // 2
-    pairs += [(0, flat_start + j) for j in range(q // 2)]
-    return _graph_from_pairs(labels, pairs)
+    half = q // 2
+    quads = ((1 << half) - 1) << q  # order-4 flips, vertices q .. q + half - 1
+    flats = ((1 << half) - 1) << (q + half)  # order-2 flips, the last half
+    rows = [((1 << q) - 1) ^ (1 << i) for i in range(q)]
+    rows[0] |= quads | flats
+    rows[1] |= quads
+    # q is a multiple of 4, so the pair partners q + 2t, q + 2t + 1 differ in bit 0
+    rows += [0b11 | (1 << (a ^ 1)) for a in range(q, q + half)]
+    rows += [0b1] * half
+    return Graph(canonical_order(spec), tuple(rows))
 
 
 def edge_count(g: Graph) -> int:
-    return len(g.edges())
+    arcs = sum(g.degree(i) for i in range(g.n))
+    return arcs if g.directed else arcs // 2
 
 
 def degree_sequence(g: Graph) -> tuple[int, ...]:
@@ -329,10 +359,8 @@ def graph_diff(g1: Graph, g2: Graph) -> tuple[tuple[GroupElement, GroupElement],
     """Symmetric difference of edge sets, as label pairs in vertex order."""
     if g1.labels != g2.labels or g1.directed != g2.directed:
         raise ValueError("graphs must share the same labelled vertex set")
-    e1, e2 = set(g1.edges()), set(g2.edges())
-    return tuple(
-        (g1.labels[i], g1.labels[j]) for i, j in sorted(e1.symmetric_difference(e2))
-    )
+    rows = [a ^ b for a, b in zip(g1._rows, g2._rows)]
+    return tuple((g1.labels[i], g1.labels[j]) for i, j in _pairs(rows, g1.directed))
 
 
 def to_dot(g: Graph) -> str:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import multiprocessing
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -231,6 +232,15 @@ def run_verification(
         graphs["true"] = build_power_graph(spec)
     m_counts = {name: edge_count(g) for name, g in graphs.items()}
 
+    rotation_graph = None
+
+    def power_graph_of_rotations():
+        """P(C_q), the true graph inside <r>; built on first use, once per run."""
+        nonlocal rotation_graph
+        if rotation_graph is None:
+            rotation_graph = build_power_graph(Cyclic(q))
+        return rotation_graph
+
     pres = validate_presentation(spec)
     checks.append(
         Check(
@@ -397,7 +407,7 @@ def run_verification(
     for cname, g in graphs.items():
         rep = verify_decomposition(g, k, p)
         expected_rotation = (
-            math.comb(q, 2) if cname == "model" else edge_count(build_power_graph(Cyclic(q)))
+            math.comb(q, 2) if cname == "model" else edge_count(power_graph_of_rotations())
         )
         ok = (
             rep.pendant_count == mp.half_rotation
@@ -425,7 +435,7 @@ def run_verification(
 
     if "model" in graphs and "true" in graphs:
         diff = graph_diff(graphs["model"], graphs["true"])
-        expected_size = math.comb(q, 2) - edge_count(build_power_graph(Cyclic(q)))
+        expected_size = math.comb(q, 2) - edge_count(power_graph_of_rotations())
         inside_rotations = all(
             x.a == 0 and y.a == 0 and x.b != 0 and y.b != 0 for x, y in diff
         )
@@ -456,7 +466,7 @@ def run_verification(
                 if cname == "model":
                     base = float(q - 1)
                 else:
-                    base = spectral_radius(build_power_graph(Cyclic(q)), NUMERIC_TOL)
+                    base = spectral_radius(power_graph_of_rotations(), NUMERIC_TOL)
             except MatrixCapExceeded as exc:
                 notices.append(f"radius bounds for {cname} skipped: {exc}")
                 continue
@@ -585,7 +595,8 @@ def sweep(
     jobs: int = 1,
 ) -> list[VerificationReport]:
     """Verify every (k, p) pair of the two lists; rejects invalid parameters
-    and jobs < 1 up front.  jobs > 1 fans the pairs out to a process pool;
+    and jobs < 1 up front.  jobs > 1 fans the pairs out to a pool of
+    spawned worker processes (fork is unsafe once the parent has threads);
     errors inside one pair are contained in that pair's report."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -598,7 +609,8 @@ def sweep(
     constructions = _normalize_constructions(constructions)
     work = [(k, p, kinds, constructions) for k, p in pairs]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
             return list(pool.map(_sweep_one, work))
     return [_sweep_one(w) for w in work]
 

@@ -31,6 +31,39 @@ def graph_with_edges(labels, pairs, directed=False):
     return Graph(tuple(labels), tuple(rows), directed)
 
 
+def scan_edges(g):
+    """Reference edge list: every index pair tested, as Graph.edges() orders it."""
+    return [
+        (i, j)
+        for i in range(g.n)
+        for j in range(g.n)
+        if g.has_edge(i, j) and (g.directed or i < j)
+    ]
+
+
+def pair_scan_graph(spec, directed=False):
+    """Reference builder: x -> y iff y in <x>; undirected x ~ y iff y in <x>
+    or x in <y>; every pair tested, one cyclic subgroup per vertex.
+    Returns the graph and its number of edges (arcs)."""
+    els = canonical_order(spec)
+    gen = {x: set(cyclic_subgroup(spec, x)) for x in els}
+    if directed:
+        pairs = [
+            (i, j)
+            for i, x in enumerate(els)
+            for j, y in enumerate(els)
+            if i != j and y in gen[x]
+        ]
+    else:
+        pairs = [
+            (i, i + 1 + t)
+            for i, x in enumerate(els)
+            for t, y in enumerate(els[i + 1 :])
+            if y in gen[x] or x in gen[y]
+        ]
+    return graph_with_edges(els, pairs, directed), len(pairs)
+
+
 def cyclic_power_edges(q):
     """Independent oracle for P(Z_q): b generates the multiples of gcd(b, q)."""
     out = set()
@@ -70,6 +103,25 @@ class TestGraphBasics:
         assert g.neighbors(1) == (0, 2)
         assert g.index_of(E(0, 2)) == 2
         assert g.edges() == [(0, 1), (1, 2)]
+
+    def test_wide_rows(self):
+        # n = 70: rows are wider than one 64-bit word
+        labels = tuple(E(0, b) for b in range(70))
+        rows = [0] * 70
+        for i, j in [(0, 69), (3, 64), (64, 65)]:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        g = Graph(labels, tuple(rows))
+        assert g.edges() == [(0, 69), (3, 64), (64, 65)]
+        assert g.neighbors(64) == (3, 65)
+        assert edge_count(g) == len(g.edges()) == 3
+        rows[1] |= 1 << 66  # an arc 1 -> 66 with no 66 -> 1
+        with pytest.raises(ValueError, match="symmetric"):
+            Graph(labels, tuple(rows))
+        d = Graph(labels, tuple(rows), directed=True)
+        assert d.edges() == scan_edges(d)
+        assert (1, 66) in d.edges() and (66, 1) not in d.edges()
+        assert edge_count(d) == len(d.edges()) == 7
 
     def test_equality_and_hash(self):
         a = graph_with_edges([E(0, 0), E(0, 1)], [(0, 1)])
@@ -129,18 +181,30 @@ class TestTruePowerGraph:
         got = {(x.b, y.b) for i, j in g.edges() for x, y in [(g.labels[i], g.labels[j])]}
         assert {tuple(sorted(e)) for e in got} == cyclic_power_edges(q)
 
-    def test_edge_count_by_pair_scan(self, true_graphs):
-        spec = SemidihedralType(2, 3)
-        els = canonical_order(spec)
-        gen = {x: set(cyclic_subgroup(spec, x)) for x in els}
-        m = sum(
-            1
-            for i, x in enumerate(els)
-            for y in els[i + 1 :]
-            if y in gen[x] or x in gen[y]
-        )
-        assert m == 77
-        assert edge_count(true_graphs[(2, 3)]) == 77
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    @pytest.mark.parametrize(
+        "spec,edges,arcs",
+        [
+            pytest.param(Cyclic(1), 0, 0, id="C1"),
+            pytest.param(Cyclic(2), 1, 1, id="C2"),
+            pytest.param(Cyclic(6), 13, 15, id="C6"),
+            pytest.param(Cyclic(12), 56, 65, id="C12"),
+            pytest.param(Cyclic(30), 341, 411, id="C30"),
+            pytest.param(Cyclic(64), 2016, 2667, id="C64"),
+            pytest.param(SemidihedralType(2, 3), 77, 89, id="SD2-3"),
+            pytest.param(SemidihedralType(2, 5), 205, 251, id="SD2-5"),
+            pytest.param(SemidihedralType(3, 3), 276, 325, id="SD3-3"),
+            pytest.param(SemidihedralType(2, 7), 397, 501, id="SD2-7"),
+            pytest.param(SemidihedralType(4, 3), 1042, 1245, id="SD4-3"),
+        ],
+    )
+    def test_edge_count_by_pair_scan(self, spec, edges, arcs, directed):
+        want, m = pair_scan_graph(spec, directed)
+        assert m == (arcs if directed else edges)
+        g = build_power_graph(spec, directed=directed)
+        assert g == want
+        assert g.edges() == scan_edges(g)
+        assert edge_count(g) == len(g.edges()) == m
 
     def test_degrees_at_2_3(self, true_graphs):
         g = true_graphs[(2, 3)]
@@ -213,6 +277,17 @@ class TestModelGraph:
             expected[a][b] = expected[b][a] = 1
         got = matrix_of(model_graphs[(2, 3)], "adjacency")
         assert got.to_lists() == expected
+
+    @pytest.mark.parametrize("k,p", [(2, 3), (2, 5), (3, 3), (2, 7), (4, 3), (5, 3)])
+    def test_matches_pair_list_reference(self, k, p):
+        spec = SemidihedralType(k, p)
+        q = spec.rotation_order
+        pairs = [(i, j) for i in range(q) for j in range(i + 1, q)]
+        for t in range(q // 4):
+            a, b = q + 2 * t, q + 2 * t + 1
+            pairs += [(0, a), (0, b), (1, a), (1, b), (a, b)]
+        pairs += [(0, q + q // 2 + j) for j in range(q // 2)]
+        assert build_model_graph(k, p) == graph_with_edges(canonical_order(spec), pairs)
 
     def test_rotations_form_clique(self, model_graphs):
         for (k, p), g in model_graphs.items():
@@ -315,6 +390,26 @@ class TestGraphDiff:
             if (x, y) not in cyclic_power_edges(12)
         }
         assert got == non_edges
+
+    @pytest.mark.parametrize("case", ["model-vs-true-2-5", "directed-arc-removed"])
+    def test_matches_set_difference(self, case, model_graphs, true_graphs):
+        if case == "model-vs-true-2-5":
+            g1, g2 = model_graphs[(2, 5)], true_graphs[(2, 5)]
+            size = 20
+        else:
+            g1 = build_power_graph(SemidihedralType(2, 3), directed=True)
+            arc = (g1.index_of(E(1, 1)), g1.index_of(E(0, 6)))
+            g2 = graph_with_edges(
+                g1.labels, [a for a in g1.edges() if a != arc], directed=True
+            )
+            size = 1
+        want = tuple(
+            (g1.labels[i], g1.labels[j])
+            for i, j in sorted(set(scan_edges(g1)) ^ set(scan_edges(g2)))
+        )
+        assert len(want) == size
+        assert graph_diff(g1, g2) == want
+        assert graph_diff(g2, g1) == want
 
     def test_deterministic(self, model_graphs, true_graphs):
         d1 = graph_diff(model_graphs[(2, 3)], true_graphs[(2, 3)])
