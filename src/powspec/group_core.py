@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 __all__ = [
@@ -115,7 +116,9 @@ class SemidihedralType:
     def __post_init__(self) -> None:
         validate_parameters(self.k, self.p)
 
-    @property
+    # multiply and _require_canonical read these on every call, so they
+    # are computed once per spec; fields and equality stay (k, p)
+    @cached_property
     def rotation_order(self) -> int:
         return 2**self.k * self.p
 
@@ -123,7 +126,7 @@ class SemidihedralType:
     def order(self) -> int:
         return 2 ** (self.k + 1) * self.p
 
-    @property
+    @cached_property
     def twist(self) -> int:
         return 2 ** (self.k - 1) * self.p - 1
 

@@ -11,9 +11,11 @@ than deciding which one is intended.
 A graph is stored as packed bit rows: row i is an int whose bit j is set
 when i ~ j (the arc i -> j when directed).  build_power_graph computes one
 cyclic subgroup per generator class rather than one per vertex, and every
-consumer (neighbors, edges, edge_count, graph_diff, the symmetry check)
-walks set bits or whole rows, so it costs O(n + edges) big-int steps
-instead of testing all n^2 index pairs.
+consumer (neighbors, edges, edge_count, graph_diff) walks set bits or
+whole rows, so it costs O(n + edges) big-int steps instead of testing all
+n^2 index pairs.  The transpose behind the symmetry check and the
+undirected build is one numpy bit-matrix transpose, and the decomposition
+census tests whole rows against the neighbourhoods the decomposition allows.
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .exact_linalg import IntMatrix
 from .group_core import (
     Cyclic,
     GroupElement,
     GroupSpec,
     SemidihedralType,
-    class_partition,
     cyclic_subgroup,
     identity,
 )
@@ -121,12 +124,16 @@ def _bits(mask: int):
 
 
 def _transpose(rows) -> list[int]:
-    out = [0] * len(rows)
-    for i, mask in enumerate(rows):
-        bit = 1 << i
-        for j in _bits(mask):
-            out[j] |= bit
-    return out
+    """The transposed bit matrix of n rows of n bits (bit j of row i is
+    bit i of row j of the result), via one numpy bit-array transpose."""
+    n = len(rows)
+    if not n:
+        return []
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), np.uint8)
+    bits = np.unpackbits(packed.reshape(n, width), axis=1, bitorder="little")[:, :n]
+    data = np.packbits(bits.T, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, n * width, width)]
 
 
 def _pairs(rows, directed: bool) -> list[tuple[int, int]]:
@@ -183,7 +190,7 @@ def build_power_graph(spec: GroupSpec, directed: bool = False) -> Graph:
     then x^t generates the same subgroup exactly when gcd(t, m) = 1, so
     its index mask is assigned to all of those powers at once.  The arc
     row of vertex i is its subgroup mask without bit i; the undirected
-    row is the arc row OR the transposed arc rows, built over set bits.
+    row is the arc row OR the same row of the transposed arc matrix.
     """
     labels = canonical_order(spec)
     index = {x: i for i, x in enumerate(labels)}
@@ -286,72 +293,58 @@ def verify_decomposition(g: Graph, k: int, p: int) -> DecompositionReport:
     The core edge {identity, central rotation} counts toward the rotation
     part, so each complete 4-clique contributes exactly five edges here.
     Anything that fits none of the three buckets lands in uncovered_edges.
+
+    Whole rows are tested against the neighbourhoods the decomposition
+    allows: a rotation row may hold the rotations (and every flip for the
+    identity, the order-4 flips for the central rotation), an order-4 flip
+    row {identity, central rotation, partner}, an order-2 flip row the
+    identity alone.  An edge is uncovered exactly when it lies outside the
+    allowed row of either endpoint, as the allowed relation is symmetric.
     """
+    if g.directed:
+        raise ValueError("the decomposition census needs an undirected graph")
     spec = SemidihedralType(k, p)
     if g.labels != canonical_order(spec):
         raise ValueError("graph does not carry the canonical vertex order for (k, p)")
-    part = class_partition(spec)
-    e = identity(spec)
-    u = spec.central_rotation
-    pairs = quartic_flip_pairs(spec)
-    partner = {}
-    block_of = {}
-    for idx, (x, y) in enumerate(pairs):
-        partner[x], partner[y] = y, x
-        block_of[x] = block_of[y] = idx
+    labels, rows = g.labels, g._rows
+    q = spec.rotation_order
+    half = q // 2
+    rot = (1 << q) - 1
+    quads = ((1 << half) - 1) << q  # order-4 flips, vertices q .. q + half - 1
+    flats = ((1 << half) - 1) << (q + half)  # order-2 flips, the last half
+    # identity at 0 and central rotation at 1; the partners of an order-4
+    # pair sit at q + 2t and q + 2t + 1, which differ in bit 0 since 4 | q
+    allowed = [rot | quads | flats, rot | quads] + [rot] * (q - 2)
+    allowed += [0b11 | (1 << (a ^ 1)) for a in range(q, q + half)]
+    allowed += [0b1] * half
+    outside = [row & ~ok for row, ok in zip(rows, allowed)]
 
-    pendant = []
-    rotation_edges = 0
-    uncovered = []
-    quad_edges: dict[int, set[frozenset[GroupElement]]] = {i: set() for i in range(len(pairs))}
-
-    for i, j in g.edges():
-        x, y = g.labels[i], g.labels[j]
-        if x.a == 0 and y.a == 0:
-            rotation_edges += 1
-            continue
-        flat = {v for v in (x, y) if v in part.order2_flips}
-        if flat:
-            other = y if x in flat else x
-            if len(flat) == 1 and other == e:
-                pendant.append((x, y) if x == e else (y, x))
-            else:
-                uncovered.append((x, y))
-            continue
-        # at least one endpoint is an order-4 flip here
-        if x in part.order4_flips and y in part.order4_flips:
-            if partner[x] == y:
-                quad_edges[block_of[x]].add(frozenset((x, y)))
-            else:
-                uncovered.append((x, y))
-            continue
-        flip, other = (x, y) if x in part.order4_flips else (y, x)
-        if other in (e, u):
-            quad_edges[block_of[flip]].add(frozenset((flip, other)))
-        else:
-            uncovered.append((x, y))
-
+    e, row_e, row_u = labels[0], rows[0], rows[1]
+    pendant = [(e, labels[f]) for f in range(q + half, 2 * q) if (row_e >> f) & 1]
     complete, incomplete = [], []
-    for idx, (x, y) in enumerate(pairs):
-        expected = {
-            frozenset((e, x)),
-            frozenset((e, y)),
-            frozenset((u, x)),
-            frozenset((u, y)),
-            frozenset((x, y)),
-        }
-        block = (e, u, x, y)
-        if quad_edges[idx] == expected:
+    for a in range(q, q + half, 2):
+        b = a + 1
+        present = (
+            ((row_e >> a) & 1)
+            + ((row_e >> b) & 1)
+            + ((row_u >> a) & 1)
+            + ((row_u >> b) & 1)
+            + ((rows[a] >> b) & 1)
+        )
+        block = (e, labels[1], labels[a], labels[b])
+        if present == 5:
             complete.append(block)
-        elif quad_edges[idx]:
+        elif present:
             incomplete.append(block)
 
     return DecompositionReport(
         pendant_edges=tuple(sorted(pendant)),
         quad_blocks=tuple(complete),
         incomplete_quads=tuple(incomplete),
-        rotation_part_edges=rotation_edges,
-        uncovered_edges=tuple(sorted(uncovered)),
+        rotation_part_edges=sum((row & rot).bit_count() for row in rows[:q]) // 2,
+        uncovered_edges=tuple(
+            sorted((labels[i], labels[j]) for i, j in _pairs(outside, directed=False))
+        ),
     )
 
 

@@ -1,11 +1,22 @@
 import math
+import random
 
 import pytest
 
 from powspec.exact_linalg import matrix_of
-from powspec.group_core import Cyclic, GroupElement, SemidihedralType, cyclic_subgroup
+from powspec.group_core import (
+    Cyclic,
+    GroupElement,
+    SemidihedralType,
+    class_partition,
+    cyclic_subgroup,
+    identity,
+)
 from powspec.powergraph import (
+    DecompositionReport,
     Graph,
+    _bits,
+    _transpose,
     build_model_graph,
     build_power_graph,
     canonical_order,
@@ -62,6 +73,95 @@ def pair_scan_graph(spec, directed=False):
             if y in gen[x] or x in gen[y]
         ]
     return graph_with_edges(els, pairs, directed), len(pairs)
+
+
+def bit_walk_transpose(rows):
+    """Reference transpose: set bit i of row j for every set bit j of row i."""
+    out = [0] * len(rows)
+    for i, mask in enumerate(rows):
+        for j in _bits(mask):
+            out[j] |= 1 << i
+    return out
+
+
+def edge_walk_decomposition(g, k, p):
+    """Reference census: every edge of g.edges() classified on its own."""
+    spec = SemidihedralType(k, p)
+    part = class_partition(spec)
+    e = identity(spec)
+    u = spec.central_rotation
+    pairs = quartic_flip_pairs(spec)
+    partner = {}
+    block_of = {}
+    for idx, (x, y) in enumerate(pairs):
+        partner[x], partner[y] = y, x
+        block_of[x] = block_of[y] = idx
+
+    pendant = []
+    rotation_edges = 0
+    uncovered = []
+    quad_edges = {i: set() for i in range(len(pairs))}
+
+    for i, j in g.edges():
+        x, y = g.labels[i], g.labels[j]
+        if x.a == 0 and y.a == 0:
+            rotation_edges += 1
+            continue
+        flat = {v for v in (x, y) if v in part.order2_flips}
+        if flat:
+            other = y if x in flat else x
+            if len(flat) == 1 and other == e:
+                pendant.append((x, y) if x == e else (y, x))
+            else:
+                uncovered.append((x, y))
+            continue
+        if x in part.order4_flips and y in part.order4_flips:
+            if partner[x] == y:
+                quad_edges[block_of[x]].add(frozenset((x, y)))
+            else:
+                uncovered.append((x, y))
+            continue
+        flip, other = (x, y) if x in part.order4_flips else (y, x)
+        if other in (e, u):
+            quad_edges[block_of[flip]].add(frozenset((flip, other)))
+        else:
+            uncovered.append((x, y))
+
+    complete, incomplete = [], []
+    for idx, (x, y) in enumerate(pairs):
+        expected = {
+            frozenset((e, x)),
+            frozenset((e, y)),
+            frozenset((u, x)),
+            frozenset((u, y)),
+            frozenset((x, y)),
+        }
+        block = (e, u, x, y)
+        if quad_edges[idx] == expected:
+            complete.append(block)
+        elif quad_edges[idx]:
+            incomplete.append(block)
+
+    return DecompositionReport(
+        pendant_edges=tuple(sorted(pendant)),
+        quad_blocks=tuple(complete),
+        incomplete_quads=tuple(incomplete),
+        rotation_part_edges=rotation_edges,
+        uncovered_edges=tuple(sorted(uncovered)),
+    )
+
+
+# every (k, p) of the twisted family with n = 2^(k+1) p <= 256
+PAIRS_UNDER_CAP = [
+    (k, p)
+    for k, ps in {
+        2: (3, 5, 7, 11, 13, 17, 19, 23, 29, 31),
+        3: (3, 5, 7, 11, 13),
+        4: (3, 5, 7),
+        5: (3,),
+    }.items()
+    for p in ps
+]
 
 
 def cyclic_power_edges(q):
@@ -129,6 +229,39 @@ class TestGraphBasics:
         c = graph_with_edges([E(0, 0), E(0, 1)], [])
         assert a == b and hash(a) == hash(b)
         assert a != c
+
+
+class TestTranspose:
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 255, 256, 257])
+    def test_matches_bit_walk(self, n):
+        rng = random.Random(n)
+        cases = [
+            [0] * n,
+            [rng.getrandbits(n) & ~(1 << i) for i in range(n)],  # directed, asymmetric
+            [rng.getrandbits(n) if rng.random() < 0.3 else 0 for _ in range(n)],
+            [((1 << n) - 1) ^ (1 << i) for i in range(n)],
+        ]
+        for rows in cases:
+            assert _transpose(rows) == bit_walk_transpose(rows)
+            assert _transpose(_transpose(rows)) == rows
+
+    @pytest.mark.parametrize("col", [7, 8, 63, 64, 255, 256])
+    def test_one_asymmetric_bit_at_byte_and_word_edges(self, col):
+        n = 257
+        labels = tuple(E(0, b) for b in range(n))
+        rng = random.Random(col)
+        upper = [rng.getrandbits(n) & ~((1 << (i + 1)) - 1) for i in range(n)]
+        sym = [a | b for a, b in zip(upper, bit_walk_transpose(upper))]
+        g = Graph(labels, tuple(sym))
+        assert g.edges() == scan_edges(g)
+        for i, j in [(100, col), (col, 100)]:
+            rows = list(sym)
+            rows[i] ^= 1 << j  # flips one bit on one side only
+            with pytest.raises(ValueError, match="symmetric"):
+                Graph(labels, tuple(rows))
+            d = Graph(labels, tuple(rows), directed=True)
+            assert d.has_edge(i, j) != g.has_edge(i, j)
+            assert d.has_edge(j, i) == g.has_edge(j, i)
 
 
 class TestCanonicalOrder:
@@ -356,6 +489,85 @@ class TestDecomposition:
     def test_rejects_wrong_labels(self, model_graphs):
         with pytest.raises(ValueError):
             verify_decomposition(model_graphs[(2, 5)], 2, 3)
+
+    def test_rejects_directed(self):
+        # a census of arcs would count each rotation edge up to twice
+        g = build_power_graph(SemidihedralType(2, 3), directed=True)
+        with pytest.raises(ValueError, match="undirected"):
+            verify_decomposition(g, 2, 3)
+
+
+def mutated(g, k, p, mutation):
+    """g with one edge dropped or added, named by the classes it touches."""
+    q = 2**k * p
+    half = q // 2
+    e, u, rotation, x, y, other_quad = 0, 1, 2, q, q + 1, q + 2
+    flat, other_flat = q + half, q + half + 1
+    dropped = {
+        "drop-e-x": (e, x),
+        "drop-e-y": (e, y),
+        "drop-u-x": (u, x),
+        "drop-u-y": (u, y),
+        "drop-x-y": (x, y),
+        "drop-pendant": (e, flat),
+        "drop-e-u": (e, u),
+    }
+    added = {
+        "add-flat-flat": (flat, other_flat),
+        "add-flat-u": (u, flat),
+        "add-flat-rotation": (rotation, flat),
+        "add-quad-rotation": (rotation, x),
+        "add-quad-other-quad": (x, other_quad),
+        "add-quad-flat": (y, flat),
+    }
+    edges = g.edges()
+    if mutation in dropped:
+        assert dropped[mutation] in edges
+        edges = [pair for pair in edges if pair != dropped[mutation]]
+    else:
+        assert added[mutation] not in edges
+        edges = edges + [added[mutation]]
+    return graph_with_edges(g.labels, edges)
+
+
+MUTATIONS = [
+    "drop-e-x",
+    "drop-e-y",
+    "drop-u-x",
+    "drop-u-y",
+    "drop-x-y",
+    "drop-pendant",
+    "drop-e-u",
+    "add-flat-flat",
+    "add-flat-u",
+    "add-flat-rotation",
+    "add-quad-rotation",
+    "add-quad-other-quad",
+    "add-quad-flat",
+]
+
+
+class TestDecompositionMatchesEdgeWalk:
+    @pytest.mark.parametrize("k,p", PAIRS_UNDER_CAP)
+    def test_every_pair_under_cap(self, k, p):
+        for g in (build_model_graph(k, p), build_power_graph(SemidihedralType(k, p))):
+            rep = verify_decomposition(g, k, p)
+            assert rep == edge_walk_decomposition(g, k, p)
+            assert rep.covered and not rep.incomplete_quads
+            assert rep.quad_count == 2 ** (k - 2) * p
+
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    @pytest.mark.parametrize("construction", ["model", "true"])
+    @pytest.mark.parametrize("k,p", [(2, 3), (3, 3)])
+    def test_mutated(self, k, p, construction, mutation):
+        if construction == "model":
+            g = build_model_graph(k, p)
+        else:
+            g = build_power_graph(SemidihedralType(k, p))
+        bad = mutated(g, k, p, mutation)
+        rep = verify_decomposition(bad, k, p)
+        assert rep == edge_walk_decomposition(bad, k, p)
+        assert rep != verify_decomposition(g, k, p)
 
 
 class TestGraphDiff:

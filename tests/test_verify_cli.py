@@ -272,12 +272,14 @@ class TestConsoleScript:
 class TestModuleEntryPoint:
     """python -m powspec.verify_cli runs the same CLI as the console script."""
 
+    module = "powspec.verify_cli"
+
     def run_module(self, *args):
         src_dir = str(Path(powspec.__file__).resolve().parent.parent)
         path = os.environ.get("PYTHONPATH")
         env = {**os.environ, "PYTHONPATH": src_dir + (os.pathsep + path if path else "")}
         return subprocess.run(
-            [sys.executable, "-m", "powspec.verify_cli", *args],
+            [sys.executable, "-m", self.module, *args],
             capture_output=True,
             text=True,
             env=env,
@@ -293,3 +295,15 @@ class TestModuleEntryPoint:
         proc = self.run_module("verify", "--k", "2", "--p", "4")
         assert proc.returncode == 2
         assert "error" in proc.stderr
+
+
+class TestPackageEntryPoint(TestModuleEntryPoint):
+    """python -m powspec runs the same CLI, without runpy's RuntimeWarning
+    about a submodule imported by the package before it runs as __main__."""
+
+    module = "powspec"
+
+    def run_module(self, *args):
+        proc = super().run_module(*args)
+        assert "RuntimeWarning" not in proc.stderr
+        return proc
