@@ -32,6 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import kernels
+from .group_core import _is_prime
 
 DEFAULT_MATRIX_CAP = 256
 CAP_ENV_VAR = "POWSPEC_MATRIX_CAP"
@@ -308,30 +309,6 @@ def det_exact(m: IntMatrix) -> int:
 # Residues of 31-bit primes stay below 2^31, so a product of two fits in
 # int64 (below 2^62) and a sum of up to 2^32 reduced products cannot overflow.
 _PRIME_BITS = 31
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; bases 2, 7, 61 are exact below 4759123141."""
-    if n < 2:
-        return False
-    for a in (2, 7, 61):
-        if n % a == 0:
-            return n == a
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 7, 61):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _primes_exceeding(bound: int) -> list[int]:

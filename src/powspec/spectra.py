@@ -14,7 +14,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .exact_linalg import IntMatrix, matrix_of, matrix_order_cap, MatrixCapExceeded
+from .exact_linalg import IntMatrix, _check_cap, matrix_of
 
 Exactish = Union[int, Fraction]
 
@@ -82,8 +82,7 @@ def symmetric_eigenvalues(matrix, tol: float = 1e-9) -> EigenResult:
     """
     arr = _as_array(matrix)
     n = arr.shape[0]
-    if n > matrix_order_cap():
-        raise MatrixCapExceeded(f"matrix order {n} exceeds the configured cap")
+    _check_cap(n)
     if not (arr == arr.T).all():
         raise ValueError("matrix is not symmetric")
     if n == 0:

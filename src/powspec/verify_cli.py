@@ -91,8 +91,6 @@ def _fmt(v):
         return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
-    if isinstance(v, (int, Fraction)):
-        return str(v)
     return str(v)
 
 
@@ -510,8 +508,7 @@ def run_verification(
         notices=tuple(notices),
     )
     if out is not None:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(report.to_json())
+        _emit(report.to_json(), out)
     return report
 
 
@@ -710,18 +707,24 @@ def _graph_json(g) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
-def _formula_json(k: int, p: int, kind: str) -> str:
+def _charpoly_forms(kind: str, k: int, p: int) -> dict:
+    """The claimed characteristic polynomial, factored and expanded."""
     formula = _charpoly_formula(kind, k, p)
-    data = {
-        "matrix": kind,
-        "k": k,
-        "p": p,
+    return {
         "factored": {
             "scalar": formula.scalar,
             "factors": [[base.to_coeff_list(), e] for base, e in formula.factors],
         },
         "expanded": formula.expand().to_coeff_list(),
     }
+
+
+def _spectrum_pairs(spectrum) -> list:
+    return [[int(v), m] for v, m in spectrum.pairs()]
+
+
+def _formula_json(k: int, p: int, kind: str) -> str:
+    data = {"matrix": kind, "k": k, "p": p, **_charpoly_forms(kind, k, p)}
     return json.dumps(data, indent=2) + "\n"
 
 
@@ -743,13 +746,8 @@ def _cmd_export(args) -> int:
         if fmt == "csv":
             payload = spectrum_to_csv(spectrum)
         else:
-            payload = (
-                json.dumps(
-                    {"matrix": "laplacian", "pairs": [[int(v), m] for v, m in spectrum.pairs()]},
-                    indent=2,
-                )
-                + "\n"
-            )
+            data = {"matrix": "laplacian", "pairs": _spectrum_pairs(spectrum)}
+            payload = json.dumps(data, indent=2) + "\n"
     else:  # formula
         if fmt != "json":
             raise ValueError("formula export supports json only")
@@ -768,19 +766,10 @@ def _cmd_formulas(args) -> int:
         "n": mp.vertex_count,
         "m_model": mp.model_edge_count,
         "theta": mp.twist,
-        "charpoly": {},
-        "laplacian_spectrum": [[int(v), m] for v, m in spectrum.pairs()],
+        "charpoly": {kind: _charpoly_forms(kind, k, p) for kind in MATRIX_KINDS},
+        "laplacian_spectrum": _spectrum_pairs(spectrum),
         "laplacian_energy": _fmt(laplacian_energy_formula(k, p)),
     }
-    for kind in MATRIX_KINDS:
-        formula = _charpoly_formula(kind, k, p)
-        data["charpoly"][kind] = {
-            "factored": {
-                "scalar": formula.scalar,
-                "factors": [[base.to_coeff_list(), e] for base, e in formula.factors],
-            },
-            "expanded": formula.expand().to_coeff_list(),
-        }
     _emit(json.dumps(data, indent=2) + "\n", args.out)
     return 0
 

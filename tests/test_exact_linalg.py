@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from powspec import _kernels_py, exact_linalg, kernels
+from powspec import exact_linalg, kernels
 from powspec.exact_linalg import (
     CAP_ENV_VAR,
     FactoredPolynomial,
@@ -91,7 +91,7 @@ class TestDeterminant:
     def test_symmetric_zero_pivot_falls_back(self):
         # a zero first pivot, and a zero pivot that only appears at step 2
         for rows in ([[0, 2, 1], [2, 0, 3], [1, 3, 1]], [[1, 1, 0], [1, 1, 2], [0, 2, 5]]):
-            assert _kernels_py._det_bareiss_symmetric(rows) is None
+            assert kernels._det_bareiss_symmetric(rows) is None
             assert det_exact(IntMatrix.from_rows(rows)) == det_cofactor(rows)
 
     def test_against_cofactor_oracle(self):
@@ -113,7 +113,7 @@ class TestDeterminant:
                 for i in range(n):
                     if i == 0 or rng.random() < 0.5:
                         rows[i][i] = 0
-            fallbacks += _kernels_py._det_bareiss_symmetric(rows) is None
+            fallbacks += kernels._det_bareiss_symmetric(rows) is None
             assert det_exact(IntMatrix.from_rows(rows)) == det_cofactor(rows)
         assert fallbacks >= 10
 
@@ -271,28 +271,6 @@ class TestCharPoly:
             g = build_power_graph(Cyclic(q))
             for kind in ("adjacency", "laplacian", "signless"):
                 check(matrix_of(g, kind))
-
-
-class TestBackends:
-    def test_backend_reported(self):
-        assert kernels.BACKEND in ("compiled", "pure-python")
-        assert "pure-python" in kernels.available_backends()
-
-    def test_backends_agree(self):
-        backends = kernels.available_backends()
-        if len(backends) < 2:
-            pytest.skip("compiled backend not built")
-        rng = random.Random(11)
-        for _ in range(10):
-            n = rng.randint(1, 6)
-            rows = random_int_matrix(rng, n, -8, 8)
-            dets = {name: mod.det_bareiss([r[:] for r in rows]) for name, mod in backends.items()}
-            polys = {
-                name: mod.charpoly_leverrier([r[:] for r in rows])
-                for name, mod in backends.items()
-            }
-            assert len(set(dets.values())) == 1
-            assert len(set(tuple(p) for p in polys.values())) == 1
 
 
 class TestMatrixCap:

@@ -89,6 +89,11 @@ class TestEigensolver:
         with pytest.raises(MatrixCapExceeded):
             symmetric_eigenvalues(np.zeros((5, 5)))
 
+    def test_cap_message_names_the_override(self, monkeypatch):
+        monkeypatch.setenv(CAP_ENV_VAR, "4")
+        with pytest.raises(MatrixCapExceeded, match=CAP_ENV_VAR):
+            symmetric_eigenvalues(np.zeros((5, 5)))
+
 
 class TestClustering:
     def test_merges_within_tol(self):

@@ -253,6 +253,16 @@ class TestCliExports:
         assert set(data["charpoly"]) == {"adjacency", "laplacian", "signless"}
         assert all(len(v["expanded"]) == 25 for v in data["charpoly"].values())
 
+    def test_formula_export_matches_formulas_dump(self, capsys):
+        assert main(["formulas", "--k", "2", "--p", "3"]) == 0
+        charpoly = json.loads(capsys.readouterr().out)["charpoly"]
+        for kind in ("adjacency", "laplacian", "signless"):
+            assert main(["export", "--what", "formula", "--format", "json", "--k", "2",
+                         "--p", "3", "--matrix", kind]) == 0
+            data = json.loads(capsys.readouterr().out)
+            assert data["matrix"] == kind
+            assert {"factored": data["factored"], "expanded": data["expanded"]} == charpoly[kind]
+
 
 class TestConsoleScript:
     def test_installed_entry_point(self):
