@@ -2,18 +2,37 @@
 
 Two independent exact routes to det(xI - A) live here.
 
-- char_poly_exact, the primary route, is multi-modular.  The coefficients
-  are bounded by Hadamard's inequality on the rows: with r_i the ceiling
-  of the Euclidean norm of row i, |c_i| <= prod_i (1 + r_i).  The largest
+- char_poly_exact, the primary route, first reduces A by twin classes.
+  Let classes I of sizes s_I have one diagonal value d_I and one
+  off-diagonal value c_I inside I, and one constant m_IJ on every block
+  A[I, J] with I != J.  Then
+
+      det(xI - A) = det(xI - B) * prod_I (x - (d_I - c_I))^(s_I - 1),
+
+  with B_II = d_I + (s_I - 1) c_I and B_IJ = s_J m_IJ (B need not be
+  symmetric).  The class-constant vectors span an A-invariant subspace
+  on which A acts as B, and each zero-sum vector inside one class is an
+  eigenvector for d_I - c_I.  The classes are found on A, never assumed:
+  i and j are twins of type c when A_ii = A_jj and row i with entry i set
+  to c equals row j with entry j set to c, and likewise for columns i and
+  j.  The classes of one c are collapsed at a time, and the search is
+  repeated on B until nothing collapses.  Elements that generate one
+  cyclic subgroup are twins in a power graph, so the model graph has a
+  5 x 5 quotient and the true graph a (2k + 4) x (2k + 4) one.
+- B then takes the multi-modular route.  Its coefficients are bounded by
+  Hadamard's inequality on the rows: with r_i the ceiling of the
+  Euclidean norm of row i, |c_i| <= prod_i (1 + r_i).  The largest
   31-bit primes are taken until their product exceeds twice that bound.
   Modulo each prime the matrix is reduced to Hessenberg form with numpy
   int64 row and column operations, whose characteristic polynomial
   follows by recurrence; residues stay below 2^31 and every product of
   two is reduced mod p before it is summed, so no int64 value overflows.
   A CRT lift into the symmetric range gives the exact integer
-  coefficients.  At runtime the lifted polynomial is compared with an
-  exact Bareiss det(x0 I - A) at x0 = R + 1, R the Gershgorin radius
-  (max absolute row sum); a difference raises ArithmeticError.
+  coefficients, and the linear factors are multiplied in exactly.  At
+  runtime the product is compared with an exact Bareiss det(x0 I - A) on
+  the full matrix at x0 = R + 1, R the Gershgorin radius (max absolute
+  row sum); a difference, from the lift or from the reduction, raises
+  ArithmeticError.
 - char_poly_leverrier, the cross-check route, runs fraction-free
   Faddeev-LeVerrier on Python ints.
 
@@ -283,20 +302,22 @@ class FactoredPolynomial:
 
 
 def matrix_of(graph, kind: str) -> IntMatrix:
-    """Adjacency, laplacian, or signless laplacian matrix of a graph."""
+    """Adjacency, laplacian, or signless laplacian matrix of a graph.
+
+    Row i is read off the packed bit row of vertex i (its out-arcs when
+    the graph is directed), with the degree on the diagonal for the two
+    laplacians.
+    """
     if kind not in ("adjacency", "laplacian", "signless"):
         raise ValueError(f"unknown matrix kind {kind!r}")
     n = graph.n
+    edge = -1 if kind == "laplacian" else 1
     rows = []
     for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(graph.degree(i) if kind != "adjacency" else 0)
-            elif graph.has_edge(i, j):
-                row.append(-1 if kind == "laplacian" else 1)
-            else:
-                row.append(0)
+        # bit j of the mask is character j of the reversed binary string
+        row = [edge if bit == "1" else 0 for bit in format(graph.row_mask(i), f"0{n}b")[::-1]]
+        if kind != "adjacency":
+            row[i] = graph.degree(i)
         rows.append(tuple(row))
     return IntMatrix(tuple(rows))
 
@@ -407,30 +428,135 @@ def _crt_lift(primes: Sequence[int], residues: Sequence[np.ndarray]) -> list[int
     return [x - modulus if x > half else x for x in lifted]
 
 
-def char_poly_exact(m: IntMatrix) -> IntPolynomial:
-    """det(xI - M) by Hessenberg reduction modulo 31-bit primes and CRT.
+def _twin_collapse(rows: list[tuple[int, ...]]):
+    """The smallest c with twin classes of type c in rows, and those classes.
 
-    Every coefficient satisfies |c_i| <= B = prod_i (1 + r_i), with r_i the
-    ceiling of the Euclidean norm of row i: each c_i is a signed sum of
-    principal minors, and Hadamard's inequality bounds each minor by the
-    product of its row norms (see _coefficient_bound).  The largest 31-bit
-    primes are taken until their product exceeds 2B, the characteristic
-    polynomial is computed modulo each by Hessenberg reduction on int64
-    residues, and the coefficients are lifted by CRT into the symmetric
-    range, which makes them exact.  As a runtime cross-check the lifted
-    polynomial is evaluated at x0 = R + 1, R the Gershgorin radius (max
-    absolute row sum), and compared with the exact Bareiss det(x0 I - M),
-    which is non-zero because x0 I - M is strictly diagonally dominant;
-    any difference raises ArithmeticError.  Always monic of degree n.  See
-    char_poly_leverrier for the independent cross-check route.
+    i and j are twins of type c when they have one diagonal value, row i
+    with entry i set to c equals row j with entry j set to c, and the same
+    holds for columns i and j.  For one c this is an equivalence relation,
+    and every class is constant on the diagonal, c off it, and constant on
+    each block it shares with another index or class.  Twin rows and
+    columns are permutations of each other, so indices are first bucketed
+    by (diagonal, sorted row, sorted column); only buckets of two or more
+    are searched, and only for the values c they hold symmetrically.
+    Returns None when no index has a twin.
+    """
+    n = len(rows)
+    cols = list(zip(*rows))
+    buckets: dict[tuple, list[int]] = {}
+    for i in range(n):
+        key = (rows[i][i], tuple(sorted(rows[i])), tuple(sorted(cols[i])))
+        buckets.setdefault(key, []).append(i)
+    candidates: dict[int, list[list[int]]] = {}
+    for bucket in buckets.values():
+        values = {
+            rows[i][j]
+            for a, i in enumerate(bucket)
+            for j in bucket[a + 1 :]
+            if rows[i][j] == rows[j][i]
+        }
+        for c in values:
+            candidates.setdefault(c, []).append(bucket)
+    for c in sorted(candidates):
+        classes = []
+        for bucket in candidates[c]:
+            groups: dict[tuple, list[int]] = {}
+            for i in bucket:
+                row, col = rows[i], cols[i]
+                key = (row[:i] + (c,) + row[i + 1 :], col[:i] + (c,) + col[i + 1 :])
+                groups.setdefault(key, []).append(i)
+            classes.extend(g for g in groups.values() if len(g) > 1)
+        if classes:
+            return c, sorted(classes)
+    return None
+
+
+def _twin_quotient(m: IntMatrix) -> tuple[IntMatrix, list[int]]:
+    """(B, roots) with det(xI - m) = det(xI - B) * prod_(r in roots) (x - r).
+
+    Collapses the twin classes of one c at a time (see _twin_collapse) and
+    repeats on the quotient until no index has a twin; a twin-free matrix
+    is its own quotient.  A class I of size s, diagonal d and off-diagonal
+    c becomes one index with diagonal d + (s - 1) c, the block from any
+    index or class to I is summed (s times its constant entry), and the
+    class contributes the root d - c with multiplicity s - 1.
+    """
+    rows = list(m.rows)
+    roots: list[int] = []
+    while (found := _twin_collapse(rows)) is not None:
+        c, classes = found
+        size = [1] * len(rows)
+        dropped = set()
+        for cls in classes:
+            size[cls[0]] = len(cls)
+            dropped.update(cls[1:])
+            d = rows[cls[0]][cls[0]]
+            roots.extend([d - c] * (len(cls) - 1))
+        keep = [i for i in range(len(rows)) if i not in dropped]
+        quotient = []
+        for i in keep:
+            # a list first: tuple() over a generator grows by reallocation,
+            # which fragments the heap and lifts the peak RSS run by run
+            row = [rows[i][j] * size[j] for j in keep]
+            row[len(quotient)] = rows[i][i] + (size[i] - 1) * c
+            quotient.append(tuple(row))
+        rows = quotient
+    return IntMatrix(tuple(rows)), roots
+
+
+def char_poly_exact(m: IntMatrix) -> IntPolynomial:
+    """det(xI - M) on the twin quotient of M, by Hessenberg reduction
+    modulo 31-bit primes and CRT, checked at one point on M itself.
+
+    Twin quotient (Schwenk 1974; Cardoso et al. 2013).  Take classes I
+    of indices, of sizes s_I, such that M is d_I on the diagonal of I and
+    c_I off it, and every block M[I, J] with I != J is one constant m_IJ.
+    Then det(xI - M) = det(xI - B) * prod_I (x - (d_I - c_I))^(s_I - 1),
+    with B_II = d_I + (s_I - 1) c_I and B_IJ = s_J m_IJ; B need not be
+    symmetric.  Proof: with P the class-indicator matrix, M P = P B, so
+    the class-constant vectors span an invariant subspace on which M acts
+    as B; a vector supported on one class I with zero sum is an
+    eigenvector for d_I - c_I, as the rows of I agree outside I and the
+    columns of I agree outside I.  These subspaces together span the
+    whole space.  The classes are found on M and never assumed: i and j
+    are twins of type c when row i with entry i set to c equals row j
+    with entry j set to c, the same holds for the columns, and
+    M_ii = M_jj.  The classes of one c are collapsed at a time, and the
+    search repeats on B until nothing collapses (see _twin_quotient).  In
+    a power graph the elements that generate one cyclic subgroup are
+    twins, so the model graph of G(k, p) has a 5 x 5 quotient and the
+    true graph a (2k + 4) x (2k + 4) one, for every matrix kind.
+
+    Modular route, on B.  Every coefficient satisfies |c_i| <= H =
+    prod_i (1 + r_i), with r_i the ceiling of the Euclidean norm of row i:
+    each c_i is a signed sum of principal minors, and Hadamard's
+    inequality bounds each minor by the product of its row norms (see
+    _coefficient_bound).  The largest 31-bit primes are taken until their
+    product exceeds 2H, the characteristic polynomial is computed modulo
+    each by Hessenberg reduction on int64 residues, and the coefficients
+    are lifted by CRT into the symmetric range, which makes them exact.
+    The linear factors (x - (d_I - c_I)) are then multiplied in exactly,
+    one at a time.
+
+    Runtime cross-check, on M.  The product is evaluated at x0 = R + 1, R
+    the Gershgorin radius (max absolute row sum) of M, and compared with
+    the exact Bareiss det(x0 I - M), which is non-zero because x0 I - M is
+    strictly diagonally dominant; any difference, whether from the lift
+    or from the reduction, raises ArithmeticError.  Always monic of
+    degree n.  See char_poly_leverrier for the independent cross-check
+    route.
     """
     _check_cap(m.n)
-    n = m.n
-    if n == 0:
-        return IntPolynomial((1,))
-    primes = _primes_exceeding(2 * _coefficient_bound(m))
-    residues = [_hessenberg_charpoly_mod(m, p) for p in primes]
-    poly = IntPolynomial.from_coeffs(_crt_lift(primes, residues))
+    quotient, roots = _twin_quotient(m)
+    primes = _primes_exceeding(2 * _coefficient_bound(quotient))
+    residues = [_hessenberg_charpoly_mod(quotient, p) for p in primes]
+    coeffs = _crt_lift(primes, residues)
+    for root in roots:
+        # multiply by (x - root): shift up one degree, subtract root * coeffs
+        coeffs = [0] + coeffs
+        for i in range(len(coeffs) - 1):
+            coeffs[i] -= root * coeffs[i + 1]
+    poly = IntPolynomial.from_coeffs(coeffs)
     x0 = _gershgorin_radius(m) + 1
     shifted = [
         [(x0 if i == j else 0) - v for j, v in enumerate(row)]

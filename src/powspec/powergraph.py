@@ -91,6 +91,10 @@ class Graph:
     def has_edge(self, i: int, j: int) -> bool:
         return bool((self._rows[i] >> j) & 1)
 
+    def row_mask(self, i: int) -> int:
+        """The packed row of vertex i: bit j is set when i ~ j (i -> j)."""
+        return self._rows[i]
+
     def degree(self, i: int) -> int:
         return self._rows[i].bit_count()
 

@@ -127,7 +127,10 @@ def cluster_multiplicities(values: Sequence[float], tol: float) -> SpectrumSumma
 
 
 def spectral_radius(graph, tol: float = 1e-9) -> float:
-    res = symmetric_eigenvalues(matrix_of(graph, "adjacency"), tol)
+    """Largest absolute adjacency eigenvalue of a graph; an adjacency
+    IntMatrix already built for the graph may be passed instead."""
+    adjacency = graph if isinstance(graph, IntMatrix) else matrix_of(graph, "adjacency")
+    res = symmetric_eigenvalues(adjacency, tol)
     if not res.eigenvalues:
         return 0.0
     return max(abs(res.eigenvalues[0]), abs(res.eigenvalues[-1]))

@@ -458,9 +458,9 @@ def run_verification(
 
     # spectral radius bracket, one check per construction
     if "adjacency" in kinds:
-        for cname, g in graphs.items():
+        for cname in graphs:
             try:
-                lam1 = spectral_radius(g, NUMERIC_TOL)
+                lam1 = spectral_radius(matrix_for(cname, "adjacency"), NUMERIC_TOL)
                 if cname == "model":
                     base = float(q - 1)
                 else:

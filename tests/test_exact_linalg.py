@@ -17,8 +17,8 @@ from powspec.exact_linalg import (
     poly_x,
     schur_charpoly_check,
 )
-from powspec.powergraph import build_power_graph
-from powspec.group_core import Cyclic
+from powspec.powergraph import build_model_graph, build_power_graph
+from powspec.group_core import Cyclic, SemidihedralType
 
 
 def det_cofactor(rows):
@@ -39,6 +39,29 @@ def det_cofactor(rows):
 
 def random_int_matrix(rng, n, lo=-5, hi=5):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
+
+
+def blow_up(base, sizes, diag, off):
+    """Index I of base becomes a class of sizes[I] indices, with diag[I] on
+    the diagonal, off[I] between two members and base[I][J] towards J."""
+    cls = [i for i, s in enumerate(sizes) for _ in range(s)]
+    return [
+        [
+            (diag[a] if x == y else off[a]) if a == b else base[a][b]
+            for y, b in enumerate(cls)
+        ]
+        for x, a in enumerate(cls)
+    ]
+
+
+def permuted(rows, perm):
+    """P M P^T for the permutation sending index i to perm[i]."""
+    n = len(rows)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            out[perm[i]][perm[j]] = rows[i][j]
+    return out
 
 
 # Entries far beyond int64 must be reduced before they meet numpy.
@@ -232,6 +255,13 @@ class TestCharPoly:
         m = IntMatrix.from_rows([[2**40, 3], [5, -(2**40)]])
         with pytest.raises(ArithmeticError, match="disagrees"):
             char_poly_exact(m)
+        # Twin-rich: the wrong lift happens on the 2 x 2 quotient, and the
+        # point check on the full matrix must still catch it.
+        base = [[2**40, 3], [5, -(2**40)]]
+        m = IntMatrix.from_rows(blow_up(base, sizes=(3, 4), diag=(2**40, -(2**40)), off=(7, 0)))
+        assert exact_linalg._twin_quotient(m)[0].n == 2
+        with pytest.raises(ArithmeticError, match="disagrees"):
+            char_poly_exact(m)
 
     def test_primes_cover_the_bound(self):
         composites_passing_weak_tests = (2047, 1373653, 25326001, 3215031751)
@@ -271,6 +301,127 @@ class TestCharPoly:
             g = build_power_graph(Cyclic(q))
             for kind in ("adjacency", "laplacian", "signless"):
                 check(matrix_of(g, kind))
+
+
+# every (k, p) of the twisted family with n = 2^(k+1) p <= 256
+PAIRS_UNDER_CAP = [
+    (k, p)
+    for k, ps in {
+        2: (3, 5, 7, 11, 13, 17, 19, 23, 29, 31),
+        3: (3, 5, 7, 11, 13),
+        4: (3, 5, 7),
+        5: (3,),
+    }.items()
+    for p in ps
+]
+
+
+def nested_blow_up(rng, base, pool):
+    """A blow-up of a blow-up: every index of the first blow-up becomes a
+    class of its own, with one size, diagonal and off-diagonal value per
+    first-level class, the off-diagonal value differing from the first
+    level's.  Only the second-level classes are twins at first, so the
+    quotient takes at least two collapses."""
+    k = len(base)
+    sizes = [rng.randint(1, 3) for _ in range(k)]
+    off = [rng.choice((0, rng.choice(pool))) for _ in range(k)]
+    inner = blow_up(base, sizes, [rng.choice(pool) for _ in range(k)], off)
+    cls = [i for i, s in enumerate(sizes) for _ in range(s)]
+    size2 = [rng.randint(2, 3) for _ in range(k)]
+    diag2 = [rng.choice(pool) for _ in range(k)]
+    off2 = [off[i] + rng.choice((1, -1)) * rng.randint(1, 9) for i in range(k)]
+    return blow_up(
+        inner,
+        [size2[i] for i in cls],
+        [diag2[i] for i in cls],
+        [off2[i] for i in cls],
+    )
+
+
+def random_blow_up(rng, trial):
+    """A randomly permuted (nested) blow-up of a random k x k base, and k.
+
+    Trials cycle through symmetric and non-symmetric bases, small and
+    +-2^70 entries, and one- and two-level blow-ups; class off-diagonal
+    values are 0 (open twins) or not (closed twins) at random."""
+    k = rng.randint(1, 4)
+    pool = (-HUGE, HUGE, 3 * HUGE + 1) if trial % 4 in (1, 2) else tuple(range(-9, 10))
+    base = [[rng.choice(pool) for _ in range(k)] for _ in range(k)]
+    if trial % 2 == 0:
+        base = [[base[min(i, j)][max(i, j)] for j in range(k)] for i in range(k)]
+    if trial % 3 == 0:
+        rows = nested_blow_up(rng, base, pool)
+    else:
+        sizes = [rng.randint(1, 4) for _ in range(k)]
+        diag = [rng.choice(pool) for _ in range(k)]
+        off = [rng.choice((0, rng.choice(pool))) for _ in range(k)]
+        rows = blow_up(base, sizes, diag, off)
+    return permuted(rows, rng.sample(range(len(rows)), len(rows))), k
+
+
+class TestTwinQuotient:
+    def test_twin_free_matrix_is_its_own_quotient(self):
+        m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+        assert exact_linalg._twin_quotient(m) == (m, [])
+        assert exact_linalg._twin_quotient(IntMatrix(())) == (IntMatrix(()), [])
+
+    def test_closed_and_open_twins_by_hand(self):
+        # K_3: one class with d = 0, c = 1, so B = (0 + 2*1) and root 0 - 1 twice
+        k3 = IntMatrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        assert exact_linalg._twin_quotient(k3) == (IntMatrix.from_rows([[2]]), [-1, -1])
+        # star K_(1,3): the leaves are open twins (c = 0); B_(centre, leaves) = 3 * 1
+        star = IntMatrix.from_rows([[0, 1, 1, 1], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]])
+        assert exact_linalg._twin_quotient(star) == (
+            IntMatrix.from_rows([[0, 3], [1, 0]]),
+            [0, 0],
+        )
+
+    def test_order_four_flip_pairs_take_two_collapses(self):
+        # (2, 3) model adjacency: one closed-twin collapse leaves the three
+        # flip pairs as separate indices; the open-twin collapse joins them.
+        m = matrix_of(build_model_graph(2, 3), "adjacency")
+        c, classes = exact_linalg._twin_collapse(list(m.rows))
+        assert c == 0 and len(classes) == 1  # the order-2 flips
+        assert exact_linalg._twin_quotient(m)[0].n == 5
+
+    @pytest.mark.parametrize("k, p", PAIRS_UNDER_CAP)
+    def test_quotient_sizes_on_the_family(self, k, p):
+        model = build_model_graph(k, p)
+        true = build_power_graph(SemidihedralType(k, p))
+        for kind in ("adjacency", "laplacian", "signless"):
+            assert exact_linalg._twin_quotient(matrix_of(model, kind))[0].n == 5, kind
+            assert exact_linalg._twin_quotient(matrix_of(true, kind))[0].n == 2 * k + 4, kind
+
+    def test_random_blow_ups_agree_with_leverrier(self):
+        rng = random.Random(20261018)
+        for trial in range(60):
+            rows, k = random_blow_up(rng, trial)
+            m = IntMatrix.from_rows(rows)
+            quotient, roots = exact_linalg._twin_quotient(m)
+            assert quotient.n <= k
+            assert quotient.n + len(roots) == m.n
+            assert char_poly_exact(m) == char_poly_leverrier(m)
+
+    def test_random_blow_ups_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(1018)
+        for trial in range(12):
+            rows, _ = random_blow_up(rng, trial)
+            coeffs = sympy.Matrix(rows).charpoly(x).all_coeffs()
+            want = tuple(int(c) for c in reversed(coeffs))
+            assert char_poly_exact(IntMatrix.from_rows(rows)).coeffs == want
+
+    def test_row_twins_that_are_not_column_twins_stay_apart(self):
+        # Rows 0 and 1 agree off the pair, and columns 0 and 1 hold the same
+        # values, but column 0 reads (y, z) below where column 1 reads (z, y).
+        rng = random.Random(77)
+        for _ in range(10):
+            a, c, x2, x3, y, z, p, q, r, t = rng.sample(range(-50, 50), 10)
+            rows = [[a, c, x2, x3], [c, a, x2, x3], [y, z, p, q], [z, y, r, t]]
+            m = IntMatrix.from_rows(permuted(rows, rng.sample(range(4), 4)))
+            assert exact_linalg._twin_quotient(m) == (m, [])
+            assert char_poly_exact(m) == char_poly_leverrier(m)
 
 
 class TestMatrixCap:
@@ -393,6 +544,23 @@ class TestFactoredPolynomial:
             FactoredPolynomial(scalar=1, factors=((IntPolynomial(()), 1),))
 
 
+def matrix_by_has_edge(graph, kind):
+    """Reference builder: one has_edge call per index pair."""
+    n = graph.n
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if i == j:
+                row.append(graph.degree(i) if kind != "adjacency" else 0)
+            elif graph.has_edge(i, j):
+                row.append(-1 if kind == "laplacian" else 1)
+            else:
+                row.append(0)
+        rows.append(tuple(row))
+    return IntMatrix(tuple(rows))
+
+
 class TestMatrixOf:
     def test_kinds(self):
         g = build_power_graph(Cyclic(2))
@@ -415,6 +583,15 @@ class TestMatrixOf:
                 assert sig.rows[i][j] == d + a.rows[i][j]
         assert a.trace() == 0
         assert lap.trace() == sig.trace() == 174
+
+    def test_matches_the_has_edge_reference(self):
+        graphs = [build_model_graph(2, 5)]
+        for directed in (False, True):
+            graphs += [build_power_graph(Cyclic(q), directed=directed) for q in (1, 2, 12, 30)]
+            graphs.append(build_power_graph(SemidihedralType(2, 3), directed=directed))
+        for g in graphs:
+            for kind in ("adjacency", "laplacian", "signless"):
+                assert matrix_of(g, kind) == matrix_by_has_edge(g, kind), (g.n, g.directed, kind)
 
 
 class TestSchurCheck:
