@@ -19,6 +19,17 @@ Two independent exact routes to det(xI - A) live here.
   repeated on B until nothing collapses.  Elements that generate one
   cyclic subgroup are twins in a power graph, so the model graph has a
   5 x 5 quotient and the true graph a (2k + 4) x (2k + 4) one.
+- The reduction is then proved on A, not trusted.  The collapses are
+  replayed on the original indices: each merge of groups G_0, ..., G_(s-1)
+  with root r swaps their s indicator vectors for their sum and the s - 1
+  differences 1_(G_0) - 1_(G_a), so the final cell indicators 1_J and
+  all the differences form a basis T of n vectors.  With s_G = A 1_G,
+  three exact O(n^2) checks on A follow: (1) the cells partition the
+  indices and are what the merges leave; (2) A P = P B for the cell
+  indicators P, i.e. s_J[i] = B[cell(i)][J]; (3) s_(G_0) - s_(G_a) =
+  r (1_(G_0) - 1_(G_a)) for every merge.  Together they give
+  A T = T diag(B, roots), hence the factorisation; a failure raises
+  ArithmeticError.
 - B then takes the multi-modular route.  Its coefficients are bounded by
   Hadamard's inequality on the rows: with r_i the ceiling of the
   Euclidean norm of row i, |c_i| <= prod_i (1 + r_i).  The largest
@@ -28,11 +39,13 @@ Two independent exact routes to det(xI - A) live here.
   follows by recurrence; residues stay below 2^31 and every product of
   two is reduced mod p before it is summed, so no int64 value overflows.
   A CRT lift into the symmetric range gives the exact integer
-  coefficients, and the linear factors are multiplied in exactly.  At
-  runtime the product is compared with an exact Bareiss det(x0 I - A) on
-  the full matrix at x0 = R + 1, R the Gershgorin radius (max absolute
-  row sum); a difference, from the lift or from the reduction, raises
-  ArithmeticError.
+  coefficients.  At runtime the lift is compared with an exact Bareiss
+  det(x0 I - B) at x0 = R + 1, R the Gershgorin radius (max absolute row
+  sum) of A; a difference raises ArithmeticError.  The spectrum of B lies
+  in that of A, so x0 I - B is nonsingular, and with the certificate this
+  one c x c determinant implies the full-matrix equality
+  poly(x0) = det(x0 I - A).  The linear factors are then multiplied in
+  exactly.
 - char_poly_leverrier, the cross-check route, runs fraction-free
   Faddeev-LeVerrier on Python ints.
 
@@ -42,7 +55,9 @@ agreement between them is meaningful evidence of correctness.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,6 +97,9 @@ def _check_cap(n: int) -> None:
         )
 
 
+_EXACT_INT = frozenset({int})
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable square matrix of Python ints."""
@@ -93,6 +111,8 @@ class IntMatrix:
         for row in self.rows:
             if len(row) != n:
                 raise ValueError("matrix must be square")
+            if set(map(type, row)) <= _EXACT_INT:
+                continue  # the common case, decided at C speed
             for v in row:
                 if not isinstance(v, int) or isinstance(v, bool):
                     raise ValueError(f"matrix entries must be ints, got {v!r}")
@@ -346,7 +366,7 @@ def _primes_exceeding(bound: int) -> list[int]:
 
 def _gershgorin_radius(m: IntMatrix) -> int:
     """Max absolute row sum: every eigenvalue of m lies in |z| <= this."""
-    return max((sum(abs(v) for v in row) for row in m.rows), default=0)
+    return max((sum(map(abs, row)) for row in m.rows), default=0)
 
 
 def _coefficient_bound(m: IntMatrix) -> int:
@@ -471,8 +491,18 @@ def _twin_collapse(rows: list[tuple[int, ...]]):
     return None
 
 
-def _twin_quotient(m: IntMatrix) -> tuple[IntMatrix, list[int]]:
-    """(B, roots) with det(xI - m) = det(xI - B) * prod_(r in roots) (x - r).
+# A group of indices of the original matrix, sorted, and one collapsed
+# class: its member groups G_0, ..., G_(s-1) and its root.
+_Group = tuple[int, ...]
+_Merge = tuple[tuple[_Group, ...], int]
+
+
+def _union(members: Iterable[_Group]) -> _Group:
+    return tuple(sorted(itertools.chain.from_iterable(members)))
+
+
+def _twin_quotient(m: IntMatrix) -> tuple[IntMatrix, list[_Group], list[_Merge]]:
+    """(B, cells, merges), the twin quotient of m and how it was formed.
 
     Collapses the twin classes of one c at a time (see _twin_collapse) and
     repeats on the quotient until no index has a twin; a twin-free matrix
@@ -480,9 +510,17 @@ def _twin_quotient(m: IntMatrix) -> tuple[IntMatrix, list[int]]:
     c becomes one index with diagonal d + (s - 1) c, the block from any
     index or class to I is summed (s times its constant entry), and the
     class contributes the root d - c with multiplicity s - 1.
+
+    Everything else is in indices of m, each group a sorted tuple of
+    them.  cells[J] is the group that index J of B stands for.  merges has
+    one (members, r) per collapsed class, in order: members are the groups
+    G_0, ..., G_(s-1) of the class, and r = d - c is the root that each
+    1_(G_0) - 1_(G_a), a = 1 ... s - 1, is an eigenvector for.  Nothing
+    here is trusted: _check_twin_certificate proves the result on m.
     """
     rows = list(m.rows)
-    roots: list[int] = []
+    groups = [(i,) for i in range(m.n)]
+    merges: list[_Merge] = []
     while (found := _twin_collapse(rows)) is not None:
         c, classes = found
         size = [1] * len(rows)
@@ -490,8 +528,10 @@ def _twin_quotient(m: IntMatrix) -> tuple[IntMatrix, list[int]]:
         for cls in classes:
             size[cls[0]] = len(cls)
             dropped.update(cls[1:])
-            d = rows[cls[0]][cls[0]]
-            roots.extend([d - c] * (len(cls) - 1))
+            # a list first, for the same reason as the rows below
+            members = tuple([groups[i] for i in cls])
+            merges.append((members, rows[cls[0]][cls[0]] - c))
+            groups[cls[0]] = _union(members)
         keep = [i for i in range(len(rows)) if i not in dropped]
         quotient = []
         for i in keep:
@@ -501,31 +541,92 @@ def _twin_quotient(m: IntMatrix) -> tuple[IntMatrix, list[int]]:
             row[len(quotient)] = rows[i][i] + (size[i] - 1) * c
             quotient.append(tuple(row))
         rows = quotient
-    return IntMatrix(tuple(rows)), roots
+        groups = [groups[i] for i in keep]
+    return IntMatrix(tuple(rows)), groups, merges
+
+
+def _check_twin_certificate(
+    m: IntMatrix, quotient: IntMatrix, cells: Sequence[_Group], merges: Sequence[_Merge]
+) -> None:
+    """Prove det(xI - m) = det(xI - B) * prod (x - r)^(s - 1) on m itself,
+    for B = quotient and the cells and merges of _twin_quotient.
+
+    With s_G = sum over j in G of m[:, j] = m 1_G, three exact checks:
+
+    1. Replayed from the singletons, each merge replaces its member groups,
+       which must be two or more distinct current groups, by their union,
+       and what is left is exactly the cells, one per index of B.  So the
+       cells partition range(n), and T = {1_J : J a cell} together with
+       {1_(G_0) - 1_(G_a)} for every merge is a basis of n vectors: each
+       merge swaps s indicators for their sum and s - 1 differences, which
+       span the same space.
+    2. m P = P B for the cell-indicator matrix P: s_J[i] = B[cell(i)][J]
+       for every cell J and every i.
+    3. m (1_(G_0) - 1_(G_a)) = r (1_(G_0) - 1_(G_a)) for every merge.
+
+    Then m T = T diag(B, r, ...), which proves the identity.  s_G is cached
+    per current group, and a union's is the sum of its members', so each
+    merge level costs O(n^2) integer additions.  Any failure raises
+    ArithmeticError.
+    """
+    n = m.n
+    sums = dict(zip(((i,) for i in range(n)), zip(*m.rows)))
+    for members, r in merges:
+        distinct = len(set(members)) == len(members) >= 2
+        if not distinct or not all(map(sums.__contains__, members)):
+            raise ArithmeticError("twin certificate: a merge is not of distinct current groups")
+        head = sums.pop(members[0])
+        vecs = [head]
+        for g in members[1:]:
+            vec = sums.pop(g)
+            diff = list(map(operator.sub, head, vec))
+            for i in members[0]:
+                diff[i] -= r
+            for i in g:
+                diff[i] += r
+            if any(diff):
+                raise ArithmeticError(f"twin certificate: 1_G0 - 1_Ga is no eigenvector for {r}")
+            vecs.append(vec)
+        sums[_union(members)] = list(map(sum, zip(*vecs)))
+    if not len(cells) == len(sums) == quotient.n or set(cells) != sums.keys():
+        raise ArithmeticError("twin certificate: the cells are not what the merges leave")
+    cell_of = [0] * n
+    for j, cell in enumerate(cells):
+        for i in cell:
+            cell_of[i] = j
+    for j, cell in enumerate(cells):
+        column = [row[j] for row in quotient.rows]
+        if list(sums[cell]) != list(map(column.__getitem__, cell_of)):
+            raise ArithmeticError(f"twin certificate: M P != P B in column {j}")
 
 
 def char_poly_exact(m: IntMatrix) -> IntPolynomial:
     """det(xI - M) on the twin quotient of M, by Hessenberg reduction
-    modulo 31-bit primes and CRT, checked at one point on M itself.
+    modulo 31-bit primes and CRT, with the reduction proved on M and the
+    lift checked at one point on the quotient.
 
     Twin quotient (Schwenk 1974; Cardoso et al. 2013).  Take classes I
     of indices, of sizes s_I, such that M is d_I on the diagonal of I and
     c_I off it, and every block M[I, J] with I != J is one constant m_IJ.
     Then det(xI - M) = det(xI - B) * prod_I (x - (d_I - c_I))^(s_I - 1),
     with B_II = d_I + (s_I - 1) c_I and B_IJ = s_J m_IJ; B need not be
-    symmetric.  Proof: with P the class-indicator matrix, M P = P B, so
-    the class-constant vectors span an invariant subspace on which M acts
-    as B; a vector supported on one class I with zero sum is an
-    eigenvector for d_I - c_I, as the rows of I agree outside I and the
-    columns of I agree outside I.  These subspaces together span the
-    whole space.  The classes are found on M and never assumed: i and j
-    are twins of type c when row i with entry i set to c equals row j
-    with entry j set to c, the same holds for the columns, and
-    M_ii = M_jj.  The classes of one c are collapsed at a time, and the
-    search repeats on B until nothing collapses (see _twin_quotient).  In
-    a power graph the elements that generate one cyclic subgroup are
-    twins, so the model graph of G(k, p) has a 5 x 5 quotient and the
-    true graph a (2k + 4) x (2k + 4) one, for every matrix kind.
+    symmetric.  The classes are found on M: i and j are twins of type c
+    when row i with entry i set to c equals row j with entry j set to c,
+    the same holds for the columns, and M_ii = M_jj.  The classes of one
+    c are collapsed at a time, and the search repeats on B until nothing
+    collapses (see _twin_quotient).  In a power graph the elements that
+    generate one cyclic subgroup are twins, so the model graph of G(k, p)
+    has a 5 x 5 quotient and the true graph a (2k + 4) x (2k + 4) one, for
+    every matrix kind.
+
+    Certificate, on M.  The collapses are replayed on the original indices
+    and never trusted (see _check_twin_certificate).  The final cells J
+    and, for every merge of groups G_0, ..., G_(s-1) with root r, the
+    differences 1_(G_0) - 1_(G_a) form a basis T of n vectors.  Exact
+    O(n^2) identities on M check that the cells partition the indices,
+    that M P = P B for the cell indicators P, and that M (1_(G_0) - 1_(G_a))
+    = r (1_(G_0) - 1_(G_a)).  So M T = T diag(B, roots), which proves the
+    factorisation above; a failure raises ArithmeticError.
 
     Modular route, on B.  Every coefficient satisfies |c_i| <= H =
     prod_i (1 + r_i), with r_i the ceiling of the Euclidean norm of row i:
@@ -535,38 +636,39 @@ def char_poly_exact(m: IntMatrix) -> IntPolynomial:
     product exceeds 2H, the characteristic polynomial is computed modulo
     each by Hessenberg reduction on int64 residues, and the coefficients
     are lifted by CRT into the symmetric range, which makes them exact.
-    The linear factors (x - (d_I - c_I)) are then multiplied in exactly,
-    one at a time.
 
-    Runtime cross-check, on M.  The product is evaluated at x0 = R + 1, R
-    the Gershgorin radius (max absolute row sum) of M, and compared with
-    the exact Bareiss det(x0 I - M), which is non-zero because x0 I - M is
-    strictly diagonally dominant; any difference, whether from the lift
-    or from the reduction, raises ArithmeticError.  Always monic of
-    degree n.  See char_poly_leverrier for the independent cross-check
-    route.
+    Runtime cross-check, on B.  The lifted polynomial is evaluated at
+    x0 = R + 1, R the Gershgorin radius (max absolute row sum) of M, and
+    compared with the exact Bareiss det(x0 I - B); a difference raises
+    ArithmeticError.  M T = T diag(B, roots) puts the spectrum of B inside
+    that of M, which lies in |z| <= R, so x0 I - B is nonsingular.  With
+    the certificate, agreement at x0 is exactly the old full-matrix check
+    poly(x0) = det(x0 I - M), at the cost of a c x c determinant; a
+    twin-free M is its own quotient and is checked on itself.  The linear
+    factors (x - r) are then multiplied in exactly, one at a time.  Always
+    monic of degree n.  See char_poly_leverrier for the independent
+    cross-check route.
     """
     _check_cap(m.n)
-    quotient, roots = _twin_quotient(m)
+    quotient, cells, merges = _twin_quotient(m)
+    _check_twin_certificate(m, quotient, cells, merges)
     primes = _primes_exceeding(2 * _coefficient_bound(quotient))
     residues = [_hessenberg_charpoly_mod(quotient, p) for p in primes]
     coeffs = _crt_lift(primes, residues)
-    for root in roots:
-        # multiply by (x - root): shift up one degree, subtract root * coeffs
-        coeffs = [0] + coeffs
-        for i in range(len(coeffs) - 1):
-            coeffs[i] -= root * coeffs[i + 1]
-    poly = IntPolynomial.from_coeffs(coeffs)
     x0 = _gershgorin_radius(m) + 1
     shifted = [
         [(x0 if i == j else 0) - v for j, v in enumerate(row)]
-        for i, row in enumerate(m.rows)
+        for i, row in enumerate(quotient.rows)
     ]
-    if poly(x0) != kernels.det_bareiss(shifted):
+    if IntPolynomial.from_coeffs(coeffs)(x0) != kernels.det_bareiss(shifted):
         raise ArithmeticError(
-            f"modular characteristic polynomial disagrees with det({x0}I - M)"
+            f"modular characteristic polynomial disagrees with det({x0}I - B)"
         )
-    return poly
+    for members, root in merges:
+        for _ in members[1:]:
+            # multiply by (x - root): coefficient i becomes c_(i-1) - root * c_i
+            coeffs = [a - root * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return IntPolynomial.from_coeffs(coeffs)
 
 
 def char_poly_leverrier(m: IntMatrix) -> IntPolynomial:

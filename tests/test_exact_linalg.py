@@ -1,5 +1,7 @@
+import enum
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -81,6 +83,22 @@ class TestIntMatrix:
     def test_rejects_non_int_entries(self):
         with pytest.raises(ValueError):
             IntMatrix(((True,),))
+
+    @pytest.mark.parametrize("bad", (True, 1.0, np.int64(1)), ids=("bool", "float", "int64"))
+    def test_rejects_non_int_entries_among_ints(self, bad):
+        for row in ((bad, 2), (2, bad)):
+            with pytest.raises(ValueError, match="must be ints"):
+                IntMatrix((row, (3, 4)))
+            with pytest.raises(ValueError, match="must be ints"):
+                IntMatrix(((3, 4), row))
+
+    def test_accepts_int_subclasses_other_than_bool(self):
+        class Level(enum.IntEnum):
+            LOW = 1
+            HIGH = 7
+
+        m = IntMatrix(((Level.LOW, 0), (2, Level.HIGH)))
+        assert m.trace() == 8
 
     def test_identity_zeros_trace(self):
         assert IntMatrix.identity(3).trace() == 3
@@ -256,7 +274,7 @@ class TestCharPoly:
         with pytest.raises(ArithmeticError, match="disagrees"):
             char_poly_exact(m)
         # Twin-rich: the wrong lift happens on the 2 x 2 quotient, and the
-        # point check on the full matrix must still catch it.
+        # point check, which runs on that quotient, must still catch it.
         base = [[2**40, 3], [5, -(2**40)]]
         m = IntMatrix.from_rows(blow_up(base, sizes=(3, 4), diag=(2**40, -(2**40)), off=(7, 0)))
         assert exact_linalg._twin_quotient(m)[0].n == 2
@@ -362,18 +380,23 @@ def random_blow_up(rng, trial):
 class TestTwinQuotient:
     def test_twin_free_matrix_is_its_own_quotient(self):
         m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
-        assert exact_linalg._twin_quotient(m) == (m, [])
-        assert exact_linalg._twin_quotient(IntMatrix(())) == (IntMatrix(()), [])
+        assert exact_linalg._twin_quotient(m) == (m, [(0,), (1,), (2,)], [])
+        assert exact_linalg._twin_quotient(IntMatrix(())) == (IntMatrix(()), [], [])
 
     def test_closed_and_open_twins_by_hand(self):
         # K_3: one class with d = 0, c = 1, so B = (0 + 2*1) and root 0 - 1 twice
         k3 = IntMatrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-        assert exact_linalg._twin_quotient(k3) == (IntMatrix.from_rows([[2]]), [-1, -1])
+        assert exact_linalg._twin_quotient(k3) == (
+            IntMatrix.from_rows([[2]]),
+            [(0, 1, 2)],
+            [(((0,), (1,), (2,)), -1)],
+        )
         # star K_(1,3): the leaves are open twins (c = 0); B_(centre, leaves) = 3 * 1
         star = IntMatrix.from_rows([[0, 1, 1, 1], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]])
         assert exact_linalg._twin_quotient(star) == (
             IntMatrix.from_rows([[0, 3], [1, 0]]),
-            [0, 0],
+            [(0,), (1, 2, 3)],
+            [(((1,), (2,), (3,)), 0)],
         )
 
     def test_order_four_flip_pairs_take_two_collapses(self):
@@ -397,9 +420,10 @@ class TestTwinQuotient:
         for trial in range(60):
             rows, k = random_blow_up(rng, trial)
             m = IntMatrix.from_rows(rows)
-            quotient, roots = exact_linalg._twin_quotient(m)
+            quotient, cells, merges = exact_linalg._twin_quotient(m)
             assert quotient.n <= k
-            assert quotient.n + len(roots) == m.n
+            assert quotient.n + sum(len(members) - 1 for members, _ in merges) == m.n
+            assert sorted(i for cell in cells for i in cell) == list(range(m.n))
             assert char_poly_exact(m) == char_poly_leverrier(m)
 
     def test_random_blow_ups_against_sympy(self):
@@ -420,8 +444,113 @@ class TestTwinQuotient:
             a, c, x2, x3, y, z, p, q, r, t = rng.sample(range(-50, 50), 10)
             rows = [[a, c, x2, x3], [c, a, x2, x3], [y, z, p, q], [z, y, r, t]]
             m = IntMatrix.from_rows(permuted(rows, rng.sample(range(4), 4)))
-            assert exact_linalg._twin_quotient(m) == (m, [])
+            assert exact_linalg._twin_quotient(m) == (m, [(0,), (1,), (2,), (3,)], [])
             assert char_poly_exact(m) == char_poly_leverrier(m)
+
+
+def _corrupt(corruption, quotient, cells, merges):
+    """A wrong _twin_quotient result, of one of the kinds the certificate
+    must refuse."""
+    rows = [list(r) for r in quotient.rows]
+    if corruption == "root off by one":
+        members, r = merges[0]
+        merges = [(members, r + 1)] + merges[1:]
+    elif corruption == "B entry off by one":
+        rows[0][-1] += 1
+    elif corruption == "two cells merged":
+        cells = [tuple(sorted(cells[0] + cells[1]))] + cells[2:]
+    elif corruption == "cell missing":
+        # B shrunk to match, so only the partition check can see it
+        cells = cells[:-1]
+        rows = [r[:-1] for r in rows[:-1]]
+    elif corruption == "merge repeated":
+        merges = merges + [merges[-1]]
+    else:
+        raise AssertionError(corruption)
+    return IntMatrix.from_rows(rows), cells, merges
+
+
+CORRUPTIONS = (
+    "root off by one",
+    "B entry off by one",
+    "two cells merged",
+    "cell missing",
+    "merge repeated",
+)
+
+
+class TestTwinCertificate:
+    @staticmethod
+    def certificate_inputs():
+        true = build_power_graph(SemidihedralType(2, 3))
+        yield matrix_of(true, "adjacency")
+        yield matrix_of(build_model_graph(2, 3), "laplacian")
+        rng = random.Random(8)
+        base = [[HUGE, 3, -7], [5, -HUGE, 2], [1, 1, 3 * HUGE + 1]]
+        rows = blow_up(base, (3, 1, 4), (HUGE, 2, -1), (7, 0, -HUGE))
+        yield IntMatrix.from_rows(permuted(rows, rng.sample(range(8), 8)))
+        symmetric = [[base[min(i, j)][max(i, j)] for j in range(3)] for i in range(3)]
+        rows = nested_blow_up(rng, symmetric, (-HUGE, HUGE, 5))
+        yield IntMatrix.from_rows(permuted(rows, rng.sample(range(len(rows)), len(rows))))
+
+    def test_holds_on_power_graphs_and_blow_ups(self):
+        rng = random.Random(808)
+        matrices = list(self.certificate_inputs())
+        matrices += [IntMatrix.from_rows(random_blow_up(rng, t)[0]) for t in range(12)]
+        for m in matrices:
+            exact_linalg._check_twin_certificate(m, *exact_linalg._twin_quotient(m))
+
+    @pytest.mark.parametrize("corruption", CORRUPTIONS)
+    def test_wrong_reductions_are_refused_by_the_certificate(self, monkeypatch, corruption):
+        real = exact_linalg._twin_quotient
+
+        def bareiss_must_not_run(rows):
+            raise AssertionError("the lift check ran: the certificate let a bad reduction through")
+
+        monkeypatch.setattr(
+            exact_linalg, "_twin_quotient", lambda m: _corrupt(corruption, *real(m))
+        )
+        monkeypatch.setattr(kernels, "det_bareiss", bareiss_must_not_run)
+        for m in self.certificate_inputs():
+            quotient, cells, merges = real(m)
+            assert len(cells) >= 2 and merges
+            with pytest.raises(ArithmeticError, match="twin certificate"):
+                char_poly_exact(m)
+
+    def test_shuffled_cells_are_refused(self, monkeypatch):
+        # every cell present, but not in the order of the indices of B
+        real = exact_linalg._twin_quotient
+
+        def shuffled(m):
+            quotient, cells, merges = real(m)
+            return quotient, cells[1:] + cells[:1], merges
+
+        monkeypatch.setattr(exact_linalg, "_twin_quotient", shuffled)
+        m = matrix_of(build_power_graph(SemidihedralType(2, 3)), "adjacency")
+        with pytest.raises(ArithmeticError, match="M P != P B"):
+            char_poly_exact(m)
+
+    @pytest.mark.parametrize("k", (2, 3))
+    def test_one_bareiss_call_per_charpoly_on_the_quotient(self, monkeypatch, k):
+        orders = []
+        real = kernels.det_bareiss
+
+        def spy(rows):
+            orders.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(kernels, "det_bareiss", spy)
+        model = build_model_graph(k, 3)
+        true = build_power_graph(SemidihedralType(k, 3))
+        for kind in ("adjacency", "laplacian", "signless"):
+            for graph, want in ((model, 5), (true, 2 * k + 4)):
+                orders.clear()
+                char_poly_exact(matrix_of(graph, kind))
+                assert orders == [want], kind
+        # a twin-free matrix is its own quotient
+        orders.clear()
+        char_poly_exact(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]]))
+        assert orders == [3]
 
 
 class TestMatrixCap:

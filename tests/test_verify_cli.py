@@ -9,7 +9,7 @@ import pytest
 
 import powspec
 from powspec import verify_cli
-from powspec.exact_linalg import CAP_ENV_VAR
+from powspec.exact_linalg import CAP_ENV_VAR, FactoredPolynomial
 from powspec.group_core import SemidihedralType
 from powspec.powergraph import build_power_graph, to_dot
 from powspec.verify_cli import (
@@ -101,6 +101,21 @@ class TestRunVerification:
             assert skipped not in names
         assert len(report.notices) == 10
         assert all("exceeds the configured cap" in n for n in report.notices)
+
+    def test_each_claimed_form_is_expanded_once_per_run(self, monkeypatch):
+        expanded = []
+        real = FactoredPolynomial.expand
+
+        def counting(self):
+            expanded.append(self.degree)
+            return real(self)
+
+        monkeypatch.setattr(FactoredPolynomial, "expand", counting)
+        run_verification(3, 3)
+        assert len(expanded) == 3  # one per kind, shared by both constructions
+        expanded.clear()
+        run_verification(2, 3, kinds=("laplacian",), constructions=())
+        assert len(expanded) == 1  # the spectrum division alone
 
     def test_out_writes_report_file(self, tmp_path):
         out = tmp_path / "report.json"
