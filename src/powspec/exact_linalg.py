@@ -2,50 +2,13 @@
 
 Two independent exact routes to det(xI - A) live here.
 
-- char_poly_exact, the primary route, first reduces A by twin classes.
-  Let classes I of sizes s_I have one diagonal value d_I and one
-  off-diagonal value c_I inside I, and one constant m_IJ on every block
-  A[I, J] with I != J.  Then
-
-      det(xI - A) = det(xI - B) * prod_I (x - (d_I - c_I))^(s_I - 1),
-
-  with B_II = d_I + (s_I - 1) c_I and B_IJ = s_J m_IJ (B need not be
-  symmetric).  The class-constant vectors span an A-invariant subspace
-  on which A acts as B, and each zero-sum vector inside one class is an
-  eigenvector for d_I - c_I.  The classes are found on A, never assumed:
-  i and j are twins of type c when A_ii = A_jj and row i with entry i set
-  to c equals row j with entry j set to c, and likewise for columns i and
-  j.  The classes of one c are collapsed at a time, and the search is
-  repeated on B until nothing collapses.  Elements that generate one
-  cyclic subgroup are twins in a power graph, so the model graph has a
-  5 x 5 quotient and the true graph a (2k + 4) x (2k + 4) one.
-- The reduction is then proved on A, not trusted.  The collapses are
-  replayed on the original indices: each merge of groups G_0, ..., G_(s-1)
-  with root r swaps their s indicator vectors for their sum and the s - 1
-  differences 1_(G_0) - 1_(G_a), so the final cell indicators 1_J and
-  all the differences form a basis T of n vectors.  With s_G = A 1_G,
-  three exact O(n^2) checks on A follow: (1) the cells partition the
-  indices and are what the merges leave; (2) A P = P B for the cell
-  indicators P, i.e. s_J[i] = B[cell(i)][J]; (3) s_(G_0) - s_(G_a) =
-  r (1_(G_0) - 1_(G_a)) for every merge.  Together they give
-  A T = T diag(B, roots), hence the factorisation; a failure raises
-  ArithmeticError.
-- B then takes the multi-modular route.  Its coefficients are bounded by
-  Hadamard's inequality on the rows: with r_i the ceiling of the
-  Euclidean norm of row i, |c_i| <= prod_i (1 + r_i).  The largest
-  31-bit primes are taken until their product exceeds twice that bound.
-  Modulo each prime the matrix is reduced to Hessenberg form with numpy
-  int64 row and column operations, whose characteristic polynomial
-  follows by recurrence; residues stay below 2^31 and every product of
-  two is reduced mod p before it is summed, so no int64 value overflows.
-  A CRT lift into the symmetric range gives the exact integer
-  coefficients.  At runtime the lift is compared with an exact Bareiss
-  det(x0 I - B) at x0 = R + 1, R the Gershgorin radius (max absolute row
-  sum) of A; a difference raises ArithmeticError.  The spectrum of B lies
-  in that of A, so x0 I - B is nonsingular, and with the certificate this
-  one c x c determinant implies the full-matrix equality
-  poly(x0) = det(x0 I - A).  The linear factors are then multiplied in
-  exactly.
+- char_poly_exact, the primary route, reduces A to its twin quotient B,
+  proves that reduction on A with an exact O(n^2) certificate
+  (_check_twin_certificate), computes det(xI - B) by Hessenberg reduction
+  modulo 31-bit primes and a CRT lift under a Hadamard bound, checks the
+  lift with one Bareiss determinant on B, and multiplies in the linear
+  factors of the twin classes.  Its docstring states the lemma, the
+  certificate, the bound and the point check.
 - char_poly_leverrier, the cross-check route, runs fraction-free
   Faddeev-LeVerrier on Python ints.
 

@@ -2,14 +2,6 @@
 
 All arithmetic stays on Python ints, so results are exact regardless of
 entry size.  exact_linalg calls both kernels through this module.
-
-det_bareiss has a symmetric path.  Without row swaps, every intermediate
-entry of Bareiss elimination is a bordered minor of the input,
-det M[{0..k, i}, {0..k, j}], so a symmetric input keeps every trailing
-block symmetric and only the entries with j >= i need updating: half the
-big-integer work.  Symmetric elimination cannot swap rows, so a zero
-pivot sends the whole computation back to the general row-swapping path,
-which non-symmetric input always takes.
 """
 
 from __future__ import annotations
@@ -19,17 +11,12 @@ def det_bareiss(rows: list[list[int]]) -> int:
     """Exact determinant by fraction-free Bareiss elimination.
 
     Every interior division is exact by the Sylvester identity, so no
-    rational arithmetic is ever needed.  Symmetric input first takes the
-    half-work symmetric path (see the module docstring).  Zero pivots are
-    repaired by row swaps; if no swap works the determinant is 0.
+    rational arithmetic is ever needed.  Zero pivots are repaired by row
+    swaps; if no swap works the determinant is 0.
     """
     n = len(rows)
     if n == 0:
         return 1
-    if all(rows[i][j] == rows[j][i] for i in range(n) for j in range(i)):
-        det = _det_bareiss_symmetric(rows)
-        if det is not None:
-            return det
     m = [list(r) for r in rows]
     sign = 1
     prev = 1
@@ -52,27 +39,6 @@ def det_bareiss(rows: list[list[int]]) -> int:
             mi[col] = 0
         prev = pivot
     return sign * m[n - 1][n - 1]
-
-
-def _det_bareiss_symmetric(rows: list[list[int]]) -> int | None:
-    """Bareiss determinant of a symmetric matrix without row swaps,
-    updating only the upper triangle; None when a zero pivot appears."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    prev = 1
-    for col in range(n - 1):
-        mk = m[col]
-        pivot = mk[col]
-        if pivot == 0:
-            return None
-        # m[i][col] == m[col][i] by symmetry, so row col holds every factor.
-        for i in range(col + 1, n):
-            mi = m[i]
-            factor = mk[i]
-            for j in range(i, n):
-                mi[j] = (mi[j] * pivot - factor * mk[j]) // prev
-        prev = pivot
-    return m[n - 1][n - 1]
 
 
 def charpoly_leverrier(rows: list[list[int]]) -> list[int]:

@@ -14,8 +14,12 @@ cyclic subgroup per generator class rather than one per vertex, and every
 consumer (neighbors, edges, edge_count, graph_diff) walks set bits or
 whole rows, so it costs O(n + edges) big-int steps instead of testing all
 n^2 index pairs.  The transpose behind the symmetry check and the
-undirected build is one numpy bit-matrix transpose, and the decomposition
-census tests whole rows against the neighbourhoods the decomposition allows.
+undirected build is one numpy bit-matrix transpose.
+
+The model graph's edges are written once, as three parts of row masks
+(_model_parts).  build_model_graph is their union, model_adjacency_split
+unpacks each part into a matrix, and the decomposition census checks a
+graph's rows against the union.
 """
 
 from __future__ import annotations
@@ -127,6 +131,14 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _unpack(rows) -> np.ndarray:
+    """n rows of n bits as an n x n uint8 array of 0/1, bit j of row i at [i, j]."""
+    n = len(rows)
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), np.uint8)
+    return np.unpackbits(packed.reshape(n, width), axis=1, bitorder="little")[:, :n]
+
+
 def _transpose(rows) -> list[int]:
     """The transposed bit matrix of n rows of n bits (bit j of row i is
     bit i of row j of the result), via one numpy bit-array transpose."""
@@ -134,9 +146,7 @@ def _transpose(rows) -> list[int]:
     if not n:
         return []
     width = (n + 7) // 8
-    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), np.uint8)
-    bits = np.unpackbits(packed.reshape(n, width), axis=1, bitorder="little")[:, :n]
-    data = np.packbits(bits.T, axis=1, bitorder="little").tobytes()
+    data = np.packbits(_unpack(rows).T, axis=1, bitorder="little").tobytes()
     return [int.from_bytes(data[i : i + width], "little") for i in range(0, n * width, width)]
 
 
@@ -216,6 +226,25 @@ def build_power_graph(spec: GroupSpec, directed: bool = False) -> Graph:
     return Graph(labels, tuple(rows), directed)
 
 
+def _model_parts(spec: SemidihedralType) -> tuple[list[int], list[int], list[int]]:
+    """The model graph's edges, the only place they are written down.
+
+    Three symmetric lists of row masks in canonical order, pairwise
+    disjoint: the clique on the rotations, the star from the identity to
+    every flip, and the rest, which joins the central rotation to each
+    order-4 flip and each order-4 flip to its pair partner.
+    """
+    q = spec.rotation_order
+    half = q // 2
+    quads = ((1 << half) - 1) << q  # order-4 flips, vertices q .. q + half - 1
+    clique = [((1 << q) - 1) ^ (1 << i) for i in range(q)] + [0] * q
+    star = [((1 << q) - 1) << q] + [0] * (q - 1) + [0b1] * q
+    # q is a multiple of 4, so the pair partners q + 2t, q + 2t + 1 differ in bit 0
+    rest = [0, quads] + [0] * (q - 2)
+    rest += [0b10 | (1 << (a ^ 1)) for a in range(q, q + half)] + [0] * half
+    return clique, star, rest
+
+
 def build_model_graph(k: int, p: int) -> Graph:
     """The block-model graph behind the closed-form polynomials.
 
@@ -224,17 +253,8 @@ def build_model_graph(k: int, p: int) -> Graph:
     with the core); each order-2 flip hangs off the identity alone.
     """
     spec = SemidihedralType(k, p)
-    q = spec.rotation_order
-    half = q // 2
-    quads = ((1 << half) - 1) << q  # order-4 flips, vertices q .. q + half - 1
-    flats = ((1 << half) - 1) << (q + half)  # order-2 flips, the last half
-    rows = [((1 << q) - 1) ^ (1 << i) for i in range(q)]
-    rows[0] |= quads | flats
-    rows[1] |= quads
-    # q is a multiple of 4, so the pair partners q + 2t, q + 2t + 1 differ in bit 0
-    rows += [0b11 | (1 << (a ^ 1)) for a in range(q, q + half)]
-    rows += [0b1] * half
-    return Graph(canonical_order(spec), tuple(rows))
+    rows = tuple(a | b | c for a, b, c in zip(*_model_parts(spec)))
+    return Graph(canonical_order(spec), rows)
 
 
 def edge_count(g: Graph) -> int:
@@ -296,14 +316,10 @@ def verify_decomposition(g: Graph, k: int, p: int) -> DecompositionReport:
 
     The core edge {identity, central rotation} counts toward the rotation
     part, so each complete 4-clique contributes exactly five edges here.
-    Anything that fits none of the three buckets lands in uncovered_edges.
-
-    Whole rows are tested against the neighbourhoods the decomposition
-    allows: a rotation row may hold the rotations (and every flip for the
-    identity, the order-4 flips for the central rotation), an order-4 flip
-    row {identity, central rotation, partner}, an order-2 flip row the
-    identity alone.  An edge is uncovered exactly when it lies outside the
-    allowed row of either endpoint, as the allowed relation is symmetric.
+    The three buckets together are the edges of the model graph, so an
+    edge is covered exactly when the model graph has it; whole rows of g
+    are tested against the model rows, and every edge outside them lands
+    in uncovered_edges.
     """
     if g.directed:
         raise ValueError("the decomposition census needs an undirected graph")
@@ -311,23 +327,20 @@ def verify_decomposition(g: Graph, k: int, p: int) -> DecompositionReport:
     if g.labels != canonical_order(spec):
         raise ValueError("graph does not carry the canonical vertex order for (k, p)")
     labels, rows = g.labels, g._rows
-    q = spec.rotation_order
-    half = q // 2
-    rot = (1 << q) - 1
-    quads = ((1 << half) - 1) << q  # order-4 flips, vertices q .. q + half - 1
-    flats = ((1 << half) - 1) << (q + half)  # order-2 flips, the last half
-    # identity at 0 and central rotation at 1; the partners of an order-4
-    # pair sit at q + 2t and q + 2t + 1, which differ in bit 0 since 4 | q
-    allowed = [rot | quads | flats, rot | quads] + [rot] * (q - 2)
-    allowed += [0b11 | (1 << (a ^ 1)) for a in range(q, q + half)]
-    allowed += [0b1] * half
-    outside = [row & ~ok for row, ok in zip(rows, allowed)]
+    clique, star, rest = _model_parts(spec)
+    outside = [row & ~(a | b | c) for row, a, b, c in zip(rows, clique, star, rest)]
 
+    # identity at 0 and central rotation at 1, as in every canonical order
     e, row_e, row_u = labels[0], rows[0], rows[1]
-    pendant = [(e, labels[f]) for f in range(q + half, 2 * q) if (row_e >> f) & 1]
+    # the order-2 flips: the star's leaves that the central rotation misses
+    pendant = [(e, labels[f]) for f in _bits(row_e & star[0] & ~rest[1])]
     complete, incomplete = [], []
-    for a in range(q, q + half, 2):
-        b = a + 1
+    # the central rotation's rest row lists the order-4 flips; the rest row
+    # of such a flip a is the central rotation plus a's pair partner b
+    for a in _bits(rest[1]):
+        b = (rest[a] ^ 0b10).bit_length() - 1
+        if b < a:
+            continue
         present = (
             ((row_e >> a) & 1)
             + ((row_e >> b) & 1)
@@ -345,7 +358,7 @@ def verify_decomposition(g: Graph, k: int, p: int) -> DecompositionReport:
         pendant_edges=tuple(sorted(pendant)),
         quad_blocks=tuple(complete),
         incomplete_quads=tuple(incomplete),
-        rotation_part_edges=sum((row & rot).bit_count() for row in rows[:q]) // 2,
+        rotation_part_edges=sum((row & ok).bit_count() for row, ok in zip(rows, clique)) // 2,
         uncovered_edges=tuple(
             sorted((labels[i], labels[j]) for i, j in _pairs(outside, directed=False))
         ),
@@ -390,33 +403,16 @@ class AdjacencySplit:
 
 
 def model_adjacency_split(k: int, p: int) -> AdjacencySplit:
-    spec = SemidihedralType(k, p)
-    q = spec.rotation_order
-    n = spec.order
-
-    def blank():
-        return [[0] * n for _ in range(n)]
-
-    def put(m, i, j):
-        m[i][j] = 1
-        m[j][i] = 1
-
-    clique = blank()
-    for i in range(q):
-        for j in range(i + 1, q):
-            put(clique, i, j)
-    star = blank()
-    for j in range(q, n):
-        put(star, 0, j)
-    rest = blank()
-    for t in range(q // 4):
-        a, b = q + 2 * t, q + 2 * t + 1
-        put(rest, 1, a)
-        put(rest, 1, b)
-        put(rest, a, b)
-
-    y1 = IntMatrix.from_rows(clique)
-    y2 = IntMatrix.from_rows(star)
-    z = IntMatrix.from_rows(rest)
+    y1, y2, z = (_unpack(part) for part in _model_parts(SemidihedralType(k, p)))
     y = y1 + y2
-    return AdjacencySplit(full=y + z, clique_plus_star=y, clique_only=y1, star_only=y2, rest=z)
+    return AdjacencySplit(
+        full=_int_matrix(y + z),
+        clique_plus_star=_int_matrix(y),
+        clique_only=_int_matrix(y1),
+        star_only=_int_matrix(y2),
+        rest=_int_matrix(z),
+    )
+
+
+def _int_matrix(bits: np.ndarray) -> IntMatrix:
+    return IntMatrix(tuple(map(tuple, bits.tolist())))

@@ -12,6 +12,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import multiprocessing
@@ -161,20 +162,13 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def _normalize_kinds(kinds) -> tuple[str, ...]:
-    kinds = tuple(kinds)
-    for kind in kinds:
-        if kind not in MATRIX_KINDS:
-            raise ValueError(f"unknown matrix kind {kind!r}")
-    return tuple(k for k in MATRIX_KINDS if k in kinds)
-
-
-def _normalize_constructions(constructions) -> tuple[str, ...]:
-    constructions = tuple(constructions)
-    for c in constructions:
-        if c not in CONSTRUCTIONS:
-            raise ValueError(f"unknown construction {c!r}")
-    return tuple(c for c in CONSTRUCTIONS if c in constructions)
+def _normalize(values, known: tuple[str, ...], what: str) -> tuple[str, ...]:
+    """values in the order of known; a ValueError names the first unknown one."""
+    values = tuple(values)
+    for v in values:
+        if v not in known:
+            raise ValueError(f"unknown {what} {v!r}")
+    return tuple(v for v in known if v in values)
 
 
 def _charpoly_formula(kind: str, k: int, p: int):
@@ -216,8 +210,8 @@ def run_verification(
     """
     spec = SemidihedralType(k, p)
     mp = ModelParameters(k, p)
-    kinds = _normalize_kinds(kinds)
-    constructions = _normalize_constructions(constructions)
+    kinds = _normalize(kinds, MATRIX_KINDS, "matrix kind")
+    constructions = _normalize(constructions, CONSTRUCTIONS, "construction")
     q = mp.rotation_order
 
     checks: list[Check] = []
@@ -230,14 +224,10 @@ def run_verification(
         graphs["true"] = build_power_graph(spec)
     m_counts = {name: edge_count(g) for name, g in graphs.items()}
 
-    rotation_graph = None
-
+    @functools.cache
     def power_graph_of_rotations():
         """P(C_q), the true graph inside <r>; built on first use, once per run."""
-        nonlocal rotation_graph
-        if rotation_graph is None:
-            rotation_graph = build_power_graph(Cyclic(q))
-        return rotation_graph
+        return build_power_graph(Cyclic(q))
 
     pres = validate_presentation(spec)
     checks.append(
@@ -270,21 +260,14 @@ def run_verification(
             )
         )
 
-    matrices: dict[tuple[str, str], object] = {}
-
+    @functools.cache
     def matrix_for(cname: str, kind: str):
-        key = (cname, kind)
-        if key not in matrices:
-            matrices[key] = matrix_of(graphs[cname], kind)
-        return matrices[key]
+        return matrix_of(graphs[cname], kind)
 
-    expansions: dict[str, IntPolynomial] = {}
-
+    @functools.cache
     def claimed_expansion(kind: str) -> IntPolynomial:
         """The claimed characteristic polynomial of kind, expanded once per run."""
-        if kind not in expansions:
-            expansions[kind] = _charpoly_formula(kind, k, p).expand()
-        return expansions[kind]
+        return _charpoly_formula(kind, k, p).expand()
 
     # trace identities, exact
     for cname in constructions:
@@ -609,8 +592,8 @@ def sweep(
         return []
     for k, p in pairs:
         validate_parameters(k, p)
-    kinds = _normalize_kinds(kinds)
-    constructions = _normalize_constructions(constructions)
+    kinds = _normalize(kinds, MATRIX_KINDS, "matrix kind")
+    constructions = _normalize(constructions, CONSTRUCTIONS, "construction")
     work = [(k, p, kinds, constructions) for k, p in pairs]
     if jobs > 1:
         context = multiprocessing.get_context("spawn")

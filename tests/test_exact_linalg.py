@@ -132,7 +132,6 @@ class TestDeterminant:
     def test_symmetric_zero_pivot_falls_back(self):
         # a zero first pivot, and a zero pivot that only appears at step 2
         for rows in ([[0, 2, 1], [2, 0, 3], [1, 3, 1]], [[1, 1, 0], [1, 1, 2], [0, 2, 5]]):
-            assert kernels._det_bareiss_symmetric(rows) is None
             assert det_exact(IntMatrix.from_rows(rows)) == det_cofactor(rows)
 
     def test_against_cofactor_oracle(self):
@@ -141,7 +140,6 @@ class TestDeterminant:
             n = rng.randint(1, 6)
             rows = random_int_matrix(rng, n, -9, 9)
             assert det_exact(IntMatrix.from_rows(rows)) == det_cofactor(rows)
-        fallbacks = 0
         for trial in range(45):
             n = rng.randint(1, 6)
             pool = (-HUGE, HUGE) if trial % 3 == 1 else ()
@@ -154,9 +152,7 @@ class TestDeterminant:
                 for i in range(n):
                     if i == 0 or rng.random() < 0.5:
                         rows[i][i] = 0
-            fallbacks += kernels._det_bareiss_symmetric(rows) is None
             assert det_exact(IntMatrix.from_rows(rows)) == det_cofactor(rows)
-        assert fallbacks >= 10
 
     def test_rank_one_update_formula(self):
         # constant diagonal x, constant off-diagonal y

@@ -16,6 +16,7 @@ from powspec.powergraph import (
     DecompositionReport,
     Graph,
     _bits,
+    _model_parts,
     _transpose,
     build_model_graph,
     build_power_graph,
@@ -431,6 +432,34 @@ class TestModelGraph:
 
     def test_connected(self, model_graphs):
         assert len(connected_components(model_graphs[(2, 3)])) == 1
+
+
+class TestModelParts:
+    """_model_parts is the one written description of the model's edges."""
+
+    @pytest.mark.parametrize("k,p", PAIRS_UNDER_CAP)
+    def test_parts_are_disjoint_and_symmetric(self, k, p):
+        clique, star, rest = _model_parts(SemidihedralType(k, p))
+        for a, b in ((clique, star), (clique, rest), (star, rest)):
+            assert all(x & y == 0 for x, y in zip(a, b))
+        for part in (clique, star, rest):
+            assert len(part) == 2 ** (k + 1) * p
+            assert _transpose(part) == part
+
+    @pytest.mark.parametrize("k,p", PAIRS_UNDER_CAP)
+    def test_union_is_the_model_graph(self, k, p):
+        g = build_model_graph(k, p)
+        union = [a | b | c for a, b, c in zip(*_model_parts(SemidihedralType(k, p)))]
+        assert union == [g.row_mask(i) for i in range(g.n)]
+
+    @pytest.mark.parametrize("k,p", PAIRS_UNDER_CAP)
+    def test_model_graph_passes_its_own_census(self, k, p):
+        q = 2**k * p
+        rep = verify_decomposition(build_model_graph(k, p), k, p)
+        assert rep.covered and not rep.incomplete_quads
+        assert rep.pendant_count == q // 2
+        assert rep.quad_count == q // 4
+        assert rep.rotation_part_edges == math.comb(q, 2)
 
 
 class TestComponents:

@@ -92,6 +92,14 @@ class TestRunVerification:
         with pytest.raises(ValueError):
             run_verification(2, 3, constructions=("imagined",))
 
+    def test_unknown_filter_messages(self):
+        with pytest.raises(ValueError) as exc:
+            run_verification(2, 3, kinds=("laplacian", "x"))
+        assert str(exc.value) == "unknown matrix kind 'x'"
+        with pytest.raises(ValueError) as exc:
+            run_verification(2, 3, constructions=("model", "x"))
+        assert str(exc.value) == "unknown construction 'x'"
+
     def test_cap_turns_heavy_checks_into_notices(self, monkeypatch):
         monkeypatch.setenv(CAP_ENV_VAR, "10")
         report = run_verification(2, 3)
