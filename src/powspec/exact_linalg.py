@@ -85,6 +85,11 @@ class IntMatrix:
         return cls(tuple(tuple(int(v) for v in row) for row in rows))
 
     @classmethod
+    def from_array(cls, a: np.ndarray) -> "IntMatrix":
+        """A square numpy integer array; tolist() already yields Python ints."""
+        return cls(tuple(map(tuple, a.tolist())))
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
@@ -284,25 +289,29 @@ class FactoredPolynomial:
         return " ".join(parts) if parts else "1"
 
 
+def _unpack(rows) -> np.ndarray:
+    """n packed rows of n bits as an n x n uint8 array of 0/1, bit j of row i at [i, j]."""
+    n = len(rows)
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), np.uint8)
+    return np.unpackbits(packed.reshape(n, width), axis=1, bitorder="little")[:, :n]
+
+
 def matrix_of(graph, kind: str) -> IntMatrix:
     """Adjacency, laplacian, or signless laplacian matrix of a graph.
 
-    Row i is read off the packed bit row of vertex i (its out-arcs when
-    the graph is directed), with the degree on the diagonal for the two
-    laplacians.
+    The adjacency is the graph's packed bit rows unpacked; the two
+    laplacians add the degrees on the diagonal to minus or plus it.
     """
     if kind not in ("adjacency", "laplacian", "signless"):
         raise ValueError(f"unknown matrix kind {kind!r}")
-    n = graph.n
-    edge = -1 if kind == "laplacian" else 1
-    rows = []
-    for i in range(n):
-        # bit j of the mask is character j of the reversed binary string
-        row = [edge if bit == "1" else 0 for bit in format(graph.row_mask(i), f"0{n}b")[::-1]]
-        if kind != "adjacency":
-            row[i] = graph.degree(i)
-        rows.append(tuple(row))
-    return IntMatrix(tuple(rows))
+    bits = _unpack([graph.row_mask(i) for i in range(graph.n)])
+    if kind == "adjacency":
+        return IntMatrix.from_array(bits)
+    edges = bits.astype(np.int64)
+    if kind == "laplacian":
+        edges = -edges
+    return IntMatrix.from_array(edges + np.diag(bits.sum(axis=1, dtype=np.int64)))
 
 
 def det_exact(m: IntMatrix) -> int:
@@ -640,32 +649,6 @@ def char_poly_leverrier(m: IntMatrix) -> IntPolynomial:
     return IntPolynomial.from_coeffs(kernels.charpoly_leverrier(m.to_lists()))
 
 
-def _fraction_det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    m = [row[:] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot_row = None
-        for i in range(col, n):
-            if m[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            det = -det
-        pivot = m[col][col]
-        det *= pivot
-        for i in range(col + 1, n):
-            factor = m[i][col] / pivot
-            if factor == 0:
-                continue
-            for j in range(col, n):
-                m[i][j] -= factor * m[col][j]
-    return det
-
-
 def _fraction_solve(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
     """Solve A X = B by Gauss-Jordan; A must be invertible."""
     n = len(a)
@@ -715,10 +698,9 @@ def schur_charpoly_check(
     for x in points:
         x = int(x)
         d_shift = [
-            [Fraction((x if i == j else 0) - v) for j, v in enumerate(row)]
-            for i, row in enumerate(d.rows)
+            [(x if i == j else 0) - v for j, v in enumerate(row)] for i, row in enumerate(d.rows)
         ]
-        dd = _fraction_det(d_shift)
+        dd = kernels.det_bareiss(d_shift)
         if dd == 0:
             skipped.append(x)
             continue
@@ -729,25 +711,23 @@ def schur_charpoly_check(
             + [-b.rows[i][j] for j in range(order)]
             for i in range(order)
         ]
-        bottom = [
-            [-c.rows[i][j] for j in range(order)]
-            + [(x if i == j else 0) - d.rows[i][j] for j in range(order)]
-            for i in range(order)
-        ]
+        bottom = [[-v for v in c_row] + d_row for c_row, d_row in zip(c.rows, d_shift)]
         lhs = kernels.det_bareiss(top + bottom)
         dinv_c = _fraction_solve(
-            d_shift, [[Fraction(v) for v in row] for row in c.rows]
+            [[Fraction(v) for v in row] for row in d_shift],
+            [[Fraction(v) for v in row] for row in c.rows],
         )
         schur = [
             [
-                Fraction((x if i == j else 0) - a.rows[i][j])
-                - sum(Fraction(b.rows[i][t]) * dinv_c[t][j] for t in range(order))
+                top[i][j] - sum(b.rows[i][t] * dinv_c[t][j] for t in range(order))
                 for j in range(order)
             ]
             for i in range(order)
         ]
-        rhs = dd * _fraction_det(schur)
-        if rhs != lhs:
+        # det(S) = det(L S) / L^order, with L S an integer matrix
+        scale = math.lcm(*(v.denominator for row in schur for v in row))
+        scaled = [[int(v * scale) for v in row] for row in schur]
+        if dd * kernels.det_bareiss(scaled) != lhs * scale**order:
             passed = False
     if not checked:
         raise ValueError("all sample points left the lower-right block singular")

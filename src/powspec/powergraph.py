@@ -8,13 +8,13 @@ subgroup into a clique, so the two graphs differ inside that subgroup
 and nowhere else.  The verifier keeps both and reports the gap rather
 than deciding which one is intended.
 
-A graph is stored as packed bit rows: row i is an int whose bit j is set
-when i ~ j (the arc i -> j when directed).  build_power_graph computes one
-cyclic subgroup per generator class rather than one per vertex, and every
+A graph is stored as symmetric packed bit rows: row i is an int whose
+bit j is set when i ~ j.  build_power_graph computes one cyclic
+subgroup per generator class rather than one per vertex, and every
 consumer (neighbors, edges, edge_count, graph_diff) walks set bits or
 whole rows, so it costs O(n + edges) big-int steps instead of testing all
-n^2 index pairs.  The transpose behind the symmetry check and the
-undirected build is one numpy bit-matrix transpose.
+n^2 index pairs.  The transpose behind the symmetry check and the build
+is one numpy bit-matrix transpose.
 
 The model graph's edges are written once, as three parts of row masks
 (_model_parts).  build_model_graph is their union, model_adjacency_split
@@ -24,12 +24,13 @@ graph's rows against the union.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exact_linalg import IntMatrix
+from .exact_linalg import IntMatrix, _unpack
 from .group_core import (
     Cyclic,
     GroupElement,
@@ -60,14 +61,9 @@ __all__ = [
 class Graph:
     """Immutable vertex-labelled graph over packed bit rows."""
 
-    __slots__ = ("labels", "_rows", "directed", "_index")
+    __slots__ = ("labels", "_rows", "_index")
 
-    def __init__(
-        self,
-        labels: tuple[GroupElement, ...],
-        row_masks: tuple[int, ...],
-        directed: bool = False,
-    ):
+    def __init__(self, labels: tuple[GroupElement, ...], row_masks: tuple[int, ...]):
         n = len(labels)
         if len(row_masks) != n:
             raise ValueError("one adjacency row per vertex required")
@@ -78,11 +74,10 @@ class Graph:
                 raise ValueError("adjacency row has bits outside the vertex range")
             if (mask >> i) & 1:
                 raise ValueError("loops are not allowed")
-        if not directed and _transpose(row_masks) != list(row_masks):
-            raise ValueError("undirected graph must be symmetric")
+        if _transpose(row_masks) != list(row_masks):
+            raise ValueError("adjacency rows must be symmetric")
         self.labels = labels
         self._rows = row_masks
-        self.directed = directed
         self._index = {lab: i for i, lab in enumerate(labels)}
 
     @property
@@ -96,7 +91,7 @@ class Graph:
         return bool((self._rows[i] >> j) & 1)
 
     def row_mask(self, i: int) -> int:
-        """The packed row of vertex i: bit j is set when i ~ j (i -> j)."""
+        """The packed row of vertex i: bit j is set when i ~ j."""
         return self._rows[i]
 
     def degree(self, i: int) -> int:
@@ -106,21 +101,16 @@ class Graph:
         return tuple(_bits(self._rows[i]))
 
     def edges(self) -> list[tuple[int, int]]:
-        """Index pairs, (i, j) with i < j when undirected, arcs otherwise,
-        sorted by (i, j)."""
-        return _pairs(self._rows, self.directed)
+        """Index pairs (i, j) with i < j, sorted."""
+        return _pairs(self._rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return (
-            self.labels == other.labels
-            and self._rows == other._rows
-            and self.directed == other.directed
-        )
+        return self.labels == other.labels and self._rows == other._rows
 
     def __hash__(self) -> int:
-        return hash((self.labels, self._rows, self.directed))
+        return hash((self.labels, self._rows))
 
 
 def _bits(mask: int):
@@ -129,14 +119,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _unpack(rows) -> np.ndarray:
-    """n rows of n bits as an n x n uint8 array of 0/1, bit j of row i at [i, j]."""
-    n = len(rows)
-    width = (n + 7) // 8
-    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), np.uint8)
-    return np.unpackbits(packed.reshape(n, width), axis=1, bitorder="little")[:, :n]
 
 
 def _transpose(rows) -> list[int]:
@@ -150,13 +132,9 @@ def _transpose(rows) -> list[int]:
     return [int.from_bytes(data[i : i + width], "little") for i in range(0, n * width, width)]
 
 
-def _pairs(rows, directed: bool) -> list[tuple[int, int]]:
-    """The set bits of rows as sorted (i, j) pairs; only j > i when undirected."""
-    if directed:
-        return [(i, j) for i, mask in enumerate(rows) for j in _bits(mask)]
-    return [
-        (i, i + 1 + j) for i, mask in enumerate(rows) for j in _bits(mask >> (i + 1))
-    ]
+def _pairs(rows) -> list[tuple[int, int]]:
+    """The set bits of rows above the diagonal as sorted (i, j) pairs, j > i."""
+    return [(i, i + 1 + j) for i, mask in enumerate(rows) for j in _bits(mask >> (i + 1))]
 
 
 def quartic_flip_pairs(spec: SemidihedralType) -> tuple[tuple[GroupElement, GroupElement], ...]:
@@ -172,13 +150,15 @@ def quartic_flip_pairs(spec: SemidihedralType) -> tuple[tuple[GroupElement, Grou
     )
 
 
+@functools.lru_cache(maxsize=8)
 def canonical_order(spec: GroupSpec) -> tuple[GroupElement, ...]:
     """Vertex order every matrix in the package is written in.
 
     Cyclic groups enumerate by exponent.  The twisted family starts with
     the identity and the central rotation, then the other rotations
     ascending, then the order-4 flips laid out pair by pair, then the
-    order-2 flips ascending.
+    order-2 flips ascending.  The specs are frozen, so a run's graphs and
+    censuses share one cached tuple per group.
     """
     if isinstance(spec, Cyclic):
         return tuple(GroupElement(0, b) for b in range(spec.n))
@@ -193,9 +173,9 @@ def canonical_order(spec: GroupSpec) -> tuple[GroupElement, ...]:
     return tuple(out)
 
 
-def build_power_graph(spec: GroupSpec, directed: bool = False) -> Graph:
-    """The true power graph: an edge (arc) wherever one vertex is a power
-    of the other (wherever the target lies in the source's cyclic subgroup).
+def build_power_graph(spec: GroupSpec) -> Graph:
+    """The true power graph: an edge wherever one vertex is a power of the
+    other, i.e. lies in the other's cyclic subgroup.
 
     The subgroups come from the group law alone (cyclic_subgroup, i.e.
     repeated multiplication), with no closed form for any element, so the
@@ -203,8 +183,8 @@ def build_power_graph(spec: GroupSpec, directed: bool = False) -> Graph:
     One subgroup is computed per generator class: if <x> = (x^0, ..., x^(m-1))
     then x^t generates the same subgroup exactly when gcd(t, m) = 1, so
     its index mask is assigned to all of those powers at once.  The arc
-    row of vertex i is its subgroup mask without bit i; the undirected
-    row is the arc row OR the same row of the transposed arc matrix.
+    row of vertex i (the powers of i) is its subgroup mask without bit i;
+    the edge row is the arc row OR the same row of the transposed arcs.
     """
     labels = canonical_order(spec)
     index = {x: i for i, x in enumerate(labels)}
@@ -220,10 +200,8 @@ def build_power_graph(spec: GroupSpec, directed: bool = False) -> Graph:
         for t, y in enumerate(powers):
             if math.gcd(t, m) == 1:
                 gen[index[y]] = mask
-    rows = [mask & ~(1 << i) for i, mask in enumerate(gen)]
-    if not directed:
-        rows = [row | col for row, col in zip(rows, _transpose(rows))]
-    return Graph(labels, tuple(rows), directed)
+    arcs = [mask & ~(1 << i) for i, mask in enumerate(gen)]
+    return Graph(labels, tuple(row | col for row, col in zip(arcs, _transpose(arcs))))
 
 
 def _model_parts(spec: SemidihedralType) -> tuple[list[int], list[int], list[int]]:
@@ -258,8 +236,7 @@ def build_model_graph(k: int, p: int) -> Graph:
 
 
 def edge_count(g: Graph) -> int:
-    arcs = sum(g.degree(i) for i in range(g.n))
-    return arcs if g.directed else arcs // 2
+    return sum(g.degree(i) for i in range(g.n)) // 2
 
 
 def degree_sequence(g: Graph) -> tuple[int, ...]:
@@ -321,8 +298,6 @@ def verify_decomposition(g: Graph, k: int, p: int) -> DecompositionReport:
     are tested against the model rows, and every edge outside them lands
     in uncovered_edges.
     """
-    if g.directed:
-        raise ValueError("the decomposition census needs an undirected graph")
     spec = SemidihedralType(k, p)
     if g.labels != canonical_order(spec):
         raise ValueError("graph does not carry the canonical vertex order for (k, p)")
@@ -360,27 +335,26 @@ def verify_decomposition(g: Graph, k: int, p: int) -> DecompositionReport:
         incomplete_quads=tuple(incomplete),
         rotation_part_edges=sum((row & ok).bit_count() for row, ok in zip(rows, clique)) // 2,
         uncovered_edges=tuple(
-            sorted((labels[i], labels[j]) for i, j in _pairs(outside, directed=False))
+            sorted((labels[i], labels[j]) for i, j in _pairs(outside))
         ),
     )
 
 
 def graph_diff(g1: Graph, g2: Graph) -> tuple[tuple[GroupElement, GroupElement], ...]:
     """Symmetric difference of edge sets, as label pairs in vertex order."""
-    if g1.labels != g2.labels or g1.directed != g2.directed:
+    if g1.labels != g2.labels:
         raise ValueError("graphs must share the same labelled vertex set")
     rows = [a ^ b for a, b in zip(g1._rows, g2._rows)]
-    return tuple((g1.labels[i], g1.labels[j]) for i, j in _pairs(rows, g1.directed))
+    return tuple((g1.labels[i], g1.labels[j]) for i, j in _pairs(rows))
 
 
 def to_dot(g: Graph) -> str:
     """Deterministic DOT rendering; byte-identical across runs."""
-    kind, sep = ("digraph", "->") if g.directed else ("graph", "--")
-    lines = [f"{kind} powergraph {{"]
+    lines = ["graph powergraph {"]
     for i, lab in enumerate(g.labels):
         lines.append(f'  n{i} [label="{lab}"];')
     for i, j in g.edges():
-        lines.append(f"  n{i} {sep} n{j};")
+        lines.append(f"  n{i} -- n{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -406,13 +380,9 @@ def model_adjacency_split(k: int, p: int) -> AdjacencySplit:
     y1, y2, z = (_unpack(part) for part in _model_parts(SemidihedralType(k, p)))
     y = y1 + y2
     return AdjacencySplit(
-        full=_int_matrix(y + z),
-        clique_plus_star=_int_matrix(y),
-        clique_only=_int_matrix(y1),
-        star_only=_int_matrix(y2),
-        rest=_int_matrix(z),
+        full=IntMatrix.from_array(y + z),
+        clique_plus_star=IntMatrix.from_array(y),
+        clique_only=IntMatrix.from_array(y1),
+        star_only=IntMatrix.from_array(y2),
+        rest=IntMatrix.from_array(z),
     )
-
-
-def _int_matrix(bits: np.ndarray) -> IntMatrix:
-    return IntMatrix(tuple(map(tuple, bits.tolist())))

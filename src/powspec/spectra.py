@@ -28,6 +28,13 @@ class EigenResult:
     eigenvalues: tuple[float, ...]
     residual: float
 
+    @property
+    def radius(self) -> float:
+        """Largest absolute eigenvalue; 0.0 for the empty matrix."""
+        if not self.eigenvalues:
+            return 0.0
+        return max(abs(self.eigenvalues[0]), abs(self.eigenvalues[-1]))
+
 
 @dataclass(frozen=True)
 class SpectrumEntry:
@@ -127,13 +134,8 @@ def cluster_multiplicities(values: Sequence[float], tol: float) -> SpectrumSumma
 
 
 def spectral_radius(graph, tol: float = 1e-9) -> float:
-    """Largest absolute adjacency eigenvalue of a graph; an adjacency
-    IntMatrix already built for the graph may be passed instead."""
-    adjacency = graph if isinstance(graph, IntMatrix) else matrix_of(graph, "adjacency")
-    res = symmetric_eigenvalues(adjacency, tol)
-    if not res.eigenvalues:
-        return 0.0
-    return max(abs(res.eigenvalues[0]), abs(res.eigenvalues[-1]))
+    """Largest absolute adjacency eigenvalue of a graph."""
+    return symmetric_eigenvalues(matrix_of(graph, "adjacency"), tol).radius
 
 
 def laplacian_energy(

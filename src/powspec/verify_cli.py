@@ -23,7 +23,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .exact_linalg import IntPolynomial, MatrixCapExceeded, char_poly_exact, matrix_of
+from .exact_linalg import (
+    IntPolynomial,
+    MatrixCapExceeded,
+    char_poly_exact,
+    matrix_of,
+    matrix_order_cap,
+)
 from .formulas import (
     ModelParameters,
     adjacency_charpoly_formula,
@@ -83,6 +89,11 @@ _ANCHORS = {
 
 def _anchor(name: str, matrix: str | None) -> str:
     return _ANCHORS.get((name, matrix)) or _ANCHORS[(name, None)]
+
+
+def _json(data) -> str:
+    """The one JSON text format of every report and export."""
+    return json.dumps(data, indent=2) + "\n"
 
 
 def _fmt(v):
@@ -159,7 +170,7 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return _json(self.to_dict())
 
 
 def _normalize(values, known: tuple[str, ...], what: str) -> tuple[str, ...]:
@@ -263,6 +274,12 @@ def run_verification(
     @functools.cache
     def matrix_for(cname: str, kind: str):
         return matrix_of(graphs[cname], kind)
+
+    @functools.cache
+    def adjacency_spectrum(cname: str):
+        """The adjacency eigensolve of a construction, shared by the radius
+        bracket and the split spectra."""
+        return symmetric_eigenvalues(matrix_for(cname, "adjacency"), NUMERIC_TOL)
 
     @functools.cache
     def claimed_expansion(kind: str) -> IntPolynomial:
@@ -450,7 +467,7 @@ def run_verification(
     if "adjacency" in kinds:
         for cname in graphs:
             try:
-                lam1 = spectral_radius(matrix_for(cname, "adjacency"), NUMERIC_TOL)
+                lam1 = adjacency_spectrum(cname).radius
                 if cname == "model":
                     base = float(q - 1)
                 else:
@@ -483,9 +500,14 @@ def run_verification(
             )
 
     if "adjacency" in kinds and "model" in graphs:
-        split_check = _split_spectra_check(k, p, matrix_for("model", "adjacency"), notices)
-        if split_check is not None:
-            checks.append(split_check)
+        try:
+            checks.append(
+                _split_spectra_check(
+                    k, p, matrix_for("model", "adjacency"), adjacency_spectrum("model")
+                )
+            )
+        except MatrixCapExceeded as exc:
+            notices.append(f"split spectra skipped: {exc}")
 
     report = VerificationReport(
         k=k,
@@ -502,25 +524,21 @@ def run_verification(
     return report
 
 
-def _split_spectra_check(k: int, p: int, model_adjacency, notices: list[str]) -> Check | None:
+def _split_spectra_check(k: int, p: int, model_adjacency, whole) -> Check:
     """The additive split behind the radius bound: reassembly must be exact,
     the star part must have spectrum {+-sqrt(q), 0...}, the rest part must
     peak at (1 + sqrt(1 + 2q)) / 2, and the top eigenvalues must obey
-    subadditivity."""
+    subadditivity.  whole is the eigensolve of model_adjacency, which the
+    reassembled split must equal."""
     mp = ModelParameters(k, p)
     q = mp.rotation_order
     split = model_adjacency_split(k, p)
     problems = []
     if split.full.rows != model_adjacency.rows:
         problems.append("split does not reassemble the adjacency matrix")
-    try:
-        star = symmetric_eigenvalues(split.star_only, NUMERIC_TOL)
-        rest = symmetric_eigenvalues(split.rest, NUMERIC_TOL)
-        whole = symmetric_eigenvalues(split.full, NUMERIC_TOL)
-        climbed = symmetric_eigenvalues(split.clique_plus_star, NUMERIC_TOL)
-    except MatrixCapExceeded as exc:
-        notices.append(f"split spectra skipped: {exc}")
-        return None
+    star = symmetric_eigenvalues(split.star_only, NUMERIC_TOL)
+    rest = symmetric_eigenvalues(split.rest, NUMERIC_TOL)
+    climbed = symmetric_eigenvalues(split.clique_plus_star, NUMERIC_TOL)
     n = mp.vertex_count
     root_q = math.sqrt(q)
     tol = NUMERIC_TOL * max(1.0, float(q))
@@ -581,10 +599,11 @@ def sweep(
     constructions: Iterable[str] = CONSTRUCTIONS,
     jobs: int = 1,
 ) -> list[VerificationReport]:
-    """Verify every (k, p) pair of the two lists; rejects invalid parameters
-    and jobs < 1 up front.  jobs > 1 fans the pairs out to a pool of
-    spawned worker processes (fork is unsafe once the parent has threads);
-    errors inside one pair are contained in that pair's report."""
+    """Verify every (k, p) pair of the two lists; rejects invalid parameters,
+    jobs < 1 and a malformed matrix cap up front.  jobs > 1 fans the pairs
+    out to a pool of spawned worker processes (fork is unsafe once the
+    parent has threads); errors inside one pair are contained in that
+    pair's report."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     pairs = [(k, p) for k in ks for p in ps]
@@ -592,6 +611,7 @@ def sweep(
         return []
     for k, p in pairs:
         validate_parameters(k, p)
+    matrix_order_cap()  # a malformed cap is a usage error, not one failure per pair
     kinds = _normalize(kinds, MATRIX_KINDS, "matrix kind")
     constructions = _normalize(constructions, CONSTRUCTIONS, "construction")
     work = [(k, p, kinds, constructions) for k, p in pairs]
@@ -682,19 +702,18 @@ def _cmd_sweep(args) -> int:
     )
     sys.stdout.write(sweep_summary_table(reports))
     if args.out is not None:
-        payload = json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
-        _emit(payload, args.out)
+        _emit(_json([r.to_dict() for r in reports]), args.out)
     return 0 if all(r.status == STATUS_PASS for r in reports) else 1
 
 
 def _graph_json(g) -> str:
     data = {
         "n": g.n,
-        "directed": g.directed,
+        "directed": False,
         "labels": [str(lab) for lab in g.labels],
         "edges": [[i, j] for i, j in g.edges()],
     }
-    return json.dumps(data, indent=2) + "\n"
+    return _json(data)
 
 
 def _charpoly_forms(kind: str, k: int, p: int) -> dict:
@@ -714,8 +733,7 @@ def _spectrum_pairs(spectrum) -> list:
 
 
 def _formula_json(k: int, p: int, kind: str) -> str:
-    data = {"matrix": kind, "k": k, "p": p, **_charpoly_forms(kind, k, p)}
-    return json.dumps(data, indent=2) + "\n"
+    return _json({"matrix": kind, "k": k, "p": p, **_charpoly_forms(kind, k, p)})
 
 
 def _cmd_export(args) -> int:
@@ -736,8 +754,7 @@ def _cmd_export(args) -> int:
         if fmt == "csv":
             payload = spectrum_to_csv(spectrum)
         else:
-            data = {"matrix": "laplacian", "pairs": _spectrum_pairs(spectrum)}
-            payload = json.dumps(data, indent=2) + "\n"
+            payload = _json({"matrix": "laplacian", "pairs": _spectrum_pairs(spectrum)})
     else:  # formula
         if fmt != "json":
             raise ValueError("formula export supports json only")
@@ -760,7 +777,7 @@ def _cmd_formulas(args) -> int:
         "laplacian_spectrum": _spectrum_pairs(spectrum),
         "laplacian_energy": _fmt(laplacian_energy_formula(k, p)),
     }
-    _emit(json.dumps(data, indent=2) + "\n", args.out)
+    _emit(_json(data), args.out)
     return 0
 
 

@@ -34,13 +34,12 @@ from powspec.powergraph import (
 E = GroupElement
 
 
-def graph_with_edges(labels, pairs, directed=False):
+def graph_with_edges(labels, pairs):
     rows = [0] * len(labels)
     for i, j in pairs:
         rows[i] |= 1 << j
-        if not directed:
-            rows[j] |= 1 << i
-    return Graph(tuple(labels), tuple(rows), directed)
+        rows[j] |= 1 << i
+    return Graph(tuple(labels), tuple(rows))
 
 
 def scan_edges(g):
@@ -49,31 +48,23 @@ def scan_edges(g):
         (i, j)
         for i in range(g.n)
         for j in range(g.n)
-        if g.has_edge(i, j) and (g.directed or i < j)
+        if g.has_edge(i, j) and i < j
     ]
 
 
-def pair_scan_graph(spec, directed=False):
-    """Reference builder: x -> y iff y in <x>; undirected x ~ y iff y in <x>
-    or x in <y>; every pair tested, one cyclic subgroup per vertex.
-    Returns the graph and its number of edges (arcs)."""
+def pair_scan_graph(spec):
+    """Reference builder: x ~ y iff y in <x> or x in <y>; every pair
+    tested, one cyclic subgroup per vertex.  Returns the graph and its
+    number of edges."""
     els = canonical_order(spec)
     gen = {x: set(cyclic_subgroup(spec, x)) for x in els}
-    if directed:
-        pairs = [
-            (i, j)
-            for i, x in enumerate(els)
-            for j, y in enumerate(els)
-            if i != j and y in gen[x]
-        ]
-    else:
-        pairs = [
-            (i, i + 1 + t)
-            for i, x in enumerate(els)
-            for t, y in enumerate(els[i + 1 :])
-            if y in gen[x] or x in gen[y]
-        ]
-    return graph_with_edges(els, pairs, directed), len(pairs)
+    pairs = [
+        (i, i + 1 + t)
+        for i, x in enumerate(els)
+        for t, y in enumerate(els[i + 1 :])
+        if y in gen[x] or x in gen[y]
+    ]
+    return graph_with_edges(els, pairs), len(pairs)
 
 
 def bit_walk_transpose(rows):
@@ -219,10 +210,6 @@ class TestGraphBasics:
         rows[1] |= 1 << 66  # an arc 1 -> 66 with no 66 -> 1
         with pytest.raises(ValueError, match="symmetric"):
             Graph(labels, tuple(rows))
-        d = Graph(labels, tuple(rows), directed=True)
-        assert d.edges() == scan_edges(d)
-        assert (1, 66) in d.edges() and (66, 1) not in d.edges()
-        assert edge_count(d) == len(d.edges()) == 7
 
     def test_equality_and_hash(self):
         a = graph_with_edges([E(0, 0), E(0, 1)], [(0, 1)])
@@ -238,7 +225,7 @@ class TestTranspose:
         rng = random.Random(n)
         cases = [
             [0] * n,
-            [rng.getrandbits(n) & ~(1 << i) for i in range(n)],  # directed, asymmetric
+            [rng.getrandbits(n) & ~(1 << i) for i in range(n)],  # asymmetric
             [rng.getrandbits(n) if rng.random() < 0.3 else 0 for _ in range(n)],
             [((1 << n) - 1) ^ (1 << i) for i in range(n)],
         ]
@@ -260,9 +247,6 @@ class TestTranspose:
             rows[i] ^= 1 << j  # flips one bit on one side only
             with pytest.raises(ValueError, match="symmetric"):
                 Graph(labels, tuple(rows))
-            d = Graph(labels, tuple(rows), directed=True)
-            assert d.has_edge(i, j) != g.has_edge(i, j)
-            assert d.has_edge(j, i) == g.has_edge(j, i)
 
 
 class TestCanonicalOrder:
@@ -281,6 +265,11 @@ class TestCanonicalOrder:
 
     def test_cyclic_order(self):
         assert canonical_order(Cyclic(3)) == (E(0, 0), E(0, 1), E(0, 2))
+
+    def test_graphs_share_one_label_tuple(self):
+        spec = SemidihedralType(2, 3)
+        assert build_model_graph(2, 3).labels is build_power_graph(spec).labels
+        assert canonical_order(SemidihedralType(2, 3)) is canonical_order(spec)
 
     @pytest.mark.parametrize("k,p", [(2, 3), (2, 5), (3, 3)])
     def test_order_is_a_permutation(self, k, p):
@@ -315,27 +304,27 @@ class TestTruePowerGraph:
         got = {(x.b, y.b) for i, j in g.edges() for x, y in [(g.labels[i], g.labels[j])]}
         assert {tuple(sorted(e)) for e in got} == cyclic_power_edges(q)
 
-    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
     @pytest.mark.parametrize(
-        "spec,edges,arcs",
+        "spec,edges",
         [
-            pytest.param(Cyclic(1), 0, 0, id="C1"),
-            pytest.param(Cyclic(2), 1, 1, id="C2"),
-            pytest.param(Cyclic(6), 13, 15, id="C6"),
-            pytest.param(Cyclic(12), 56, 65, id="C12"),
-            pytest.param(Cyclic(30), 341, 411, id="C30"),
-            pytest.param(Cyclic(64), 2016, 2667, id="C64"),
-            pytest.param(SemidihedralType(2, 3), 77, 89, id="SD2-3"),
-            pytest.param(SemidihedralType(2, 5), 205, 251, id="SD2-5"),
-            pytest.param(SemidihedralType(3, 3), 276, 325, id="SD3-3"),
-            pytest.param(SemidihedralType(2, 7), 397, 501, id="SD2-7"),
-            pytest.param(SemidihedralType(4, 3), 1042, 1245, id="SD4-3"),
+            # the ids keep the names these cases had beside a directed variant
+            pytest.param(Cyclic(1), 0, id="C1-undirected"),
+            pytest.param(Cyclic(2), 1, id="C2-undirected"),
+            pytest.param(Cyclic(6), 13, id="C6-undirected"),
+            pytest.param(Cyclic(12), 56, id="C12-undirected"),
+            pytest.param(Cyclic(30), 341, id="C30-undirected"),
+            pytest.param(Cyclic(64), 2016, id="C64-undirected"),
+            pytest.param(SemidihedralType(2, 3), 77, id="SD2-3-undirected"),
+            pytest.param(SemidihedralType(2, 5), 205, id="SD2-5-undirected"),
+            pytest.param(SemidihedralType(3, 3), 276, id="SD3-3-undirected"),
+            pytest.param(SemidihedralType(2, 7), 397, id="SD2-7-undirected"),
+            pytest.param(SemidihedralType(4, 3), 1042, id="SD4-3-undirected"),
         ],
     )
-    def test_edge_count_by_pair_scan(self, spec, edges, arcs, directed):
-        want, m = pair_scan_graph(spec, directed)
-        assert m == (arcs if directed else edges)
-        g = build_power_graph(spec, directed=directed)
+    def test_edge_count_by_pair_scan(self, spec, edges):
+        want, m = pair_scan_graph(spec)
+        assert m == edges
+        g = build_power_graph(spec)
         assert g == want
         assert g.edges() == scan_edges(g)
         assert edge_count(g) == len(g.edges()) == m
@@ -356,23 +345,6 @@ class TestTruePowerGraph:
     def test_connected(self, true_graphs):
         assert len(connected_components(true_graphs[(2, 3)])) == 1
 
-    def test_directed_variant(self):
-        spec = SemidihedralType(2, 3)
-        g = build_power_graph(spec, directed=True)
-        assert g.directed
-        e_idx = g.index_of(E(0, 0))
-        assert g.degree(e_idx) == 0  # identity generates nothing else
-        assert sum(1 for i, j in g.edges() if j == e_idx) == g.n - 1
-        undirected = build_power_graph(spec)
-        sym = {tuple(sorted(arc)) for arc in g.edges()}
-        assert sym == set(undirected.edges())
-
-    def test_directed_cyclic_4(self):
-        g = build_power_graph(Cyclic(4), directed=True)
-        assert len(g.edges()) == 7
-        assert {tuple(sorted(arc)) for arc in g.edges()} == set(
-            build_power_graph(Cyclic(4)).edges()
-        )
 
 
 class TestModelGraph:
@@ -519,12 +491,6 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             verify_decomposition(model_graphs[(2, 5)], 2, 3)
 
-    def test_rejects_directed(self):
-        # a census of arcs would count each rotation edge up to twice
-        g = build_power_graph(SemidihedralType(2, 3), directed=True)
-        with pytest.raises(ValueError, match="undirected"):
-            verify_decomposition(g, 2, 3)
-
 
 def mutated(g, k, p, mutation):
     """g with one edge dropped or added, named by the classes it touches."""
@@ -632,17 +598,15 @@ class TestGraphDiff:
         }
         assert got == non_edges
 
-    @pytest.mark.parametrize("case", ["model-vs-true-2-5", "directed-arc-removed"])
+    @pytest.mark.parametrize("case", ["model-vs-true-2-5", "edge-removed"])
     def test_matches_set_difference(self, case, model_graphs, true_graphs):
         if case == "model-vs-true-2-5":
             g1, g2 = model_graphs[(2, 5)], true_graphs[(2, 5)]
             size = 20
         else:
-            g1 = build_power_graph(SemidihedralType(2, 3), directed=True)
-            arc = (g1.index_of(E(1, 1)), g1.index_of(E(0, 6)))
-            g2 = graph_with_edges(
-                g1.labels, [a for a in g1.edges() if a != arc], directed=True
-            )
+            g1 = true_graphs[(2, 3)]
+            edge = (g1.index_of(E(0, 6)), g1.index_of(E(1, 1)))
+            g2 = graph_with_edges(g1.labels, [e for e in g1.edges() if e != edge])
             size = 1
         want = tuple(
             (g1.labels[i], g1.labels[j])
@@ -661,11 +625,6 @@ class TestGraphDiff:
         with pytest.raises(ValueError):
             graph_diff(model_graphs[(2, 3)], model_graphs[(2, 5)])
 
-    def test_rejects_directedness_mismatch(self):
-        spec = Cyclic(3)
-        with pytest.raises(ValueError):
-            graph_diff(build_power_graph(spec), build_power_graph(spec, directed=True))
-
 
 class TestDotExport:
     def test_frozen_k2(self):
@@ -675,16 +634,6 @@ class TestDotExport:
             '  n0 [label="s^0 r^0"];\n'
             '  n1 [label="s^0 r^1"];\n'
             '  n0 -- n1;\n'
-            '}\n'
-        )
-
-    def test_frozen_directed(self):
-        g = build_power_graph(Cyclic(2), directed=True)
-        assert to_dot(g) == (
-            'digraph powergraph {\n'
-            '  n0 [label="s^0 r^0"];\n'
-            '  n1 [label="s^0 r^1"];\n'
-            '  n1 -> n0;\n'
             '}\n'
         )
 

@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 import powspec
-from powspec import verify_cli
+from powspec import spectra, verify_cli
 from powspec.exact_linalg import CAP_ENV_VAR, FactoredPolynomial
 from powspec.group_core import SemidihedralType
-from powspec.powergraph import build_power_graph, to_dot
+from powspec.powergraph import build_power_graph, canonical_order, to_dot
 from powspec.verify_cli import (
     main,
     run_verification,
@@ -125,6 +125,28 @@ class TestRunVerification:
         run_verification(2, 3, kinds=("laplacian",), constructions=())
         assert len(expanded) == 1  # the spectrum division alone
 
+    def test_each_matrix_is_eigensolved_once_per_run(self, monkeypatch):
+        solved = []
+        real = spectra.symmetric_eigenvalues
+
+        def counting(matrix, tol=1e-9):
+            solved.append(matrix.n)
+            return real(matrix, tol)
+
+        # spectral_radius looks the solver up in spectra, run_verification in verify_cli
+        monkeypatch.setattr(spectra, "symmetric_eigenvalues", counting)
+        monkeypatch.setattr(verify_cli, "symmetric_eigenvalues", counting)
+        run_verification(2, 3)
+        # radius bracket of both constructions and of P(C_12), three split
+        # parts and the model laplacian; the split's whole matrix is the
+        # model adjacency, already solved for its radius bracket
+        assert sorted(solved) == [12] + [24] * 6
+
+    def test_canonical_order_is_built_once_per_group(self):
+        canonical_order.cache_clear()
+        run_verification(2, 3)
+        assert canonical_order.cache_info().misses == 2  # the spec and Cyclic(12)
+
     def test_out_writes_report_file(self, tmp_path):
         out = tmp_path / "report.json"
         report = run_verification(2, 3, kinds=(), out=str(out))
@@ -218,6 +240,16 @@ class TestCliExitCodes:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("powspec: error: empty (k, p) grid")
+
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_malformed_cap_is_usage_error(self, command, monkeypatch, capsys):
+        monkeypatch.setenv(CAP_ENV_VAR, "abc")
+        assert main([command, "--k", "2", "--p", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"powspec: error: {CAP_ENV_VAR} must be an integer, got 'abc'\n"
+        )
 
     def test_range_and_list_parsing(self):
         assert verify_cli._parse_k_range("2..4") == [2, 3, 4]
