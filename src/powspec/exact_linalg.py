@@ -82,7 +82,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        return cls(tuple(tuple(int(v) for v in row) for row in rows))
+        return cls(tuple(map(tuple, rows)))
 
     @classmethod
     def from_array(cls, a: np.ndarray) -> "IntMatrix":

@@ -363,15 +363,14 @@ def to_dot(g: Graph) -> str:
 class AdjacencySplit:
     """Additive split of the model adjacency used by the radius bound.
 
-    full = clique_only + star_only + rest, with clique_plus_star the sum
-    of the first two.  star_only is the star from the identity to every
-    flip; rest holds the central rotation's links to the order-4 flips
+    full = clique_plus_star + rest.  star_only is the star from the
+    identity to every flip, and clique_plus_star adds the rotation clique
+    to it; rest holds the central rotation's links to the order-4 flips
     and the flip-pair edges.
     """
 
     full: IntMatrix
     clique_plus_star: IntMatrix
-    clique_only: IntMatrix
     star_only: IntMatrix
     rest: IntMatrix
 
@@ -382,7 +381,6 @@ def model_adjacency_split(k: int, p: int) -> AdjacencySplit:
     return AdjacencySplit(
         full=IntMatrix.from_array(y + z),
         clique_plus_star=IntMatrix.from_array(y),
-        clique_only=IntMatrix.from_array(y1),
         star_only=IntMatrix.from_array(y2),
         rest=IntMatrix.from_array(z),
     )

@@ -72,10 +72,9 @@ class SpectrumSummary:
 
 
 def _as_array(matrix) -> np.ndarray:
-    if isinstance(matrix, IntMatrix):
-        arr = np.array(matrix.rows, dtype=float)
-    else:
-        arr = np.asarray(matrix, dtype=float)
+    rows = matrix.rows if isinstance(matrix, IntMatrix) else matrix
+    _check_cap(len(rows))  # before the float copy is made
+    arr = np.asarray(rows, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("matrix must be square")
     return arr
@@ -89,7 +88,6 @@ def symmetric_eigenvalues(matrix, tol: float = 1e-9) -> EigenResult:
     """
     arr = _as_array(matrix)
     n = arr.shape[0]
-    _check_cap(n)
     if not (arr == arr.T).all():
         raise ValueError("matrix is not symmetric")
     if n == 0:

@@ -26,6 +26,7 @@ from typing import Iterable
 from .exact_linalg import (
     IntPolynomial,
     MatrixCapExceeded,
+    _check_cap,
     char_poly_exact,
     matrix_of,
     matrix_order_cap,
@@ -216,8 +217,8 @@ def run_verification(
 
     kinds narrows which matrix families are exercised; an empty tuple
     keeps only the counting, decomposition, and diff checks, which makes
-    large sweeps cheap.  Exact or numeric checks beyond the configured
-    matrix-order cap are skipped with a notice instead of failing.
+    large sweeps cheap.  Past the matrix-order cap, the exact and numeric
+    checks are skipped with a notice, decided once before their work.
     """
     spec = SemidihedralType(k, p)
     mp = ModelParameters(k, p)
@@ -234,6 +235,13 @@ def run_verification(
     if "true" in constructions:
         graphs["true"] = build_power_graph(spec)
     m_counts = {name: edge_count(g) for name, g in graphs.items()}
+
+    # every matrix of a run has order n; P(C_q) follows an order-n eigensolve
+    try:
+        _check_cap(mp.vertex_count)
+        cap_exceeded = None
+    except MatrixCapExceeded as exc:
+        cap_exceeded = exc
 
     @functools.cache
     def power_graph_of_rotations():
@@ -309,13 +317,12 @@ def run_verification(
     # there is reported as a mismatch rather than a failure.
     for cname in constructions:
         for kind in kinds:
-            formula = _charpoly_formula(kind, k, p)
-            claimed_poly = claimed_expansion(kind).monic_normalized()
-            try:
-                computed_poly = char_poly_exact(matrix_for(cname, kind))
-            except MatrixCapExceeded as exc:
-                notices.append(f"charpoly {kind}/{cname} skipped: {exc}")
+            if cap_exceeded:
+                notices.append(f"charpoly {kind}/{cname} skipped: {cap_exceeded}")
                 continue
+            formula = _charpoly_formula(kind, k, p)
+            claimed_poly = claimed_expansion(kind)
+            computed_poly = char_poly_exact(matrix_for(cname, kind))
             if computed_poly == claimed_poly:
                 status = STATUS_PASS
                 computed = "matches the claimed expansion"
@@ -364,12 +371,10 @@ def run_verification(
         )
 
         if "model" in graphs:
-            try:
+            if cap_exceeded:
+                notices.append(f"laplacian spectrum numeric check skipped: {cap_exceeded}")
+            else:
                 eig = symmetric_eigenvalues(matrix_for("model", "laplacian"), NUMERIC_TOL)
-            except MatrixCapExceeded as exc:
-                notices.append(f"laplacian spectrum numeric check skipped: {exc}")
-                eig = None
-            if eig is not None:
                 scale = max(1.0, max(abs(v) for v in eig.eigenvalues))
                 clustered = cluster_multiplicities(eig.eigenvalues, CLUSTER_TOL * scale)
                 ok, dev = summaries_match(clustered, spectrum, NUMERIC_TOL * scale)
@@ -466,15 +471,14 @@ def run_verification(
     # spectral radius bracket, one check per construction
     if "adjacency" in kinds:
         for cname in graphs:
-            try:
-                lam1 = adjacency_spectrum(cname).radius
-                if cname == "model":
-                    base = float(q - 1)
-                else:
-                    base = spectral_radius(power_graph_of_rotations(), NUMERIC_TOL)
-            except MatrixCapExceeded as exc:
-                notices.append(f"radius bounds for {cname} skipped: {exc}")
+            if cap_exceeded:
+                notices.append(f"radius bounds for {cname} skipped: {cap_exceeded}")
                 continue
+            lam1 = adjacency_spectrum(cname).radius
+            if cname == "model":
+                base = float(q - 1)
+            else:
+                base = spectral_radius(power_graph_of_rotations(), NUMERIC_TOL)
             bounds = spectral_radius_bounds(k, p, base)
             tol = NUMERIC_TOL * max(1.0, lam1)
             ok = bounds.lower < lam1 <= bounds.upper_shifted_radical + tol
@@ -500,14 +504,14 @@ def run_verification(
             )
 
     if "adjacency" in kinds and "model" in graphs:
-        try:
+        if cap_exceeded:
+            notices.append(f"split spectra skipped: {cap_exceeded}")
+        else:
             checks.append(
                 _split_spectra_check(
                     k, p, matrix_for("model", "adjacency"), adjacency_spectrum("model")
                 )
             )
-        except MatrixCapExceeded as exc:
-            notices.append(f"split spectra skipped: {exc}")
 
     report = VerificationReport(
         k=k,
@@ -529,7 +533,7 @@ def _split_spectra_check(k: int, p: int, model_adjacency, whole) -> Check:
     the star part must have spectrum {+-sqrt(q), 0...}, the rest part must
     peak at (1 + sqrt(1 + 2q)) / 2, and the top eigenvalues must obey
     subadditivity.  whole is the eigensolve of model_adjacency, which the
-    reassembled split must equal."""
+    reassembled split must equal; the caller skips it past the matrix cap."""
     mp = ModelParameters(k, p)
     q = mp.rotation_order
     split = model_adjacency_split(k, p)

@@ -84,13 +84,16 @@ class TestIntMatrix:
         with pytest.raises(ValueError):
             IntMatrix(((True,),))
 
-    @pytest.mark.parametrize("bad", (True, 1.0, np.int64(1)), ids=("bool", "float", "int64"))
+    @pytest.mark.parametrize(
+        "bad", (True, 1.0, np.int64(1), "3"), ids=("bool", "float", "int64", "str")
+    )
     def test_rejects_non_int_entries_among_ints(self, bad):
-        for row in ((bad, 2), (2, bad)):
-            with pytest.raises(ValueError, match="must be ints"):
-                IntMatrix((row, (3, 4)))
-            with pytest.raises(ValueError, match="must be ints"):
-                IntMatrix(((3, 4), row))
+        for build in (IntMatrix, IntMatrix.from_rows):
+            for row in ((bad, 2), (2, bad)):
+                with pytest.raises(ValueError, match="must be ints"):
+                    build((row, (3, 4)))
+                with pytest.raises(ValueError, match="must be ints"):
+                    build(((3, 4), row))
 
     def test_accepts_int_subclasses_other_than_bool(self):
         class Level(enum.IntEnum):

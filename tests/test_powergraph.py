@@ -650,7 +650,6 @@ class TestAdjacencySplit:
         split = model_adjacency_split(k, p)
         adjacency = matrix_of(model_graphs[(k, p)], "adjacency")
         assert split.full.rows == adjacency.rows
-        assert (split.clique_only + split.star_only).rows == split.clique_plus_star.rows
         assert (split.clique_plus_star + split.rest).rows == split.full.rows
 
     def test_parts_have_disjoint_support(self):

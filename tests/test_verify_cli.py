@@ -10,6 +10,7 @@ import pytest
 import powspec
 from powspec import spectra, verify_cli
 from powspec.exact_linalg import CAP_ENV_VAR, FactoredPolynomial
+from powspec.formulas import adjacency_charpoly_formula
 from powspec.group_core import SemidihedralType
 from powspec.powergraph import build_power_graph, canonical_order, to_dot
 from powspec.verify_cli import (
@@ -107,8 +108,57 @@ class TestRunVerification:
         names = {c.name for c in report.checks}
         for skipped in ("charpoly", "spectrum-numeric", "radius-bounds", "split-spectra"):
             assert skipped not in names
-        assert len(report.notices) == 10
-        assert all("exceeds the configured cap" in n for n in report.notices)
+        reason = (
+            "skipped: matrix order 24 exceeds the configured cap 10; "
+            f"raise {CAP_ENV_VAR} to override"
+        )
+        assert report.notices == (
+            f"charpoly adjacency/model {reason}",
+            f"charpoly laplacian/model {reason}",
+            f"charpoly signless/model {reason}",
+            f"charpoly adjacency/true {reason}",
+            f"charpoly laplacian/true {reason}",
+            f"charpoly signless/true {reason}",
+            f"laplacian spectrum numeric check {reason}",
+            f"radius bounds for model {reason}",
+            f"radius bounds for true {reason}",
+            f"split spectra {reason}",
+        )
+
+    def test_capped_run_does_no_capped_work(self, monkeypatch):
+        calls = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def counting(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+
+        for name in (
+            "char_poly_exact",
+            "symmetric_eigenvalues",
+            "spectral_radius",
+            "model_adjacency_split",
+        ):
+            spy(verify_cli, name)
+        spy(spectra, "symmetric_eigenvalues")
+        spy(FactoredPolynomial, "expand")
+        monkeypatch.setenv(CAP_ENV_VAR, "10")
+        run_verification(2, 3)
+        assert calls == ["expand"]  # the laplacian claim behind spectrum-divides
+
+    def test_sign_error_in_a_claim_fails(self, monkeypatch):
+        def negated(k, p):
+            formula = adjacency_charpoly_formula(k, p)
+            return FactoredPolynomial(-formula.scalar, formula.factors)
+
+        monkeypatch.setattr(verify_cli, "adjacency_charpoly_formula", negated)
+        report = run_verification(2, 3, kinds=("adjacency",), constructions=("model",))
+        (check,) = [c for c in report.checks if c.name == "charpoly"]
+        assert check.status == "fail"
 
     def test_each_claimed_form_is_expanded_once_per_run(self, monkeypatch):
         expanded = []
