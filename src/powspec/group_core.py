@@ -38,6 +38,9 @@ __all__ = [
 # Deterministic Miller-Rabin witness set, valid for everything below 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# Associativity triples sampled by validate_presentation, seeded by the group order.
+_SAMPLE_TRIPLES = 200
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -273,7 +276,7 @@ class PresentationReport:
         return all(item.ok for item in self.items)
 
 
-def validate_presentation(spec: SemidihedralType, sample_triples: int = 200) -> PresentationReport:
+def validate_presentation(spec: SemidihedralType) -> PresentationReport:
     """Check the defining relations and a sampled slice of associativity."""
     if not isinstance(spec, SemidihedralType):
         raise ValueError("presentation checks apply to the twisted family only")
@@ -303,13 +306,13 @@ def validate_presentation(spec: SemidihedralType, sample_triples: int = 200) -> 
 
     rng = random.Random(spec.order)
     ok = True
-    for _ in range(sample_triples):
+    for _ in range(_SAMPLE_TRIPLES):
         x, y, z = (rng.choice(elems) for _ in range(3))
         lhs = multiply(spec, multiply(spec, x, y), z)
         rhs = multiply(spec, x, multiply(spec, y, z))
         if lhs != rhs:
             ok = False
             break
-    items.append(PresentationCheck("associativity_sample", ok, f"{sample_triples} triples"))
+    items.append(PresentationCheck("associativity_sample", ok, f"{_SAMPLE_TRIPLES} triples"))
 
     return PresentationReport(group_order=spec.order, items=tuple(items))

@@ -10,13 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .exact_linalg import IntMatrix, _check_cap, matrix_of
-
-Exactish = Union[int, Fraction]
 
 
 class EigenSolveError(RuntimeError):
@@ -63,9 +61,6 @@ class SpectrumSummary:
     @property
     def total(self) -> int:
         return sum(e.multiplicity for e in self.entries)
-
-    def values(self) -> tuple:
-        return tuple(e.value for e in self.entries)
 
     def pairs(self) -> tuple[tuple[object, int], ...]:
         return tuple((e.value, e.multiplicity) for e in self.entries)

@@ -9,10 +9,15 @@ import pytest
 
 import powspec
 from powspec import spectra, verify_cli
-from powspec.exact_linalg import CAP_ENV_VAR, FactoredPolynomial
-from powspec.formulas import adjacency_charpoly_formula
+from powspec.exact_linalg import CAP_ENV_VAR, FactoredPolynomial, IntPolynomial
+from powspec.formulas import (
+    adjacency_charpoly_formula,
+    laplacian_charpoly_formula,
+    laplacian_spectrum_formula,
+)
 from powspec.group_core import SemidihedralType
 from powspec.powergraph import build_power_graph, canonical_order, to_dot
+from powspec.spectra import SpectrumEntry, SpectrumSummary
 from powspec.verify_cli import (
     main,
     run_verification,
@@ -146,9 +151,10 @@ class TestRunVerification:
             spy(verify_cli, name)
         spy(spectra, "symmetric_eigenvalues")
         spy(FactoredPolynomial, "expand")
+        spy(IntPolynomial, "deflate")
         monkeypatch.setenv(CAP_ENV_VAR, "10")
         run_verification(2, 3)
-        assert calls == ["expand"]  # the laplacian claim behind spectrum-divides
+        assert calls == []
 
     def test_sign_error_in_a_claim_fails(self, monkeypatch):
         def negated(k, p):
@@ -173,7 +179,7 @@ class TestRunVerification:
         assert len(expanded) == 3  # one per kind, shared by both constructions
         expanded.clear()
         run_verification(2, 3, kinds=("laplacian",), constructions=())
-        assert len(expanded) == 1  # the spectrum division alone
+        assert len(expanded) == 0  # spectrum-divides reads the factors
 
     def test_each_matrix_is_eigensolved_once_per_run(self, monkeypatch):
         solved = []
@@ -201,6 +207,147 @@ class TestRunVerification:
         out = tmp_path / "report.json"
         report = run_verification(2, 3, kinds=(), out=str(out))
         assert json.loads(out.read_text()) == report.to_dict()
+
+
+# every (k, p) of the twisted family with n = 2^(k+1) p <= 256
+PAIRS_UNDER_CAP = [
+    (k, p)
+    for k, ps in {
+        2: (3, 5, 7, 11, 13, 17, 19, 23, 29, 31),
+        3: (3, 5, 7, 11, 13),
+        4: (3, 5, 7),
+        5: (3,),
+    }.items()
+    for p in ps
+]
+
+
+X_MINUS_1 = IntPolynomial((-1, 1))
+
+
+def moved_multiplicity(spectrum):
+    """One unit of multiplicity moved from eigenvalue 1 to eigenvalue 2."""
+    moved = {1: -1, 2: 1}
+    return SpectrumSummary(
+        tuple(SpectrumEntry(v, m + moved.get(v, 0)) for v, m in spectrum.pairs())
+    )
+
+
+def eigenvalue_off_by_one(spectrum):
+    """The largest eigenvalue 2q claimed as 2q + 1."""
+    *rest, (top, mult) = spectrum.pairs()
+    return SpectrumSummary(
+        tuple(SpectrumEntry(v, m) for v, m in rest) + (SpectrumEntry(top + 1, mult),)
+    )
+
+
+def negated_scalar(claim):
+    return FactoredPolynomial(-claim.scalar, claim.factors)
+
+
+def quadratic_factor(claim):
+    """Two of the (x - 1) factors written as one factor x^2 - 2x + 1."""
+    factors = [(b, e - 2) if b == X_MINUS_1 else (b, e) for b, e in claim.factors]
+    return FactoredPolynomial(claim.scalar, (*factors, (X_MINUS_1 * X_MINUS_1, 1)))
+
+
+def non_monic_factor(claim):
+    """The (x - 1) factors written as (2x - 1): a linear factor, but not x - r."""
+    two_x_minus_1 = IntPolynomial((-1, 2))
+    factors = [(two_x_minus_1, e) if b == X_MINUS_1 else (b, e) for b, e in claim.factors]
+    return FactoredPolynomial(claim.scalar, tuple(factors))
+
+
+def deflation_verdict(claim, spectrum):
+    """The expand-and-deflate route, kept as the reference for spectrum-divides."""
+    quotient = claim.expand()
+    try:
+        for value, mult in spectrum.pairs():
+            for _ in range(mult):
+                quotient = quotient.deflate(int(value))
+    except ValueError:
+        return "fail"
+    return "pass" if quotient.coeffs == (1,) else "fail"
+
+
+def spectrum_divides(monkeypatch, k, p, claim=None, spectrum=None):
+    """The spectrum-divides check of one run, with the claims replaced as given."""
+    if claim is not None:
+        monkeypatch.setattr(verify_cli, "laplacian_charpoly_formula", lambda k, p: claim)
+    if spectrum is not None:
+        monkeypatch.setattr(verify_cli, "laplacian_spectrum_formula", lambda k, p: spectrum)
+    report = run_verification(k, p, kinds=("laplacian",), constructions=())
+    (check,) = [c for c in report.checks if c.name == "spectrum-divides"]
+    return check
+
+
+class TestSpectrumDivides:
+    def test_pass_text(self, monkeypatch):
+        check = spectrum_divides(monkeypatch, 2, 3)
+        assert check.status == "pass"
+        assert check.computed == "all claimed eigenvalues divide out, quotient 1"
+        assert check.detail == {"total_multiplicity": 24}
+
+    def test_moved_multiplicity_fails(self, monkeypatch):
+        spectrum = moved_multiplicity(laplacian_spectrum_formula(2, 3))
+        check = spectrum_divides(monkeypatch, 2, 3, spectrum=spectrum)
+        assert check.status == "fail"
+        assert check.computed == (
+            "eigenvalue 1: multiplicity 5 in the table, 6 in the factors; "
+            "eigenvalue 2: multiplicity 4 in the table, 3 in the factors"
+        )
+
+    def test_eigenvalue_off_by_one_fails(self, monkeypatch):
+        spectrum = eigenvalue_off_by_one(laplacian_spectrum_formula(2, 3))
+        check = spectrum_divides(monkeypatch, 2, 3, spectrum=spectrum)
+        assert check.status == "fail"
+        assert check.computed == (
+            "eigenvalue 24: multiplicity 0 in the table, 1 in the factors; "
+            "eigenvalue 25: multiplicity 1 in the table, 0 in the factors"
+        )
+
+    def test_negated_scalar_fails(self, monkeypatch):
+        claim = negated_scalar(laplacian_charpoly_formula(2, 3))
+        check = spectrum_divides(monkeypatch, 2, 3, claim=claim)
+        assert check.status == "fail"
+        assert check.computed == "claim scalar -1"
+
+    def test_quadratic_factor_fails(self, monkeypatch):
+        claim = quadratic_factor(laplacian_charpoly_formula(2, 3))
+        assert claim.expand() == laplacian_charpoly_formula(2, 3).expand()
+        check = spectrum_divides(monkeypatch, 2, 3, claim=claim)
+        assert check.status == "fail"
+        assert check.computed == (
+            "factor (x^2 - 2*x + 1) is not x - r; "
+            "eigenvalue 1: multiplicity 6 in the table, 4 in the factors"
+        )
+
+    def test_non_monic_linear_factor_fails(self, monkeypatch):
+        claim = non_monic_factor(laplacian_charpoly_formula(2, 3))
+        check = spectrum_divides(monkeypatch, 2, 3, claim=claim)
+        assert check.status == "fail"
+        assert check.computed == (
+            "factor (2*x - 1) is not x - r; "
+            "eigenvalue 1: multiplicity 6 in the table, 0 in the factors"
+        )
+
+    @pytest.mark.parametrize("k,p", PAIRS_UNDER_CAP)
+    def test_agrees_with_deflation(self, monkeypatch, k, p):
+        claim, spectrum = laplacian_charpoly_formula(k, p), laplacian_spectrum_formula(k, p)
+        cases = [
+            (claim, spectrum),
+            (claim, moved_multiplicity(spectrum)),
+            (claim, eigenvalue_off_by_one(spectrum)),
+            (negated_scalar(claim), spectrum),
+            (non_monic_factor(claim), spectrum),
+        ]
+        for case_claim, case_spectrum in cases:
+            check = spectrum_divides(monkeypatch, k, p, case_claim, case_spectrum)
+            assert check.status == deflation_verdict(case_claim, case_spectrum)
+        assert deflation_verdict(claim, spectrum) == "pass"
+        # the one claim the factor count is stricter on: same expansion, not split
+        assert deflation_verdict(quadratic_factor(claim), spectrum) == "pass"
+        assert spectrum_divides(monkeypatch, k, p, quadratic_factor(claim)).status == "fail"
 
 
 class TestSweep:
