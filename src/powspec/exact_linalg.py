@@ -297,7 +297,7 @@ def _unpack(rows) -> np.ndarray:
     return np.unpackbits(packed.reshape(n, width), axis=1, bitorder="little")[:, :n]
 
 
-def matrix_of(graph, kind: str) -> IntMatrix:
+def _matrix_array(graph, kind: str) -> np.ndarray:
     """Adjacency, laplacian, or signless laplacian matrix of a graph.
 
     The adjacency is the graph's packed bit rows unpacked; the two
@@ -307,11 +307,16 @@ def matrix_of(graph, kind: str) -> IntMatrix:
         raise ValueError(f"unknown matrix kind {kind!r}")
     bits = _unpack([graph.row_mask(i) for i in range(graph.n)])
     if kind == "adjacency":
-        return IntMatrix.from_array(bits)
+        return bits
     edges = bits.astype(np.int64)
     if kind == "laplacian":
         edges = -edges
-    return IntMatrix.from_array(edges + np.diag(bits.sum(axis=1, dtype=np.int64)))
+    return edges + np.diag(bits.sum(axis=1, dtype=np.int64))
+
+
+def matrix_of(graph, kind: str) -> IntMatrix:
+    """_matrix_array as an IntMatrix of Python ints."""
+    return IntMatrix.from_array(_matrix_array(graph, kind))
 
 
 def det_exact(m: IntMatrix) -> int:

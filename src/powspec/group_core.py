@@ -35,14 +35,18 @@ __all__ = [
     "validate_presentation",
 ]
 
-# Deterministic Miller-Rabin witness set, valid for everything below 3.3e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witnesses: the first 13 primes decide every n
+# below psi_13 = 1287836182261 * 2575672364521 (Sorenson-Webster 2015), no more.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
 # Associativity triples sampled by validate_presentation, seeded by the group order.
 _SAMPLE_TRIPLES = 200
 
 
 def _is_prime(n: int) -> bool:
+    if n >= _MR_BOUND:
+        raise ValueError(f"{n} is not below {_MR_BOUND}, the bound of the primality test")
     if n < 2:
         return False
     for w in _MR_WITNESSES:

@@ -13,8 +13,8 @@ bit j is set when i ~ j.  build_power_graph computes one cyclic
 subgroup per generator class rather than one per vertex, and every
 consumer (neighbors, edges, edge_count, graph_diff) walks set bits or
 whole rows, so it costs O(n + edges) big-int steps instead of testing all
-n^2 index pairs.  The transpose behind the symmetry check and the build
-is one numpy bit-matrix transpose.
+n^2 index pairs.  The build writes each edge into both of its rows, and
+the symmetry check compares the unpacked bit matrix with its transpose.
 
 The model graph's edges are written once, as three parts of row masks
 (_model_parts).  build_model_graph is their union, model_adjacency_split
@@ -27,8 +27,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .exact_linalg import IntMatrix, _unpack
 from .group_core import (
@@ -69,12 +67,12 @@ class Graph:
             raise ValueError("one adjacency row per vertex required")
         if len(set(labels)) != n:
             raise ValueError("vertex labels must be distinct")
-        for i, mask in enumerate(row_masks):
-            if mask >> n:
-                raise ValueError("adjacency row has bits outside the vertex range")
-            if (mask >> i) & 1:
-                raise ValueError("loops are not allowed")
-        if _transpose(row_masks) != list(row_masks):
+        if any(mask >> n for mask in row_masks):
+            raise ValueError("adjacency row has bits outside the vertex range")
+        bits = _unpack(row_masks)
+        if bits.diagonal().any():
+            raise ValueError("loops are not allowed")
+        if (bits != bits.T).any():
             raise ValueError("adjacency rows must be symmetric")
         self.labels = labels
         self._rows = row_masks
@@ -119,17 +117,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _transpose(rows) -> list[int]:
-    """The transposed bit matrix of n rows of n bits (bit j of row i is
-    bit i of row j of the result), via one numpy bit-array transpose."""
-    n = len(rows)
-    if not n:
-        return []
-    width = (n + 7) // 8
-    data = np.packbits(_unpack(rows).T, axis=1, bitorder="little").tobytes()
-    return [int.from_bytes(data[i : i + width], "little") for i in range(0, n * width, width)]
 
 
 def _pairs(rows) -> list[tuple[int, int]]:
@@ -181,27 +168,27 @@ def build_power_graph(spec: GroupSpec) -> Graph:
     repeated multiplication), with no closed form for any element, so the
     graph stays an independent check on the structure claimed for it.
     One subgroup is computed per generator class: if <x> = (x^0, ..., x^(m-1))
-    then x^t generates the same subgroup exactly when gcd(t, m) = 1, so
-    its index mask is assigned to all of those powers at once.  The arc
-    row of vertex i (the powers of i) is its subgroup mask without bit i;
-    the edge row is the arc row OR the same row of the transposed arcs.
+    then x^t generates the same subgroup exactly when gcd(t, m) = 1.  The
+    rows of those generators gain the index mask S of <x>, and the rows in S
+    gain the generators' mask C; over all classes that is x ~ y iff y is in
+    <x> or x is in <y>, once the loops are cleared.
     """
     labels = canonical_order(spec)
     index = {x: i for i, x in enumerate(labels)}
-    gen = [0] * len(labels)  # index mask of <labels[i]>; 0 until known
+    rows = [0] * len(labels)
     for i, x in enumerate(labels):
-        if gen[i]:
-            continue
-        powers = cyclic_subgroup(spec, x)
+        if (rows[i] >> i) & 1:
+            continue  # only a generator of a done class holds its own bit
+        powers = [index[y] for y in cyclic_subgroup(spec, x)]
         m = len(powers)
-        mask = 0
-        for y in powers:
-            mask |= 1 << index[y]
-        for t, y in enumerate(powers):
-            if math.gcd(t, m) == 1:
-                gen[index[y]] = mask
-    arcs = [mask & ~(1 << i) for i, mask in enumerate(gen)]
-    return Graph(labels, tuple(row | col for row, col in zip(arcs, _transpose(arcs))))
+        gens = [j for t, j in enumerate(powers) if math.gcd(t, m) == 1]
+        sub_mask = sum(1 << j for j in powers)
+        gen_mask = sum(1 << j for j in gens)
+        for j in gens:
+            rows[j] |= sub_mask
+        for j in powers:
+            rows[j] |= gen_mask
+    return Graph(labels, tuple(row & ~(1 << i) for i, row in enumerate(rows)))
 
 
 def _model_parts(spec: SemidihedralType) -> tuple[list[int], list[int], list[int]]:

@@ -28,6 +28,7 @@ from .exact_linalg import (
     IntPolynomial,
     MatrixCapExceeded,
     _check_cap,
+    _matrix_array,
     char_poly_exact,
     matrix_of,
     matrix_order_cap,
@@ -295,12 +296,12 @@ def run_verification(
         """The claimed characteristic polynomial of kind, expanded once per run."""
         return _charpoly_formula(kind, k, p).expand()
 
-    # trace identities, exact
+    # trace identities, exact, on the same array matrix_of wraps; not
+    # cached, so past the cap no n x n matrix outlives its check
     for cname in constructions:
         for kind in kinds:
-            mat = matrix_for(cname, kind)
             want = 0 if kind == "adjacency" else 2 * m_counts[cname]
-            got = mat.trace()
+            got = int(_matrix_array(graphs[cname], kind).trace())
             checks.append(
                 Check(
                     name="trace",

@@ -697,6 +697,16 @@ class TestMatrixOf:
         assert matrix_of(g, "signless").rows == ((1, 1), (1, 1))
         with pytest.raises(ValueError):
             matrix_of(g, "incidence")
+        with pytest.raises(ValueError, match="unknown matrix kind"):
+            exact_linalg._matrix_array(g, "incidence")
+
+    @pytest.mark.parametrize("construction", ["model", "true"])
+    def test_array_trace_is_the_matrix_trace(self, construction, model_graphs, true_graphs):
+        graphs = model_graphs if construction == "model" else true_graphs
+        for g in graphs.values():
+            for kind in ("adjacency", "laplacian", "signless"):
+                got = int(exact_linalg._matrix_array(g, kind).trace())
+                assert got == matrix_of(g, kind).trace(), (g.n, kind)
 
     def test_laplacian_and_signless_from_adjacency(self, model_graphs):
         g = model_graphs[(2, 3)]

@@ -69,6 +69,25 @@ class TestValidation:
         assert not is_odd_prime(2) and not is_odd_prime(1)
         assert not is_odd_prime(91) and not is_odd_prime(561)  # 91=7*13, Carmichael 561
 
+    def test_rejects_strong_pseudoprimes_to_the_first_primes(self):
+        # psi_12 passes Miller-Rabin to the bases 2..37, psi_13 to the bases 2..41
+        psi_12 = 399165290221 * 798330580441
+        psi_13 = 1287836182261 * 2575672364521
+        assert psi_12 == 318665857834031151167461
+        assert psi_13 == 3317044064679887385961981
+        assert not is_odd_prime(psi_12)
+        with pytest.raises(ValueError, match="p must be an odd prime"):
+            validate_parameters(2, psi_12)
+        for n in (psi_13, psi_13 + 2, 2**127 - 1):
+            with pytest.raises(ValueError, match=f"not below {psi_13}"):
+                validate_parameters(2, n)
+            with pytest.raises(ValueError, match=f"not below {psi_13}"):
+                is_odd_prime(n)
+
+    def test_accepts_a_large_prime(self):
+        validate_parameters(2, 2**61 - 1)
+        assert is_odd_prime(2**61 - 1)
+
     def test_cyclic_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             Cyclic(0)

@@ -147,6 +147,7 @@ class TestRunVerification:
             "symmetric_eigenvalues",
             "spectral_radius",
             "model_adjacency_split",
+            "matrix_of",
         ):
             spy(verify_cli, name)
         spy(spectra, "symmetric_eigenvalues")
@@ -155,6 +156,18 @@ class TestRunVerification:
         monkeypatch.setenv(CAP_ENV_VAR, "10")
         run_verification(2, 3)
         assert calls == []
+
+    def test_trace_check_reads_the_matrix(self, monkeypatch):
+        real = verify_cli._matrix_array
+
+        def negated_laplacian(graph, kind):
+            a = real(graph, kind)
+            return -a if kind == "laplacian" else a
+
+        monkeypatch.setattr(verify_cli, "_matrix_array", negated_laplacian)
+        report = run_verification(2, 3, constructions=("model",))
+        traces = {c.matrix: c.status for c in report.checks if c.name == "trace"}
+        assert traces == {"adjacency": "pass", "laplacian": "fail", "signless": "pass"}
 
     def test_sign_error_in_a_claim_fails(self, monkeypatch):
         def negated(k, p):
@@ -407,6 +420,19 @@ class TestCliExitCodes:
     def test_invalid_p_is_usage_error(self, capsys):
         assert main(["verify", "--k", "2", "--p", "9"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "p", ["318665857834031151167461", "3317044064679887385961981"]
+    )
+    def test_strong_pseudoprime_p_is_usage_error(self, p, monkeypatch, capsys):
+        def unreachable(k, p):
+            raise AssertionError("accepted p; formulas would expand a polynomial of degree n")
+
+        monkeypatch.setattr(verify_cli, "laplacian_spectrum_formula", unreachable)
+        assert main(["formulas", "--k", "2", "--p", p]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("powspec: error: ")
 
     def test_missing_arguments(self):
         with pytest.raises(SystemExit) as exc:
