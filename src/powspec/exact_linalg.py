@@ -329,16 +329,23 @@ def det_exact(m: IntMatrix) -> int:
 _PRIME_BITS = 31
 
 
+# The largest 31-bit primes found so far, descending; _primes_exceeding
+# extends it on demand, so each prime is searched for once per process.
+_FOUND_PRIMES: list[int] = []
+
+
 def _primes_exceeding(bound: int) -> list[int]:
     """The largest 31-bit primes, descending, until their product exceeds bound."""
-    primes, product = [], 1
-    candidate = (1 << _PRIME_BITS) - 1
+    count, product = 0, 1
     while product <= bound:
-        if _is_prime(candidate):
-            primes.append(candidate)
-            product *= candidate
-        candidate -= 2
-    return primes
+        if count == len(_FOUND_PRIMES):
+            candidate = _FOUND_PRIMES[-1] - 2 if _FOUND_PRIMES else (1 << _PRIME_BITS) - 1
+            while not _is_prime(candidate):
+                candidate -= 2
+            _FOUND_PRIMES.append(candidate)
+        product *= _FOUND_PRIMES[count]
+        count += 1
+    return _FOUND_PRIMES[:count]
 
 
 def _gershgorin_radius(m: IntMatrix) -> int:

@@ -5,6 +5,12 @@ involution s that conjugates r to r^theta, where theta = 2^(k-1)*p - 1.
 Because theta^2 = 1 (mod 2^k*p), every product normalizes to a unique
 word s^a r^b with a in {0,1} and 0 <= b < 2^k*p, and that pair (a, b)
 is the canonical element representation used throughout the package.
+
+The group law is written once, in _product, on (a, b) int pairs.  The
+public functions check each GroupElement they are given once, at the
+boundary, then walk pairs and build GroupElements only for what they
+return; the loops inside them, the presentation's associativity sample
+and the power-graph build never re-validate or re-wrap an element.
 """
 
 from __future__ import annotations
@@ -123,8 +129,8 @@ class SemidihedralType:
     def __post_init__(self) -> None:
         validate_parameters(self.k, self.p)
 
-    # multiply and _require_canonical read these on every call, so they
-    # are computed once per spec; fields and equality stay (k, p)
+    # every product and _require_canonical read these, so they are
+    # computed once per spec; fields and equality stay (k, p)
     @cached_property
     def rotation_order(self) -> int:
         return 2**self.k * self.p
@@ -165,17 +171,25 @@ def _require_canonical(spec: GroupSpec, x: GroupElement) -> None:
         raise ValueError(f"element {x} is not canonical for {spec}")
 
 
-def multiply(spec: GroupSpec, x: GroupElement, y: GroupElement) -> GroupElement:
-    """Product x*y in canonical form.
+def _product(q: int, theta: int, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """Product of canonical pairs, the one place the group law is written.
 
     Moving r^b across s twists the exponent by theta, which gives the
-    closed form (s^a r^b)(s^c r^d) = s^(a xor c) r^(theta^c * b + d).
+    closed form (s^a r^b)(s^c r^d) = s^(a xor c) r^(theta^c * b + d), with
+    q the rotation order.  The pairs are not checked.
     """
+    a, b = x
+    c, d = y
+    if c:
+        b *= theta
+    return a ^ c, (b + d) % q
+
+
+def multiply(spec: GroupSpec, x: GroupElement, y: GroupElement) -> GroupElement:
+    """Product x*y in canonical form (see _product)."""
     _require_canonical(spec, x)
     _require_canonical(spec, y)
-    q = spec.rotation_order
-    b = x.b if y.a == 0 else x.b * spec.twist
-    return GroupElement(x.a ^ y.a, (b + y.b) % q)
+    return GroupElement(*_product(spec.rotation_order, spec.twist, (x.a, x.b), (y.a, y.b)))
 
 
 def inverse(spec: GroupSpec, x: GroupElement) -> GroupElement:
@@ -189,36 +203,39 @@ def power(spec: GroupSpec, x: GroupElement, m: int) -> GroupElement:
     """x^m by binary exponentiation; negative m goes through the inverse."""
     if m < 0:
         return power(spec, inverse(spec, x), -m)
-    acc = identity(spec)
-    base = x
+    _require_canonical(spec, x)
+    q, theta = spec.rotation_order, spec.twist
+    acc, base = (0, 0), (x.a, x.b)
     while m:
         if m & 1:
-            acc = multiply(spec, acc, base)
-        base = multiply(spec, base, base)
+            acc = _product(q, theta, acc, base)
+        base = _product(q, theta, base, base)
         m >>= 1
-    return acc
+    return GroupElement(*acc)
+
+
+def _powers(spec: GroupSpec, x: GroupElement) -> list[tuple[int, int]]:
+    """The pairs of x^0, x^1, ..., x^(m-1), m the order of x, each one the
+    previous power times x; x is not checked."""
+    q, theta = spec.rotation_order, spec.twist
+    g = (x.a, x.b)
+    out = [(0, 0)]
+    y = g
+    while y != (0, 0):
+        out.append(y)
+        y = _product(q, theta, y, g)
+    return out
 
 
 def element_order(spec: GroupSpec, x: GroupElement) -> int:
     _require_canonical(spec, x)
-    e = identity(spec)
-    y = x
-    m = 1
-    while y != e:
-        y = multiply(spec, y, x)
-        m += 1
-    return m
+    return len(_powers(spec, x))
 
 
 def cyclic_subgroup(spec: GroupSpec, x: GroupElement) -> tuple[GroupElement, ...]:
     """Powers of x in generation order, starting from the identity."""
-    e = identity(spec)
-    out = [e]
-    y = x
-    while y != e:
-        out.append(y)
-        y = multiply(spec, y, x)
-    return tuple(out)
+    _require_canonical(spec, x)
+    return tuple([GroupElement(a, b) for a, b in _powers(spec, x)])
 
 
 @dataclass(frozen=True)
@@ -308,12 +325,14 @@ def validate_presentation(spec: SemidihedralType) -> PresentationReport:
         PresentationCheck("group_order", len(set(elems)) == spec.order, f"{len(elems)} elements")
     )
 
+    # the same triples as drawing GroupElements from elems, tested on pairs
+    pairs = [(x.a, x.b) for x in elems]
     rng = random.Random(spec.order)
     ok = True
     for _ in range(_SAMPLE_TRIPLES):
-        x, y, z = (rng.choice(elems) for _ in range(3))
-        lhs = multiply(spec, multiply(spec, x, y), z)
-        rhs = multiply(spec, x, multiply(spec, y, z))
+        x, y, z = (rng.choice(pairs) for _ in range(3))
+        lhs = _product(q, theta, _product(q, theta, x, y), z)
+        rhs = _product(q, theta, x, _product(q, theta, y, z))
         if lhs != rhs:
             ok = False
             break

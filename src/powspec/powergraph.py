@@ -14,7 +14,8 @@ subgroup per generator class rather than one per vertex, and every
 consumer (neighbors, edges, edge_count, graph_diff) walks set bits or
 whole rows, so it costs O(n + edges) big-int steps instead of testing all
 n^2 index pairs.  The build writes each edge into both of its rows, and
-the symmetry check compares the unpacked bit matrix with its transpose.
+the symmetry check compares each tile of the unpacked bit matrix above the
+diagonal with the transpose of its mirror tile.
 
 The model graph's edges are written once, as three parts of row masks
 (_model_parts).  build_model_graph is their union, model_adjacency_split
@@ -34,7 +35,7 @@ from .group_core import (
     GroupElement,
     GroupSpec,
     SemidihedralType,
-    cyclic_subgroup,
+    _powers,
     identity,
 )
 
@@ -56,6 +57,10 @@ __all__ = [
 ]
 
 
+# Side of the square tiles Graph compares with their mirror images.
+_SYMMETRY_TILE = 256
+
+
 class Graph:
     """Immutable vertex-labelled graph over packed bit rows."""
 
@@ -72,8 +77,13 @@ class Graph:
         bits = _unpack(row_masks)
         if bits.diagonal().any():
             raise ValueError("loops are not allowed")
-        if (bits != bits.T).any():
-            raise ValueError("adjacency rows must be symmetric")
+        # tile by tile above the diagonal: a whole strided bits.T reads
+        # cache-hostile columns when n is a large power of two
+        t = _SYMMETRY_TILE
+        for i in range(0, n, t):
+            for j in range(i, n, t):
+                if (bits[i : i + t, j : j + t] != bits[j : j + t, i : i + t].T).any():
+                    raise ValueError("adjacency rows must be symmetric")
         self.labels = labels
         self._rows = row_masks
         self._index = {lab: i for i, lab in enumerate(labels)}
@@ -164,9 +174,11 @@ def build_power_graph(spec: GroupSpec) -> Graph:
     """The true power graph: an edge wherever one vertex is a power of the
     other, i.e. lies in the other's cyclic subgroup.
 
-    The subgroups come from the group law alone (cyclic_subgroup, i.e.
-    repeated multiplication), with no closed form for any element, so the
-    graph stays an independent check on the structure claimed for it.
+    The subgroups come from the group law alone: group_core._powers
+    multiplies by x with _product until it returns to the identity, with no
+    closed form for any element, so the graph stays an independent check on
+    the structure claimed for it.  The labels are canonical by construction,
+    so the walk runs on (a, b) pairs and the index is keyed by them.
     One subgroup is computed per generator class: if <x> = (x^0, ..., x^(m-1))
     then x^t generates the same subgroup exactly when gcd(t, m) = 1.  The
     rows of those generators gain the index mask S of <x>, and the rows in S
@@ -174,12 +186,12 @@ def build_power_graph(spec: GroupSpec) -> Graph:
     <x> or x is in <y>, once the loops are cleared.
     """
     labels = canonical_order(spec)
-    index = {x: i for i, x in enumerate(labels)}
+    index = {(x.a, x.b): i for i, x in enumerate(labels)}
     rows = [0] * len(labels)
     for i, x in enumerate(labels):
         if (rows[i] >> i) & 1:
             continue  # only a generator of a done class holds its own bit
-        powers = [index[y] for y in cyclic_subgroup(spec, x)]
+        powers = [index[y] for y in _powers(spec, x)]
         m = len(powers)
         gens = [j for t, j in enumerate(powers) if math.gcd(t, m) == 1]
         sub_mask = sum(1 << j for j in powers)

@@ -724,14 +724,19 @@ def _graph_json(g) -> str:
 
 
 def _charpoly_forms(kind: str, k: int, p: int) -> dict:
-    """The claimed characteristic polynomial, factored and expanded."""
+    """The claimed characteristic polynomial, factored and expanded.
+
+    The expansion has degree n = 2^(k+1) p, so past the matrix cap it is
+    written as null and never computed; the factored form is O(1) in size.
+    """
     formula = _charpoly_formula(kind, k, p)
+    under_cap = 2 ** (k + 1) * p <= matrix_order_cap()
     return {
         "factored": {
             "scalar": formula.scalar,
             "factors": [[base.to_coeff_list(), e] for base, e in formula.factors],
         },
-        "expanded": formula.expand().to_coeff_list(),
+        "expanded": formula.expand().to_coeff_list() if under_cap else None,
     }
 
 

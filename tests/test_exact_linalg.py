@@ -132,7 +132,7 @@ class TestDeterminant:
         m = IntMatrix.from_rows([[0, 2, 1], [3, 0, 0], [1, 1, 1]])
         assert det_exact(m) == det_cofactor(m.to_lists())
 
-    def test_symmetric_zero_pivot_falls_back(self):
+    def test_zero_pivot_at_step_one_or_two_swaps_rows(self):
         # a zero first pivot, and a zero pivot that only appears at step 2
         for rows in ([[0, 2, 1], [2, 0, 3], [1, 3, 1]], [[1, 1, 0], [1, 1, 2], [0, 2, 5]]):
             assert det_exact(IntMatrix.from_rows(rows)) == det_cofactor(rows)
@@ -294,6 +294,37 @@ class TestCharPoly:
         for p in primes:
             product *= p
         assert product > bound and product // primes[-1] <= bound
+
+    def test_prime_search_is_kept_across_calls(self, monkeypatch):
+        def fresh_search(bound):
+            """Reference: the search from 2^31 - 1 downward, with nothing kept."""
+            primes, product, candidate = [], 1, 2**31 - 1
+            while product <= bound:
+                if exact_linalg._is_prime(candidate):
+                    primes.append(candidate)
+                    product *= candidate
+                candidate -= 2
+            return primes
+
+        monkeypatch.setattr(exact_linalg, "_FOUND_PRIMES", [])
+        # grows, shrinks and grows again, so the kept list is both sliced and extended
+        for bound in (2**62, 0, 1, 2**1000, 2**31, 2**62):
+            got = exact_linalg._primes_exceeding(bound)
+            assert got == fresh_search(bound)
+            got.append(7)  # a caller's list is its own
+
+    def test_repeated_bound_runs_no_primality_test(self, monkeypatch):
+        calls = []
+        real = exact_linalg._is_prime
+        monkeypatch.setattr(exact_linalg, "_is_prime", lambda n: calls.append(n) or real(n))
+        monkeypatch.setattr(exact_linalg, "_FOUND_PRIMES", [])
+        first = exact_linalg._primes_exceeding(2**200)
+        assert calls
+        calls.clear()
+        assert exact_linalg._primes_exceeding(2**200) == first
+        smaller = exact_linalg._primes_exceeding(2**100)
+        assert smaller == first[: len(smaller)]
+        assert calls == []
 
     def test_coefficient_bound_holds(self):
         def check(m):

@@ -1,6 +1,10 @@
+import random
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from powspec import group_core
 from powspec.group_core import (
     ClassPartition,
     Cyclic,
@@ -128,6 +132,82 @@ class TestMultiplication:
     def test_cyclic_multiplication(self):
         spec = Cyclic(12)
         assert multiply(spec, GroupElement(0, 7), GroupElement(0, 8)) == GroupElement(0, 3)
+
+
+class TestPairProduct:
+    """group_core._product, the group law on (a, b) pairs that every public
+    function and the power-graph build run on."""
+
+    @pytest.mark.parametrize(
+        "spec", [SemidihedralType(2, 3), SemidihedralType(2, 5), Cyclic(12)], ids=str
+    )
+    def test_matches_word_oracle_exhaustively(self, spec):
+        q, theta = spec.rotation_order, spec.twist
+        els = elements(spec)
+        for x in els:
+            for y in els:
+                want = word_product(spec, x, y)
+                assert group_core._product(q, theta, (x.a, x.b), (y.a, y.b)) == (want.a, want.b)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda spec, x: power(spec, x, 5), id="power"),
+            pytest.param(lambda spec, x: power(spec, x, 0), id="power-0"),
+            pytest.param(lambda spec, x: power(spec, x, -1), id="power-negative"),
+            pytest.param(element_order, id="element_order"),
+            pytest.param(cyclic_subgroup, id="cyclic_subgroup"),
+            pytest.param(lambda spec, x: multiply(spec, x, identity(spec)), id="multiply"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "spec,x",
+        [
+            (SemidihedralType(2, 3), GroupElement(0, 12)),
+            (SemidihedralType(2, 3), GroupElement(2, 0)),
+            (SemidihedralType(2, 3), GroupElement(0, -1)),
+            (Cyclic(6), GroupElement(1, 0)),
+        ],
+        ids=str,
+    )
+    def test_public_functions_reject_non_canonical(self, call, spec, x):
+        with pytest.raises(ValueError, match=re.escape(f"element {x} is not canonical for")):
+            call(spec, x)
+
+    def test_associativity_sample_runs_on_the_pair_law(self, monkeypatch):
+        real = group_core._product
+
+        def skewed(q, theta, x, y):
+            # adds 1 to the exponent when two flips meet: not associative
+            a, b = real(q, theta, x, y)
+            return a, (b + (x[0] & y[0])) % q
+
+        monkeypatch.setattr(group_core, "_product", skewed)
+        report = validate_presentation(SemidihedralType(2, 5))
+        (sample,) = [i for i in report.items if i.name == "associativity_sample"]
+        assert not sample.ok
+        assert sample.detail == "200 triples"
+
+    def test_associativity_sample_draws_the_seeded_triples(self, monkeypatch):
+        spec = SemidihedralType(2, 5)
+        rng = random.Random(spec.order)
+        els = elements(spec)
+        want = [
+            tuple((x.a, x.b) for x in (rng.choice(els) for _ in range(3))) for _ in range(200)
+        ]
+        calls = []
+        real = group_core._product
+
+        def spy(q, theta, x, y):
+            calls.append((x, y))
+            return real(q, theta, x, y)
+
+        monkeypatch.setattr(group_core, "_product", spy)
+        assert validate_presentation(spec).ok
+        # the sample is the last 200 x 4 products: (x y), (x y) z, (y z), x (y z)
+        sample = calls[-800:]
+        got = [(sample[i][0], sample[i][1], sample[i + 2][1]) for i in range(0, 800, 4)]
+        assert got == want
 
 
 class TestInverseAndPower:

@@ -66,6 +66,21 @@ def pair_scan_graph(spec):
     return graph_with_edges(els, pairs), len(pairs)
 
 
+def subgroup_walk_graph(spec):
+    """Reference builder: x ~ y for every y != x in the public
+    cyclic_subgroup(x), one subgroup per vertex."""
+    els = canonical_order(spec)
+    index = {x: i for i, x in enumerate(els)}
+    rows = [0] * len(els)
+    for i, x in enumerate(els):
+        for y in cyclic_subgroup(spec, x):
+            j = index[y]
+            if j != i:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Graph(els, tuple(rows))
+
+
 def bit_walk_transpose(rows):
     """Reference transpose: set bit i of row j for every set bit j of row i."""
     out = [0] * len(rows)
@@ -240,7 +255,8 @@ class TestGraphBasics:
 
 
 class TestTranspose:
-    """Graph's symmetry check compares its bit matrix with the transpose."""
+    """Graph's symmetry check compares each tile above the diagonal with
+    the transpose of its mirror tile."""
 
     @pytest.mark.parametrize("col", [7, 8, 63, 64, 255, 256])
     def test_one_asymmetric_bit_at_byte_and_word_edges(self, col):
@@ -253,6 +269,17 @@ class TestTranspose:
             rows[i] ^= 1 << j  # flips one bit on one side only
             with pytest.raises(ValueError, match="symmetric"):
                 Graph(labels, tuple(rows))
+
+    @pytest.mark.parametrize("i,j", [(255, 256), (256, 255), (0, 519), (519, 0)])
+    def test_one_asymmetric_bit_at_tile_edges(self, i, j):
+        # n = 520: two full 256-wide tiles and a partial one per side
+        labels = tuple(E(0, b) for b in range(520))
+        sym = random_simple_rows(520, i + j)
+        Graph(labels, tuple(sym))
+        rows = list(sym)
+        rows[i] ^= 1 << j
+        with pytest.raises(ValueError, match="symmetric"):
+            Graph(labels, tuple(rows))
 
 
 class TestCanonicalOrder:
@@ -336,6 +363,14 @@ class TestTruePowerGraph:
         assert g == want
         assert g.edges() == scan_edges(g)
         assert edge_count(g) == len(g.edges()) == m
+
+    @pytest.mark.parametrize(
+        "spec",
+        [SemidihedralType(k, p) for k, p in PAIRS_UNDER_CAP] + [Cyclic(q) for q in range(1, 65)],
+        ids=str,
+    )
+    def test_matches_subgroup_walk_reference(self, spec):
+        assert build_power_graph(spec) == subgroup_walk_graph(spec)
 
     def test_degrees_at_2_3(self, true_graphs):
         g = true_graphs[(2, 3)]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -530,6 +531,38 @@ class TestCliExports:
         assert data["m_model"] == 87
         assert set(data["charpoly"]) == {"adjacency", "laplacian", "signless"}
         assert all(len(v["expanded"]) == 25 for v in data["charpoly"].values())
+
+    def test_formulas_bytes_at_2_3(self, monkeypatch, capsys):
+        monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+        assert main(["formulas", "--k", "2", "--p", "3"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == (
+            "8afa18008998032996c34ba220a385d052a641f81b06848fca56071b0f428a81"
+        )
+
+    def test_formulas_past_the_cap_expand_nothing(self, monkeypatch, capsys):
+        # p = 2^61 - 1: an expansion of degree n = 8p would never finish
+        monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+        expanded = []
+        monkeypatch.setattr(FactoredPolynomial, "expand", lambda self: expanded.append(self))
+        p = "2305843009213693951"
+        assert main(["formulas", "--k", "2", "--p", p]) == 0
+        charpoly = json.loads(capsys.readouterr().out)["charpoly"]
+        for kind in ("adjacency", "laplacian", "signless"):
+            assert charpoly[kind]["expanded"] is None
+            assert charpoly[kind]["factored"]["factors"]
+            assert main(["export", "--what", "formula", "--format", "json", "--k", "2",
+                         "--p", p, "--matrix", kind]) == 0
+            data = json.loads(capsys.readouterr().out)
+            assert {"factored": data["factored"], "expanded": data["expanded"]} == charpoly[kind]
+        assert expanded == []
+
+    @pytest.mark.parametrize("cap,expanded", [("24", True), ("23", False)])
+    def test_formulas_expand_up_to_the_cap(self, cap, expanded, monkeypatch, capsys):
+        monkeypatch.setenv(CAP_ENV_VAR, cap)
+        assert main(["formulas", "--k", "2", "--p", "3"]) == 0
+        charpoly = json.loads(capsys.readouterr().out)["charpoly"]
+        assert [v["expanded"] is not None for v in charpoly.values()] == [expanded] * 3
 
     def test_formula_export_matches_formulas_dump(self, capsys):
         assert main(["formulas", "--k", "2", "--p", "3"]) == 0
