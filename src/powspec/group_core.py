@@ -6,11 +6,12 @@ Because theta^2 = 1 (mod 2^k*p), every product normalizes to a unique
 word s^a r^b with a in {0,1} and 0 <= b < 2^k*p, and that pair (a, b)
 is the canonical element representation used throughout the package.
 
-The group law is written once, in _product, on (a, b) int pairs.  The
-public functions check each GroupElement they are given once, at the
-boundary, then walk pairs and build GroupElements only for what they
-return; the loops inside them, the presentation's associativity sample
-and the power-graph build never re-validate or re-wrap an element.
+A GroupElement is that pair, a named (a, b) tuple that equals and hashes
+like the plain tuple, so the group law, written once in _product, runs
+on elements as they are.  The public functions check each element they
+are given once, at the boundary; the loops inside them, the
+presentation's associativity sample and the power-graph build neither
+re-validate nor repack one.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import NamedTuple, Union
 
 __all__ = [
     "Cyclic",
@@ -89,8 +90,7 @@ def validate_parameters(k: int, p: int) -> None:
         raise ValueError(f"p must be an odd prime, got {p!r}")
 
 
-@dataclass(frozen=True, order=True)
-class GroupElement:
+class GroupElement(NamedTuple):
     """Canonical form s^a r^b; cyclic groups use a = 0 throughout."""
 
     a: int
@@ -176,7 +176,7 @@ def _product(q: int, theta: int, x: tuple[int, int], y: tuple[int, int]) -> tupl
 
     Moving r^b across s twists the exponent by theta, which gives the
     closed form (s^a r^b)(s^c r^d) = s^(a xor c) r^(theta^c * b + d), with
-    q the rotation order.  The pairs are not checked.
+    q the rotation order.  The pairs are not checked; the result is a plain tuple.
     """
     a, b = x
     c, d = y
@@ -189,7 +189,7 @@ def multiply(spec: GroupSpec, x: GroupElement, y: GroupElement) -> GroupElement:
     """Product x*y in canonical form (see _product)."""
     _require_canonical(spec, x)
     _require_canonical(spec, y)
-    return GroupElement(*_product(spec.rotation_order, spec.twist, (x.a, x.b), (y.a, y.b)))
+    return GroupElement(*_product(spec.rotation_order, spec.twist, x, y))
 
 
 def inverse(spec: GroupSpec, x: GroupElement) -> GroupElement:
@@ -205,7 +205,7 @@ def power(spec: GroupSpec, x: GroupElement, m: int) -> GroupElement:
         return power(spec, inverse(spec, x), -m)
     _require_canonical(spec, x)
     q, theta = spec.rotation_order, spec.twist
-    acc, base = (0, 0), (x.a, x.b)
+    acc, base = (0, 0), x
     while m:
         if m & 1:
             acc = _product(q, theta, acc, base)
@@ -216,15 +216,17 @@ def power(spec: GroupSpec, x: GroupElement, m: int) -> GroupElement:
 
 def _powers(spec: GroupSpec, x: GroupElement) -> list[tuple[int, int]]:
     """The pairs of x^0, x^1, ..., x^(m-1), m the order of x, each one the
-    previous power times x; x is not checked."""
-    q, theta = spec.rotation_order, spec.twist
-    g = (x.a, x.b)
+    previous power times x; x is not checked.  The order of x divides |G|,
+    so a walk still open after |G| steps is a broken law, and raises."""
+    q, theta, order = spec.rotation_order, spec.twist, spec.order
     out = [(0, 0)]
-    y = g
-    while y != (0, 0):
+    y = x
+    for _ in range(order):
+        if y == (0, 0):
+            return out
         out.append(y)
-        y = _product(q, theta, y, g)
-    return out
+        y = _product(q, theta, y, x)
+    raise ArithmeticError(f"powers of {x} do not return to the identity in {order} steps")
 
 
 def element_order(spec: GroupSpec, x: GroupElement) -> int:
@@ -235,7 +237,7 @@ def element_order(spec: GroupSpec, x: GroupElement) -> int:
 def cyclic_subgroup(spec: GroupSpec, x: GroupElement) -> tuple[GroupElement, ...]:
     """Powers of x in generation order, starting from the identity."""
     _require_canonical(spec, x)
-    return tuple([GroupElement(a, b) for a, b in _powers(spec, x)])
+    return tuple([GroupElement(*y) for y in _powers(spec, x)])
 
 
 @dataclass(frozen=True)
@@ -325,12 +327,10 @@ def validate_presentation(spec: SemidihedralType) -> PresentationReport:
         PresentationCheck("group_order", len(set(elems)) == spec.order, f"{len(elems)} elements")
     )
 
-    # the same triples as drawing GroupElements from elems, tested on pairs
-    pairs = [(x.a, x.b) for x in elems]
     rng = random.Random(spec.order)
     ok = True
     for _ in range(_SAMPLE_TRIPLES):
-        x, y, z = (rng.choice(pairs) for _ in range(3))
+        x, y, z = rng.choice(elems), rng.choice(elems), rng.choice(elems)
         lhs = _product(q, theta, _product(q, theta, x, y), z)
         rhs = _product(q, theta, x, _product(q, theta, y, z))
         if lhs != rhs:

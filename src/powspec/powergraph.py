@@ -19,8 +19,8 @@ diagonal with the transpose of its mirror tile.
 
 The model graph's edges are written once, as three parts of row masks
 (_model_parts).  build_model_graph is their union, model_adjacency_split
-unpacks each part into a matrix, and the decomposition census checks a
-graph's rows against the union.
+unpacks each part into a numpy 0/1 array, and the decomposition census
+checks a graph's rows against the union.
 """
 
 from __future__ import annotations
@@ -29,7 +29,9 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .exact_linalg import IntMatrix, _unpack
+import numpy as np
+
+from .exact_linalg import _unpack
 from .group_core import (
     Cyclic,
     GroupElement,
@@ -177,8 +179,8 @@ def build_power_graph(spec: GroupSpec) -> Graph:
     The subgroups come from the group law alone: group_core._powers
     multiplies by x with _product until it returns to the identity, with no
     closed form for any element, so the graph stays an independent check on
-    the structure claimed for it.  The labels are canonical by construction,
-    so the walk runs on (a, b) pairs and the index is keyed by them.
+    the structure claimed for it.  An element is its (a, b) pair, so the
+    index of the labels also looks up the plain pairs the walk returns.
     One subgroup is computed per generator class: if <x> = (x^0, ..., x^(m-1))
     then x^t generates the same subgroup exactly when gcd(t, m) = 1.  The
     rows of those generators gain the index mask S of <x>, and the rows in S
@@ -186,7 +188,7 @@ def build_power_graph(spec: GroupSpec) -> Graph:
     <x> or x is in <y>, once the loops are cleared.
     """
     labels = canonical_order(spec)
-    index = {(x.a, x.b): i for i, x in enumerate(labels)}
+    index = {x: i for i, x in enumerate(labels)}
     rows = [0] * len(labels)
     for i, x in enumerate(labels):
         if (rows[i] >> i) & 1:
@@ -358,28 +360,24 @@ def to_dot(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdjacencySplit:
     """Additive split of the model adjacency used by the radius bound.
 
-    full = clique_plus_star + rest.  star_only is the star from the
-    identity to every flip, and clique_plus_star adds the rotation clique
-    to it; rest holds the central rotation's links to the order-4 flips
-    and the flip-pair edges.
+    full = clique_plus_star + rest, each an n x n uint8 0/1 array.
+    star_only is the star from the identity to every flip, and
+    clique_plus_star adds the rotation clique to it; rest holds the central
+    rotation's links to the order-4 flips and the flip-pair edges.  eq=False:
+    == over arrays gives no bool.
     """
 
-    full: IntMatrix
-    clique_plus_star: IntMatrix
-    star_only: IntMatrix
-    rest: IntMatrix
+    full: np.ndarray
+    clique_plus_star: np.ndarray
+    star_only: np.ndarray
+    rest: np.ndarray
 
 
 def model_adjacency_split(k: int, p: int) -> AdjacencySplit:
     y1, y2, z = (_unpack(part) for part in _model_parts(SemidihedralType(k, p)))
     y = y1 + y2
-    return AdjacencySplit(
-        full=IntMatrix.from_array(y + z),
-        clique_plus_star=IntMatrix.from_array(y),
-        star_only=IntMatrix.from_array(y2),
-        rest=IntMatrix.from_array(z),
-    )
+    return AdjacencySplit(full=y + z, clique_plus_star=y, star_only=y2, rest=z)

@@ -3,7 +3,8 @@
 The eigensolver is the one numeric component of the package.  Everything
 it reports is bounded by an explicit residual check, and downstream
 comparisons against closed forms carry their own tolerance, so a silent
-solver failure cannot masquerade as a verified claim.
+solver failure cannot masquerade as a verified claim.  A run hands it
+the numpy arrays of exact_linalg._matrix_array.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact_linalg import IntMatrix, _check_cap, matrix_of
+from .exact_linalg import IntMatrix, _check_cap, _matrix_array
 
 
 class EigenSolveError(RuntimeError):
@@ -128,7 +129,7 @@ def cluster_multiplicities(values: Sequence[float], tol: float) -> SpectrumSumma
 
 def spectral_radius(graph, tol: float = 1e-9) -> float:
     """Largest absolute adjacency eigenvalue of a graph."""
-    return symmetric_eigenvalues(matrix_of(graph, "adjacency"), tol).radius
+    return symmetric_eigenvalues(_matrix_array(graph, "adjacency"), tol).radius
 
 
 def laplacian_energy(

@@ -15,11 +15,9 @@ import argparse
 import functools
 import json
 import math
-import multiprocessing
 import sys
 import traceback
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -282,14 +280,10 @@ def run_verification(
         )
 
     @functools.cache
-    def matrix_for(cname: str, kind: str):
-        return matrix_of(graphs[cname], kind)
-
-    @functools.cache
     def adjacency_spectrum(cname: str):
         """The adjacency eigensolve of a construction, shared by the radius
         bracket and the split spectra."""
-        return symmetric_eigenvalues(matrix_for(cname, "adjacency"), NUMERIC_TOL)
+        return symmetric_eigenvalues(_matrix_array(graphs[cname], "adjacency"), NUMERIC_TOL)
 
     @functools.cache
     def claimed_expansion(kind: str) -> IntPolynomial:
@@ -316,7 +310,8 @@ def run_verification(
     # characteristic polynomials against the claimed closed forms, exact.
     # The model matrices are the ones the claims describe; the true power
     # graph is expected to deviate (clique assumption), so an inequality
-    # there is reported as a mismatch rather than a failure.
+    # there is reported as a mismatch rather than a failure.  Each IntMatrix
+    # is built as the argument of its one call; the eigensolves read arrays.
     for cname in constructions:
         for kind in kinds:
             if cap_exceeded:
@@ -324,7 +319,7 @@ def run_verification(
                 continue
             formula = _charpoly_formula(kind, k, p)
             claimed_poly = claimed_expansion(kind)
-            computed_poly = char_poly_exact(matrix_for(cname, kind))
+            computed_poly = char_poly_exact(matrix_of(graphs[cname], kind))
             if computed_poly == claimed_poly:
                 status = STATUS_PASS
                 computed = "matches the claimed expansion"
@@ -377,7 +372,8 @@ def run_verification(
             if cap_exceeded:
                 notices.append(f"laplacian spectrum numeric check skipped: {cap_exceeded}")
             else:
-                eig = symmetric_eigenvalues(matrix_for("model", "laplacian"), NUMERIC_TOL)
+                laplacian = _matrix_array(graphs["model"], "laplacian")
+                eig = symmetric_eigenvalues(laplacian, NUMERIC_TOL)
                 scale = max(1.0, max(abs(v) for v in eig.eigenvalues))
                 clustered = cluster_multiplicities(eig.eigenvalues, CLUSTER_TOL * scale)
                 ok, dev = summaries_match(clustered, spectrum, NUMERIC_TOL * scale)
@@ -512,7 +508,7 @@ def run_verification(
         else:
             checks.append(
                 _split_spectra_check(
-                    k, p, matrix_for("model", "adjacency"), adjacency_spectrum("model")
+                    k, p, _matrix_array(graphs["model"], "adjacency"), adjacency_spectrum("model")
                 )
             )
 
@@ -541,7 +537,7 @@ def _split_spectra_check(k: int, p: int, model_adjacency, whole) -> Check:
     q = mp.rotation_order
     split = model_adjacency_split(k, p)
     problems = []
-    if split.full.rows != model_adjacency.rows:
+    if (split.full != model_adjacency).any():
         problems.append("split does not reassemble the adjacency matrix")
     star = symmetric_eigenvalues(split.star_only, NUMERIC_TOL)
     rest = symmetric_eigenvalues(split.rest, NUMERIC_TOL)
@@ -623,6 +619,10 @@ def sweep(
     constructions = _normalize(constructions, CONSTRUCTIONS, "construction")
     work = [(k, p, kinds, constructions) for k, p in pairs]
     if jobs > 1:
+        # imported here, so that only a parallel sweep loads the pool
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         context = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
             return list(pool.map(_sweep_one, work))

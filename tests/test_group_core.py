@@ -22,6 +22,7 @@ from powspec.group_core import (
     validate_parameters,
     validate_presentation,
 )
+from powspec.powergraph import build_power_graph
 
 PRIMES = [3, 5, 7, 11, 13, 17, 19]
 
@@ -134,6 +135,32 @@ class TestMultiplication:
         assert multiply(spec, GroupElement(0, 7), GroupElement(0, 8)) == GroupElement(0, 3)
 
 
+class TestGroupElement:
+    """An element is its (a, b) pair."""
+
+    def test_equals_and_hashes_like_its_pair(self):
+        x = GroupElement(1, 5)
+        assert x == (1, 5) and (1, 5) == x
+        assert hash(x) == hash((1, 5))
+        assert {(1, 5): "found"}[x] == "found"
+
+    def test_order_str_and_repr(self):
+        els = [GroupElement(1, 0), GroupElement(0, 5), GroupElement(1, 5), GroupElement(0, 1)]
+        assert sorted(els) == [
+            GroupElement(0, 1),
+            GroupElement(0, 5),
+            GroupElement(1, 0),
+            GroupElement(1, 5),
+        ]
+        assert str(GroupElement(1, 5)) == "s^1 r^5"
+        assert repr(GroupElement(1, 5)) == "GroupElement(a=1, b=5)"
+
+    def test_immutable(self):
+        x = GroupElement(1, 5)
+        with pytest.raises(AttributeError):
+            x.a = 0
+
+
 class TestPairProduct:
     """group_core._product, the group law on (a, b) pairs that every public
     function and the power-graph build run on."""
@@ -148,6 +175,16 @@ class TestPairProduct:
             for y in els:
                 want = word_product(spec, x, y)
                 assert group_core._product(q, theta, (x.a, x.b), (y.a, y.b)) == (want.a, want.b)
+
+    @pytest.mark.parametrize("spec", [SemidihedralType(2, 3), Cyclic(12)], ids=str)
+    def test_takes_elements_as_they_are(self, spec):
+        q, theta = spec.rotation_order, spec.twist
+        els = elements(spec)
+        for x in els:
+            for y in els:
+                got = group_core._product(q, theta, x, y)
+                assert type(got) is tuple
+                assert got == group_core._product(q, theta, (x.a, x.b), (y.a, y.b))
 
     @pytest.mark.parametrize(
         "call",
@@ -208,6 +245,40 @@ class TestPairProduct:
         sample = calls[-800:]
         got = [(sample[i][0], sample[i][1], sample[i + 2][1]) for i in range(0, 800, 4)]
         assert got == want
+
+
+@pytest.fixture
+def open_walk_law(monkeypatch):
+    """Swap in a broken group law that reduces b mod 3q instead of q, so the
+    powers of r close only after 3q steps, more than the group order 2q."""
+
+    def law(q, theta, x, y):
+        a, b = x
+        c, d = y
+        if c:
+            b *= theta
+        return a ^ c, (b + d) % (3 * q)
+
+    monkeypatch.setattr(group_core, "_product", law)
+
+
+class TestBrokenLawFailsFast:
+    """A walk of powers that does not close within |G| steps raises."""
+
+    @pytest.mark.parametrize("call", [element_order, cyclic_subgroup])
+    @pytest.mark.parametrize("spec", [SemidihedralType(2, 3), Cyclic(12)], ids=str)
+    def test_open_walk_raises(self, open_walk_law, spec, call):
+        with pytest.raises(ArithmeticError, match=re.escape("powers of s^0 r^1 do not return")):
+            call(spec, GroupElement(0, 1))
+
+    def test_power_graph_build_raises(self, open_walk_law):
+        # In C_12 the build walks from r first.  In the twisted group it walks
+        # from the central rotation first, and that walk closes within |G|
+        # steps but leaves the canonical range, so the index rejects it.
+        with pytest.raises(ArithmeticError, match=re.escape("in 12 steps")):
+            build_power_graph(Cyclic(12))
+        with pytest.raises(KeyError):
+            build_power_graph(SemidihedralType(2, 3))
 
 
 class TestInverseAndPower:

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from powspec.exact_linalg import matrix_of
@@ -254,7 +255,7 @@ class TestGraphBasics:
         assert a != c
 
 
-class TestTranspose:
+class TestSymmetryCheck:
     """Graph's symmetry check compares each tile above the diagonal with
     the transpose of its mirror tile."""
 
@@ -692,17 +693,23 @@ class TestAdjacencySplit:
     def test_reassembles_exactly(self, k, p, model_graphs):
         split = model_adjacency_split(k, p)
         adjacency = matrix_of(model_graphs[(k, p)], "adjacency")
-        assert split.full.rows == adjacency.rows
-        assert (split.clique_plus_star + split.rest).rows == split.full.rows
+        assert np.array_equal(split.full, adjacency.rows)
+        assert np.array_equal(split.clique_plus_star + split.rest, split.full)
+
+    def test_parts_are_arrays(self):
+        split = model_adjacency_split(2, 3)
+        for part in (split.full, split.clique_plus_star, split.star_only, split.rest):
+            assert isinstance(part, np.ndarray)
+            assert part.shape == (24, 24)
 
     def test_parts_have_disjoint_support(self):
         split = model_adjacency_split(2, 3)
-        for row in split.full.rows:
+        for row in split.full:
             assert all(v in (0, 1) for v in row)
 
     def test_star_part_shape(self):
         split = model_adjacency_split(2, 3)
-        rows = split.star_only.rows
-        assert rows[0] == (0,) * 12 + (1,) * 12
-        assert all(rows[i] == (1,) + (0,) * 23 for i in range(12, 24))
-        assert all(rows[i] == (0,) * 24 for i in range(1, 12))
+        rows = split.star_only.tolist()
+        assert rows[0] == [0] * 12 + [1] * 12
+        assert all(rows[i] == [1] + [0] * 23 for i in range(12, 24))
+        assert all(rows[i] == [0] * 24 for i in range(1, 12))

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -9,16 +10,16 @@ from pathlib import Path
 import pytest
 
 import powspec
-from powspec import spectra, verify_cli
-from powspec.exact_linalg import CAP_ENV_VAR, FactoredPolynomial, IntPolynomial
+from powspec import group_core, spectra, verify_cli
+from powspec.exact_linalg import CAP_ENV_VAR, FactoredPolynomial, IntMatrix, IntPolynomial
 from powspec.formulas import (
     adjacency_charpoly_formula,
     laplacian_charpoly_formula,
     laplacian_spectrum_formula,
 )
-from powspec.group_core import SemidihedralType
-from powspec.powergraph import build_power_graph, canonical_order, to_dot
-from powspec.spectra import SpectrumEntry, SpectrumSummary
+from powspec.group_core import Cyclic, SemidihedralType
+from powspec.powergraph import build_power_graph, canonical_order, model_adjacency_split, to_dot
+from powspec.spectra import SpectrumEntry, SpectrumSummary, spectral_radius
 from powspec.verify_cli import (
     main,
     run_verification,
@@ -200,7 +201,7 @@ class TestRunVerification:
         real = spectra.symmetric_eigenvalues
 
         def counting(matrix, tol=1e-9):
-            solved.append(matrix.n)
+            solved.append(matrix.shape[0])
             return real(matrix, tol)
 
         # spectral_radius looks the solver up in spectra, run_verification in verify_cli
@@ -211,6 +212,41 @@ class TestRunVerification:
         # parts and the model laplacian; the split's whole matrix is the
         # model adjacency, already solved for its radius bracket
         assert sorted(solved) == [12] + [24] * 6
+
+    def test_int_matrices_are_built_only_for_the_exact_route(self, monkeypatch):
+        built = []
+        real = IntMatrix.from_array.__func__
+
+        def counting(cls, a):
+            built.append(a.shape[0])
+            return real(cls, a)
+
+        monkeypatch.setattr(IntMatrix, "from_array", classmethod(counting))
+        run_verification(2, 3)
+        assert built == [24] * 6  # one per char_poly_exact call
+        built.clear()
+        model_adjacency_split(2, 3)
+        spectral_radius(build_power_graph(Cyclic(12)))
+        assert built == []
+
+    def test_walk_that_never_closes_is_an_error(self, monkeypatch, capsys):
+        real = group_core._product
+        calls = itertools.count()
+
+        def absorbing(q, theta, x, y):
+            # s s = s: the powers of a flip never return to the identity
+            if next(calls) > 10**6:
+                raise RuntimeError("the walk is not bounded")  # fail rather than hang
+            a, b = real(q, theta, x, y)
+            return x[0] | y[0], b
+
+        monkeypatch.setattr(group_core, "_product", absorbing)
+        assert main(["verify", "--k", "2", "--p", "5"]) == 2
+        assert "do not return to the identity in 40 steps" in capsys.readouterr().err
+        (report,) = sweep([2], [5], kinds=())
+        (check,) = report.checks
+        assert check.name == "execution" and check.status == "fail"
+        assert "ArithmeticError" in check.detail["traceback"]
 
     def test_canonical_order_is_built_once_per_group(self):
         canonical_order.cache_clear()
@@ -588,6 +624,24 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "status: pass" in proc.stdout
+
+
+def test_import_leaves_the_process_pool_out():
+    # only sweep(jobs > 1) imports the pool machinery
+    src_dir = str(Path(powspec.__file__).resolve().parent.parent)
+    code = (
+        "import sys, powspec.verify_cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src_dir},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestModuleEntryPoint:
