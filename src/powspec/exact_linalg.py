@@ -297,11 +297,18 @@ def _unpack(rows) -> np.ndarray:
     return np.unpackbits(packed.reshape(n, width), axis=1, bitorder="little")[:, :n]
 
 
+def _matrix_diagonal(graph, kind: str) -> np.ndarray:
+    """The diagonal of _matrix_array(graph, kind), read off the packed rows."""
+    if kind == "adjacency":
+        return np.array([(graph.row_mask(i) >> i) & 1 for i in range(graph.n)], np.uint8)
+    return np.array([graph.degree(i) for i in range(graph.n)], np.int64)
+
+
 def _matrix_array(graph, kind: str) -> np.ndarray:
     """Adjacency, laplacian, or signless laplacian matrix of a graph.
 
     The adjacency is the graph's packed bit rows unpacked; the two
-    laplacians add the degrees on the diagonal to minus or plus it.
+    laplacians write _matrix_diagonal over minus or plus it.
     """
     if kind not in ("adjacency", "laplacian", "signless"):
         raise ValueError(f"unknown matrix kind {kind!r}")
@@ -311,7 +318,8 @@ def _matrix_array(graph, kind: str) -> np.ndarray:
     edges = bits.astype(np.int64)
     if kind == "laplacian":
         edges = -edges
-    return edges + np.diag(bits.sum(axis=1, dtype=np.int64))
+    np.fill_diagonal(edges, _matrix_diagonal(graph, kind))
+    return edges
 
 
 def matrix_of(graph, kind: str) -> IntMatrix:

@@ -10,12 +10,12 @@ than deciding which one is intended.
 
 A graph is stored as symmetric packed bit rows: row i is an int whose
 bit j is set when i ~ j.  build_power_graph computes one cyclic
-subgroup per generator class rather than one per vertex, and every
-consumer (neighbors, edges, edge_count, graph_diff) walks set bits or
-whole rows, so it costs O(n + edges) big-int steps instead of testing all
-n^2 index pairs.  The build writes each edge into both of its rows, and
-the symmetry check compares each tile of the unpacked bit matrix above the
-diagonal with the transpose of its mirror tile.
+subgroup per generator class rather than one per vertex.  Every consumer
+(neighbors, edges, edge_count, graph_diff, and a run's trace and
+model-vs-true-diff checks) counts or walks the set bits of whole rows, so
+it costs O(n + edges) big-int steps, not n^2 index tests.  The build writes
+each edge into both of its rows, and the symmetry check compares each tile
+of the unpacked bit matrix above the diagonal with its mirror's transpose.
 
 The model graph's edges are written once, as three parts of row masks
 (_model_parts).  build_model_graph is their union, model_adjacency_split
@@ -112,7 +112,7 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Index pairs (i, j) with i < j, sorted."""
-        return _pairs(self._rows)
+        return list(_pairs(self._rows))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -131,9 +131,9 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _pairs(rows) -> list[tuple[int, int]]:
-    """The set bits of rows above the diagonal as sorted (i, j) pairs, j > i."""
-    return [(i, i + 1 + j) for i, mask in enumerate(rows) for j in _bits(mask >> (i + 1))]
+def _pairs(rows):
+    """The set bits of rows above the diagonal as sorted (i, j) pairs, j > i, lazily."""
+    return ((i, i + 1 + j) for i, mask in enumerate(rows) for j in _bits(mask >> (i + 1)))
 
 
 def quartic_flip_pairs(spec: SemidihedralType) -> tuple[tuple[GroupElement, GroupElement], ...]:
@@ -193,7 +193,10 @@ def build_power_graph(spec: GroupSpec) -> Graph:
     for i, x in enumerate(labels):
         if (rows[i] >> i) & 1:
             continue  # only a generator of a done class holds its own bit
-        powers = [index[y] for y in _powers(spec, x)]
+        try:
+            powers = [index[y] for y in _powers(spec, x)]
+        except KeyError as exc:
+            raise ArithmeticError(f"powers of {x} reach the non-canonical pair {exc}") from None
         m = len(powers)
         gens = [j for t, j in enumerate(powers) if math.gcd(t, m) == 1]
         sub_mask = sum(1 << j for j in powers)

@@ -739,6 +739,14 @@ class TestMatrixOf:
                 got = int(exact_linalg._matrix_array(g, kind).trace())
                 assert got == matrix_of(g, kind).trace(), (g.n, kind)
 
+    @pytest.mark.parametrize("construction", ["model", "true"])
+    def test_diagonal_is_the_array_diagonal(self, construction, model_graphs, true_graphs):
+        graphs = model_graphs if construction == "model" else true_graphs
+        for g in graphs.values():
+            for kind in ("adjacency", "laplacian", "signless"):
+                diagonal = exact_linalg._matrix_diagonal(g, kind)
+                assert np.array_equal(exact_linalg._matrix_array(g, kind).diagonal(), diagonal)
+
     def test_laplacian_and_signless_from_adjacency(self, model_graphs):
         g = model_graphs[(2, 3)]
         a = matrix_of(g, "adjacency")

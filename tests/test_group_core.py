@@ -23,6 +23,7 @@ from powspec.group_core import (
     validate_presentation,
 )
 from powspec.powergraph import build_power_graph
+from powspec.verify_cli import main, sweep
 
 PRIMES = [3, 5, 7, 11, 13, 17, 19]
 
@@ -274,11 +275,21 @@ class TestBrokenLawFailsFast:
     def test_power_graph_build_raises(self, open_walk_law):
         # In C_12 the build walks from r first.  In the twisted group it walks
         # from the central rotation first, and that walk closes within |G|
-        # steps but leaves the canonical range, so the index rejects it.
+        # steps but leaves the canonical range, so the build names the pair.
         with pytest.raises(ArithmeticError, match=re.escape("in 12 steps")):
             build_power_graph(Cyclic(12))
-        with pytest.raises(KeyError):
+        with pytest.raises(
+            ArithmeticError, match=re.escape("powers of s^0 r^6 reach the non-canonical pair (0, 12)")
+        ):
             build_power_graph(SemidihedralType(2, 3))
+
+    def test_walk_out_of_range_exits_2(self, open_walk_law, capsys):
+        assert main(["verify", "--k", "2", "--p", "5"]) == 2
+        assert "s^0 r^10 reach the non-canonical pair (0, 20)" in capsys.readouterr().err
+        (report,) = sweep([2], [5], kinds=())
+        (check,) = report.checks
+        assert check.name == "execution" and check.status == "fail"
+        assert "ArithmeticError" in check.detail["traceback"]
 
 
 class TestInverseAndPower:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -10,15 +11,24 @@ from pathlib import Path
 import pytest
 
 import powspec
-from powspec import group_core, spectra, verify_cli
+from powspec import exact_linalg, group_core, powergraph, spectra, verify_cli
 from powspec.exact_linalg import CAP_ENV_VAR, FactoredPolynomial, IntMatrix, IntPolynomial
 from powspec.formulas import (
     adjacency_charpoly_formula,
     laplacian_charpoly_formula,
     laplacian_spectrum_formula,
 )
-from powspec.group_core import Cyclic, SemidihedralType
-from powspec.powergraph import build_power_graph, canonical_order, model_adjacency_split, to_dot
+from powspec.group_core import Cyclic, GroupElement, SemidihedralType
+from powspec.powergraph import (
+    Graph,
+    build_model_graph,
+    build_power_graph,
+    canonical_order,
+    edge_count,
+    graph_diff,
+    model_adjacency_split,
+    to_dot,
+)
 from powspec.spectra import SpectrumEntry, SpectrumSummary, spectral_radius
 from powspec.verify_cli import (
     main,
@@ -160,16 +170,39 @@ class TestRunVerification:
         assert calls == []
 
     def test_trace_check_reads_the_matrix(self, monkeypatch):
-        real = verify_cli._matrix_array
+        real = verify_cli._matrix_diagonal
 
         def negated_laplacian(graph, kind):
             a = real(graph, kind)
             return -a if kind == "laplacian" else a
 
-        monkeypatch.setattr(verify_cli, "_matrix_array", negated_laplacian)
+        monkeypatch.setattr(verify_cli, "_matrix_diagonal", negated_laplacian)
         report = run_verification(2, 3, constructions=("model",))
         traces = {c.matrix: c.status for c in report.checks if c.name == "trace"}
         assert traces == {"adjacency": "pass", "laplacian": "fail", "signless": "pass"}
+
+    def test_structure_checks_read_the_rows(self, monkeypatch):
+        calls = []
+
+        def spy(module, name):
+            real = getattr(module, name, None)
+
+            def counting(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting, raising=False)
+
+        for module in (exact_linalg, spectra, verify_cli):
+            spy(module, "_matrix_array")
+        spy(powergraph, "graph_diff")
+        spy(verify_cli, "graph_diff")  # absent: catches a name imported back into verify_cli
+        monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+        report = run_verification(2, 509)  # n = 4072, past the default cap
+        assert report.status == "pass" and report.notices
+        assert calls == []
+        run_verification(2, 3)
+        assert "graph_diff" not in calls and "_matrix_array" in calls
 
     def test_sign_error_in_a_claim_fails(self, monkeypatch):
         def negated(k, p):
@@ -273,6 +306,83 @@ PAIRS_UNDER_CAP = [
 
 
 X_MINUS_1 = IntPolynomial((-1, 1))
+
+
+def diff_check(k, p, model, true):
+    """The model-vs-true-diff check of a run at (k, p) given these graphs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify_cli, "build_model_graph", lambda k, p: model)
+        # P(C_q) for the expected count is still built from the group law
+        mp.setattr(
+            verify_cli,
+            "build_power_graph",
+            lambda spec: true if isinstance(spec, SemidihedralType) else build_power_graph(spec),
+        )
+        checks = run_verification(k, p, kinds=()).checks
+    (check,) = [c for c in checks if c.name == "model-vs-true-diff"]
+    return check
+
+
+def reference_diff_check(model, true):
+    """The diff check as it reads off graph_diff's label pairs."""
+    q = model.n // 2
+    diff = graph_diff(model, true)
+    inside = all(x.a == 0 and y.a == 0 and x.b != 0 and y.b != 0 for x, y in diff)
+    expected = math.comb(q, 2) - edge_count(build_power_graph(Cyclic(q)))
+    if not diff:
+        status = "pass"
+    elif len(diff) == expected and inside:
+        status = "mismatch-reported"
+    else:
+        status = "fail"
+    computed = f"{len(diff)} differing edges, all inside rotations: {inside}"
+    sample = [f"{x} ~ {y}" for x, y in diff[:8]]
+    return status, computed, {"expected_from_counts": expected, "sample": sample}
+
+
+def toggled(g, x, y):
+    """g with the edge x ~ y added if absent, removed if present."""
+    i, j = g.index_of(x), g.index_of(y)
+    rows = [g.row_mask(v) for v in range(g.n)]
+    rows[i] ^= 1 << j
+    rows[j] ^= 1 << i
+    return Graph(g.labels, tuple(rows))
+
+
+class TestDiffCheck:
+    """The model-vs-true-diff check reads the XOR of the packed rows."""
+
+    @pytest.mark.parametrize("k,p", PAIRS_UNDER_CAP)
+    def test_matches_graph_diff(self, k, p):
+        model, true = build_model_graph(k, p), build_power_graph(SemidihedralType(k, p))
+        check = diff_check(k, p, model, true)
+        assert (check.status, check.computed, check.detail) == reference_diff_check(model, true)
+        assert check.status == "mismatch-reported"
+
+    @pytest.mark.parametrize(
+        "x,y",
+        [
+            # an edge from an order-2 flip to a rotation other than e and u
+            (GroupElement(1, 0), GroupElement(0, 1)),
+            # an edge from an order-4 flip to a rotation other than e and u
+            (GroupElement(1, 1), GroupElement(0, 2)),
+            # a rotation edge of the true graph dropped: the count is one off
+            (GroupElement(0, 1), GroupElement(0, 2)),
+        ],
+        ids=str,
+    )
+    def test_mutated_true_graph_fails(self, x, y):
+        model, true = build_model_graph(2, 3), build_power_graph(SemidihedralType(2, 3))
+        mutated = toggled(true, x, y)
+        check = diff_check(2, 3, model, mutated)
+        assert check.status == "fail"
+        assert (check.status, check.computed, check.detail) == reference_diff_check(model, mutated)
+
+    def test_model_against_itself_passes(self):
+        model = build_model_graph(2, 5)
+        check = diff_check(2, 5, model, model)
+        assert (check.status, check.computed, check.detail) == reference_diff_check(model, model)
+        assert check.status == "pass" and check.detail["sample"] == []
 
 
 def moved_multiplicity(spectrum):
