@@ -86,8 +86,13 @@ class IntMatrix:
 
     @classmethod
     def from_array(cls, a: np.ndarray) -> "IntMatrix":
-        """A square numpy integer array; tolist() already yields Python ints."""
-        return cls(tuple(map(tuple, a.tolist())))
+        """A 2-D square numpy array of integer dtype.  Its tolist() yields
+        Python ints, so the entry scan of __post_init__ is skipped."""
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.dtype.kind not in ("i", "u"):
+            raise ValueError(f"need a square integer array, got {a.dtype} of shape {a.shape}")
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", tuple(map(tuple, a.tolist())))
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":

@@ -3,7 +3,10 @@
 Every function here transcribes a claimed formula; none of them touches a
 matrix.  The verifier's job is to compare these against the exact and
 numeric computations in the rest of the package, so this module must stay
-free of anything derived from the graphs themselves.
+free of anything derived from the graphs themselves.  The one count here
+that is not a claim, the edges of P(C_q) inside <r>, comes from the
+divisor lattice of q alone, so a bug in the graph builder cannot cancel
+out of the checks that compare a built graph with it.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelParameters:
-    """Derived counts for (k, p): orders, edge count, twist exponent."""
+    """Derived counts for (k, p): orders, edge counts, twist exponent."""
 
     k: int
     p: int
@@ -61,6 +64,26 @@ class ModelParameters:
     @property
     def model_edge_count(self) -> int:
         return self.quarter_rotation * (5 + 2 ** (self.k + 1) * self.p)
+
+    @property
+    def rotation_edge_count(self) -> int:
+        """Edges of the power graph of <r> = C_q, from the divisor lattice of q.
+
+        x ~ y exactly when one of <x>, <y> contains the other.  The subgroup
+        of order d has phi(d) generators, so pairing each element of order d
+        with the d - 1 other elements of its subgroup counts every edge once,
+        except the phi(d)(phi(d) - 1)/2 edges between two generators of one
+        subgroup, counted twice.  Hence
+        |E| = 1/2 * sum over d | q of (2d - phi(d) - 1) * phi(d), over the
+        2(k + 1) divisors 2^i p^j, with phi(2^i p^j) = phi(2^i) * phi(p^j).
+        """
+        total = 0
+        for i in range(self.k + 1):
+            for j in (0, 1):
+                d = 2**i * self.p**j
+                phi = (2 ** (i - 1) if i else 1) * (self.p - 1 if j else 1)
+                total += (2 * d - phi - 1) * phi
+        return total // 2
 
 
 def _linear(constant: int) -> IntPolynomial:

@@ -10,8 +10,9 @@ A GroupElement is that pair, a named (a, b) tuple that equals and hashes
 like the plain tuple, so the group law, written once in _product, runs
 on elements as they are.  The public functions check each element they
 are given once, at the boundary; the loops inside them, the
-presentation's associativity sample and the power-graph build neither
-re-validate nor repack one.
+presentation's associativity sample and the power-graph build do not
+re-validate one.  The walk of powers turns its generator into a plain
+pair once, so each step of _product unpacks an exact tuple.
 """
 
 from __future__ import annotations
@@ -219,13 +220,14 @@ def _powers(spec: GroupSpec, x: GroupElement) -> list[tuple[int, int]]:
     previous power times x; x is not checked.  The order of x divides |G|,
     so a walk still open after |G| steps is a broken law, and raises."""
     q, theta, order = spec.rotation_order, spec.twist, spec.order
+    # unpacking a plain tuple in _product is faster than a GroupElement
+    y = step = (x[0], x[1])
     out = [(0, 0)]
-    y = x
     for _ in range(order):
         if y == (0, 0):
             return out
         out.append(y)
-        y = _product(q, theta, y, x)
+        y = _product(q, theta, y, step)
     raise ArithmeticError(f"powers of {x} do not return to the identity in {order} steps")
 
 
@@ -327,10 +329,9 @@ def validate_presentation(spec: SemidihedralType) -> PresentationReport:
         PresentationCheck("group_order", len(set(elems)) == spec.order, f"{len(elems)} elements")
     )
 
-    rng = random.Random(spec.order)
+    picks = iter(random.Random(spec.order).choices(elems, k=3 * _SAMPLE_TRIPLES))
     ok = True
-    for _ in range(_SAMPLE_TRIPLES):
-        x, y, z = rng.choice(elems), rng.choice(elems), rng.choice(elems)
+    for x, y, z in zip(picks, picks, picks):
         lhs = _product(q, theta, _product(q, theta, x, y), z)
         rhs = _product(q, theta, x, _product(q, theta, y, z))
         if lhs != rhs:

@@ -245,11 +245,6 @@ def run_verification(
     except MatrixCapExceeded as exc:
         cap_exceeded = exc
 
-    @functools.cache
-    def power_graph_of_rotations():
-        """P(C_q), the true graph inside <r>; built on first use, once per run."""
-        return build_power_graph(Cyclic(q))
-
     pres = validate_presentation(spec)
     checks.append(
         Check(
@@ -416,9 +411,7 @@ def run_verification(
     # structural decomposition census
     for cname, g in graphs.items():
         rep = verify_decomposition(g, k, p)
-        expected_rotation = (
-            math.comb(q, 2) if cname == "model" else edge_count(power_graph_of_rotations())
-        )
+        expected_rotation = math.comb(q, 2) if cname == "model" else mp.rotation_edge_count
         ok = (
             rep.pendant_count == mp.half_rotation
             and rep.quad_count == mp.quarter_rotation
@@ -448,7 +441,7 @@ def run_verification(
         model, true = graphs["model"], graphs["true"]
         diff = [model.row_mask(i) ^ true.row_mask(i) for i in range(model.n)]
         size = sum(row.bit_count() for row in diff) // 2
-        expected_size = math.comb(q, 2) - edge_count(power_graph_of_rotations())
+        expected_size = math.comb(q, 2) - mp.rotation_edge_count
         rotations = sum(1 << i for i, x in enumerate(model.labels) if x.a == 0 and x.b != 0)
         inside_rotations = not any(row & ~rotations for row in diff)
         sample = [(model.labels[i], model.labels[j]) for i, j in itertools.islice(_pairs(diff), 8)]
@@ -481,7 +474,9 @@ def run_verification(
             if cname == "model":
                 base = float(q - 1)
             else:
-                base = spectral_radius(power_graph_of_rotations(), NUMERIC_TOL)
+                # the one build of P(C_q), the true graph inside <r>; its edge
+                # count is mp.rotation_edge_count, from the divisor lattice
+                base = spectral_radius(build_power_graph(Cyclic(q)), NUMERIC_TOL)
             bounds = spectral_radius_bounds(k, p, base)
             tol = NUMERIC_TOL * max(1.0, lam1)
             ok = bounds.lower < lam1 <= bounds.upper_shifted_radical + tol

@@ -103,6 +103,28 @@ class TestIntMatrix:
         m = IntMatrix(((Level.LOW, 0), (2, Level.HIGH)))
         assert m.trace() == 8
 
+    @pytest.mark.parametrize(
+        "a",
+        (
+            np.eye(2),
+            np.eye(2, dtype=bool),
+            np.zeros((2, 3), np.int64),
+            np.zeros(3, np.int64),
+            np.zeros((2, 2, 2), np.int64),
+        ),
+        ids=("float", "bool", "non-square", "1-d", "3-d"),
+    )
+    def test_from_array_rejects_non_integer_or_non_square(self, a):
+        with pytest.raises(ValueError, match="square integer array"):
+            IntMatrix.from_array(a)
+
+    @pytest.mark.parametrize("dtype", (np.int8, np.int64, np.uint8, np.uint64))
+    def test_from_array_holds_python_ints(self, dtype):
+        m = IntMatrix.from_array(np.array([[0, 1], [2, 3]], dtype))
+        assert m == IntMatrix(((0, 1), (2, 3)))
+        assert {type(v) for row in m.rows for v in row} == {int}
+        assert IntMatrix.from_array(np.zeros((0, 0), dtype)) == IntMatrix(())
+
     def test_identity_zeros_trace(self):
         assert IntMatrix.identity(3).trace() == 3
         assert IntMatrix.zeros(3).trace() == 0

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from powspec.group_core import Cyclic, is_odd_prime
+from powspec.powergraph import build_power_graph, edge_count
 from powspec.formulas import (
     ModelParameters,
     RadiusBounds,
@@ -15,6 +17,11 @@ from powspec.formulas import (
 )
 
 GRID = [(2, 3), (2, 5), (3, 3)]
+
+# every (k, p) of the family with n = 2^(k+1) p <= 4096
+FAMILY_TO_4096 = [
+    (k, p) for k in range(2, 10) for p in range(3, 2048 >> k) if is_odd_prime(p)
+]
 
 
 class TestModelParameters:
@@ -34,6 +41,17 @@ class TestModelParameters:
         mp = ModelParameters(k, p)
         assert mp.vertex_count == n
         assert mp.model_edge_count == m
+
+    def test_rotation_edge_count_at_2_3(self):
+        # P(C_12) lacks exactly the 10 edges the clique on <r> adds
+        assert ModelParameters(2, 3).rotation_edge_count == math.comb(12, 2) - 10 == 56
+
+    def test_rotation_edge_count_is_the_built_count(self):
+        assert len(FAMILY_TO_4096) == 215
+        for k, p in FAMILY_TO_4096:
+            mp = ModelParameters(k, p)
+            built = edge_count(build_power_graph(Cyclic(mp.rotation_order)))
+            assert mp.rotation_edge_count == built, (k, p)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -228,11 +228,8 @@ class TestPairProduct:
 
     def test_associativity_sample_draws_the_seeded_triples(self, monkeypatch):
         spec = SemidihedralType(2, 5)
-        rng = random.Random(spec.order)
-        els = elements(spec)
-        want = [
-            tuple((x.a, x.b) for x in (rng.choice(els) for _ in range(3))) for _ in range(200)
-        ]
+        picks = random.Random(spec.order).choices(elements(spec), k=600)
+        want = [tuple(picks[i : i + 3]) for i in range(0, 600, 3)]
         calls = []
         real = group_core._product
 

@@ -204,6 +204,38 @@ class TestRunVerification:
         run_verification(2, 3)
         assert "graph_diff" not in calls and "_matrix_array" in calls
 
+    def test_rotation_graph_is_built_only_for_the_radius_base(self, monkeypatch):
+        built = []
+        real = verify_cli.build_power_graph
+
+        def spy(spec):
+            built.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(verify_cli, "build_power_graph", spy)
+        monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+        run_verification(2, 3, kinds=())
+        run_verification(2, 509, kinds=())
+        run_verification(2, 509)  # past the default cap: no radius check
+        assert not any(isinstance(spec, Cyclic) for spec in built)
+        built.clear()
+        run_verification(2, 3)
+        assert built == [SemidihedralType(2, 3), Cyclic(12)]
+
+    def test_rotation_edge_dropped_in_both_groups_fails(self, monkeypatch):
+        # the expected counts come from the divisor lattice, so a builder
+        # bug inside <r> cannot cancel against a P(C_q) built the same way
+        real = verify_cli.build_power_graph
+
+        def dropping(spec):
+            return toggled(real(spec), GroupElement(0, 1), GroupElement(0, 2))
+
+        monkeypatch.setattr(verify_cli, "build_power_graph", dropping)
+        report = run_verification(2, 3)
+        status = {(c.name, c.construction): c.status for c in report.checks}
+        assert status[("decomposition", "true")] == "fail"
+        assert status[("model-vs-true-diff", None)] == "fail"
+
     def test_sign_error_in_a_claim_fails(self, monkeypatch):
         def negated(k, p):
             formula = adjacency_charpoly_formula(k, p)
@@ -312,12 +344,7 @@ def diff_check(k, p, model, true):
     """The model-vs-true-diff check of a run at (k, p) given these graphs."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify_cli, "build_model_graph", lambda k, p: model)
-        # P(C_q) for the expected count is still built from the group law
-        mp.setattr(
-            verify_cli,
-            "build_power_graph",
-            lambda spec: true if isinstance(spec, SemidihedralType) else build_power_graph(spec),
-        )
+        mp.setattr(verify_cli, "build_power_graph", lambda spec: true)
         checks = run_verification(k, p, kinds=()).checks
     (check,) = [c for c in checks if c.name == "model-vs-true-diff"]
     return check
