@@ -2,18 +2,23 @@
 
 Two independent exact routes to det(xI - A) live here.
 
-- char_poly_exact, the primary route, reduces A to its twin quotient B,
+- char_poly_exact, the primary route, reduces A to its twin quotient B
+  (twins searched in buckets keyed by diagonal, row sum and column sum),
   proves that reduction on A with an exact O(n^2) certificate
   (_check_twin_certificate), computes det(xI - B) by Hessenberg reduction
   modulo 31-bit primes and a CRT lift under a Hadamard bound, checks the
-  lift with one Bareiss determinant on B, and multiplies in the linear
-  factors of the twin classes.  Its docstring states the lemma, the
-  certificate, the bound and the point check.
+  lift with one Bareiss determinant on B at x0 = R(B) + 1, and multiplies
+  in the linear factors of the twin classes.  Its docstring states the
+  lemma, the certificate, the bound and the point check.
 - char_poly_leverrier, the cross-check route, runs fraction-free
   Faddeev-LeVerrier on Python ints.
 
 They share no intermediate code beyond raw integer arithmetic, so
 agreement between them is meaningful evidence of correctness.
+
+Every polynomial product (IntPolynomial * and **, FactoredPolynomial.expand
+and the linear factors of char_poly_exact) goes through one Kronecker
+substitution kernel, _kronecker_product.
 """
 
 from __future__ import annotations
@@ -181,29 +186,14 @@ class IntPolynomial:
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPolynomial.from_coeffs(c * other for c in self.coeffs)
-        if not self.coeffs or not other.coeffs:
-            return IntPolynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial(tuple(out))
+        return IntPolynomial(_kronecker_product(1, ((self.coeffs, 1), (other.coeffs, 1))))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "IntPolynomial":
         if e < 0:
             raise ValueError("negative polynomial power")
-        acc = IntPolynomial((1,))
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        return IntPolynomial(_kronecker_product(1, ((self.coeffs, e),)))
 
     def deflate(self, root: int) -> "IntPolynomial":
         """Exact synthetic division by (x - root); raises on remainder."""
@@ -252,6 +242,50 @@ class IntPolynomial:
         return " ".join(parts)
 
 
+def _digit_offsets(count: int, width: int) -> int:
+    """sum over i < count of 2^(8 width - 1) 2^(8 width i): count digits of
+    width bytes, each holding half its range."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _kronecker_product(
+    scalar: int, factors: Iterable[tuple[Sequence[int], int]]
+) -> tuple[int, ...]:
+    """The trimmed ascending coefficients of scalar * prod f ** e, for
+    trimmed ascending coefficient sequences f and exponents e >= 0.
+
+    Kronecker substitution: every f is evaluated at x = 2^b, the values
+    are multiplied and powered as Python ints, and the product's
+    coefficients are read back as its signed base-2^b digits.  This is
+    exact when every coefficient c of the product has |c| < 2^(b - 1):
+    the l1 norm is submultiplicative, ||f g||_1 <= ||f||_1 ||g||_1, and
+    bounds every coefficient, so b is the smallest multiple of 8 with
+    |scalar| * prod ||f||_1^e < 2^(b - 1).  Each f is bounded by the same
+    product, since a non-zero integer polynomial has ||f||_1 >= 1.  A
+    digit c is stored as c + 2^(b - 1), in [0, 2^b), so packing and
+    unpacking are one int.to_bytes/int.from_bytes pass over b / 8-byte
+    slices, linear in the bits.
+    """
+    factors = [(f, e) for f, e in factors if e]
+    if not scalar or not all(f for f, _ in factors):
+        return ()
+    bound, degree = abs(scalar), 0
+    for f, e in factors:
+        bound *= sum(map(abs, f)) ** e
+        degree += (len(f) - 1) * e
+    width = (bound.bit_length() + 8) // 8
+    half = 1 << (8 * width - 1)
+    value = scalar
+    for f, e in factors:
+        packed = b"".join([(c + half).to_bytes(width, "little") for c in f])
+        value *= (int.from_bytes(packed, "little") - _digit_offsets(len(f), width)) ** e
+    size = (degree + 1) * width
+    digits = (value + _digit_offsets(degree + 1, width)).to_bytes(size, "little")
+    return tuple(
+        [int.from_bytes(digits[i : i + width], "little") - half for i in range(0, size, width)]
+    )
+
+
 def poly_x() -> IntPolynomial:
     return IntPolynomial((0, 1))
 
@@ -275,10 +309,9 @@ class FactoredPolynomial:
         return sum(base.degree * e for base, e in self.factors)
 
     def expand(self) -> IntPolynomial:
-        acc = IntPolynomial((self.scalar,))
-        for base, e in self.factors:
-            acc = acc * base**e
-        return acc
+        return IntPolynomial(
+            _kronecker_product(self.scalar, [(base.coeffs, e) for base, e in self.factors])
+        )
 
     def __call__(self, x):
         acc = self.scalar
@@ -452,18 +485,19 @@ def _twin_collapse(rows: list[tuple[int, ...]]):
     with entry i set to c equals row j with entry j set to c, and the same
     holds for columns i and j.  For one c this is an equivalence relation,
     and every class is constant on the diagonal, c off it, and constant on
-    each block it shares with another index or class.  Twin rows and
-    columns are permutations of each other, so indices are first bucketed
-    by (diagonal, sorted row, sorted column); only buckets of two or more
-    are searched, and only for the values c they hold symmetrically.
-    Returns None when no index has a twin.
+    each block it shares with another index or class.  The rows of twins
+    i and j are one another with entries i and j swapped, and so are
+    their columns, so twins share their diagonal value, row sum and column
+    sum.  Indices are first bucketed by (diagonal, row sum, column sum) in
+    one O(n^2) pass; only buckets of two or more are searched, only for
+    the values c they hold symmetrically, and the exact key above splits
+    each one.  Returns None when no index has a twin.
     """
     n = len(rows)
     cols = list(zip(*rows))
     buckets: dict[tuple, list[int]] = {}
     for i in range(n):
-        key = (rows[i][i], tuple(sorted(rows[i])), tuple(sorted(cols[i])))
-        buckets.setdefault(key, []).append(i)
+        buckets.setdefault((rows[i][i], sum(rows[i]), sum(cols[i])), []).append(i)
     candidates: dict[int, list[list[int]]] = {}
     for bucket in buckets.values():
         values = {
@@ -530,11 +564,12 @@ def _twin_quotient(m: IntMatrix) -> tuple[IntMatrix, list[_Group], list[_Merge]]
             merges.append((members, rows[cls[0]][cls[0]] - c))
             groups[cls[0]] = _union(members)
         keep = [i for i in range(len(rows)) if i not in dropped]
+        sizes = [size[j] for j in keep]
         quotient = []
         for i in keep:
             # a list first: tuple() over a generator grows by reallocation,
             # which fragments the heap and lifts the peak RSS run by run
-            row = [rows[i][j] * size[j] for j in keep]
+            row = list(map(operator.mul, map(rows[i].__getitem__, keep), sizes))
             row[len(quotient)] = rows[i][i] + (size[i] - 1) * c
             quotient.append(tuple(row))
         rows = quotient
@@ -635,15 +670,18 @@ def char_poly_exact(m: IntMatrix) -> IntPolynomial:
     are lifted by CRT into the symmetric range, which makes them exact.
 
     Runtime cross-check, on B.  The lifted polynomial is evaluated at
-    x0 = R + 1, R the Gershgorin radius (max absolute row sum) of M, and
-    compared with the exact Bareiss det(x0 I - B); a difference raises
-    ArithmeticError.  M T = T diag(B, roots) puts the spectrum of B inside
-    that of M, which lies in |z| <= R, so x0 I - B is nonsingular.  With
-    the certificate, agreement at x0 is exactly the old full-matrix check
-    poly(x0) = det(x0 I - M), at the cost of a c x c determinant; a
-    twin-free M is its own quotient and is checked on itself.  The linear
-    factors (x - r) are then multiplied in exactly, one at a time.  Always
-    monic of degree n.  See char_poly_leverrier for the independent
+    x0 = R(B) + 1, R(B) the Gershgorin radius (max absolute row sum) of B,
+    and compared with the exact Bareiss det(x0 I - B); a difference raises
+    ArithmeticError.  Every eigenvalue of B lies in |z| <= R(B), so
+    x0 I - B is nonsingular, and R(B) <= R(M), so the point is no larger
+    than one taken on M; a twin-free M is its own quotient and is checked
+    on itself.  The cost is a c x c determinant and no pass over M.
+
+    Linear factors.  det(xI - B) * prod (x - r)^(s - 1) is one Kronecker
+    substitution product, B(2^b) * prod (2^b - r)^(s - 1) on Python ints,
+    with the multiplicities of equal roots summed so that each distinct
+    root is powered once (see _kronecker_product).
+    Always monic of degree n.  See char_poly_leverrier for the independent
     cross-check route.
     """
     _check_cap(m.n)
@@ -652,7 +690,7 @@ def char_poly_exact(m: IntMatrix) -> IntPolynomial:
     primes = _primes_exceeding(2 * _coefficient_bound(quotient))
     residues = [_hessenberg_charpoly_mod(quotient, p) for p in primes]
     coeffs = _crt_lift(primes, residues)
-    x0 = _gershgorin_radius(m) + 1
+    x0 = _gershgorin_radius(quotient) + 1
     shifted = [
         [(x0 if i == j else 0) - v for j, v in enumerate(row)]
         for i, row in enumerate(quotient.rows)
@@ -661,11 +699,11 @@ def char_poly_exact(m: IntMatrix) -> IntPolynomial:
         raise ArithmeticError(
             f"modular characteristic polynomial disagrees with det({x0}I - B)"
         )
+    multiplicity: dict[int, int] = {}
     for members, root in merges:
-        for _ in members[1:]:
-            # multiply by (x - root): coefficient i becomes c_(i-1) - root * c_i
-            coeffs = [a - root * b for a, b in zip([0] + coeffs, coeffs + [0])]
-    return IntPolynomial.from_coeffs(coeffs)
+        multiplicity[root] = multiplicity.get(root, 0) + len(members) - 1
+    linear = [((-root, 1), e) for root, e in multiplicity.items()]
+    return IntPolynomial(_kronecker_product(1, [(coeffs, 1)] + linear))
 
 
 def char_poly_leverrier(m: IntMatrix) -> IntPolynomial:

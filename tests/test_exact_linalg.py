@@ -1,4 +1,5 @@
 import enum
+import math
 import random
 
 import numpy as np
@@ -18,6 +19,11 @@ from powspec.exact_linalg import (
     matrix_of,
     poly_x,
     schur_charpoly_check,
+)
+from powspec.formulas import (
+    adjacency_charpoly_formula,
+    laplacian_charpoly_formula,
+    signless_charpoly_formula,
 )
 from powspec.powergraph import build_model_graph, build_power_graph
 from powspec.group_core import Cyclic, SemidihedralType
@@ -66,6 +72,28 @@ def permuted(rows, perm):
     return out
 
 
+def schoolbook_product(f, g):
+    """Reference product of two trimmed ascending coefficient tuples: the
+    schoolbook double loop."""
+    if not f or not g:
+        return ()
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def schoolbook_expand(scalar, factors):
+    """Reference for scalar * prod base ** e: one schoolbook product per
+    factor taken."""
+    acc = (scalar,) if scalar else ()
+    for base, e in factors:
+        for _ in range(e):
+            acc = schoolbook_product(acc, base)
+    return acc
+
+
 # Entries far beyond int64 must be reduced before they meet numpy.
 HUGE = 2**70
 
@@ -73,6 +101,13 @@ small_polys = st.builds(
     IntPolynomial.from_coeffs,
     st.lists(st.integers(-50, 50), max_size=6),
 )
+
+signed_ints = st.one_of(
+    st.integers(-50, 50),
+    st.sampled_from((HUGE, -HUGE, HUGE - 1, 1 - HUGE, 127, -128, 2**15)),
+)
+# zero, constants and signed coefficients up to +-2^70
+signed_polys = st.builds(IntPolynomial.from_coeffs, st.lists(signed_ints, max_size=6))
 
 
 class TestIntMatrix:
@@ -429,7 +464,115 @@ def random_blow_up(rng, trial):
     return permuted(rows, rng.sample(range(len(rows)), len(rows))), k
 
 
+def twin_classes_by_definition(rows):
+    """Oracle for _twin_collapse, O(n^3) from the definition: the smallest
+    c with twins of type c, and their classes, or None.
+
+    i and j are twins of type c when M_ii = M_jj and row i and column i
+    with entry i set to c equal row j and column j with entry j set to c.
+    Entry j of that row equation reads M_ij = c, so each pair is tested
+    for its one possible c."""
+    n = len(rows)
+    rows = [list(r) for r in rows]
+    cols = [list(c) for c in zip(*rows)]
+
+    def set_entry(vec, t, c):
+        return vec[:t] + [c] + vec[t + 1 :]
+
+    twins: dict[int, list[tuple[int, int]]] = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            c = rows[i][j]
+            if (
+                rows[i][i] == rows[j][j]
+                and set_entry(rows[i], i, c) == set_entry(rows[j], j, c)
+                and set_entry(cols[i], i, c) == set_entry(cols[j], j, c)
+            ):
+                twins.setdefault(c, []).append((i, j))
+    if not twins:
+        return None
+    c = min(twins)
+    partners: dict[int, list[int]] = {}
+    for i, j in twins[c]:
+        partners.setdefault(i, [i]).append(j)
+    classes, seen = [], set()
+    for i in sorted(partners):
+        if i not in seen:
+            classes.append(partners[i])
+            seen.update(partners[i])
+    return c, sorted(classes)
+
+
+def random_derangement(rng, n):
+    while True:
+        perm = rng.sample(range(n), n)
+        if all(perm[i] != i for i in range(n)):
+            return perm
+
+
+def one_bucket_matrix(rng, n, pool):
+    """d I + sum of w (P + P^T) over three random derangements P, each
+    w != 0 drawn from pool: symmetric, with d on the diagonal and every
+    row and column summing to d + 2 sum(w).  So every index shares one
+    (diagonal, row sum, column sum) bucket, though the rows are mostly
+    not permutations of each other."""
+    d = rng.choice(pool)
+    rows = [[d if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(3):
+        w = rng.choice([v for v in pool if v])
+        for i, j in enumerate(random_derangement(rng, n)):
+            rows[i][j] += w
+            rows[j][i] += w
+    return rows
+
+
 class TestTwinQuotient:
+    def test_twin_collapse_matches_the_definition_at_every_level(self, monkeypatch):
+        real = exact_linalg._twin_collapse
+        calls = []
+
+        def checked(rows):
+            got = real(rows)
+            assert got == twin_classes_by_definition(rows)
+            calls.append(got)
+            return got
+
+        monkeypatch.setattr(exact_linalg, "_twin_collapse", checked)
+        rng = random.Random(20261019)
+        for trial in range(40):
+            rows, _ = random_blow_up(rng, trial)
+            exact_linalg._twin_quotient(IntMatrix.from_rows(rows))
+        assert sum(found is not None for found in calls) >= 40
+
+    def test_one_bucket_is_split_by_the_exact_key(self):
+        rng = random.Random(1019)
+        mixed = collapsed = 0
+        for trial in range(30):
+            pool = (-HUGE, HUGE, 7) if trial % 3 == 0 else tuple(range(-4, 5))
+            base = one_bucket_matrix(rng, rng.randint(4, 7), pool)
+            # a uniform blow-up keeps a single bucket and plants twin classes
+            s, diag, off = rng.randint(1, 3), rng.choice(pool), rng.choice(pool)
+            rows = blow_up(base, [s] * len(base), [diag] * len(base), [off] * len(base))
+            rows = permuted(rows, rng.sample(range(len(rows)), len(rows)))
+            cols = list(zip(*rows))
+            keys = {(rows[i][i], sum(rows[i]), sum(cols[i])) for i in range(len(rows))}
+            assert len(keys) == 1
+            mixed += len({tuple(sorted(r)) for r in rows}) > 1
+            found = exact_linalg._twin_collapse([tuple(r) for r in rows])
+            assert found == twin_classes_by_definition(rows)
+            collapsed += found is not None
+            m = IntMatrix.from_rows(rows)
+            assert char_poly_exact(m) == char_poly_leverrier(m)
+        # most buckets hold rows that are not permutations of each other
+        assert mixed >= 20 and collapsed >= 10
+
+    def test_regular_cycles_have_no_twins(self):
+        # every index in one bucket, and no two rows equal up to the swap
+        for n in range(5, 10):
+            rows = [tuple(int((i - j) % n in (1, n - 1)) for j in range(n)) for i in range(n)]
+            assert exact_linalg._twin_collapse(rows) is None
+            assert twin_classes_by_definition(rows) is None
+
     def test_twin_free_matrix_is_its_own_quotient(self):
         m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
         assert exact_linalg._twin_quotient(m) == (m, [(0,), (1,), (2,)], [])
@@ -693,6 +836,54 @@ class TestIntPolynomial:
         assert shifted.deflate(r) == f
 
 
+class TestKroneckerKernel:
+    @given(signed_polys, signed_polys)
+    def test_product_is_the_schoolbook_product(self, f, g):
+        assert (f * g).coeffs == schoolbook_product(f.coeffs, g.coeffs)
+
+    @given(signed_polys, st.integers(0, 5))
+    def test_power_is_repeated_schoolbook_products(self, f, e):
+        assert (f**e).coeffs == schoolbook_expand(1, [(f.coeffs, e)])
+
+    @given(
+        signed_ints,
+        st.lists(
+            st.tuples(signed_polys.filter(lambda f: f.coeffs), st.integers(1, 3)), max_size=4
+        ),
+    )
+    def test_expand_is_the_schoolbook_expansion(self, scalar, factors):
+        want = schoolbook_expand(scalar, [(base.coeffs, e) for base, e in factors])
+        assert FactoredPolynomial(scalar, tuple(factors)).expand().coeffs == want
+
+    def test_zero_constants_and_exponent_zero(self):
+        zero, f = IntPolynomial(()), IntPolynomial.from_coeffs((HUGE, -1, 1))
+        assert (zero * f).coeffs == (f * zero).coeffs == (zero * zero).coeffs == ()
+        assert (zero**0).coeffs == (f**0).coeffs == (1,)
+        assert (zero**3).coeffs == ()
+        # constants at the edges of one- and two-byte digits
+        for a in (127, -127, 128, -128, 2**15 - 1, -(2**15), HUGE, -HUGE):
+            for b in (1, -1, 127, 128, HUGE):
+                assert (IntPolynomial((a,)) * IntPolynomial((b,))).coeffs == (a * b,)
+            assert (IntPolynomial((a,)) ** 3).coeffs == (a**3,)
+            assert (IntPolynomial((a,)) * f).coeffs == schoolbook_product((a,), f.coeffs)
+
+    def test_a_power_of_degree_1024_is_the_binomial_row(self):
+        n = 1024
+        want = tuple((-1) ** (n - i) * math.comb(n, i) for i in range(n + 1))
+        assert (IntPolynomial((-1, 1)) ** n).coeffs == want
+
+    @pytest.mark.parametrize("k, p", PAIRS_UNDER_CAP)
+    def test_claimed_expansions_are_the_schoolbook_product(self, k, p):
+        for formula in (
+            adjacency_charpoly_formula,
+            laplacian_charpoly_formula,
+            signless_charpoly_formula,
+        ):
+            claim = formula(k, p)
+            want = schoolbook_expand(claim.scalar, [(base.coeffs, e) for base, e in claim.factors])
+            assert claim.expand().coeffs == want, formula.__name__
+
+
 class TestFactoredPolynomial:
     def test_expand(self):
         f = FactoredPolynomial(
@@ -717,6 +908,12 @@ class TestFactoredPolynomial:
     def test_str(self):
         f = FactoredPolynomial(scalar=1, factors=((poly_x(), 3),))
         assert str(f) == "(x)^3"
+
+    def test_zero_scalar_expands_to_the_zero_polynomial(self):
+        for factors in ((), ((poly_x(), 2), (IntPolynomial.from_coeffs((-1, 1)), 1))):
+            f = FactoredPolynomial(scalar=0, factors=factors)
+            assert f.expand() == IntPolynomial(())
+            assert f(3) == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
