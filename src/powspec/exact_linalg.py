@@ -2,14 +2,23 @@
 
 Two independent exact routes to det(xI - A) live here.
 
-- char_poly_exact, the primary route, reduces A to its twin quotient B
-  (twins searched in buckets keyed by diagonal, row sum and column sum),
-  proves that reduction on A with an exact O(n^2) certificate
-  (_check_twin_certificate), computes det(xI - B) by Hessenberg reduction
-  modulo 31-bit primes and a CRT lift under a Hadamard bound, checks the
-  lift with one Bareiss determinant on B at x0 = R(B) + 1, and multiplies
-  in the linear factors of the twin classes.  Its docstring states the
-  lemma, the certificate, the bound and the point check.
+- char_poly_exact, the primary route, reduces A to its twin quotient B,
+  computes det(xI - B) by Hessenberg reduction modulo 31-bit primes and
+  a CRT lift under a Hadamard bound, checks the lift with one Bareiss
+  determinant on B at x0 = R(B) + 1, and multiplies in the linear
+  factors of the twin classes.  When A is graph-shaped (n >= 2, int64
+  entries, every off-diagonal entry 0 or one value w, a symmetric zero
+  pattern), A = diag(D) + w Adj, and a first level works on the packed
+  bit rows R of Adj: open twins share the key (R_i, D_i), closed twins
+  (R_i | 1 << i, D_i), and no index has both kinds of twin, so both
+  collapse at once into B1 (_first_level).  _check_first_level proves
+  det(xI - A) = det(xI - B1) * prod (x - r)^(s - 1) on A's rows with
+  O(n c1) popcounts.  The dense level then runs on B1 (or on A itself
+  when A is not graph-shaped): twins searched in buckets keyed by
+  diagonal, row sum and column sum, and the reduction proved by an exact
+  O(n^2) certificate (_check_twin_certificate), whose identity chains
+  with the first level's.  Its docstring states the lemmas, the
+  certificates, the bound and the point check.
 - char_poly_leverrier, the cross-check route, runs fraction-free
   Faddeev-LeVerrier on Python ints.
 
@@ -27,6 +36,8 @@ import itertools
 import math
 import operator
 import os
+import struct
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -632,10 +643,195 @@ def _check_twin_certificate(
             raise ArithmeticError(f"twin certificate: M P != P B in column {j}")
 
 
+def _graph_rows(m: IntMatrix) -> tuple[list[int], list[int], int] | None:
+    """(R, D, w) when m is graph-shaped, else None.
+
+    m is graph-shaped when n >= 2, every entry fits int64, every
+    off-diagonal entry is 0 or one value w, and the zero pattern is
+    symmetric; then m = diag(D) + w A for a symmetric 0/1 matrix A with a
+    zero diagonal.  R holds the rows of A as packed ints, bit j of R[i]
+    set when m_ij = w, and D the diagonal.  Adjacency, Laplacian and
+    signless Laplacian matrices are graph-shaped with w = 1, -1, 1.  A
+    matrix with no off-diagonal entry has A = 0 and w = 1.
+    """
+    n = m.n
+    if n < 2:
+        return None
+    int64_row = struct.Struct(f"<{n}q")
+    try:
+        entries = b"".join([int64_row.pack(*row) for row in m.rows])
+    except struct.error:  # an entry outside int64
+        return None
+    a = np.frombuffer(entries, np.int64).reshape(n, n).copy()
+    diagonal = a.diagonal().tolist()
+    np.fill_diagonal(a, 0)
+    edges = a != 0
+    weights = a[edges]
+    w = int(weights[0]) if weights.size else 1
+    if (weights != w).any() or (edges != edges.T).any():
+        return None
+    width = (n + 7) // 8
+    packed = np.packbits(edges, axis=1, bitorder="little").tobytes()
+    rows = [int.from_bytes(packed[i : i + width], "little") for i in range(0, n * width, width)]
+    return rows, diagonal, w
+
+
+def _first_level(
+    rows: Sequence[int], diagonal: Sequence[int], w: int
+) -> tuple[IntMatrix, list[_Group], list[_Merge]] | None:
+    """(B1, cells, merges), the first twin level of diag(D) + w A, with
+    R, D and w from _graph_rows, or None when no index has a twin.
+
+    Open twins (type c = 0) share the key (R_i, D_i) and closed twins
+    (type c = w) the key (R_i | 1 << i, D_i).  No index has both an open
+    and a closed twin: if v, u are open twins and v, x closed twins, then
+    x is in N(v) = N(u), so u is in N[x] = N[v], against v !~ u.  So the
+    classes of both types collapse at once.  B1_IJ = w popcount(R_rep(I)
+    & mask_J) plus D_I on the diagonal, which is d_I + (s_I - 1) c_I.
+    The result has _twin_quotient's form, every member group a singleton;
+    nothing here is trusted: _check_first_level proves it on R and D.
+    """
+    open_twins: dict[tuple[int, int], list[int]] = {}
+    closed_twins: dict[tuple[int, int], list[int]] = {}
+    for i, (row, d) in enumerate(zip(rows, diagonal)):
+        open_twins.setdefault((row, d), []).append(i)
+        closed_twins.setdefault((row | 1 << i, d), []).append(i)
+    # a list before each tuple: tuple() over a generator grows by
+    # reallocation, which fragments the heap and lifts the peak RSS
+    merges = sorted(
+        (tuple([(v,) for v in cls]), diagonal[cls[0]] - c)
+        for twins, c in ((open_twins, 0), (closed_twins, w))
+        for cls in twins.values()
+        if len(cls) > 1
+    )
+    if not merges:
+        return None
+    merged = {v for members, _ in merges for (v,) in members}
+    cells = [_union(members) for members, _ in merges]
+    cells = sorted(cells + [(i,) for i in range(len(rows)) if i not in merged])
+    masks = [sum(1 << v for v in cell) for cell in cells]
+    quotient = []
+    for j, cell in enumerate(cells):
+        row = rows[cell[0]]
+        b = [w * (row & mask).bit_count() for mask in masks]
+        b[j] += diagonal[cell[0]]
+        quotient.append(tuple(b))
+    return IntMatrix(tuple(quotient)), cells, merges
+
+
+def _check_first_level(
+    rows: Sequence[int],
+    diagonal: Sequence[int],
+    w: int,
+    quotient: IntMatrix,
+    cells: Sequence[_Group],
+    merges: Sequence[_Merge],
+) -> None:
+    """Prove det(xI - M) = det(xI - B1) * prod (x - r)^(s - 1) on the bit
+    rows of M = diag(D) + w A (see _graph_rows), for B1 = quotient and
+    the cells and merges of _first_level.
+
+    1. The cells partition range(n), one per index of B1, and the merges
+       are the cells of two or more indices, each once, as singletons.
+    2. For a merge of v_0, ..., v_(s-1) with root r, c = D_(v_0) - r is 0
+       or w, and for every member v: D_v = D_(v_0), and R_v ^ R_(v_0) is
+       0 when c = 0 and the two own bits 1 << v | 1 << v_0 when c = w.
+       No row of A has its own bit, so M_(v_0 v) = M_(v v_0) = c, and
+       the two rows agree off {v_0, v}.  M is symmetric off the
+       diagonal, so row x of M (e_(v_0) - e_v) reads 0 off {v_0, v},
+       D_v - c at v_0 and c - D_v at v: e_(v_0) - e_v is an eigenvector
+       for r.
+    3. M P = P B1 for the cell-indicator matrix P: for every index v, in
+       cell I, and every cell J, w popcount(R_v & mask_J) plus D_v when
+       J = I equals B1_IJ.
+
+    The cell indicators and the differences form a basis T of n vectors,
+    and M T = T diag(B1, r, ...), which proves the identity, as in
+    _check_twin_certificate.  The cost is O(n c1) popcounts for c1
+    cells.  Any failure raises ArithmeticError.
+    """
+    n = len(rows)
+    if sorted(itertools.chain.from_iterable(cells)) != list(range(n)) or len(cells) != quotient.n:
+        raise ArithmeticError("twin certificate: the first-level cells do not partition M")
+    big = sorted(cell for cell in cells if len(cell) > 1)
+    if sorted(_union(members) for members, _ in merges) != big or not all(
+        len(g) == 1 for members, _ in merges for g in members
+    ):
+        raise ArithmeticError("twin certificate: the first-level merges are not the cells")
+    for members, r in merges:
+        (head,) = members[0]
+        c = diagonal[head] - r
+        if c not in (0, w):
+            raise ArithmeticError(f"twin certificate: root {r} is not D - c for c in (0, {w})")
+        for (v,) in members[1:]:
+            own = 1 << v | 1 << head if c else 0
+            if rows[v] ^ rows[head] != own or diagonal[v] != diagonal[head]:
+                raise ArithmeticError(f"twin certificate: {v} and {head} are not twins")
+    masks = [sum(1 << v for v in cell) for cell in cells]
+    for j, cell in enumerate(cells):
+        want = list(quotient.rows[j])
+        for v in cell:
+            got = [w * (rows[v] & mask).bit_count() for mask in masks]
+            got[j] += diagonal[v]
+            if got != want:
+                raise ArithmeticError(f"twin certificate: M P != P B1 in row {v}")
+
+
+def _char_poly_factored(m: IntMatrix) -> tuple[list[int], Counter[int]]:
+    """(coefficients of det(xI - B), Counter of the roots r with their
+    multiplicities), with det(xI - M) = det(xI - B) * prod (x - r)^e: the
+    factored core of char_poly_exact, whose docstring states the route."""
+    _check_cap(m.n)
+    first: list[_Merge] = []
+    graph = _graph_rows(m)
+    level = None if graph is None else _first_level(*graph)
+    if level is not None:
+        b1, cells, first = level
+        _check_first_level(*graph, b1, cells, first)
+        m = b1  # the dense level runs on B1 in place of M
+    quotient, cells, merges = _twin_quotient(m)
+    _check_twin_certificate(m, quotient, cells, merges)
+    primes = _primes_exceeding(2 * _coefficient_bound(quotient))
+    residues = [_hessenberg_charpoly_mod(quotient, p) for p in primes]
+    coeffs = _crt_lift(primes, residues)
+    x0 = _gershgorin_radius(quotient) + 1
+    shifted = [
+        [(x0 if i == j else 0) - v for j, v in enumerate(row)]
+        for i, row in enumerate(quotient.rows)
+    ]
+    if IntPolynomial.from_coeffs(coeffs)(x0) != kernels.det_bareiss(shifted):
+        raise ArithmeticError(
+            f"modular characteristic polynomial disagrees with det({x0}I - B)"
+        )
+    roots: Counter[int] = Counter()
+    for members, root in itertools.chain(first, merges):
+        roots[root] += len(members) - 1
+    return coeffs, roots
+
+
 def char_poly_exact(m: IntMatrix) -> IntPolynomial:
     """det(xI - M) on the twin quotient of M, by Hessenberg reduction
     modulo 31-bit primes and CRT, with the reduction proved on M and the
     lift checked at one point on the quotient.
+
+    First level, on bit rows.  When M is graph-shaped (n >= 2, int64
+    entries, every off-diagonal entry 0 or one value w, a symmetric zero
+    pattern; see _graph_rows), M = diag(D) + w A with A a graph, and its
+    first twin level is found and proved on the packed rows R of A (see
+    _first_level and _check_first_level).  Open twins (c = 0) share the
+    key (R_i, D_i), closed twins (c = w) the key (R_i | 1 << i, D_i).  No
+    index has both: if v, u are open twins and v, x closed twins, x is in
+    N(v) = N(u), so u is in N[x] = N[v], against v !~ u.  So one pass of
+    two hash maps finds every class of both types.  The certificate
+    checks, for every member v of every cell with representative rep,
+    R_v ^ R_rep against 0 (open) or the two own bits (closed), D_v =
+    D_rep, and M P = P B1 by c1 popcounts per index.  It proves det(xI -
+    M) = det(xI - B1) * prod (x - r)^(s - 1).  The dense level below runs
+    on B1 in place of M, so its certificate proves det(xI - B1) = det(xI -
+    B) * prod (x - r')^(s' - 1), and the two identities chain.  Any other
+    M goes through the dense level as it is.  Adjacency, Laplacian and
+    signless Laplacian matrices of a graph are graph-shaped, with w = 1,
+    -1, 1.
 
     Twin quotient (Schwenk 1974; Cardoso et al. 2013).  Take classes I
     of indices, of sizes s_I, such that M is d_I on the diagonal of I and
@@ -651,12 +847,13 @@ def char_poly_exact(m: IntMatrix) -> IntPolynomial:
     has a 5 x 5 quotient and the true graph a (2k + 4) x (2k + 4) one, for
     every matrix kind.
 
-    Certificate, on M.  The collapses are replayed on the original indices
-    and never trusted (see _check_twin_certificate).  The final cells J
-    and, for every merge of groups G_0, ..., G_(s-1) with root r, the
-    differences 1_(G_0) - 1_(G_a) form a basis T of n vectors.  Exact
-    O(n^2) identities on M check that the cells partition the indices,
-    that M P = P B for the cell indicators P, and that M (1_(G_0) - 1_(G_a))
+    Certificate of the dense level, on M (on B1 after a first level).
+    The collapses are replayed on the original indices and never trusted
+    (see _check_twin_certificate).  The final cells J and, for every
+    merge of groups G_0, ..., G_(s-1) with root r, the differences
+    1_(G_0) - 1_(G_a) form a basis T of n vectors.  Exact O(n^2)
+    identities on M check that the cells partition the indices, that
+    M P = P B for the cell indicators P, and that M (1_(G_0) - 1_(G_a))
     = r (1_(G_0) - 1_(G_a)).  So M T = T diag(B, roots), which proves the
     factorisation above; a failure raises ArithmeticError.
 
@@ -677,32 +874,16 @@ def char_poly_exact(m: IntMatrix) -> IntPolynomial:
     than one taken on M; a twin-free M is its own quotient and is checked
     on itself.  The cost is a c x c determinant and no pass over M.
 
-    Linear factors.  det(xI - B) * prod (x - r)^(s - 1) is one Kronecker
-    substitution product, B(2^b) * prod (2^b - r)^(s - 1) on Python ints,
-    with the multiplicities of equal roots summed so that each distinct
-    root is powered once (see _kronecker_product).
+    Linear factors.  _char_poly_factored returns det(xI - B) and one
+    Counter of the roots of both levels; det(xI - B) * prod (x - r)^e is
+    one Kronecker substitution product, B(2^b) * prod (2^b - r)^e on
+    Python ints, so each distinct root is powered once (see
+    _kronecker_product).
     Always monic of degree n.  See char_poly_leverrier for the independent
     cross-check route.
     """
-    _check_cap(m.n)
-    quotient, cells, merges = _twin_quotient(m)
-    _check_twin_certificate(m, quotient, cells, merges)
-    primes = _primes_exceeding(2 * _coefficient_bound(quotient))
-    residues = [_hessenberg_charpoly_mod(quotient, p) for p in primes]
-    coeffs = _crt_lift(primes, residues)
-    x0 = _gershgorin_radius(quotient) + 1
-    shifted = [
-        [(x0 if i == j else 0) - v for j, v in enumerate(row)]
-        for i, row in enumerate(quotient.rows)
-    ]
-    if IntPolynomial.from_coeffs(coeffs)(x0) != kernels.det_bareiss(shifted):
-        raise ArithmeticError(
-            f"modular characteristic polynomial disagrees with det({x0}I - B)"
-        )
-    multiplicity: dict[int, int] = {}
-    for members, root in merges:
-        multiplicity[root] = multiplicity.get(root, 0) + len(members) - 1
-    linear = [((-root, 1), e) for root, e in multiplicity.items()]
+    coeffs, roots = _char_poly_factored(m)
+    linear = [((-root, 1), e) for root, e in roots.items()]
     return IntPolynomial(_kronecker_product(1, [(coeffs, 1)] + linear))
 
 

@@ -748,6 +748,285 @@ class TestTwinCertificate:
         assert orders == [3]
 
 
+KINDS = ("adjacency", "laplacian", "signless")
+
+
+def family_matrices(k, p):
+    """(label, matrix) for both constructions of G(k, p) and all three kinds."""
+    model, true = build_model_graph(k, p), build_power_graph(SemidihedralType(k, p))
+    for construction, graph in (("model", model), ("true", true)):
+        for kind in KINDS:
+            yield f"{construction}/{kind}", matrix_of(graph, kind)
+
+
+def dense_char_poly(monkeypatch, m):
+    """char_poly_exact with the first level finding nothing: the dense route."""
+    with monkeypatch.context() as patch:
+        patch.setattr(exact_linalg, "_first_level", lambda rows, diagonal, w: None)
+        return char_poly_exact(m)
+
+
+def spy_first_level(monkeypatch):
+    """A list that gets one entry per certified first level."""
+    certified = []
+    real = exact_linalg._check_first_level
+
+    def spy(*args):
+        real(*args)
+        certified.append(args[3].n)
+
+    monkeypatch.setattr(exact_linalg, "_check_first_level", spy)
+    return certified
+
+
+def graph_matrix(adjacency, w=1, diagonal=None):
+    """diag(D) + w A for 0/1 rows A, D the degrees when not given."""
+    n = len(adjacency)
+    if diagonal is None:
+        diagonal = [sum(row) for row in adjacency]
+    return IntMatrix.from_rows(
+        [[diagonal[i] if i == j else w * adjacency[i][j] for j in range(n)] for i in range(n)]
+    )
+
+
+def adjacency_of(n, edges):
+    rows = [[0] * n for _ in range(n)]
+    for i, j in edges:
+        rows[i][j] = rows[j][i] = 1
+    return rows
+
+
+# K_3 on 0..2 (closed twins), the star with centre 3 and leaves 4, 5
+# (open twins), and the isolated vertices 6, 7 (open twins, R = 0)
+MIXED_TWINS = adjacency_of(8, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5)])
+# the path 0-1-2-3 has no twins of either type
+PATH_4 = adjacency_of(4, [(0, 1), (1, 2), (2, 3)])
+
+
+def honest_quotient(rows, diagonal, w, cells):
+    """B1 read off the representatives' rows for the given cells."""
+    masks = [sum(1 << v for v in cell) for cell in cells]
+    quotient = []
+    for j, cell in enumerate(cells):
+        b = [w * (rows[cell[0]] & mask).bit_count() for mask in masks]
+        b[j] += diagonal[cell[0]]
+        quotient.append(b)
+    return IntMatrix.from_rows(quotient)
+
+
+def _corrupt_first_level(corruption, rows, diagonal, w, level):
+    """A wrong _first_level result, of one of the kinds its certificate
+    must refuse."""
+    quotient, cells, merges = level
+    b = [list(r) for r in quotient.rows]
+    if corruption == "B1 entry off by one":
+        b[0][-1] += 1
+    elif corruption == "B1 diagonal off by one":
+        b[-1][-1] += 1
+    elif corruption == "root off by one":
+        members, r = merges[0]
+        merges = [(members, r + 1)] + merges[1:]
+    elif corruption == "non-twin merged":
+        # a merged cell absorbs another cell; B1 is read off the new cells
+        # honestly, so only the twin check can see it
+        union = exact_linalg._union
+        members, r = merges[0]
+        cell = union(members)
+        other = next(c for c in cells if c != cell)
+        joined = tuple(sorted(cell + other))
+        cells = sorted([joined] + [c for c in cells if c not in (cell, other)])
+        rest = [m for m in merges[1:] if union(m[0]) != other]
+        merges = [(tuple((v,) for v in joined), r)] + rest
+        return honest_quotient(rows, diagonal, w, cells), cells, merges
+    elif corruption == "merge missing":
+        merges = merges[1:]
+    elif corruption == "cell missing":
+        # B1 read off the remaining cells honestly, so only the partition
+        # check can see it
+        cells = cells[:-1]
+        merges = [m for m in merges if exact_linalg._union(m[0]) in cells]
+        return honest_quotient(rows, diagonal, w, cells), cells, merges
+    else:
+        raise AssertionError(corruption)
+    return IntMatrix.from_rows(b), cells, merges
+
+
+FIRST_LEVEL_CORRUPTIONS = (
+    "B1 entry off by one",
+    "B1 diagonal off by one",
+    "root off by one",
+    "non-twin merged",
+    "merge missing",
+    "cell missing",
+)
+
+
+class TestFirstLevel:
+    @pytest.mark.parametrize("k, p", PAIRS_UNDER_CAP)
+    def test_equals_the_dense_route_on_the_family(self, monkeypatch, k, p):
+        certified = spy_first_level(monkeypatch)
+        for label, m in family_matrices(k, p):
+            assert char_poly_exact(m) == dense_char_poly(monkeypatch, m), label
+        assert len(certified) == 6 and max(certified) < 2 ** (k + 1) * p
+
+    @pytest.mark.parametrize("w", (2, -3))
+    def test_weighted_graphs_against_leverrier_and_sympy(self, monkeypatch, w):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        certified = spy_first_level(monkeypatch)
+        rng = random.Random(w)
+        graphs = [MIXED_TWINS] + [
+            [[(a >> j) & 1 for j in range(g.n)] for a in map(g.row_mask, range(g.n))]
+            for g in (build_power_graph(Cyclic(q)) for q in (6, 9, 12))
+        ]
+        for adjacency in graphs:
+            degrees = [sum(row) for row in adjacency]
+            # twins have equal degrees, so the first is constant on the classes
+            for diagonal in (
+                [7 - 2 * d for d in degrees],
+                [rng.randint(-3, 3) for _ in degrees],
+            ):
+                m = graph_matrix(adjacency, w, diagonal)
+                want = char_poly_leverrier(m)
+                assert char_poly_exact(m) == want
+                coeffs = sympy.Matrix(m.to_lists()).charpoly(x).all_coeffs()
+                assert want.coeffs == tuple(int(c) for c in reversed(coeffs))
+        # every graph has twins when the diagonal is constant on its classes
+        assert len(certified) >= len(graphs)
+
+    def test_isolated_vertices_and_both_twin_types(self, monkeypatch):
+        rows, diagonal, w = exact_linalg._graph_rows(graph_matrix(MIXED_TWINS, 1, [0] * 8))
+        assert rows[6] == rows[7] == 0
+        quotient, cells, merges = exact_linalg._first_level(rows, diagonal, w)
+        assert cells == [(0, 1, 2), (3,), (4, 5), (6, 7)]
+        assert merges == [(((0,), (1,), (2,)), -1), (((4,), (5,)), 0), (((6,), (7,)), 0)]
+        assert quotient.rows == ((2, 0, 0, 0), (0, 0, 2, 0), (0, 1, 0, 0), (0, 0, 0, 0))
+        exact_linalg._check_first_level(rows, diagonal, w, quotient, cells, merges)
+        certified = spy_first_level(monkeypatch)
+        for w in (1, -1):
+            for diagonal in ([0] * 8, None):
+                m = graph_matrix(MIXED_TWINS, w, diagonal)
+                assert char_poly_exact(m) == char_poly_leverrier(m)
+        assert len(certified) == 4
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            pytest.param([[0, 1, 1], [0, 0, 1], [1, 1, 0]], id="asymmetric pattern"),
+            pytest.param([[0, 1, 1], [1, 0, 2], [1, 2, 0]], id="two off-diagonal values"),
+            pytest.param([[2**63, 1, 1], [1, 0, 1], [1, 1, 0]], id="an entry of 2^63"),
+            pytest.param([[0, 1, -(2**63) - 1], [1, 0, 1], [1, 1, 0]], id="an entry below int64"),
+            pytest.param([[5]], id="n = 1"),
+            pytest.param([], id="n = 0"),
+        ],
+    )
+    def test_non_graph_matrices_skip_the_first_level(self, monkeypatch, rows):
+        certified = spy_first_level(monkeypatch)
+        m = IntMatrix.from_rows(rows)
+        assert exact_linalg._graph_rows(m) is None
+        assert char_poly_exact(m) == char_poly_leverrier(m)
+        assert certified == []
+
+    def test_random_graph_blow_ups_against_leverrier(self, monkeypatch):
+        certified = spy_first_level(monkeypatch)
+        rng = random.Random(1019)
+        for trial in range(40):
+            k = rng.randint(1, 5)
+            base = [[0] * k for _ in range(k)]
+            for i in range(k):
+                for j in range(i + 1, k):
+                    base[i][j] = base[j][i] = rng.randint(0, 1)
+            sizes = [rng.randint(1, 4) for _ in range(k)]
+            # each class is open (0) or closed (1) at random
+            adjacency = blow_up(base, sizes, [0] * k, [rng.randint(0, 1) for _ in range(k)])
+            n = len(adjacency)
+            adjacency = permuted(adjacency, rng.sample(range(n), n))
+            # adjacency, laplacian, signless
+            for w, diagonal in ((1, [0] * n), (-1, None), (1, None)):
+                m = graph_matrix(adjacency, w, diagonal)
+                assert char_poly_exact(m) == char_poly_leverrier(m)
+        assert len(certified) >= 60
+
+    def test_the_factored_core_holds_the_roots_of_both_levels(self, monkeypatch):
+        m = matrix_of(build_power_graph(SemidihedralType(2, 3)), "laplacian")
+        coeffs, roots = exact_linalg._char_poly_factored(m)
+        assert len(coeffs) == 2 * 2 + 4 + 1 and sum(roots.values()) == m.n - 8
+        rest = char_poly_leverrier(m)
+        for root, e in roots.items():
+            for _ in range(e):
+                rest = rest.deflate(root)
+        assert rest.coeffs == tuple(coeffs)
+        products = []
+        real = exact_linalg._kronecker_product
+        monkeypatch.setattr(
+            exact_linalg, "_kronecker_product", lambda *a: products.append(a) or real(*a)
+        )
+        assert char_poly_exact(m) == char_poly_leverrier(m)
+        assert len(products) == 1
+
+    def test_twin_free_graph_skips_the_first_level(self, monkeypatch):
+        certified = spy_first_level(monkeypatch)
+        for w in (1, -1):
+            m = graph_matrix(PATH_4, w)
+            assert exact_linalg._first_level(*exact_linalg._graph_rows(m)) is None
+            assert char_poly_exact(m) == char_poly_leverrier(m)
+        assert certified == []
+
+    @pytest.mark.parametrize("corruption", FIRST_LEVEL_CORRUPTIONS)
+    def test_wrong_first_levels_are_refused(self, monkeypatch, corruption):
+        real = exact_linalg._first_level
+
+        def corrupted(rows, diagonal, w):
+            return _corrupt_first_level(corruption, rows, diagonal, w, real(rows, diagonal, w))
+
+        def dense_must_not_run(m):
+            raise AssertionError("the dense level ran: the certificate let a bad B1 through")
+
+        monkeypatch.setattr(exact_linalg, "_first_level", corrupted)
+        monkeypatch.setattr(exact_linalg, "_twin_quotient", dense_must_not_run)
+        inputs = [
+            matrix_of(build_power_graph(SemidihedralType(2, 3)), "adjacency"),
+            matrix_of(build_model_graph(2, 3), "laplacian"),
+            graph_matrix(MIXED_TWINS, -3, [4, 4, 4, 0, 1, 1, 2, 2]),
+        ]
+        for m in inputs:
+            with pytest.raises(ArithmeticError, match="twin certificate"):
+                char_poly_exact(m)
+
+    def test_a_member_with_another_diagonal_is_refused(self):
+        # leaves 1, 2, 3 of a star share R; leaf 3 has another diagonal
+        m = graph_matrix(adjacency_of(4, [(0, 1), (0, 2), (0, 3)]), 1, [0, 1, 1, 2])
+        rows, diagonal, w = exact_linalg._graph_rows(m)
+        quotient, cells, merges = exact_linalg._first_level(rows, diagonal, w)
+        assert cells == [(0,), (1, 2), (3,)]
+        cells = [(0,), (1, 2, 3)]
+        merges = [(((1,), (2,), (3,)), 1)]
+        with pytest.raises(ArithmeticError, match="not twins"):
+            exact_linalg._check_first_level(
+                rows, diagonal, w, honest_quotient(rows, diagonal, w, cells), cells, merges
+            )
+
+    def test_the_dense_level_sees_only_the_first_quotient(self, monkeypatch):
+        from powspec.verify_cli import run_verification
+
+        orders = []
+        real = exact_linalg._twin_collapse
+        monkeypatch.setattr(
+            exact_linalg, "_twin_collapse", lambda rows: orders.append(len(rows)) or real(rows)
+        )
+        run_verification(2, 7)
+        assert orders and max(orders) < 56
+
+    @pytest.mark.parametrize("k, p", [(6, 3), (3, 31)])
+    def test_equals_the_dense_route_past_the_cap(self, monkeypatch, k, p):
+        monkeypatch.setenv(CAP_ENV_VAR, "512")
+        certified = spy_first_level(monkeypatch)
+        for label, m in family_matrices(k, p):
+            assert m.n > exact_linalg.DEFAULT_MATRIX_CAP
+            assert char_poly_exact(m) == dense_char_poly(monkeypatch, m), label
+        assert len(certified) == 6
+
+
 class TestMatrixCap:
     def test_cap_enforced(self, monkeypatch):
         monkeypatch.setenv(CAP_ENV_VAR, "4")
