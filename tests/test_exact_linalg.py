@@ -322,14 +322,21 @@ class TestCharPoly:
                 m = matrix_of(g, kind)
                 assert char_poly_exact(m).coeffs == sympy_charpoly(m)
 
-    def test_point_cross_check_fires_on_a_bad_bound(self, monkeypatch):
-        # With a bound of 1 a single prime is used, which cannot hold the
-        # ~2^80 coefficients; the lift is wrong and must not be returned.
-        monkeypatch.setattr(exact_linalg, "_coefficient_bound", lambda m: 1)
+    def test_point_cross_check_fires_on_a_wrong_coefficient(self, monkeypatch):
+        # The constant term off by one changes the value at x0 by one; the
+        # point check must refuse it.
+        berkowitz = kernels.charpoly_berkowitz
+
+        def off_by_one(rows):
+            coeffs = berkowitz(rows)
+            coeffs[0] += 1
+            return coeffs
+
+        monkeypatch.setattr(kernels, "charpoly_berkowitz", off_by_one)
         m = IntMatrix.from_rows([[2**40, 3], [5, -(2**40)]])
         with pytest.raises(ArithmeticError, match="disagrees"):
             char_poly_exact(m)
-        # Twin-rich: the wrong lift happens on the 2 x 2 quotient, and the
+        # Twin-rich: the wrong polynomial is the 2 x 2 quotient's, and the
         # point check, which runs on that quotient, must still catch it.
         base = [[2**40, 3], [5, -(2**40)]]
         m = IntMatrix.from_rows(blow_up(base, sizes=(3, 4), diag=(2**40, -(2**40)), off=(7, 0)))
@@ -337,75 +344,23 @@ class TestCharPoly:
         with pytest.raises(ArithmeticError, match="disagrees"):
             char_poly_exact(m)
 
-    def test_primes_cover_the_bound(self):
-        composites_passing_weak_tests = (2047, 1373653, 25326001, 3215031751)
-        assert not any(exact_linalg._is_prime(c) for c in composites_passing_weak_tests)
-        sieve = [k for k in range(2000) if k > 1 and all(k % d for d in range(2, int(k**0.5) + 1))]
-        assert [k for k in range(2000) if exact_linalg._is_prime(k)] == sieve
-        bound = 2**200
-        primes = exact_linalg._primes_exceeding(bound)
-        assert primes[0] == 2**31 - 1
-        assert all(p < 2**31 and exact_linalg._is_prime(p) for p in primes)
-        assert len(set(primes)) == len(primes)
-        product = 1
-        for p in primes:
-            product *= p
-        assert product > bound and product // primes[-1] <= bound
+    def test_berkowitz_kernel_equals_leverrier(self):
+        def check(rows):
+            assert kernels.charpoly_berkowitz(rows) == kernels.charpoly_leverrier(rows)
 
-    def test_prime_search_is_kept_across_calls(self, monkeypatch):
-        def fresh_search(bound):
-            """Reference: the search from 2^31 - 1 downward, with nothing kept."""
-            primes, product, candidate = [], 1, 2**31 - 1
-            while product <= bound:
-                if exact_linalg._is_prime(candidate):
-                    primes.append(candidate)
-                    product *= candidate
-                candidate -= 2
-            return primes
-
-        monkeypatch.setattr(exact_linalg, "_FOUND_PRIMES", [])
-        # grows, shrinks and grows again, so the kept list is both sliced and extended
-        for bound in (2**62, 0, 1, 2**1000, 2**31, 2**62):
-            got = exact_linalg._primes_exceeding(bound)
-            assert got == fresh_search(bound)
-            got.append(7)  # a caller's list is its own
-
-    def test_repeated_bound_runs_no_primality_test(self, monkeypatch):
-        calls = []
-        real = exact_linalg._is_prime
-        monkeypatch.setattr(exact_linalg, "_is_prime", lambda n: calls.append(n) or real(n))
-        monkeypatch.setattr(exact_linalg, "_FOUND_PRIMES", [])
-        first = exact_linalg._primes_exceeding(2**200)
-        assert calls
-        calls.clear()
-        assert exact_linalg._primes_exceeding(2**200) == first
-        smaller = exact_linalg._primes_exceeding(2**100)
-        assert smaller == first[: len(smaller)]
-        assert calls == []
-
-    def test_coefficient_bound_holds(self):
-        def check(m):
-            bound = exact_linalg._coefficient_bound(m)
-            assert bound >= max(abs(c) for c in char_poly_leverrier(m).coeffs)
-            radius = max(sum(abs(v) for v in row) for row in m.rows)
-            assert bound <= (1 + radius) ** m.n
-
-        rng = random.Random(5150)
-        for _ in range(20):
-            check(IntMatrix.from_rows(random_int_matrix(rng, rng.randint(1, 8), -9, 9)))
-        for _ in range(10):
-            n = rng.randint(1, 6)
-            rows = [
-                [rng.choice((-HUGE, HUGE, rng.randint(-7, 7))) for _ in range(n)]
-                for _ in range(n)
-            ]
-            check(IntMatrix.from_rows(rows))
-        check(IntMatrix.zeros(3))
-        check(IntMatrix.identity(4))  # unit rows: norms rounded down would bound by 1 < 6
-        for q in (6, 9, 12):
-            g = build_power_graph(Cyclic(q))
-            for kind in ("adjacency", "laplacian", "signless"):
-                check(matrix_of(g, kind))
+        check([])
+        check([[HUGE]])
+        rng = random.Random(1984)
+        for n in range(2, 15):
+            check([[rng.randint(-HUGE, HUGE) for _ in range(n)] for _ in range(n)])
+        # the leading 1 x 1 and 2 x 2 blocks are singular
+        check([[0, 1, 2, 3], [4, 0, 0, 5], [6, 0, 0, 7], [8, 9, 10, 11]])
+        # the largest quotient of the family past the cap: (7, 3), n = 768
+        laplacian = matrix_of(build_power_graph(SemidihedralType(7, 3)), "laplacian")
+        b1 = exact_linalg._first_level(*exact_linalg._graph_rows(laplacian))[0]
+        quotient = exact_linalg._twin_quotient(b1)[0]
+        assert quotient.n == 18
+        check(quotient.to_lists())
 
 
 # every (k, p) of the twisted family with n = 2^(k+1) p <= 256
@@ -1304,6 +1259,11 @@ class TestSchurCheck:
         d = IntMatrix.zeros(1)
         with pytest.raises(ValueError):
             schur_charpoly_check(a, z, z, d, (0,))
+
+    def test_order_zero_has_nothing_to_verify(self):
+        e = IntMatrix(())
+        with pytest.raises(ValueError, match="nothing to verify"):
+            schur_charpoly_check(e, e, e, e, [0])
 
     def test_rejects_mismatched_blocks(self):
         with pytest.raises(ValueError):

@@ -75,6 +75,13 @@ class TestValidation:
         assert not is_odd_prime(2) and not is_odd_prime(1)
         assert not is_odd_prime(91) and not is_odd_prime(561)  # 91=7*13, Carmichael 561
 
+    def test_primality_matches_a_sieve_and_rejects_weak_pseudoprimes(self):
+        # strong pseudoprimes to base 2, to bases 2 and 3, to bases 2..5, and to 2..7
+        composites_passing_weak_tests = (2047, 1373653, 25326001, 3215031751)
+        assert not any(group_core._is_prime(c) for c in composites_passing_weak_tests)
+        sieve = [k for k in range(2000) if k > 1 and all(k % d for d in range(2, int(k**0.5) + 1))]
+        assert [k for k in range(2000) if group_core._is_prime(k)] == sieve
+
     def test_rejects_strong_pseudoprimes_to_the_first_primes(self):
         # psi_12 passes Miller-Rabin to the bases 2..37, psi_13 to the bases 2..41
         psi_12 = 399165290221 * 798330580441
