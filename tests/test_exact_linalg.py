@@ -362,6 +362,30 @@ class TestCharPoly:
         assert quotient.n == 18
         check(quotient.to_lists())
 
+    @pytest.mark.parametrize("k", (2, 3))
+    def test_one_berkowitz_call_per_charpoly_on_the_quotient(self, monkeypatch, k):
+        # Berkowitz costs about c^4 / 4 multiplications on c cells, so it
+        # must see the final quotient only, never M or B1.
+        orders = []
+        real = kernels.charpoly_berkowitz
+
+        def spy(rows):
+            orders.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(kernels, "charpoly_berkowitz", spy)
+        model = build_model_graph(k, 3)
+        true = build_power_graph(SemidihedralType(k, 3))
+        for kind in ("adjacency", "laplacian", "signless"):
+            for graph, want in ((model, 5), (true, 2 * k + 4)):
+                orders.clear()
+                char_poly_exact(matrix_of(graph, kind))
+                assert orders == [want], kind
+        # a twin-free matrix is its own quotient
+        orders.clear()
+        char_poly_exact(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]]))
+        assert orders == [3]
+
 
 # every (k, p) of the twisted family with n = 2^(k+1) p <= 256
 PAIRS_UNDER_CAP = [
