@@ -10,12 +10,13 @@ Two independent exact routes to det(xI - A) live here.
   symmetric zero pattern), A = diag(D) + w Adj, and a first level works
   on the packed bit rows R of Adj: open twins share the key (R_i, D_i),
   closed twins (R_i | 1 << i, D_i), and no index has both kinds of
-  twin, so both collapse at once into B1 (_first_level).
-  _check_first_level proves det(xI - A) = det(xI - B1) * prod (x -
-  r)^(s - 1) on A's rows with O(n c1) popcounts.  The dense level then
-  runs on B1 (or on A itself when A is not graph-shaped): twins
-  searched in buckets keyed by diagonal, row sum and column sum, and
-  the reduction proved by an exact O(n^2) certificate
+  twin, so both collapse at once into B1 (_first_level, which counts B1
+  with numpy).  _check_first_level proves det(xI - A) = det(xI - B1) *
+  prod (x - r)^(s - 1) on A's rows, by an XOR test per index and c1^2
+  popcounts on the first index of each of the c1 cells.  The dense
+  level then runs on B1 (or on A itself when A is not graph-shaped):
+  twins searched in buckets keyed by diagonal, row sum and column sum,
+  and the reduction proved by an exact O(n^2) certificate
   (_check_twin_certificate), whose identity chains with the first
   level's.  Its docstring states the lemmas, the certificates, the cost
   and the point check.
@@ -337,12 +338,13 @@ class FactoredPolynomial:
         return " ".join(parts) if parts else "1"
 
 
-def _unpack(rows) -> np.ndarray:
-    """n packed rows of n bits as an n x n uint8 array of 0/1, bit j of row i at [i, j]."""
-    n = len(rows)
+def _unpack(rows, n: int | None = None) -> np.ndarray:
+    """Packed rows of n bits, n = len(rows) unless given, as a len(rows) x n
+    uint8 array of 0/1, bit j of row i at [i, j]."""
+    n = len(rows) if n is None else n
     width = (n + 7) // 8
     packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), np.uint8)
-    return np.unpackbits(packed.reshape(n, width), axis=1, bitorder="little")[:, :n]
+    return np.unpackbits(packed.reshape(len(rows), width), axis=1, bitorder="little")[:, :n]
 
 
 def _matrix_diagonal(graph, kind: str) -> np.ndarray:
@@ -377,7 +379,7 @@ def matrix_of(graph, kind: str) -> IntMatrix:
 
 def det_exact(m: IntMatrix) -> int:
     _check_cap(m.n)
-    return kernels.det_bareiss(m.to_lists())
+    return kernels.det_bareiss(m.rows)
 
 
 def _gershgorin_radius(m: IntMatrix) -> int:
@@ -582,10 +584,15 @@ def _first_level(
     (type c = w) the key (R_i | 1 << i, D_i).  No index has both an open
     and a closed twin: if v, u are open twins and v, x closed twins, then
     x is in N(v) = N(u), so u is in N[x] = N[v], against v !~ u.  So the
-    classes of both types collapse at once.  B1_IJ = w popcount(R_rep(I)
-    & mask_J) plus D_I on the diagonal, which is d_I + (s_I - 1) c_I.
-    The result has _twin_quotient's form, every member group a singleton;
-    nothing here is trusted: _check_first_level proves it on R and D.
+    classes of both types collapse at once.  B1 = w K + diag(D_I), D_I
+    being d_I + (s_I - 1) c_I, with K_IJ the number of neighbours in cell J
+    of the first index of cell I: those rows unpacked to a c1 x n 0/1
+    array, its columns grouped by cell and summed per cell by
+    np.add.reduceat, with no popcount.  w K + D is formed on Python ints,
+    as it can leave int64 for a large w.  The result has _twin_quotient's
+    form, every member group a singleton; nothing here is trusted:
+    _check_first_level proves it on R and D by popcounts, which share no
+    code with this count.
     """
     open_twins: dict[tuple[int, int], list[int]] = {}
     closed_twins: dict[tuple[int, int], list[int]] = {}
@@ -605,11 +612,13 @@ def _first_level(
     merged = {v for members, _ in merges for (v,) in members}
     cells = [_union(members) for members, _ in merges]
     cells = sorted(cells + [(i,) for i in range(len(rows)) if i not in merged])
-    masks = [sum(1 << v for v in cell) for cell in cells]
+    by_cell = [v for cell in cells for v in cell]
+    bits = _unpack([rows[cell[0]] for cell in cells], len(rows))[:, by_cell]
+    starts = list(itertools.accumulate(map(len, cells[:-1]), initial=0))
+    counts = np.add.reduceat(bits, starts, axis=1, dtype=np.int64).tolist()
     quotient = []
-    for j, cell in enumerate(cells):
-        row = rows[cell[0]]
-        b = [w * (row & mask).bit_count() for mask in masks]
+    for j, (cell, row) in enumerate(zip(cells, counts)):
+        b = [w * k for k in row]
         b[j] += diagonal[cell[0]]
         quotient.append(tuple(b))
     return IntMatrix(tuple(quotient)), cells, merges
@@ -637,14 +646,26 @@ def _check_first_level(
        diagonal, so row x of M (e_(v_0) - e_v) reads 0 off {v_0, v},
        D_v - c at v_0 and c - D_v at v: e_(v_0) - e_v is an eigenvector
        for r.
-    3. M P = P B1 for the cell-indicator matrix P: for every index v, in
-       cell I, and every cell J, w popcount(R_v & mask_J) plus D_v when
-       J = I equals B1_IJ.
+    3. M P = P B1 for the cell-indicator matrix P, on the first index h
+       of each cell I only: for every cell J, w popcount(R_h & mask_J)
+       plus D_h when J = I equals B1_IJ.
+
+    Step 3 on the heads is enough.  Row v of M P, at cell J, is w
+    popcount(R_v & mask_J) plus D_v when v is in J.  Take a member v of a
+    merge with head v_0, both in the cell I by step 1.  By step 2, D_v =
+    D_(v_0), and R_v ^ R_(v_0) is 0 or the two own bits, both in mask_I.
+    So popcount(R_v & mask_J) = popcount(R_(v_0) & mask_J) for every J !=
+    I, and for J = I too, as a closed R_v trades bit v for bit v_0 inside
+    mask_I: row v of M P equals row v_0 of M P.  By step 1 a cell of two
+    or more indices is exactly the members of one merge, so all rows of
+    M P in a cell equal the row of its first index, which step 3 checks
+    against B1.
 
     The cell indicators and the differences form a basis T of n vectors,
     and M T = T diag(B1, r, ...), which proves the identity, as in
-    _check_twin_certificate.  The cost is O(n c1) popcounts for c1
-    cells.  Any failure raises ArithmeticError.
+    _check_twin_certificate.  Steps 1 and 2 cost a sort and one XOR per
+    index, step 3 c1^2 popcounts for c1 cells.  Any failure raises
+    ArithmeticError.
     """
     n = len(rows)
     if sorted(itertools.chain.from_iterable(cells)) != list(range(n)) or len(cells) != quotient.n:
@@ -665,12 +686,10 @@ def _check_first_level(
                 raise ArithmeticError(f"twin certificate: {v} and {head} are not twins")
     masks = [sum(1 << v for v in cell) for cell in cells]
     for j, cell in enumerate(cells):
-        want = list(quotient.rows[j])
-        for v in cell:
-            got = [w * (rows[v] & mask).bit_count() for mask in masks]
-            got[j] += diagonal[v]
-            if got != want:
-                raise ArithmeticError(f"twin certificate: M P != P B1 in row {v}")
+        got = [w * (rows[cell[0]] & mask).bit_count() for mask in masks]
+        got[j] += diagonal[cell[0]]
+        if tuple(got) != quotient.rows[j]:
+            raise ArithmeticError(f"twin certificate: M P != P B1 in row {cell[0]}")
 
 
 def _char_poly_factored(m: IntMatrix) -> tuple[list[int], Counter[int]]:
@@ -687,7 +706,7 @@ def _char_poly_factored(m: IntMatrix) -> tuple[list[int], Counter[int]]:
         m = b1  # the dense level runs on B1 in place of M
     quotient, cells, merges = _twin_quotient(m)
     _check_twin_certificate(m, quotient, cells, merges)
-    coeffs = kernels.charpoly_berkowitz(quotient.to_lists())
+    coeffs = kernels.charpoly_berkowitz(quotient.rows)
     x0 = _gershgorin_radius(quotient) + 1
     shifted = [
         [(x0 if i == j else 0) - v for j, v in enumerate(row)]
@@ -706,20 +725,12 @@ def char_poly_exact(m: IntMatrix) -> IntPolynomial:
     with the reduction proved on M and the quotient's polynomial checked
     at one point.
 
-    First level, on bit rows.  When M is graph-shaped (n >= 2, int64
-    entries, every off-diagonal entry 0 or one value w, a symmetric zero
-    pattern; see _graph_rows), M = diag(D) + w A with A a graph, and its
-    first twin level is found and proved on the packed rows R of A (see
-    _first_level and _check_first_level).  Open twins (c = 0) share the
-    key (R_i, D_i), closed twins (c = w) the key (R_i | 1 << i, D_i).  No
-    index has both: if v, u are open twins and v, x closed twins, x is in
-    N(v) = N(u), so u is in N[x] = N[v], against v !~ u.  So one pass of
-    two hash maps finds every class of both types.  The certificate
-    checks, for every member v of every cell with representative rep,
-    R_v ^ R_rep against 0 (open) or the two own bits (closed), D_v =
-    D_rep, and M P = P B1 by c1 popcounts per index.  It proves det(xI -
-    M) = det(xI - B1) * prod (x - r)^(s - 1).  The dense level below runs
-    on B1 in place of M, so its certificate proves det(xI - B1) = det(xI -
+    First level, on bit rows.  When M is graph-shaped (see _graph_rows),
+    M = diag(D) + w A with A a graph, and its first twin level, open and
+    closed twins at once, is found by _first_level and proved by
+    _check_first_level on the packed rows of A.  That proves det(xI - M)
+    = det(xI - B1) * prod (x - r)^(s - 1).  The dense level below runs on
+    B1 in place of M, so its certificate proves det(xI - B1) = det(xI -
     B) * prod (x - r')^(s' - 1), and the two identities chain.  Any other
     M goes through the dense level as it is.  Adjacency, Laplacian and
     signless Laplacian matrices of a graph are graph-shaped, with w = 1,
@@ -782,7 +793,7 @@ def char_poly_exact(m: IntMatrix) -> IntPolynomial:
 def char_poly_leverrier(m: IntMatrix) -> IntPolynomial:
     """det(xI - M) by fraction-free Faddeev-LeVerrier (cross-check route)."""
     _check_cap(m.n)
-    return IntPolynomial.from_coeffs(kernels.charpoly_leverrier(m.to_lists()))
+    return IntPolynomial.from_coeffs(kernels.charpoly_leverrier(m.rows))
 
 
 def _fraction_solve(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:

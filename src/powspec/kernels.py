@@ -7,9 +7,10 @@ entry size.  exact_linalg calls every kernel through this module.
 from __future__ import annotations
 
 import operator
+from typing import Sequence
 
 
-def det_bareiss(rows: list[list[int]]) -> int:
+def det_bareiss(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant by fraction-free Bareiss elimination.
 
     Every interior division is exact by the Sylvester identity, so no
@@ -43,7 +44,7 @@ def det_bareiss(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def charpoly_leverrier(rows: list[list[int]]) -> list[int]:
+def charpoly_leverrier(rows: Sequence[Sequence[int]]) -> list[int]:
     """Coefficients of det(xI - A), ascending, by Faddeev-LeVerrier.
 
     The trace divisions are exact over the integers; any non-zero
@@ -87,7 +88,7 @@ def charpoly_leverrier(rows: list[list[int]]) -> list[int]:
     return coeffs
 
 
-def charpoly_berkowitz(rows: list[list[int]]) -> list[int]:
+def charpoly_berkowitz(rows: Sequence[Sequence[int]]) -> list[int]:
     """Coefficients of det(xI - A), ascending, by Berkowitz's recurrence.
 
     With A_(k+1) = [[A_k, C], [R, a]], the descending coefficients of

@@ -49,6 +49,7 @@ __all__ = [
     "quartic_flip_pairs",
     "build_power_graph",
     "build_model_graph",
+    "MAX_GRAPH_ORDER",
     "edge_count",
     "degree_sequence",
     "connected_components",
@@ -61,6 +62,20 @@ __all__ = [
 
 # Side of the square tiles Graph compares with their mirror images.
 _SYMMETRY_TILE = 256
+
+# The largest group order either builder accepts.  n packed rows of n
+# bits take n^2 / 8 bytes and the symmetry check unpacks them, so a larger
+# order would exhaust memory rather than fail; the family the verifier
+# covers stops at n = 4096.
+MAX_GRAPH_ORDER = 16384
+
+
+def _check_graph_order(n: int) -> None:
+    """Raise ValueError when a graph of order n is past MAX_GRAPH_ORDER."""
+    if n > MAX_GRAPH_ORDER:
+        raise ValueError(
+            f"group order {n} exceeds the graph-order limit MAX_GRAPH_ORDER = {MAX_GRAPH_ORDER}"
+        )
 
 
 class Graph:
@@ -187,6 +202,7 @@ def build_power_graph(spec: GroupSpec) -> Graph:
     gain the generators' mask C; over all classes that is x ~ y iff y is in
     <x> or x is in <y>, once the loops are cleared.
     """
+    _check_graph_order(spec.order)
     labels = canonical_order(spec)
     index = {x: i for i, x in enumerate(labels)}
     rows = [0] * len(labels)
@@ -235,6 +251,7 @@ def build_model_graph(k: int, p: int) -> Graph:
     with the core); each order-2 flip hangs off the identity alone.
     """
     spec = SemidihedralType(k, p)
+    _check_graph_order(spec.order)
     rows = tuple(a | b | c for a, b, c in zip(*_model_parts(spec)))
     return Graph(canonical_order(spec), rows)
 

@@ -44,6 +44,7 @@ from .formulas import (
 )
 from .group_core import Cyclic, SemidihedralType, validate_parameters, validate_presentation
 from .powergraph import (
+    _check_graph_order,
     _pairs,
     build_model_graph,
     build_power_graph,
@@ -602,10 +603,10 @@ def sweep(
     jobs: int = 1,
 ) -> list[VerificationReport]:
     """Verify every (k, p) pair of the two lists; rejects invalid parameters,
-    jobs < 1 and a malformed matrix cap up front.  jobs > 1 fans the pairs
-    out to a pool of spawned worker processes (fork is unsafe once the
-    parent has threads); errors inside one pair are contained in that
-    pair's report."""
+    an order past the graph-order limit, jobs < 1 and a malformed matrix
+    cap up front.  jobs > 1 fans the pairs out to a pool of spawned worker
+    processes (fork is unsafe once the parent has threads); errors inside
+    one pair are contained in that pair's report."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     pairs = [(k, p) for k in ks for p in ps]
@@ -613,6 +614,7 @@ def sweep(
         return []
     for k, p in pairs:
         validate_parameters(k, p)
+        _check_graph_order(2 ** (k + 1) * p)
     matrix_order_cap()  # a malformed cap is a usage error, not one failure per pair
     kinds = _normalize(kinds, MATRIX_KINDS, "matrix kind")
     constructions = _normalize(constructions, CONSTRUCTIONS, "construction")

@@ -780,6 +780,10 @@ def adjacency_of(n, edges):
 MIXED_TWINS = adjacency_of(8, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5)])
 # the path 0-1-2-3 has no twins of either type
 PATH_4 = adjacency_of(4, [(0, 1), (1, 2), (2, 3)])
+# the star K_(1,3): leaves 1, 2, 3 are open twins
+STAR_3 = adjacency_of(4, [(0, 1), (0, 2), (0, 3)])
+# K_5: one cell of closed twins, so the first level has c1 = 1
+K_5 = adjacency_of(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
 
 
 def honest_quotient(rows, diagonal, w, cells):
@@ -848,13 +852,14 @@ class TestFirstLevel:
             assert char_poly_exact(m) == dense_char_poly(monkeypatch, m), label
         assert len(certified) == 6 and max(certified) < 2 ** (k + 1) * p
 
-    @pytest.mark.parametrize("w", (2, -3))
+    # w = 2^62 fits int64, but w K in B1 does not: B1 is formed on Python ints
+    @pytest.mark.parametrize("w", (2, -3, 2**62))
     def test_weighted_graphs_against_leverrier_and_sympy(self, monkeypatch, w):
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
         certified = spy_first_level(monkeypatch)
         rng = random.Random(w)
-        graphs = [MIXED_TWINS] + [
+        graphs = [MIXED_TWINS, STAR_3] + [
             [[(a >> j) & 1 for j in range(g.n)] for a in map(g.row_mask, range(g.n))]
             for g in (build_power_graph(Cyclic(q)) for q in (6, 9, 12))
         ]
@@ -881,12 +886,19 @@ class TestFirstLevel:
         assert merges == [(((0,), (1,), (2,)), -1), (((4,), (5,)), 0), (((6,), (7,)), 0)]
         assert quotient.rows == ((2, 0, 0, 0), (0, 0, 2, 0), (0, 1, 0, 0), (0, 0, 0, 0))
         exact_linalg._check_first_level(rows, diagonal, w, quotient, cells, merges)
+        # K_5 has one cell, so np.add.reduceat sums over a single start
+        rows, diagonal, w = exact_linalg._graph_rows(graph_matrix(K_5, -1))
+        quotient, cells, merges = exact_linalg._first_level(rows, diagonal, w)
+        assert cells == [(0, 1, 2, 3, 4)] and quotient.rows == ((0,),)
+        assert merges == [(((0,), (1,), (2,), (3,), (4,)), 5)]
         certified = spy_first_level(monkeypatch)
-        for w in (1, -1):
-            for diagonal in ([0] * 8, None):
-                m = graph_matrix(MIXED_TWINS, w, diagonal)
-                assert char_poly_exact(m) == char_poly_leverrier(m)
-        assert len(certified) == 4
+        for adjacency in (MIXED_TWINS, K_5):
+            n = len(adjacency)
+            for w in (1, -1):
+                for diagonal in ([0] * n, None):
+                    m = graph_matrix(adjacency, w, diagonal)
+                    assert char_poly_exact(m) == char_poly_leverrier(m)
+        assert certified == [4] * 4 + [1] * 4
 
     @pytest.mark.parametrize(
         "rows",

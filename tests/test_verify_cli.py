@@ -648,6 +648,34 @@ class TestCliExitCodes:
             f"powspec: error: {CAP_ENV_VAR} must be an integer, got 'abc'\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--k", "30"],
+            ["sweep", "--k", "2,30"],
+            ["export", "--what", "graph", "--format", "dot", "--construction", "true", "--k", "30"],
+            ["export", "--what", "graph", "--format", "json", "--k", "30"],
+        ],
+        ids=["verify", "sweep", "export true graph", "export model graph"],
+    )
+    def test_an_order_past_the_graph_limit_is_usage_error(self, argv, monkeypatch, capsys):
+        built = []
+
+        def no_graph(spec):
+            built.append(spec)
+            raise AssertionError("a graph was built past the graph-order limit")
+
+        # every graph build starts with one of these
+        monkeypatch.setattr(powergraph, "canonical_order", no_graph)
+        monkeypatch.setattr(powergraph, "_model_parts", no_graph)
+        assert main([*argv, "--p", "3"]) == 2
+        captured = capsys.readouterr()
+        assert built == [] and captured.out == ""
+        assert captured.err == (
+            "powspec: error: group order 6442450944 exceeds the graph-order limit "
+            f"MAX_GRAPH_ORDER = {powergraph.MAX_GRAPH_ORDER}\n"
+        )
+
     def test_range_and_list_parsing(self):
         assert verify_cli._parse_k_range("2..4") == [2, 3, 4]
         assert verify_cli._parse_k_range("2,5") == [2, 5]
