@@ -87,7 +87,8 @@ class Graph:
         n = len(labels)
         if len(row_masks) != n:
             raise ValueError("one adjacency row per vertex required")
-        if len(set(labels)) != n:
+        index = {lab: i for i, lab in enumerate(labels)}
+        if len(index) != n:
             raise ValueError("vertex labels must be distinct")
         if any(mask >> n for mask in row_masks):
             raise ValueError("adjacency row has bits outside the vertex range")
@@ -103,7 +104,7 @@ class Graph:
                     raise ValueError("adjacency rows must be symmetric")
         self.labels = labels
         self._rows = row_masks
-        self._index = {lab: i for i, lab in enumerate(labels)}
+        self._index = index
 
     @property
     def n(self) -> int:

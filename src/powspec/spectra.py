@@ -93,7 +93,7 @@ def symmetric_eigenvalues(matrix, tol: float = 1e-9) -> EigenResult:
     except np.linalg.LinAlgError as exc:
         raise EigenSolveError(f"eigensolver did not converge: {exc}") from exc
     residual = float(np.max(np.linalg.norm(arr @ v - v * w, axis=0)))
-    scale = max(1.0, float(np.max(np.abs(w))) if n else 1.0)
+    scale = max(1.0, float(np.max(np.abs(w))))
     if residual > tol * scale:
         raise EigenSolveError(f"residual {residual} exceeds {tol} * {scale}")
     return EigenResult(tuple(float(x) for x in w), residual)

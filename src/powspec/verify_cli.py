@@ -12,7 +12,6 @@ errors.
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import math
@@ -209,6 +208,296 @@ def _poly_difference_detail(computed, claimed) -> dict:
     }
 
 
+class _Run:
+    """What every check family of one run reads, each part made once.
+
+    The claims are the factored closed forms, one per kind; a family
+    expands one only when it compares against it.  skip(what) turns a
+    heavy check into a notice past the matrix-order cap, decided once
+    before any of that work is done.
+    """
+
+    def __init__(self, k: int, p: int, kinds, constructions) -> None:
+        self.k, self.p = k, p
+        self.spec = SemidihedralType(k, p)
+        self.mp = ModelParameters(k, p)
+        self.kinds = _normalize(kinds, MATRIX_KINDS, "matrix kind")
+        constructions = _normalize(constructions, CONSTRUCTIONS, "construction")
+        self.graphs = {}
+        if "model" in constructions:
+            self.graphs["model"] = build_model_graph(k, p)
+        if "true" in constructions:
+            self.graphs["true"] = build_power_graph(self.spec)
+        self.m_counts = {name: edge_count(g) for name, g in self.graphs.items()}
+        # every matrix of a run has order n; P(C_q) follows an order-n eigensolve
+        try:
+            _check_cap(self.mp.vertex_count)
+            self.cap = None
+        except MatrixCapExceeded as exc:
+            self.cap = exc
+        self.claims = {kind: _charpoly_formula(kind, k, p) for kind in self.kinds}
+        self.notices: list[str] = []
+
+    def skip(self, what: str) -> bool:
+        """True, with a notice naming what, when the run is past the cap."""
+        if self.cap:
+            self.notices.append(f"{what} skipped: {self.cap}")
+        return bool(self.cap)
+
+
+def _counts(run: _Run):
+    """The presentation, and the vertex and edge counts of each graph."""
+    mp = run.mp
+    pres = validate_presentation(run.spec)
+    yield Check(
+        name="presentation",
+        status=STATUS_PASS if pres.ok else STATUS_FAIL,
+        computed=", ".join(f"{i.name}={'ok' if i.ok else 'FAIL'}" for i in pres.items),
+        claimed="all relations hold",
+    )
+    for cname, g in run.graphs.items():
+        yield Check(
+            name="vertex-count",
+            construction=cname,
+            status=STATUS_PASS if g.n == mp.vertex_count else STATUS_FAIL,
+            computed=_fmt(g.n),
+            claimed=_fmt(mp.vertex_count),
+        )
+    if "model" in run.graphs:
+        m = run.m_counts["model"]
+        yield Check(
+            name="edge-count",
+            construction="model",
+            status=STATUS_PASS if m == mp.model_edge_count else STATUS_FAIL,
+            computed=_fmt(m),
+            claimed=_fmt(mp.model_edge_count),
+        )
+
+
+def _traces(run: _Run):
+    """Trace identities, exact, on the diagonal matrix_of writes, read off the rows."""
+    for cname, g in run.graphs.items():
+        for kind in run.kinds:
+            want = 0 if kind == "adjacency" else 2 * run.m_counts[cname]
+            got = int(_matrix_diagonal(g, kind).sum())
+            yield Check(
+                name="trace",
+                construction=cname,
+                matrix=kind,
+                status=STATUS_PASS if got == want else STATUS_FAIL,
+                computed=_fmt(got),
+                claimed=_fmt(want),
+            )
+
+
+def _charpolys(run: _Run):
+    """Characteristic polynomials against the claimed closed forms, exact.
+
+    The model matrices are the ones the claims describe; the true power
+    graph is expected to deviate (clique assumption), so an inequality
+    there is reported as a mismatch rather than a failure.  Each claim is
+    expanded once, for its first comparison; each IntMatrix is built as
+    the argument of its one call.
+    """
+    expanded: dict[str, IntPolynomial] = {}
+    for cname, g in run.graphs.items():
+        for kind in run.kinds:
+            if run.skip(f"charpoly {kind}/{cname}"):
+                continue
+            if kind not in expanded:
+                expanded[kind] = run.claims[kind].expand()
+            claimed_poly = expanded[kind]
+            computed_poly = char_poly_exact(matrix_of(g, kind))
+            if computed_poly == claimed_poly:
+                status = STATUS_PASS
+                computed = "matches the claimed expansion"
+                detail = {"degree": computed_poly.degree}
+            else:
+                status = STATUS_MISMATCH if cname == "true" else STATUS_FAIL
+                computed = "differs from the claimed expansion"
+                detail = _poly_difference_detail(computed_poly, claimed_poly)
+            yield Check(
+                name="charpoly",
+                construction=cname,
+                matrix=kind,
+                status=status,
+                computed=computed,
+                claimed=str(run.claims[kind]),
+                detail=detail,
+            )
+
+
+def _laplacian(run: _Run):
+    """The Laplacian spectrum table against the claimed factors and the
+    model's eigensolve, and the claimed energy against its recomputations."""
+    if "laplacian" not in run.kinds:
+        return
+    mp = run.mp
+    # the claim splits into factors x - r; their roots, with exponents, must be the table
+    spectrum = laplacian_spectrum_formula(run.k, run.p)
+    claim = run.claims["laplacian"]
+    problems = [] if claim.scalar == 1 else [f"claim scalar {claim.scalar}"]
+    roots = Counter()
+    for base, e in claim.factors:
+        if base.degree == 1 and base.leading == 1:
+            roots[-base.coeffs[0]] += e
+        else:
+            problems.append(f"factor ({base}) is not x - r")
+    table = Counter(dict(spectrum.pairs()))
+    problems += [
+        f"eigenvalue {v}: multiplicity {table[v]} in the table, {roots[v]} in the factors"
+        for v in sorted(roots.keys() | table.keys())
+        if roots[v] != table[v]
+    ]
+    yield Check(
+        name="spectrum-divides",
+        matrix="laplacian",
+        status=STATUS_FAIL if problems else STATUS_PASS,
+        computed="; ".join(problems) or "all claimed eigenvalues divide out, quotient 1",
+        claimed="spectrum exhausts the polynomial with multiplicities",
+        detail={"total_multiplicity": spectrum.total},
+    )
+
+    if "model" in run.graphs and not run.skip("laplacian spectrum numeric check"):
+        eig = symmetric_eigenvalues(_matrix_array(run.graphs["model"], "laplacian"), NUMERIC_TOL)
+        scale = max(1.0, max(abs(v) for v in eig.eigenvalues))
+        clustered = cluster_multiplicities(eig.eigenvalues, CLUSTER_TOL * scale)
+        ok, dev = summaries_match(clustered, spectrum, NUMERIC_TOL * scale)
+        yield Check(
+            name="spectrum-numeric",
+            construction="model",
+            matrix="laplacian",
+            status=STATUS_PASS if ok else STATUS_FAIL,
+            computed=f"{len(clustered.entries)} clusters, max deviation {dev:.3e}",
+            claimed=str(list(spectrum.pairs())),
+            tolerance=_fmt(NUMERIC_TOL * scale),
+            detail={
+                "residual": eig.residual,
+                "multiplicities": [e.multiplicity for e in clustered.entries],
+            },
+        )
+
+    # energy investigation: claimed constant vs both recomputations
+    claimed_energy = laplacian_energy_formula(run.k, run.p)
+    with_mult = laplacian_energy(spectrum, mp.model_edge_count, mp.vertex_count, True)
+    without_mult = laplacian_energy(spectrum, mp.model_edge_count, mp.vertex_count, False)
+    yield Check(
+        name="laplacian-energy",
+        matrix="laplacian",
+        status=STATUS_PASS if with_mult == claimed_energy else STATUS_MISMATCH,
+        computed=_fmt(with_mult),
+        claimed=_fmt(claimed_energy),
+        detail={
+            "with_multiplicity": _fmt(with_mult),
+            "without_multiplicity": _fmt(without_mult),
+            "mean_degree": _fmt(Fraction(2 * mp.model_edge_count, mp.vertex_count)),
+        },
+    )
+
+
+def _structure(run: _Run):
+    """The decomposition census of each graph, and the model-vs-true diff."""
+    mp = run.mp
+    q = mp.rotation_order
+    for cname, g in run.graphs.items():
+        rep = verify_decomposition(g, run.k, run.p)
+        expected_rotation = math.comb(q, 2) if cname == "model" else mp.rotation_edge_count
+        ok = (
+            rep.pendant_count == mp.half_rotation
+            and rep.quad_count == mp.quarter_rotation
+            and not rep.incomplete_quads
+            and rep.covered
+            and rep.rotation_part_edges == expected_rotation
+        )
+        yield Check(
+            name="decomposition",
+            construction=cname,
+            status=STATUS_PASS if ok else STATUS_FAIL,
+            computed=(
+                f"pendants={rep.pendant_count}, quads={rep.quad_count}, "
+                f"rotation_edges={rep.rotation_part_edges}, "
+                f"uncovered={len(rep.uncovered_edges)}"
+            ),
+            claimed=(
+                f"pendants={mp.half_rotation}, quads={mp.quarter_rotation}, "
+                f"rotation_edges={expected_rotation}, uncovered=0"
+            ),
+        )
+
+    if "model" not in run.graphs or "true" not in run.graphs:
+        return
+    # XOR rows; they are symmetric, so testing every row tests both ends
+    model, true = run.graphs["model"], run.graphs["true"]
+    diff = [model.row_mask(i) ^ true.row_mask(i) for i in range(model.n)]
+    size = sum(row.bit_count() for row in diff) // 2
+    expected_size = math.comb(q, 2) - mp.rotation_edge_count
+    rotations = sum(1 << i for i, x in enumerate(model.labels) if x.a == 0 and x.b != 0)
+    inside_rotations = not any(row & ~rotations for row in diff)
+    sample = [(model.labels[i], model.labels[j]) for i, j in itertools.islice(_pairs(diff), 8)]
+    if not size:
+        status = STATUS_PASS
+    elif size == expected_size and inside_rotations:
+        status = STATUS_MISMATCH
+    else:
+        status = STATUS_FAIL
+    yield Check(
+        name="model-vs-true-diff",
+        status=status,
+        computed=f"{size} differing edges, all inside rotations: {inside_rotations}",
+        claimed="constructions coincide (clique assumption)",
+        detail={
+            "expected_from_counts": expected_size,
+            "sample": [f"{x} ~ {y}" for x, y in sample],
+        },
+    )
+
+
+def _radius(run: _Run):
+    """The spectral radius bracket of each construction, then the model's
+    split spectra, which reuse the model adjacency and its eigensolve."""
+    if "adjacency" not in run.kinds:
+        return
+    q = run.mp.rotation_order
+    model = None
+    for cname, g in run.graphs.items():
+        if run.skip(f"radius bounds for {cname}"):
+            continue
+        adjacency = _matrix_array(g, "adjacency")
+        whole = symmetric_eigenvalues(adjacency, NUMERIC_TOL)
+        if cname == "model":
+            model = adjacency, whole
+            base = float(q - 1)
+        else:
+            # the one build of P(C_q), the true graph inside <r>; its edge
+            # count is mp.rotation_edge_count, from the divisor lattice
+            base = spectral_radius(build_power_graph(Cyclic(q)), NUMERIC_TOL)
+        lam1 = whole.radius
+        bounds = spectral_radius_bounds(run.k, run.p, base)
+        tol = NUMERIC_TOL * max(1.0, lam1)
+        ok = bounds.lower < lam1 <= bounds.upper_shifted_radical + tol
+        yield Check(
+            name="radius-bounds",
+            construction=cname,
+            matrix="adjacency",
+            status=STATUS_PASS if ok else STATUS_FAIL,
+            computed=_fmt(lam1),
+            claimed=f"{_fmt(bounds.lower)} < lambda1 <= {_fmt(bounds.upper_shifted_radical)}",
+            tolerance=_fmt(tol),
+            detail={
+                "base": bounds.lower,
+                "upper_plain_radical": bounds.upper_plain_radical,
+                "upper_shifted_radical": bounds.upper_shifted_radical,
+                "within_plain_variant": lam1 <= bounds.upper_plain_radical + tol,
+            },
+        )
+    if "model" in run.graphs and not run.skip("split spectra"):
+        yield _split_spectra_check(run, *model)
+
+
+# the check families in report order; each yields its checks and may add notices
+_FAMILIES = (_counts, _traces, _charpolys, _laplacian, _structure, _radius)
+
+
 def run_verification(
     k: int,
     p: int,
@@ -223,326 +512,38 @@ def run_verification(
     large sweeps cheap.  Past the matrix-order cap, the exact and numeric
     checks are skipped with a notice, decided once before their work.
     """
-    spec = SemidihedralType(k, p)
-    mp = ModelParameters(k, p)
-    kinds = _normalize(kinds, MATRIX_KINDS, "matrix kind")
-    constructions = _normalize(constructions, CONSTRUCTIONS, "construction")
-    q = mp.rotation_order
-
-    checks: list[Check] = []
-    notices: list[str] = []
-
-    graphs = {}
-    if "model" in constructions:
-        graphs["model"] = build_model_graph(k, p)
-    if "true" in constructions:
-        graphs["true"] = build_power_graph(spec)
-    m_counts = {name: edge_count(g) for name, g in graphs.items()}
-
-    # every matrix of a run has order n; P(C_q) follows an order-n eigensolve
-    try:
-        _check_cap(mp.vertex_count)
-        cap_exceeded = None
-    except MatrixCapExceeded as exc:
-        cap_exceeded = exc
-
-    pres = validate_presentation(spec)
-    checks.append(
-        Check(
-            name="presentation",
-            status=STATUS_PASS if pres.ok else STATUS_FAIL,
-            computed=", ".join(f"{i.name}={'ok' if i.ok else 'FAIL'}" for i in pres.items),
-            claimed="all relations hold",
-        )
-    )
-
-    for cname, g in graphs.items():
-        checks.append(
-            Check(
-                name="vertex-count",
-                construction=cname,
-                status=STATUS_PASS if g.n == mp.vertex_count else STATUS_FAIL,
-                computed=_fmt(g.n),
-                claimed=_fmt(mp.vertex_count),
-            )
-        )
-    if "model" in graphs:
-        checks.append(
-            Check(
-                name="edge-count",
-                construction="model",
-                status=STATUS_PASS if m_counts["model"] == mp.model_edge_count else STATUS_FAIL,
-                computed=_fmt(m_counts["model"]),
-                claimed=_fmt(mp.model_edge_count),
-            )
-        )
-
-    @functools.cache
-    def adjacency_spectrum(cname: str):
-        """The adjacency eigensolve of a construction, shared by the radius
-        bracket and the split spectra."""
-        return symmetric_eigenvalues(_matrix_array(graphs[cname], "adjacency"), NUMERIC_TOL)
-
-    @functools.cache
-    def claimed_expansion(kind: str) -> IntPolynomial:
-        """The claimed characteristic polynomial of kind, expanded once per run."""
-        return _charpoly_formula(kind, k, p).expand()
-
-    # trace identities, exact, on the diagonal matrix_of writes, read off the rows
-    for cname in constructions:
-        for kind in kinds:
-            want = 0 if kind == "adjacency" else 2 * m_counts[cname]
-            got = int(_matrix_diagonal(graphs[cname], kind).sum())
-            checks.append(
-                Check(
-                    name="trace",
-                    construction=cname,
-                    matrix=kind,
-                    status=STATUS_PASS if got == want else STATUS_FAIL,
-                    computed=_fmt(got),
-                    claimed=_fmt(want),
-                )
-            )
-
-    # characteristic polynomials against the claimed closed forms, exact.
-    # The model matrices are the ones the claims describe; the true power
-    # graph is expected to deviate (clique assumption), so an inequality
-    # there is reported as a mismatch rather than a failure.  Each IntMatrix
-    # is built as the argument of its one call; the eigensolves read arrays.
-    for cname in constructions:
-        for kind in kinds:
-            if cap_exceeded:
-                notices.append(f"charpoly {kind}/{cname} skipped: {cap_exceeded}")
-                continue
-            formula = _charpoly_formula(kind, k, p)
-            claimed_poly = claimed_expansion(kind)
-            computed_poly = char_poly_exact(matrix_of(graphs[cname], kind))
-            if computed_poly == claimed_poly:
-                status = STATUS_PASS
-                computed = "matches the claimed expansion"
-                detail = {"degree": computed_poly.degree}
-            else:
-                status = STATUS_MISMATCH if cname == "true" else STATUS_FAIL
-                computed = "differs from the claimed expansion"
-                detail = _poly_difference_detail(computed_poly, claimed_poly)
-            checks.append(
-                Check(
-                    name="charpoly",
-                    construction=cname,
-                    matrix=kind,
-                    status=status,
-                    computed=computed,
-                    claimed=str(formula),
-                    detail=detail,
-                )
-            )
-
-    if "laplacian" in kinds:
-        # the claim splits into factors x - r; their roots, with exponents, must be the table
-        spectrum = laplacian_spectrum_formula(k, p)
-        claim = laplacian_charpoly_formula(k, p)
-        problems = [] if claim.scalar == 1 else [f"claim scalar {claim.scalar}"]
-        roots = Counter()
-        for base, e in claim.factors:
-            if base.degree == 1 and base.leading == 1:
-                roots[-base.coeffs[0]] += e
-            else:
-                problems.append(f"factor ({base}) is not x - r")
-        table = Counter(dict(spectrum.pairs()))
-        problems += [
-            f"eigenvalue {v}: multiplicity {table[v]} in the table, {roots[v]} in the factors"
-            for v in sorted(roots.keys() | table.keys())
-            if roots[v] != table[v]
-        ]
-        checks.append(
-            Check(
-                name="spectrum-divides",
-                matrix="laplacian",
-                status=STATUS_FAIL if problems else STATUS_PASS,
-                computed="; ".join(problems) or "all claimed eigenvalues divide out, quotient 1",
-                claimed="spectrum exhausts the polynomial with multiplicities",
-                detail={"total_multiplicity": spectrum.total},
-            )
-        )
-
-        if "model" in graphs:
-            if cap_exceeded:
-                notices.append(f"laplacian spectrum numeric check skipped: {cap_exceeded}")
-            else:
-                laplacian = _matrix_array(graphs["model"], "laplacian")
-                eig = symmetric_eigenvalues(laplacian, NUMERIC_TOL)
-                scale = max(1.0, max(abs(v) for v in eig.eigenvalues))
-                clustered = cluster_multiplicities(eig.eigenvalues, CLUSTER_TOL * scale)
-                ok, dev = summaries_match(clustered, spectrum, NUMERIC_TOL * scale)
-                checks.append(
-                    Check(
-                        name="spectrum-numeric",
-                        construction="model",
-                        matrix="laplacian",
-                        status=STATUS_PASS if ok else STATUS_FAIL,
-                        computed=f"{len(clustered.entries)} clusters, max deviation {dev:.3e}",
-                        claimed=str(list(spectrum.pairs())),
-                        tolerance=_fmt(NUMERIC_TOL * scale),
-                        detail={
-                            "residual": eig.residual,
-                            "multiplicities": [e.multiplicity for e in clustered.entries],
-                        },
-                    )
-                )
-
-        # energy investigation: claimed constant vs both recomputations
-        claimed_energy = laplacian_energy_formula(k, p)
-        with_mult = laplacian_energy(spectrum, mp.model_edge_count, mp.vertex_count, True)
-        without_mult = laplacian_energy(spectrum, mp.model_edge_count, mp.vertex_count, False)
-        checks.append(
-            Check(
-                name="laplacian-energy",
-                matrix="laplacian",
-                status=STATUS_PASS if with_mult == claimed_energy else STATUS_MISMATCH,
-                computed=_fmt(with_mult),
-                claimed=_fmt(claimed_energy),
-                detail={
-                    "with_multiplicity": _fmt(with_mult),
-                    "without_multiplicity": _fmt(without_mult),
-                    "mean_degree": _fmt(Fraction(2 * mp.model_edge_count, mp.vertex_count)),
-                },
-            )
-        )
-
-    # structural decomposition census
-    for cname, g in graphs.items():
-        rep = verify_decomposition(g, k, p)
-        expected_rotation = math.comb(q, 2) if cname == "model" else mp.rotation_edge_count
-        ok = (
-            rep.pendant_count == mp.half_rotation
-            and rep.quad_count == mp.quarter_rotation
-            and not rep.incomplete_quads
-            and rep.covered
-            and rep.rotation_part_edges == expected_rotation
-        )
-        checks.append(
-            Check(
-                name="decomposition",
-                construction=cname,
-                status=STATUS_PASS if ok else STATUS_FAIL,
-                computed=(
-                    f"pendants={rep.pendant_count}, quads={rep.quad_count}, "
-                    f"rotation_edges={rep.rotation_part_edges}, "
-                    f"uncovered={len(rep.uncovered_edges)}"
-                ),
-                claimed=(
-                    f"pendants={mp.half_rotation}, quads={mp.quarter_rotation}, "
-                    f"rotation_edges={expected_rotation}, uncovered=0"
-                ),
-            )
-        )
-
-    if "model" in graphs and "true" in graphs:
-        # XOR rows; they are symmetric, so testing every row tests both ends
-        model, true = graphs["model"], graphs["true"]
-        diff = [model.row_mask(i) ^ true.row_mask(i) for i in range(model.n)]
-        size = sum(row.bit_count() for row in diff) // 2
-        expected_size = math.comb(q, 2) - mp.rotation_edge_count
-        rotations = sum(1 << i for i, x in enumerate(model.labels) if x.a == 0 and x.b != 0)
-        inside_rotations = not any(row & ~rotations for row in diff)
-        sample = [(model.labels[i], model.labels[j]) for i, j in itertools.islice(_pairs(diff), 8)]
-        if not size:
-            status = STATUS_PASS
-        elif size == expected_size and inside_rotations:
-            status = STATUS_MISMATCH
-        else:
-            status = STATUS_FAIL
-        checks.append(
-            Check(
-                name="model-vs-true-diff",
-                status=status,
-                computed=f"{size} differing edges, all inside rotations: {inside_rotations}",
-                claimed="constructions coincide (clique assumption)",
-                detail={
-                    "expected_from_counts": expected_size,
-                    "sample": [f"{x} ~ {y}" for x, y in sample],
-                },
-            )
-        )
-
-    # spectral radius bracket, one check per construction
-    if "adjacency" in kinds:
-        for cname in graphs:
-            if cap_exceeded:
-                notices.append(f"radius bounds for {cname} skipped: {cap_exceeded}")
-                continue
-            lam1 = adjacency_spectrum(cname).radius
-            if cname == "model":
-                base = float(q - 1)
-            else:
-                # the one build of P(C_q), the true graph inside <r>; its edge
-                # count is mp.rotation_edge_count, from the divisor lattice
-                base = spectral_radius(build_power_graph(Cyclic(q)), NUMERIC_TOL)
-            bounds = spectral_radius_bounds(k, p, base)
-            tol = NUMERIC_TOL * max(1.0, lam1)
-            ok = bounds.lower < lam1 <= bounds.upper_shifted_radical + tol
-            checks.append(
-                Check(
-                    name="radius-bounds",
-                    construction=cname,
-                    matrix="adjacency",
-                    status=STATUS_PASS if ok else STATUS_FAIL,
-                    computed=_fmt(lam1),
-                    claimed=(
-                        f"{_fmt(bounds.lower)} < lambda1 <= "
-                        f"{_fmt(bounds.upper_shifted_radical)}"
-                    ),
-                    tolerance=_fmt(tol),
-                    detail={
-                        "base": bounds.lower,
-                        "upper_plain_radical": bounds.upper_plain_radical,
-                        "upper_shifted_radical": bounds.upper_shifted_radical,
-                        "within_plain_variant": lam1 <= bounds.upper_plain_radical + tol,
-                    },
-                )
-            )
-
-    if "adjacency" in kinds and "model" in graphs:
-        if cap_exceeded:
-            notices.append(f"split spectra skipped: {cap_exceeded}")
-        else:
-            checks.append(
-                _split_spectra_check(
-                    k, p, _matrix_array(graphs["model"], "adjacency"), adjacency_spectrum("model")
-                )
-            )
-
+    run = _Run(k, p, kinds, constructions)
+    checks = [check for family in _FAMILIES for check in family(run)]
     report = VerificationReport(
         k=k,
         p=p,
-        n=mp.vertex_count,
-        theta=mp.twist,
-        m_model=m_counts.get("model"),
-        m_true=m_counts.get("true"),
+        n=run.mp.vertex_count,
+        theta=run.mp.twist,
+        m_model=run.m_counts.get("model"),
+        m_true=run.m_counts.get("true"),
         checks=tuple(checks),
-        notices=tuple(notices),
+        notices=tuple(run.notices),
     )
     if out is not None:
         _emit(report.to_json(), out)
     return report
 
 
-def _split_spectra_check(k: int, p: int, model_adjacency, whole) -> Check:
+def _split_spectra_check(run: _Run, model_adjacency, whole) -> Check:
     """The additive split behind the radius bound: reassembly must be exact,
     the star part must have spectrum {+-sqrt(q), 0...}, the rest part must
     peak at (1 + sqrt(1 + 2q)) / 2, and the top eigenvalues must obey
     subadditivity.  whole is the eigensolve of model_adjacency, which the
     reassembled split must equal; the caller skips it past the matrix cap."""
-    mp = ModelParameters(k, p)
-    q = mp.rotation_order
-    split = model_adjacency_split(k, p)
+    q = run.mp.rotation_order
+    split = model_adjacency_split(run.k, run.p)
     problems = []
     if (split.full != model_adjacency).any():
         problems.append("split does not reassemble the adjacency matrix")
     star = symmetric_eigenvalues(split.star_only, NUMERIC_TOL)
     rest = symmetric_eigenvalues(split.rest, NUMERIC_TOL)
     climbed = symmetric_eigenvalues(split.clique_plus_star, NUMERIC_TOL)
-    n = mp.vertex_count
+    n = run.mp.vertex_count
     root_q = math.sqrt(q)
     tol = NUMERIC_TOL * max(1.0, float(q))
     star_expected = [-root_q] + [0.0] * (n - 2) + [root_q]

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -278,6 +279,67 @@ class TestRunVerification:
         # model adjacency, already solved for its radius bracket
         assert sorted(solved) == [12] + [24] * 6
 
+    def test_each_claim_array_and_parameter_set_is_built_once(self, monkeypatch):
+        calls = Counter()
+
+        def spy(name):
+            real = getattr(verify_cli, name)
+
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(verify_cli, name, counting)
+
+        for name in (
+            "adjacency_charpoly_formula",
+            "laplacian_charpoly_formula",
+            "signless_charpoly_formula",
+            "_matrix_array",
+            "ModelParameters",
+        ):
+            spy(name)
+        monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+        run_verification(2, 3)
+        # one claim per kind serves charpoly, spectrum-divides and both
+        # constructions; the arrays are the two adjacencies eigensolved for
+        # the radius bracket (the model's serves the split too) and the
+        # model laplacian of spectrum-numeric
+        assert calls == {
+            "adjacency_charpoly_formula": 1,
+            "laplacian_charpoly_formula": 1,
+            "signless_charpoly_formula": 1,
+            "_matrix_array": 3,
+            "ModelParameters": 1,
+        }
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason=(
+            "ROADMAP item 4: nothing predicts the true graph's edges inside <r>, "
+            "so a swap that keeps every count hides behind the true charpoly's "
+            "mismatch-reported"
+        ),
+    )
+    def test_count_preserving_swap_inside_rotations_fails(self, monkeypatch):
+        real = verify_cli.build_power_graph
+        r, r2, r3 = (GroupElement(0, b) for b in (1, 2, 3))
+
+        def swapped(spec):
+            g = real(spec)
+            if not isinstance(spec, SemidihedralType):
+                return g
+            # drop r ~ r^2 and add r^2 ~ r^3
+            return toggled(toggled(g, r, r2), r2, r3)
+
+        honest = real(SemidihedralType(2, 3))
+        if edge_count(swapped(SemidihedralType(2, 3))) != edge_count(honest):
+            pytest.fail("the swap must keep the edge count")
+        monkeypatch.setattr(verify_cli, "build_power_graph", swapped)
+        report = run_verification(2, 3)
+        assert "fail" in {c.status for c in report.checks}
+
     def test_int_matrices_are_built_only_for_the_exact_route(self, monkeypatch):
         built = []
         real = IntMatrix.from_array.__func__
@@ -410,6 +472,41 @@ class TestDiffCheck:
         check = diff_check(2, 5, model, model)
         assert (check.status, check.computed, check.detail) == reference_diff_check(model, model)
         assert check.status == "pass" and check.detail["sample"] == []
+
+
+class TestReportBytes:
+    """Report bytes over the family under the cap, pinned where they do not
+    depend on the eigensolver: the float fields of radius-bounds,
+    split-spectra and spectrum-numeric move in their last digits with the
+    BLAS build and its thread count, and every other byte is exact."""
+
+    FLOAT_CHECKS = {"radius-bounds", "split-spectra", "spectrum-numeric"}
+
+    @staticmethod
+    def family(**kwargs):
+        """sweep over PAIRS_UNDER_CAP, one call per k, ordered by k and then p."""
+        by_k = {}
+        for k, p in PAIRS_UNDER_CAP:
+            by_k.setdefault(k, []).append(p)
+        return [r for k, ps in sorted(by_k.items()) for r in sweep([k], ps, **kwargs)]
+
+    def test_structure_reports(self, monkeypatch):
+        monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+        text = "".join(r.to_json() for r in self.family(kinds=()))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "61a68d9fd6ee8e14508772c3481a403038d1110241a6e4e23c190c0ca3b47623"
+        )
+
+    def test_full_reports_without_float_checks(self, monkeypatch):
+        monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+        texts = []
+        for report in self.family():
+            data = report.to_dict()
+            data["checks"] = [c for c in data["checks"] if c["name"] not in self.FLOAT_CHECKS]
+            texts.append(verify_cli._json(data))
+        assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
+            "d8df38ddb7b37de53f388eeb506bc19186d37102e36e5caac56d83e3c3a1eff2"
+        )
 
 
 def moved_multiplicity(spectrum):
