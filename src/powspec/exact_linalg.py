@@ -5,21 +5,17 @@ Two independent exact routes to det(xI - A) live here.
 - char_poly_exact, the primary route, reduces A to its twin quotient B,
   computes det(xI - B) by Berkowitz's division-free recurrence, checks
   it with one Bareiss determinant on B at x0 = R(B) + 1, and multiplies
-  in the linear factors of the twin classes.  When A is graph-shaped
-  (n >= 2, int64 entries, every off-diagonal entry 0 or one value w, a
-  symmetric zero pattern), A = diag(D) + w Adj, and a first level works
-  on the packed bit rows R of Adj: open twins share the key (R_i, D_i),
-  closed twins (R_i | 1 << i, D_i), and no index has both kinds of
-  twin, so both collapse at once into B1 (_first_level, which counts B1
-  with numpy).  _check_first_level proves det(xI - A) = det(xI - B1) *
-  prod (x - r)^(s - 1) on A's rows, by an XOR test per index and c1^2
-  popcounts on the first index of each of the c1 cells.  The dense
-  level then runs on B1 (or on A itself when A is not graph-shaped):
-  twins searched in buckets keyed by diagonal, row sum and column sum,
-  and the reduction proved by an exact O(n^2) certificate
-  (_check_twin_certificate), whose identity chains with the first
-  level's.  Its docstring states the lemmas, the certificates, the cost
-  and the point check.
+  in the linear factors of the twin classes.  The reduction runs when A
+  is graph-shaped (n >= 2, int64 entries, every off-diagonal entry 0 or
+  one value w, a symmetric zero pattern), A = diag(D) + w Adj, on the
+  packed bit rows R of Adj.  _twin_levels merges groups of open or
+  closed twins by hashed keys, round after round until nothing merges,
+  and counts B with numpy.  _check_twin_levels proves det(xI - A) =
+  det(xI - B) * prod (x - r)^(s - 1) on R and D: a few popcounts per
+  member of each merge, read on its head, and c^2 popcounts on the
+  heads of the c cells.  Any other A goes whole to Berkowitz.  The
+  char_poly_exact docstring states the lemmas, the certificate, the
+  cost and the point check.
 - char_poly_leverrier, the cross-check route, runs fraction-free
   Faddeev-LeVerrier on Python ints.
 
@@ -35,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import os
 import struct
 from collections import Counter
@@ -387,158 +382,14 @@ def _gershgorin_radius(m: IntMatrix) -> int:
     return max((sum(map(abs, row)) for row in m.rows), default=0)
 
 
-def _twin_collapse(rows: list[tuple[int, ...]]):
-    """The smallest c with twin classes of type c in rows, and those classes.
-
-    i and j are twins of type c when they have one diagonal value, row i
-    with entry i set to c equals row j with entry j set to c, and the same
-    holds for columns i and j.  For one c this is an equivalence relation,
-    and every class is constant on the diagonal, c off it, and constant on
-    each block it shares with another index or class.  The rows of twins
-    i and j are one another with entries i and j swapped, and so are
-    their columns, so twins share their diagonal value, row sum and column
-    sum.  Indices are first bucketed by (diagonal, row sum, column sum) in
-    one O(n^2) pass; only buckets of two or more are searched, only for
-    the values c they hold symmetrically, and the exact key above splits
-    each one.  Returns None when no index has a twin.
-    """
-    n = len(rows)
-    cols = list(zip(*rows))
-    buckets: dict[tuple, list[int]] = {}
-    for i in range(n):
-        buckets.setdefault((rows[i][i], sum(rows[i]), sum(cols[i])), []).append(i)
-    candidates: dict[int, list[list[int]]] = {}
-    for bucket in buckets.values():
-        values = {
-            rows[i][j]
-            for a, i in enumerate(bucket)
-            for j in bucket[a + 1 :]
-            if rows[i][j] == rows[j][i]
-        }
-        for c in values:
-            candidates.setdefault(c, []).append(bucket)
-    for c in sorted(candidates):
-        classes = []
-        for bucket in candidates[c]:
-            groups: dict[tuple, list[int]] = {}
-            for i in bucket:
-                row, col = rows[i], cols[i]
-                key = (row[:i] + (c,) + row[i + 1 :], col[:i] + (c,) + col[i + 1 :])
-                groups.setdefault(key, []).append(i)
-            classes.extend(g for g in groups.values() if len(g) > 1)
-        if classes:
-            return c, sorted(classes)
-    return None
-
-
-# A group of indices of the original matrix, sorted, and one collapsed
-# class: its member groups G_0, ..., G_(s-1) and its root.
+# A group of indices of the original matrix, sorted, and one merge of
+# groups: its member groups G_0, ..., G_(s-1) and its root.
 _Group = tuple[int, ...]
 _Merge = tuple[tuple[_Group, ...], int]
 
 
 def _union(members: Iterable[_Group]) -> _Group:
     return tuple(sorted(itertools.chain.from_iterable(members)))
-
-
-def _twin_quotient(m: IntMatrix) -> tuple[IntMatrix, list[_Group], list[_Merge]]:
-    """(B, cells, merges), the twin quotient of m and how it was formed.
-
-    Collapses the twin classes of one c at a time (see _twin_collapse) and
-    repeats on the quotient until no index has a twin; a twin-free matrix
-    is its own quotient.  A class I of size s, diagonal d and off-diagonal
-    c becomes one index with diagonal d + (s - 1) c, the block from any
-    index or class to I is summed (s times its constant entry), and the
-    class contributes the root d - c with multiplicity s - 1.
-
-    Everything else is in indices of m, each group a sorted tuple of
-    them.  cells[J] is the group that index J of B stands for.  merges has
-    one (members, r) per collapsed class, in order: members are the groups
-    G_0, ..., G_(s-1) of the class, and r = d - c is the root that each
-    1_(G_0) - 1_(G_a), a = 1 ... s - 1, is an eigenvector for.  Nothing
-    here is trusted: _check_twin_certificate proves the result on m.
-    """
-    rows = list(m.rows)
-    groups = [(i,) for i in range(m.n)]
-    merges: list[_Merge] = []
-    while (found := _twin_collapse(rows)) is not None:
-        c, classes = found
-        size = [1] * len(rows)
-        dropped = set()
-        for cls in classes:
-            size[cls[0]] = len(cls)
-            dropped.update(cls[1:])
-            # a list first, for the same reason as the rows below
-            members = tuple([groups[i] for i in cls])
-            merges.append((members, rows[cls[0]][cls[0]] - c))
-            groups[cls[0]] = _union(members)
-        keep = [i for i in range(len(rows)) if i not in dropped]
-        sizes = [size[j] for j in keep]
-        quotient = []
-        for i in keep:
-            # a list first: tuple() over a generator grows by reallocation,
-            # which fragments the heap and lifts the peak RSS run by run
-            row = list(map(operator.mul, map(rows[i].__getitem__, keep), sizes))
-            row[len(quotient)] = rows[i][i] + (size[i] - 1) * c
-            quotient.append(tuple(row))
-        rows = quotient
-        groups = [groups[i] for i in keep]
-    return IntMatrix(tuple(rows)), groups, merges
-
-
-def _check_twin_certificate(
-    m: IntMatrix, quotient: IntMatrix, cells: Sequence[_Group], merges: Sequence[_Merge]
-) -> None:
-    """Prove det(xI - m) = det(xI - B) * prod (x - r)^(s - 1) on m itself,
-    for B = quotient and the cells and merges of _twin_quotient.
-
-    With s_G = sum over j in G of m[:, j] = m 1_G, three exact checks:
-
-    1. Replayed from the singletons, each merge replaces its member groups,
-       which must be two or more distinct current groups, by their union,
-       and what is left is exactly the cells, one per index of B.  So the
-       cells partition range(n), and T = {1_J : J a cell} together with
-       {1_(G_0) - 1_(G_a)} for every merge is a basis of n vectors: each
-       merge swaps s indicators for their sum and s - 1 differences, which
-       span the same space.
-    2. m P = P B for the cell-indicator matrix P: s_J[i] = B[cell(i)][J]
-       for every cell J and every i.
-    3. m (1_(G_0) - 1_(G_a)) = r (1_(G_0) - 1_(G_a)) for every merge.
-
-    Then m T = T diag(B, r, ...), which proves the identity.  s_G is cached
-    per current group, and a union's is the sum of its members', so each
-    merge level costs O(n^2) integer additions.  Any failure raises
-    ArithmeticError.
-    """
-    n = m.n
-    sums = dict(zip(((i,) for i in range(n)), zip(*m.rows)))
-    for members, r in merges:
-        distinct = len(set(members)) == len(members) >= 2
-        if not distinct or not all(map(sums.__contains__, members)):
-            raise ArithmeticError("twin certificate: a merge is not of distinct current groups")
-        head = sums.pop(members[0])
-        vecs = [head]
-        for g in members[1:]:
-            vec = sums.pop(g)
-            diff = list(map(operator.sub, head, vec))
-            for i in members[0]:
-                diff[i] -= r
-            for i in g:
-                diff[i] += r
-            if any(diff):
-                raise ArithmeticError(f"twin certificate: 1_G0 - 1_Ga is no eigenvector for {r}")
-            vecs.append(vec)
-        sums[_union(members)] = list(map(sum, zip(*vecs)))
-    if not len(cells) == len(sums) == quotient.n or set(cells) != sums.keys():
-        raise ArithmeticError("twin certificate: the cells are not what the merges leave")
-    cell_of = [0] * n
-    for j, cell in enumerate(cells):
-        for i in cell:
-            cell_of[i] = j
-    for j, cell in enumerate(cells):
-        column = [row[j] for row in quotient.rows]
-        if list(sums[cell]) != list(map(column.__getitem__, cell_of)):
-            raise ArithmeticError(f"twin certificate: M P != P B in column {j}")
 
 
 def _graph_rows(m: IntMatrix) -> tuple[list[int], list[int], int] | None:
@@ -574,44 +425,57 @@ def _graph_rows(m: IntMatrix) -> tuple[list[int], list[int], int] | None:
     return rows, diagonal, w
 
 
-def _first_level(
+def _twin_levels(
     rows: Sequence[int], diagonal: Sequence[int], w: int
-) -> tuple[IntMatrix, list[_Group], list[_Merge]] | None:
-    """(B1, cells, merges), the first twin level of diag(D) + w A, with
-    R, D and w from _graph_rows, or None when no index has a twin.
+) -> tuple[IntMatrix, list[_Group], list[_Merge]]:
+    """(B, cells, merges), the twin quotient of M = diag(D) + w A and how
+    it was formed, with R, D and w from _graph_rows.
 
-    Open twins (type c = 0) share the key (R_i, D_i) and closed twins
-    (type c = w) the key (R_i | 1 << i, D_i).  No index has both an open
-    and a closed twin: if v, u are open twins and v, x closed twins, then
-    x is in N(v) = N(u), so u is in N[x] = N[v], against v !~ u.  So the
-    classes of both types collapse at once.  B1 = w K + diag(D_I), D_I
-    being d_I + (s_I - 1) c_I, with K_IJ the number of neighbours in cell J
-    of the first index of cell I: those rows unpacked to a c1 x n 0/1
-    array, its columns grouped by cell and summed per cell by
-    np.add.reduceat, with no popcount.  w K + D is formed on Python ints,
-    as it can leave int64 for a large w.  The result has _twin_quotient's
-    form, every member group a singleton; nothing here is trusted:
-    _check_first_level proves it on R and D by popcounts, which share no
-    code with this count.
+    A group is a sorted tuple of indices, its head h its smallest index,
+    its mask m the bits of its members, and b = D_h + w popcount(R_h & m)
+    the head's row sum of M inside it.  From the singletons on, each
+    round keys every current group twice:
+
+    - open twins (type c = 0) on (R_h & ~m, b, size), the size dropped
+      when R_h & ~m is 0;
+    - closed twins (type c = w size, never 0) on ((R_h & ~m) | m, b,
+      size);
+
+    and merges the groups of every key held by two or more, with root
+    b - c.  Rounds repeat until nothing merges.  Equal open keys mean no
+    edge between the groups and one neighbourhood outside them all; equal
+    closed keys mean every edge between them.  No group has both kinds of
+    partner: if G, H are open twins and G, K closed twins, K is a
+    neighbour of G outside G and H, so of H, and H, outside G and K, is a
+    neighbour of K but not of G.  The merges come in round order, and
+    cells[J] is the group that index J of B stands for.
+
+    B = w K + diag(D_h), K_IJ the number of neighbours in cell J of the
+    head of cell I: the head rows unpacked to a c x n 0/1 array, its
+    columns grouped by cell and summed by np.add.reduceat, and w K + D
+    formed on Python ints, as it can leave int64 for a large w.  Nothing
+    here is trusted: _check_twin_levels proves the result by popcounts,
+    which share no code with this count.
     """
-    open_twins: dict[tuple[int, int], list[int]] = {}
-    closed_twins: dict[tuple[int, int], list[int]] = {}
-    for i, (row, d) in enumerate(zip(rows, diagonal)):
-        open_twins.setdefault((row, d), []).append(i)
-        closed_twins.setdefault((row | 1 << i, d), []).append(i)
-    # a list before each tuple: tuple() over a generator grows by
-    # reallocation, which fragments the heap and lifts the peak RSS
-    merges = sorted(
-        (tuple([(v,) for v in cls]), diagonal[cls[0]] - c)
-        for twins, c in ((open_twins, 0), (closed_twins, w))
-        for cls in twins.values()
-        if len(cls) > 1
-    )
-    if not merges:
-        return None
-    merged = {v for members, _ in merges for (v,) in members}
-    cells = [_union(members) for members, _ in merges]
-    cells = sorted(cells + [(i,) for i in range(len(rows)) if i not in merged])
+    groups = {(i,): 1 << i for i in range(len(rows))}
+    merges: list[_Merge] = []
+    while True:
+        keyed: dict[tuple, list[_Group]] = {}
+        for group, mask in groups.items():
+            row, size = rows[group[0]], len(group)
+            outside = row & ~mask
+            b = diagonal[group[0]] + w * (row & mask).bit_count()
+            keyed.setdefault((outside, b, size if outside else 0, 0), []).append(group)
+            keyed.setdefault((outside | mask, b, size, w * size), []).append(group)
+        level = sorted(
+            [(tuple(sorted(g)), b - c) for (_, b, _, c), g in keyed.items() if len(g) > 1]
+        )
+        if not level:
+            break
+        for members, _ in level:
+            groups[_union(members)] = sum([groups.pop(g) for g in members])
+        merges += level
+    cells = sorted(groups)
     by_cell = [v for cell in cells for v in cell]
     bits = _unpack([rows[cell[0]] for cell in cells], len(rows))[:, by_cell]
     starts = list(itertools.accumulate(map(len, cells[:-1]), initial=0))
@@ -624,7 +488,7 @@ def _first_level(
     return IntMatrix(tuple(quotient)), cells, merges
 
 
-def _check_first_level(
+def _check_twin_levels(
     rows: Sequence[int],
     diagonal: Sequence[int],
     w: int,
@@ -632,64 +496,76 @@ def _check_first_level(
     cells: Sequence[_Group],
     merges: Sequence[_Merge],
 ) -> None:
-    """Prove det(xI - M) = det(xI - B1) * prod (x - r)^(s - 1) on the bit
-    rows of M = diag(D) + w A (see _graph_rows), for B1 = quotient and
-    the cells and merges of _first_level.
+    """Prove det(xI - M) = det(xI - B) * prod (x - r)^(s - 1) on the bit
+    rows of M = diag(D) + w A (see _graph_rows), for B = quotient and the
+    cells and merges of _twin_levels.
 
-    1. The cells partition range(n), one per index of B1, and the merges
-       are the cells of two or more indices, each once, as singletons.
-    2. For a merge of v_0, ..., v_(s-1) with root r, c = D_(v_0) - r is 0
-       or w, and for every member v: D_v = D_(v_0), and R_v ^ R_(v_0) is
-       0 when c = 0 and the two own bits 1 << v | 1 << v_0 when c = w.
-       No row of A has its own bit, so M_(v_0 v) = M_(v v_0) = c, and
-       the two rows agree off {v_0, v}.  M is symmetric off the
-       diagonal, so row x of M (e_(v_0) - e_v) reads 0 off {v_0, v},
-       D_v - c at v_0 and c - D_v at v: e_(v_0) - e_v is an eigenvector
-       for r.
-    3. M P = P B1 for the cell-indicator matrix P, on the first index h
-       of each cell I only: for every cell J, w popcount(R_h & mask_J)
-       plus D_h when J = I equals B1_IJ.
+    A group G with head h and mask m is a regular module when every
+    member v has the head's row outside G, R_v & ~m = R_h & ~m, and the
+    head's row sum inside it, D_v + w popcount(R_v & m) = b.  Every
+    singleton is one.  Three exact checks:
 
-    Step 3 on the heads is enough.  Row v of M P, at cell J, is w
-    popcount(R_v & mask_J) plus D_v when v is in J.  Take a member v of a
-    merge with head v_0, both in the cell I by step 1.  By step 2, D_v =
-    D_(v_0), and R_v ^ R_(v_0) is 0 or the two own bits, both in mask_I.
-    So popcount(R_v & mask_J) = popcount(R_(v_0) & mask_J) for every J !=
-    I, and for J = I too, as a closed R_v trades bit v for bit v_0 inside
-    mask_I: row v of M P equals row v_0 of M P.  By step 1 a cell of two
-    or more indices is exactly the members of one merge, so all rows of
-    M P in a cell equal the row of its first index, which step 3 checks
-    against B1.
+    1. Replayed from the singletons, each merge replaces two or more
+       distinct current groups G_0, ..., G_(s-1) by their union U, and
+       what is left is exactly the cells, one per index of B.  So the
+       cells partition range(n), and the cell indicators with every
+       merge's differences 1_(G_0) - 1_(G_a), a = 1 ... s - 1, form a
+       basis T of n vectors: each merge swaps s indicators for their sum
+       and s - 1 differences, which span the same space.
+    2. For each merge, on the member heads only: every member has one b
+       and one R_h & ~U; either every head has all of U & ~m in its row
+       (closed, c = w size) or none of it (open, c = 0); every member has
+       one size, unless the merge is open and R_h & ~U = 0; and r = b - c.
+    3. M P = P B for the cell-indicator matrix P, on the head h of each
+       cell only: for every cell J, w popcount(R_h & mask_J) plus D_h when
+       h is in J equals B's entry.
 
-    The cell indicators and the differences form a basis T of n vectors,
-    and M T = T diag(B1, r, ...), which proves the identity, as in
-    _check_twin_certificate.  Steps 1 and 2 cost a sort and one XOR per
-    index, step 3 c1^2 popcounts for c1 cells.  Any failure raises
-    ArithmeticError.
+    Induction: if the members of a merge are regular modules, so is U.
+    A member v of G_a agrees with its head off m_a, so R_v & ~U is the
+    head's, one value by step 2, and R_v & (U & ~m_a) is all or none of
+    U & ~m_a as the merge's type says.  So U's row sum at v is b + w (|U|
+    - |G_a|) when closed and b when open, one value as the sizes agree
+    when closed.  Every group of the replay is a regular module, the
+    cells too.
+
+    Eigenvectors.  A is symmetric, so a row x outside a regular module G
+    reads w |G| at G when bit x of R_h is set and 0 otherwise.  So row x
+    of M (1_(G_0) - 1_(G_a)) reads 0 outside U, where the outside rows
+    agree and so do the sizes (or the row is 0); 0 in a third member,
+    w |G| - w |G| or 0 - 0; b - c = r in G_0 and c - b = -r in G_a.  Step
+    3 covers every row of M P: a row v in a cell, a regular module, has
+    its head's row outside it and its head's row sum inside, so row v of
+    M P is the head's.  So M T = T diag(B, r, ...), which proves the
+    identity.  Step 2 costs a few popcounts per member, step 3 c^2
+    popcounts for c cells.  Any failure raises ArithmeticError.
     """
-    n = len(rows)
-    if sorted(itertools.chain.from_iterable(cells)) != list(range(n)) or len(cells) != quotient.n:
-        raise ArithmeticError("twin certificate: the first-level cells do not partition M")
-    big = sorted(cell for cell in cells if len(cell) > 1)
-    if sorted(_union(members) for members, _ in merges) != big or not all(
-        len(g) == 1 for members, _ in merges for g in members
-    ):
-        raise ArithmeticError("twin certificate: the first-level merges are not the cells")
+    masks = {(i,): 1 << i for i in range(len(rows))}
     for members, r in merges:
-        (head,) = members[0]
-        c = diagonal[head] - r
-        if c not in (0, w):
-            raise ArithmeticError(f"twin certificate: root {r} is not D - c for c in (0, {w})")
-        for (v,) in members[1:]:
-            own = 1 << v | 1 << head if c else 0
-            if rows[v] ^ rows[head] != own or diagonal[v] != diagonal[head]:
-                raise ArithmeticError(f"twin certificate: {v} and {head} are not twins")
-    masks = [sum(1 << v for v in cell) for cell in cells]
+        if not len(set(members)) == len(members) >= 2 or not all(map(masks.__contains__, members)):
+            raise ArithmeticError("twin certificate: a merge is not of distinct current groups")
+        inner = [masks.pop(g) for g in members]
+        union = sum(inner)
+        heads = [g[0] for g in members]
+        sums = {diagonal[h] + w * (rows[h] & m).bit_count() for h, m in zip(heads, inner)}
+        outside = {rows[h] & ~union for h in heads}
+        links = [rows[h] & union & ~m for h, m in zip(heads, inner)]
+        closed = all(link == union & ~m for link, m in zip(links, inner))
+        if len(sums) != 1 or len(outside) != 1 or not (closed or not any(links)):
+            raise ArithmeticError(f"twin certificate: the groups headed {heads} are not twins")
+        if len({len(g) for g in members}) != 1 and (closed or outside != {0}):
+            raise ArithmeticError(f"twin certificate: twins of unequal size headed {heads}")
+        c = w * len(members[0]) if closed else 0
+        if r != sums.pop() - c:
+            raise ArithmeticError(f"twin certificate: root {r} is not b - c for c = {c}")
+        masks[_union(members)] = union
+    if not len(cells) == len(masks) == quotient.n or set(cells) != masks.keys():
+        raise ArithmeticError("twin certificate: the cells are not what the merges leave")
+    cell_masks = [masks[cell] for cell in cells]
     for j, cell in enumerate(cells):
-        got = [w * (rows[cell[0]] & mask).bit_count() for mask in masks]
+        got = [w * (rows[cell[0]] & mask).bit_count() for mask in cell_masks]
         got[j] += diagonal[cell[0]]
         if tuple(got) != quotient.rows[j]:
-            raise ArithmeticError(f"twin certificate: M P != P B1 in row {cell[0]}")
+            raise ArithmeticError(f"twin certificate: M P != P B in row {cell[0]}")
 
 
 def _char_poly_factored(m: IntMatrix) -> tuple[list[int], Counter[int]]:
@@ -697,15 +573,11 @@ def _char_poly_factored(m: IntMatrix) -> tuple[list[int], Counter[int]]:
     multiplicities), with det(xI - M) = det(xI - B) * prod (x - r)^e: the
     factored core of char_poly_exact, whose docstring states the route."""
     _check_cap(m.n)
-    first: list[_Merge] = []
+    quotient, merges = m, []
     graph = _graph_rows(m)
-    level = None if graph is None else _first_level(*graph)
-    if level is not None:
-        b1, cells, first = level
-        _check_first_level(*graph, b1, cells, first)
-        m = b1  # the dense level runs on B1 in place of M
-    quotient, cells, merges = _twin_quotient(m)
-    _check_twin_certificate(m, quotient, cells, merges)
+    if graph is not None:
+        quotient, cells, merges = _twin_levels(*graph)
+        _check_twin_levels(*graph, quotient, cells, merges)
     coeffs = kernels.charpoly_berkowitz(quotient.rows)
     x0 = _gershgorin_radius(quotient) + 1
     shifted = [
@@ -715,49 +587,45 @@ def _char_poly_factored(m: IntMatrix) -> tuple[list[int], Counter[int]]:
     if IntPolynomial.from_coeffs(coeffs)(x0) != kernels.det_bareiss(shifted):
         raise ArithmeticError(f"Berkowitz det(xI - B) disagrees with det({x0}I - B)")
     roots: Counter[int] = Counter()
-    for members, root in itertools.chain(first, merges):
+    for members, root in merges:
         roots[root] += len(members) - 1
     return coeffs, roots
 
 
 def char_poly_exact(m: IntMatrix) -> IntPolynomial:
     """det(xI - M) on the twin quotient of M, by Berkowitz's recurrence,
-    with the reduction proved on M and the quotient's polynomial checked
-    at one point.
-
-    First level, on bit rows.  When M is graph-shaped (see _graph_rows),
-    M = diag(D) + w A with A a graph, and its first twin level, open and
-    closed twins at once, is found by _first_level and proved by
-    _check_first_level on the packed rows of A.  That proves det(xI - M)
-    = det(xI - B1) * prod (x - r)^(s - 1).  The dense level below runs on
-    B1 in place of M, so its certificate proves det(xI - B1) = det(xI -
-    B) * prod (x - r')^(s' - 1), and the two identities chain.  Any other
-    M goes through the dense level as it is.  Adjacency, Laplacian and
-    signless Laplacian matrices of a graph are graph-shaped, with w = 1,
-    -1, 1.
+    with the reduction proved on the bit rows of M and the quotient's
+    polynomial checked at one point.
 
     Twin quotient (Schwenk 1974; Cardoso et al. 2013).  Take classes I
     of indices, of sizes s_I, such that M is d_I on the diagonal of I and
     c_I off it, and every block M[I, J] with I != J is one constant m_IJ.
     Then det(xI - M) = det(xI - B) * prod_I (x - (d_I - c_I))^(s_I - 1),
     with B_II = d_I + (s_I - 1) c_I and B_IJ = s_J m_IJ; B need not be
-    symmetric.  The classes are found on M: i and j are twins of type c
-    when row i with entry i set to c equals row j with entry j set to c,
-    the same holds for the columns, and M_ii = M_jj.  The classes of one
-    c are collapsed at a time, and the search repeats on B until nothing
-    collapses (see _twin_quotient).  In a power graph the elements that
-    generate one cyclic subgroup are twins, so the model graph of G(k, p)
-    has a 5 x 5 quotient and the true graph a (2k + 4) x (2k + 4) one, for
-    every matrix kind.
+    symmetric.  The same holds for B in turn, so the reduction repeats,
+    level after level, until no class is left to collapse.
 
-    Certificate of the dense level, on M (on B1 after a first level).
-    The collapses are replayed on the original indices and never trusted
-    (see _check_twin_certificate).  The final cells J and, for every
-    merge of groups G_0, ..., G_(s-1) with root r, the differences
-    1_(G_0) - 1_(G_a) form a basis T of n vectors.  Exact O(n^2)
-    identities on M check that the cells partition the indices, that
-    M P = P B for the cell indicators P, and that M (1_(G_0) - 1_(G_a))
-    = r (1_(G_0) - 1_(G_a)).  So M T = T diag(B, roots), which proves the
+    Twin levels, on bit rows.  When M is graph-shaped (see _graph_rows),
+    M = diag(D) + w A with A a graph; adjacency, Laplacian and signless
+    Laplacian matrices are, with w = 1, -1, 1.  Open twins share their
+    neighbourhood and closed twins their closed neighbourhood.
+    _twin_levels finds them among groups of indices by hashed keys on
+    the packed rows of A, and merges them round after round until nothing
+    merges; its docstring gives the keys.  In a power graph the elements
+    that generate one cyclic subgroup are twins, so the model graph of
+    G(k, p) has a 5 x 5 quotient and the true graph a (2k + 4) x (2k + 4)
+    one, for every matrix kind.  An M that is not graph-shaped goes whole
+    to Berkowitz, twins or not.
+
+    Certificate, on the bit rows of M.  The merges are replayed from the
+    singletons and never trusted (see _check_twin_levels).  Every group
+    they form is a regular module: its members have one row outside it
+    and one row sum inside it.  The final cells J and, for every merge of
+    groups G_0, ..., G_(s-1) with root r, the differences 1_(G_0) -
+    1_(G_a) form a basis T of n vectors.  Checks on the heads of the
+    members prove M (1_(G_0) - 1_(G_a)) = r (1_(G_0) - 1_(G_a)), and c^2
+    popcounts on the heads of the cells prove M P = P B for the cell
+    indicators P.  So M T = T diag(B, roots), which proves the
     factorisation above; a failure raises ArithmeticError.
 
     Berkowitz, on B.  kernels.charpoly_berkowitz is division-free on
@@ -778,7 +646,7 @@ def char_poly_exact(m: IntMatrix) -> IntPolynomial:
     on itself.  The cost is a c x c determinant and no pass over M.
 
     Linear factors.  _char_poly_factored returns det(xI - B) and one
-    Counter of the roots of both levels; det(xI - B) * prod (x - r)^e is
+    Counter of the roots of every level; det(xI - B) * prod (x - r)^e is
     one Kronecker substitution product, B(2^b) * prod (2^b - r)^e on
     Python ints, so each distinct root is powered once (see
     _kronecker_product).

@@ -1,4 +1,5 @@
 import enum
+import hashlib
 import math
 import random
 
@@ -338,9 +339,9 @@ class TestCharPoly:
             char_poly_exact(m)
         # Twin-rich: the wrong polynomial is the 2 x 2 quotient's, and the
         # point check, which runs on that quotient, must still catch it.
-        base = [[2**40, 3], [5, -(2**40)]]
-        m = IntMatrix.from_rows(blow_up(base, sizes=(3, 4), diag=(2**40, -(2**40)), off=(7, 0)))
-        assert exact_linalg._twin_quotient(m)[0].n == 2
+        adjacency = blow_up([[0, 1], [1, 0]], sizes=(3, 4), diag=(0, 0), off=(1, 0))
+        m = graph_matrix(adjacency, 2**40, [2**40] * 3 + [-(2**40)] * 4)
+        assert twin_levels_of(m)[1][0].n == 2
         with pytest.raises(ArithmeticError, match="disagrees"):
             char_poly_exact(m)
 
@@ -357,15 +358,14 @@ class TestCharPoly:
         check([[0, 1, 2, 3], [4, 0, 0, 5], [6, 0, 0, 7], [8, 9, 10, 11]])
         # the largest quotient of the family past the cap: (7, 3), n = 768
         laplacian = matrix_of(build_power_graph(SemidihedralType(7, 3)), "laplacian")
-        b1 = exact_linalg._first_level(*exact_linalg._graph_rows(laplacian))[0]
-        quotient = exact_linalg._twin_quotient(b1)[0]
+        quotient = twin_levels_of(laplacian)[1][0]
         assert quotient.n == 18
         check(quotient.to_lists())
 
     @pytest.mark.parametrize("k", (2, 3))
     def test_one_berkowitz_call_per_charpoly_on_the_quotient(self, monkeypatch, k):
         # Berkowitz costs about c^4 / 4 multiplications on c cells, so it
-        # must see the final quotient only, never M or B1.
+        # must see the final quotient only, never M.
         orders = []
         real = kernels.charpoly_berkowitz
 
@@ -374,6 +374,28 @@ class TestCharPoly:
             return real(rows)
 
         monkeypatch.setattr(kernels, "charpoly_berkowitz", spy)
+        model = build_model_graph(k, 3)
+        true = build_power_graph(SemidihedralType(k, 3))
+        for kind in ("adjacency", "laplacian", "signless"):
+            for graph, want in ((model, 5), (true, 2 * k + 4)):
+                orders.clear()
+                char_poly_exact(matrix_of(graph, kind))
+                assert orders == [want], kind
+        # a twin-free matrix is its own quotient
+        orders.clear()
+        char_poly_exact(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]]))
+        assert orders == [3]
+
+    @pytest.mark.parametrize("k", (2, 3))
+    def test_one_bareiss_call_per_charpoly_on_the_quotient(self, monkeypatch, k):
+        orders = []
+        real = kernels.det_bareiss
+
+        def spy(rows):
+            orders.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(kernels, "det_bareiss", spy)
         model = build_model_graph(k, 3)
         true = build_power_graph(SemidihedralType(k, 3))
         for kind in ("adjacency", "laplacian", "signless"):
@@ -443,162 +465,37 @@ def random_blow_up(rng, trial):
     return permuted(rows, rng.sample(range(len(rows)), len(rows))), k
 
 
-def twin_classes_by_definition(rows):
-    """Oracle for _twin_collapse, O(n^3) from the definition: the smallest
-    c with twins of type c, and their classes, or None.
+class TestNonGraphInputs:
+    """A matrix that is not graph-shaped goes whole to Berkowitz, with the
+    Bareiss point check, however many twins it has."""
 
-    i and j are twins of type c when M_ii = M_jj and row i and column i
-    with entry i set to c equal row j and column j with entry j set to c.
-    Entry j of that row equation reads M_ij = c, so each pair is tested
-    for its one possible c."""
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    cols = [list(c) for c in zip(*rows)]
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            pytest.param([[0, 1, 1], [0, 0, 1], [1, 1, 0]], id="asymmetric pattern"),
+            pytest.param([[0, 1, 1], [1, 0, 2], [1, 2, 0]], id="two off-diagonal values"),
+            pytest.param([[2**63, 1, 1], [1, 0, 1], [1, 1, 0]], id="an entry of 2^63"),
+            pytest.param([[0, 1, -(2**63) - 1], [1, 0, 1], [1, 1, 0]], id="an entry below int64"),
+            pytest.param([[5]], id="n = 1"),
+            pytest.param([], id="n = 0"),
+        ],
+    )
+    def test_non_graph_matrices_skip_the_twin_levels(self, monkeypatch, rows):
+        certified = spy_twin_levels(monkeypatch)
+        m = IntMatrix.from_rows(rows)
+        assert exact_linalg._graph_rows(m) is None
+        assert char_poly_exact(m) == char_poly_leverrier(m)
+        assert certified == []
 
-    def set_entry(vec, t, c):
-        return vec[:t] + [c] + vec[t + 1 :]
-
-    twins: dict[int, list[tuple[int, int]]] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = rows[i][j]
-            if (
-                rows[i][i] == rows[j][j]
-                and set_entry(rows[i], i, c) == set_entry(rows[j], j, c)
-                and set_entry(cols[i], i, c) == set_entry(cols[j], j, c)
-            ):
-                twins.setdefault(c, []).append((i, j))
-    if not twins:
-        return None
-    c = min(twins)
-    partners: dict[int, list[int]] = {}
-    for i, j in twins[c]:
-        partners.setdefault(i, [i]).append(j)
-    classes, seen = [], set()
-    for i in sorted(partners):
-        if i not in seen:
-            classes.append(partners[i])
-            seen.update(partners[i])
-    return c, sorted(classes)
-
-
-def random_derangement(rng, n):
-    while True:
-        perm = rng.sample(range(n), n)
-        if all(perm[i] != i for i in range(n)):
-            return perm
-
-
-def one_bucket_matrix(rng, n, pool):
-    """d I + sum of w (P + P^T) over three random derangements P, each
-    w != 0 drawn from pool: symmetric, with d on the diagonal and every
-    row and column summing to d + 2 sum(w).  So every index shares one
-    (diagonal, row sum, column sum) bucket, though the rows are mostly
-    not permutations of each other."""
-    d = rng.choice(pool)
-    rows = [[d if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(3):
-        w = rng.choice([v for v in pool if v])
-        for i, j in enumerate(random_derangement(rng, n)):
-            rows[i][j] += w
-            rows[j][i] += w
-    return rows
-
-
-class TestTwinQuotient:
-    def test_twin_collapse_matches_the_definition_at_every_level(self, monkeypatch):
-        real = exact_linalg._twin_collapse
-        calls = []
-
-        def checked(rows):
-            got = real(rows)
-            assert got == twin_classes_by_definition(rows)
-            calls.append(got)
-            return got
-
-        monkeypatch.setattr(exact_linalg, "_twin_collapse", checked)
-        rng = random.Random(20261019)
-        for trial in range(40):
-            rows, _ = random_blow_up(rng, trial)
-            exact_linalg._twin_quotient(IntMatrix.from_rows(rows))
-        assert sum(found is not None for found in calls) >= 40
-
-    def test_one_bucket_is_split_by_the_exact_key(self):
-        rng = random.Random(1019)
-        mixed = collapsed = 0
-        for trial in range(30):
-            pool = (-HUGE, HUGE, 7) if trial % 3 == 0 else tuple(range(-4, 5))
-            base = one_bucket_matrix(rng, rng.randint(4, 7), pool)
-            # a uniform blow-up keeps a single bucket and plants twin classes
-            s, diag, off = rng.randint(1, 3), rng.choice(pool), rng.choice(pool)
-            rows = blow_up(base, [s] * len(base), [diag] * len(base), [off] * len(base))
-            rows = permuted(rows, rng.sample(range(len(rows)), len(rows)))
-            cols = list(zip(*rows))
-            keys = {(rows[i][i], sum(rows[i]), sum(cols[i])) for i in range(len(rows))}
-            assert len(keys) == 1
-            mixed += len({tuple(sorted(r)) for r in rows}) > 1
-            found = exact_linalg._twin_collapse([tuple(r) for r in rows])
-            assert found == twin_classes_by_definition(rows)
-            collapsed += found is not None
-            m = IntMatrix.from_rows(rows)
-            assert char_poly_exact(m) == char_poly_leverrier(m)
-        # most buckets hold rows that are not permutations of each other
-        assert mixed >= 20 and collapsed >= 10
-
-    def test_regular_cycles_have_no_twins(self):
-        # every index in one bucket, and no two rows equal up to the swap
-        for n in range(5, 10):
-            rows = [tuple(int((i - j) % n in (1, n - 1)) for j in range(n)) for i in range(n)]
-            assert exact_linalg._twin_collapse(rows) is None
-            assert twin_classes_by_definition(rows) is None
-
-    def test_twin_free_matrix_is_its_own_quotient(self):
-        m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
-        assert exact_linalg._twin_quotient(m) == (m, [(0,), (1,), (2,)], [])
-        assert exact_linalg._twin_quotient(IntMatrix(())) == (IntMatrix(()), [], [])
-
-    def test_closed_and_open_twins_by_hand(self):
-        # K_3: one class with d = 0, c = 1, so B = (0 + 2*1) and root 0 - 1 twice
-        k3 = IntMatrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-        assert exact_linalg._twin_quotient(k3) == (
-            IntMatrix.from_rows([[2]]),
-            [(0, 1, 2)],
-            [(((0,), (1,), (2,)), -1)],
-        )
-        # star K_(1,3): the leaves are open twins (c = 0); B_(centre, leaves) = 3 * 1
-        star = IntMatrix.from_rows([[0, 1, 1, 1], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]])
-        assert exact_linalg._twin_quotient(star) == (
-            IntMatrix.from_rows([[0, 3], [1, 0]]),
-            [(0,), (1, 2, 3)],
-            [(((1,), (2,), (3,)), 0)],
-        )
-
-    def test_order_four_flip_pairs_take_two_collapses(self):
-        # (2, 3) model adjacency: one closed-twin collapse leaves the three
-        # flip pairs as separate indices; the open-twin collapse joins them.
-        m = matrix_of(build_model_graph(2, 3), "adjacency")
-        c, classes = exact_linalg._twin_collapse(list(m.rows))
-        assert c == 0 and len(classes) == 1  # the order-2 flips
-        assert exact_linalg._twin_quotient(m)[0].n == 5
-
-    @pytest.mark.parametrize("k, p", PAIRS_UNDER_CAP)
-    def test_quotient_sizes_on_the_family(self, k, p):
-        model = build_model_graph(k, p)
-        true = build_power_graph(SemidihedralType(k, p))
-        for kind in ("adjacency", "laplacian", "signless"):
-            assert exact_linalg._twin_quotient(matrix_of(model, kind))[0].n == 5, kind
-            assert exact_linalg._twin_quotient(matrix_of(true, kind))[0].n == 2 * k + 4, kind
-
-    def test_random_blow_ups_agree_with_leverrier(self):
+    def test_random_blow_ups_agree_with_leverrier(self, monkeypatch):
+        certified = spy_twin_levels(monkeypatch)
         rng = random.Random(20261018)
         for trial in range(60):
-            rows, k = random_blow_up(rng, trial)
+            rows, _ = random_blow_up(rng, trial)
             m = IntMatrix.from_rows(rows)
-            quotient, cells, merges = exact_linalg._twin_quotient(m)
-            assert quotient.n <= k
-            assert quotient.n + sum(len(members) - 1 for members, _ in merges) == m.n
-            assert sorted(i for cell in cells for i in cell) == list(range(m.n))
             assert char_poly_exact(m) == char_poly_leverrier(m)
+        # only a few small-entry blow-ups are graph-shaped
+        assert len(certified) <= 10
 
     def test_random_blow_ups_against_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -610,7 +507,7 @@ class TestTwinQuotient:
             want = tuple(int(c) for c in reversed(coeffs))
             assert char_poly_exact(IntMatrix.from_rows(rows)).coeffs == want
 
-    def test_row_twins_that_are_not_column_twins_stay_apart(self):
+    def test_row_twins_that_are_not_column_twins(self):
         # Rows 0 and 1 agree off the pair, and columns 0 and 1 hold the same
         # values, but column 0 reads (y, z) below where column 1 reads (z, y).
         rng = random.Random(77)
@@ -618,113 +515,7 @@ class TestTwinQuotient:
             a, c, x2, x3, y, z, p, q, r, t = rng.sample(range(-50, 50), 10)
             rows = [[a, c, x2, x3], [c, a, x2, x3], [y, z, p, q], [z, y, r, t]]
             m = IntMatrix.from_rows(permuted(rows, rng.sample(range(4), 4)))
-            assert exact_linalg._twin_quotient(m) == (m, [(0,), (1,), (2,), (3,)], [])
             assert char_poly_exact(m) == char_poly_leverrier(m)
-
-
-def _corrupt(corruption, quotient, cells, merges):
-    """A wrong _twin_quotient result, of one of the kinds the certificate
-    must refuse."""
-    rows = [list(r) for r in quotient.rows]
-    if corruption == "root off by one":
-        members, r = merges[0]
-        merges = [(members, r + 1)] + merges[1:]
-    elif corruption == "B entry off by one":
-        rows[0][-1] += 1
-    elif corruption == "two cells merged":
-        cells = [tuple(sorted(cells[0] + cells[1]))] + cells[2:]
-    elif corruption == "cell missing":
-        # B shrunk to match, so only the partition check can see it
-        cells = cells[:-1]
-        rows = [r[:-1] for r in rows[:-1]]
-    elif corruption == "merge repeated":
-        merges = merges + [merges[-1]]
-    else:
-        raise AssertionError(corruption)
-    return IntMatrix.from_rows(rows), cells, merges
-
-
-CORRUPTIONS = (
-    "root off by one",
-    "B entry off by one",
-    "two cells merged",
-    "cell missing",
-    "merge repeated",
-)
-
-
-class TestTwinCertificate:
-    @staticmethod
-    def certificate_inputs():
-        true = build_power_graph(SemidihedralType(2, 3))
-        yield matrix_of(true, "adjacency")
-        yield matrix_of(build_model_graph(2, 3), "laplacian")
-        rng = random.Random(8)
-        base = [[HUGE, 3, -7], [5, -HUGE, 2], [1, 1, 3 * HUGE + 1]]
-        rows = blow_up(base, (3, 1, 4), (HUGE, 2, -1), (7, 0, -HUGE))
-        yield IntMatrix.from_rows(permuted(rows, rng.sample(range(8), 8)))
-        symmetric = [[base[min(i, j)][max(i, j)] for j in range(3)] for i in range(3)]
-        rows = nested_blow_up(rng, symmetric, (-HUGE, HUGE, 5))
-        yield IntMatrix.from_rows(permuted(rows, rng.sample(range(len(rows)), len(rows))))
-
-    def test_holds_on_power_graphs_and_blow_ups(self):
-        rng = random.Random(808)
-        matrices = list(self.certificate_inputs())
-        matrices += [IntMatrix.from_rows(random_blow_up(rng, t)[0]) for t in range(12)]
-        for m in matrices:
-            exact_linalg._check_twin_certificate(m, *exact_linalg._twin_quotient(m))
-
-    @pytest.mark.parametrize("corruption", CORRUPTIONS)
-    def test_wrong_reductions_are_refused_by_the_certificate(self, monkeypatch, corruption):
-        real = exact_linalg._twin_quotient
-
-        def bareiss_must_not_run(rows):
-            raise AssertionError("the lift check ran: the certificate let a bad reduction through")
-
-        monkeypatch.setattr(
-            exact_linalg, "_twin_quotient", lambda m: _corrupt(corruption, *real(m))
-        )
-        monkeypatch.setattr(kernels, "det_bareiss", bareiss_must_not_run)
-        for m in self.certificate_inputs():
-            quotient, cells, merges = real(m)
-            assert len(cells) >= 2 and merges
-            with pytest.raises(ArithmeticError, match="twin certificate"):
-                char_poly_exact(m)
-
-    def test_shuffled_cells_are_refused(self, monkeypatch):
-        # every cell present, but not in the order of the indices of B
-        real = exact_linalg._twin_quotient
-
-        def shuffled(m):
-            quotient, cells, merges = real(m)
-            return quotient, cells[1:] + cells[:1], merges
-
-        monkeypatch.setattr(exact_linalg, "_twin_quotient", shuffled)
-        m = matrix_of(build_power_graph(SemidihedralType(2, 3)), "adjacency")
-        with pytest.raises(ArithmeticError, match="M P != P B"):
-            char_poly_exact(m)
-
-    @pytest.mark.parametrize("k", (2, 3))
-    def test_one_bareiss_call_per_charpoly_on_the_quotient(self, monkeypatch, k):
-        orders = []
-        real = kernels.det_bareiss
-
-        def spy(rows):
-            orders.append(len(rows))
-            return real(rows)
-
-        monkeypatch.setattr(kernels, "det_bareiss", spy)
-        model = build_model_graph(k, 3)
-        true = build_power_graph(SemidihedralType(k, 3))
-        for kind in ("adjacency", "laplacian", "signless"):
-            for graph, want in ((model, 5), (true, 2 * k + 4)):
-                orders.clear()
-                char_poly_exact(matrix_of(graph, kind))
-                assert orders == [want], kind
-        # a twin-free matrix is its own quotient
-        orders.clear()
-        char_poly_exact(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]]))
-        assert orders == [3]
 
 
 KINDS = ("adjacency", "laplacian", "signless")
@@ -738,23 +529,26 @@ def family_matrices(k, p):
             yield f"{construction}/{kind}", matrix_of(graph, kind)
 
 
-def dense_char_poly(monkeypatch, m):
-    """char_poly_exact with the first level finding nothing: the dense route."""
-    with monkeypatch.context() as patch:
-        patch.setattr(exact_linalg, "_first_level", lambda rows, diagonal, w: None)
-        return char_poly_exact(m)
+def charpoly_digest(pairs):
+    """sha256 over repr(char_poly_exact(M).coeffs) + newline, for the six
+    matrices of every pair in turn."""
+    digest = hashlib.sha256()
+    for k, p in pairs:
+        for _, m in family_matrices(k, p):
+            digest.update((repr(char_poly_exact(m).coeffs) + "\n").encode())
+    return digest.hexdigest()
 
 
-def spy_first_level(monkeypatch):
-    """A list that gets one entry per certified first level."""
+def spy_twin_levels(monkeypatch):
+    """A list that gets the number of merges of each certified reduction."""
     certified = []
-    real = exact_linalg._check_first_level
+    real = exact_linalg._check_twin_levels
 
     def spy(*args):
         real(*args)
-        certified.append(args[3].n)
+        certified.append(len(args[-1]))
 
-    monkeypatch.setattr(exact_linalg, "_check_first_level", spy)
+    monkeypatch.setattr(exact_linalg, "_check_twin_levels", spy)
     return certified
 
 
@@ -775,6 +569,17 @@ def adjacency_of(n, edges):
     return rows
 
 
+def twin_levels_of(m):
+    """(R, D, w) and _twin_levels' (B, cells, merges) for a graph-shaped m."""
+    graph = exact_linalg._graph_rows(m)
+    return graph, exact_linalg._twin_levels(*graph)
+
+
+def above_level_1(merges):
+    """The merges with a member of two or more indices."""
+    return [merge for merge in merges if max(map(len, merge[0])) > 1]
+
+
 # K_3 on 0..2 (closed twins), the star with centre 3 and leaves 4, 5
 # (open twins), and the isolated vertices 6, 7 (open twins, R = 0)
 MIXED_TWINS = adjacency_of(8, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5)])
@@ -782,12 +587,50 @@ MIXED_TWINS = adjacency_of(8, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5)])
 PATH_4 = adjacency_of(4, [(0, 1), (1, 2), (2, 3)])
 # the star K_(1,3): leaves 1, 2, 3 are open twins
 STAR_3 = adjacency_of(4, [(0, 1), (0, 2), (0, 3)])
-# K_5: one cell of closed twins, so the first level has c1 = 1
+# K_5: one cell of closed twins
 K_5 = adjacency_of(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+# K_2 and K_3, apart
+K_2_K_3 = adjacency_of(5, [(0, 1), (2, 3), (2, 4), (3, 4)])
+
+
+def nested_graph_blow_up(rng, w, diagonal):
+    """diag(D) + w A, A a randomly permuted blow-up of a blow-up of a
+    random graph on k >= 2 vertices: vertex i becomes a class of s1 indices,
+    each of which becomes a class of s2, with open or closed links drawn
+    per vertex and level.  D is 0, the degrees, or random per vertex i.
+    When the two levels' links differ, the first-level classes of i are
+    only twins of each other once the second-level ones are merged."""
+    k = rng.randint(2, 4)
+    base = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            base[i][j] = base[j][i] = rng.randint(0, 1)
+    s1 = [rng.randint(1, 3) for _ in range(k)]
+    inner = blow_up(base, s1, [0] * k, [rng.randint(0, 1) for _ in range(k)])
+    first = [i for i, s in enumerate(s1) for _ in range(s)]
+    s2 = [rng.randint(1, 2) for _ in range(k)]
+    links2 = [rng.randint(0, 1) for _ in range(k)]
+    adjacency = blow_up(
+        inner,
+        [s2[i] for i in first],
+        [0] * len(first),
+        [links2[i] for i in first],
+    )
+    vertex = [i for i in first for _ in range(s2[i])]
+    n = len(adjacency)
+    if diagonal == "random":
+        values = [rng.randint(-3, 3) for _ in range(k)]
+        diagonal = [values[i] for i in vertex]
+    elif diagonal == "zero":
+        diagonal = [0] * n
+    perm = rng.sample(range(n), n)
+    if diagonal is not None:
+        diagonal = [d for _, d in sorted(zip(perm, diagonal))]
+    return graph_matrix(permuted(adjacency, perm), w, diagonal)
 
 
 def honest_quotient(rows, diagonal, w, cells):
-    """B1 read off the representatives' rows for the given cells."""
+    """B read off the heads' rows for the given cells."""
     masks = [sum(1 << v for v in cell) for cell in cells]
     quotient = []
     for j, cell in enumerate(cells):
@@ -797,67 +640,192 @@ def honest_quotient(rows, diagonal, w, cells):
     return IntMatrix.from_rows(quotient)
 
 
-def _corrupt_first_level(corruption, rows, diagonal, w, level):
-    """A wrong _first_level result, of one of the kinds its certificate
-    must refuse."""
-    quotient, cells, merges = level
-    b = [list(r) for r in quotient.rows]
-    if corruption == "B1 entry off by one":
-        b[0][-1] += 1
-    elif corruption == "B1 diagonal off by one":
-        b[-1][-1] += 1
-    elif corruption == "root off by one":
-        members, r = merges[0]
-        merges = [(members, r + 1)] + merges[1:]
+def rename_groups(merges, cells, target, grown):
+    """merges and cells with merges[target]'s members replaced by grown,
+    and every later group holding the old union holding the new one."""
+    union = exact_linalg._union
+    renamed, out = {}, []
+    for t, (members, r) in enumerate(merges):
+        members = tuple(sorted(renamed.get(g, g) for g in members))
+        if t == target:
+            members = grown
+        new = union(members)
+        old = union(merges[t][0])
+        if new != old:
+            renamed[old] = new
+        out.append((members, r))
+    return out, sorted(renamed.get(c, c) for c in cells)
+
+
+def _corrupt_twin_levels(corruption, level, graph, found):
+    """A wrong _twin_levels result, of one of the kinds its certificate
+    must refuse, placed on a merge (or cell) of the given level: 1 for a
+    merge of singletons, 2 for one above them."""
+    rows, diagonal, w = graph
+    quotient, cells, merges = found
+    union = exact_linalg._union
+    upper = above_level_1(merges)
+    pick = upper if level == 2 else [merge for merge in merges if merge not in upper]
+    target = merges.index(pick[-1])
+    members, r = merges[target]
+    cell = next(c for c in cells if set(union(members)) <= set(c))
+    if corruption == "wrong root":
+        merges = merges[:target] + [(members, r + 1)] + merges[target + 1 :]
+    elif corruption == "wrong B entry":
+        b = [list(row) for row in quotient.rows]
+        b[cells.index(cell)][-1] += 1
+        quotient = IntMatrix.from_rows(b)
     elif corruption == "non-twin merged":
-        # a merged cell absorbs another cell; B1 is read off the new cells
-        # honestly, so only the twin check can see it
-        union = exact_linalg._union
-        members, r = merges[0]
-        cell = union(members)
-        other = next(c for c in cells if c != cell)
-        joined = tuple(sorted(cell + other))
-        cells = sorted([joined] + [c for c in cells if c not in (cell, other)])
-        rest = [m for m in merges[1:] if union(m[0]) != other]
-        merges = [(tuple((v,) for v in joined), r)] + rest
-        return honest_quotient(rows, diagonal, w, cells), cells, merges
+        # a singleton cell joins the merge; B is read off the new cells
+        # honestly, so only the twin checks can see it
+        stray = next(c for c in cells if len(c) == 1)
+        grown = tuple(sorted(members + (stray,)))
+        merges, cells = rename_groups(merges, [c for c in cells if c != stray], target, grown)
+        quotient = honest_quotient(rows, diagonal, w, cells)
     elif corruption == "merge missing":
-        merges = merges[1:]
+        merges = merges[:target] + merges[target + 1 :]
+    elif corruption == "member repeated":
+        merges = merges[:target] + [(members + members[:1], r)] + merges[target + 1 :]
     elif corruption == "cell missing":
-        # B1 read off the remaining cells honestly, so only the partition
-        # check can see it
-        cells = cells[:-1]
-        merges = [m for m in merges if exact_linalg._union(m[0]) in cells]
-        return honest_quotient(rows, diagonal, w, cells), cells, merges
+        # B read off the remaining cells honestly, so only the replay can see it
+        cells = [c for c in cells if c != cell]
+        quotient = honest_quotient(rows, diagonal, w, cells)
+    elif corruption == "shuffled cells":
+        # every cell present, but two out of the order of the indices of B
+        i = cells.index(cell)
+        j = (i + 1) % len(cells)
+        cells = list(cells)
+        cells[i], cells[j] = cells[j], cells[i]
     else:
         raise AssertionError(corruption)
-    return IntMatrix.from_rows(b), cells, merges
+    return quotient, cells, merges
 
 
-FIRST_LEVEL_CORRUPTIONS = (
-    "B1 entry off by one",
-    "B1 diagonal off by one",
-    "root off by one",
-    "non-twin merged",
-    "merge missing",
-    "cell missing",
-)
+# each corruption and the certificate's error it meets
+CORRUPTIONS = {
+    "wrong root": "is not b - c",
+    "wrong B entry": "M P != P B",
+    "non-twin merged": "not twins",
+    "merge missing": "cells are not what the merges leave|not of distinct current groups",
+    "member repeated": "not of distinct current groups",
+    "cell missing": "cells are not what the merges leave",
+    "shuffled cells": "M P != P B",
+}
 
 
-class TestFirstLevel:
+def must_not_run(rows):
+    raise AssertionError("a kernel ran: the certificate let a bad reduction through")
+
+
+def refuse_on(monkeypatch, m, found, error):
+    """char_poly_exact(m) with _twin_levels returning found must raise the
+    certificate's error before Berkowitz or Bareiss runs."""
+    monkeypatch.setattr(exact_linalg, "_twin_levels", lambda rows, diagonal, w: found)
+    monkeypatch.setattr(kernels, "charpoly_berkowitz", must_not_run)
+    monkeypatch.setattr(kernels, "det_bareiss", must_not_run)
+    with pytest.raises(ArithmeticError, match=f"^twin certificate: .*({error})"):
+        char_poly_exact(m)
+
+
+class TestTwinLevels:
+    def test_pinned_charpolys_on_the_family(self, monkeypatch):
+        # computed by the dense twin search of earlier versions
+        certified = spy_twin_levels(monkeypatch)
+        assert charpoly_digest(PAIRS_UNDER_CAP) == (
+            "a7af2cb0d96f718ba89afe1f60d41656d83092e3ce12e33109807276e6bb2570"
+        )
+        assert len(certified) == 6 * len(PAIRS_UNDER_CAP) and min(certified) > 0
+
+    def test_pinned_charpolys_past_the_cap(self, monkeypatch):
+        monkeypatch.setenv(CAP_ENV_VAR, "512")
+        for k, p in ((6, 3), (3, 31)):
+            assert 2 ** (k + 1) * p > exact_linalg.DEFAULT_MATRIX_CAP
+        assert charpoly_digest([(6, 3), (3, 31)]) == (
+            "ca81a95bbc12770672abc3b532f0b462f50215dd5d7effe365e6793e5074e07a"
+        )
+
     @pytest.mark.parametrize("k, p", PAIRS_UNDER_CAP)
-    def test_equals_the_dense_route_on_the_family(self, monkeypatch, k, p):
-        certified = spy_first_level(monkeypatch)
+    def test_quotient_sizes_on_the_family(self, k, p):
         for label, m in family_matrices(k, p):
-            assert char_poly_exact(m) == dense_char_poly(monkeypatch, m), label
-        assert len(certified) == 6 and max(certified) < 2 ** (k + 1) * p
+            quotient, cells, merges = twin_levels_of(m)[1]
+            assert quotient.n == (5 if label.startswith("model") else 2 * k + 4), label
+            # the flip pairs of order-four elements merge above level 1
+            assert above_level_1(merges), label
 
-    # w = 2^62 fits int64, but w K in B1 does not: B1 is formed on Python ints
+    def test_closed_and_open_twins_by_hand(self):
+        # K_3: one class with d = 0, c = 1, so B = (0 + 2*1) and root 0 - 1 twice
+        k3 = IntMatrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        _, found = twin_levels_of(k3)
+        assert found == (IntMatrix.from_rows([[2]]), [(0, 1, 2)], [(((0,), (1,), (2,)), -1)])
+        # star K_(1,3): the leaves are open twins (c = 0); B_(centre, leaves) = 3 * 1
+        _, found = twin_levels_of(graph_matrix(STAR_3, 1, [0] * 4))
+        assert found == (
+            IntMatrix.from_rows([[0, 3], [1, 0]]),
+            [(0,), (1, 2, 3)],
+            [(((1,), (2,), (3,)), 0)],
+        )
+
+    def test_isolated_vertices_and_both_twin_types(self, monkeypatch):
+        graph, (quotient, cells, merges) = twin_levels_of(graph_matrix(MIXED_TWINS, 1, [0] * 8))
+        assert graph[0][6] == graph[0][7] == 0
+        assert cells == [(0, 1, 2), (3,), (4, 5), (6, 7)]
+        assert merges == [(((0,), (1,), (2,)), -1), (((4,), (5,)), 0), (((6,), (7,)), 0)]
+        assert quotient.rows == ((2, 0, 0, 0), (0, 0, 2, 0), (0, 1, 0, 0), (0, 0, 0, 0))
+        exact_linalg._check_twin_levels(*graph, quotient, cells, merges)
+        # the Laplacian: K_3 and the isolated pair both have row sum 0 and
+        # nothing outside, so they merge at level 2 though their sizes differ
+        graph, (quotient, cells, merges) = twin_levels_of(graph_matrix(MIXED_TWINS, -1))
+        assert cells == [(0, 1, 2, 6, 7), (3,), (4, 5)]
+        assert merges[-1] == (((0, 1, 2), (6, 7)), 0)
+        # K_5 has one cell, so np.add.reduceat sums over a single start
+        _, (quotient, cells, merges) = twin_levels_of(graph_matrix(K_5, -1))
+        assert cells == [(0, 1, 2, 3, 4)] and quotient.rows == ((0,),)
+        assert merges == [(((0,), (1,), (2,), (3,), (4,)), 5)]
+        certified = spy_twin_levels(monkeypatch)
+        for adjacency in (MIXED_TWINS, K_5):
+            n = len(adjacency)
+            for w in (1, -1):
+                for diagonal in ([0] * n, None):
+                    m = graph_matrix(adjacency, w, diagonal)
+                    assert char_poly_exact(m) == char_poly_leverrier(m)
+        assert certified == [3, 3, 3, 4, 1, 1, 1, 1]
+
+    def test_laplacian_of_k2_and_k3_is_one_cell(self):
+        # the two components are modules of sizes 2 and 3 with row sum 0
+        # and nothing outside: open twins of unequal size, merged at level 2
+        m = graph_matrix(K_2_K_3, -1)
+        _, (quotient, cells, merges) = twin_levels_of(m)
+        assert quotient.rows == ((0,),) and cells == [(0, 1, 2, 3, 4)]
+        assert merges == [
+            (((0,), (1,)), 2),
+            (((2,), (3,), (4,)), 3),
+            (((0, 1), (2, 3, 4)), 0),
+        ]
+        # x (x - 2) * x (x - 3)^2
+        assert char_poly_exact(m).coeffs == (0, 0, -18, 21, -8, 1)
+        assert char_poly_exact(m) == char_poly_leverrier(m)
+
+    def test_twin_free_graphs_are_their_own_quotient(self, monkeypatch):
+        certified = spy_twin_levels(monkeypatch)
+        # paths, and cycles past C_4, have no twins of either type
+        graphs = [PATH_4] + [
+            adjacency_of(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(5, 10)
+        ]
+        for adjacency in graphs:
+            for w in (1, -1):
+                m = graph_matrix(adjacency, w)
+                quotient, cells, merges = twin_levels_of(m)[1]
+                assert (quotient, merges) == (m, [])
+                assert cells == [(i,) for i in range(m.n)]
+                assert char_poly_exact(m) == char_poly_leverrier(m)
+        assert certified == [0] * 2 * len(graphs)
+
+    # w = 2^62 fits int64, but w K in B does not: B is formed on Python ints
     @pytest.mark.parametrize("w", (2, -3, 2**62))
     def test_weighted_graphs_against_leverrier_and_sympy(self, monkeypatch, w):
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
-        certified = spy_first_level(monkeypatch)
+        certified = spy_twin_levels(monkeypatch)
         rng = random.Random(w)
         graphs = [MIXED_TWINS, STAR_3] + [
             [[(a >> j) & 1 for j in range(g.n)] for a in map(g.row_mask, range(g.n))]
@@ -876,50 +844,10 @@ class TestFirstLevel:
                 coeffs = sympy.Matrix(m.to_lists()).charpoly(x).all_coeffs()
                 assert want.coeffs == tuple(int(c) for c in reversed(coeffs))
         # every graph has twins when the diagonal is constant on its classes
-        assert len(certified) >= len(graphs)
-
-    def test_isolated_vertices_and_both_twin_types(self, monkeypatch):
-        rows, diagonal, w = exact_linalg._graph_rows(graph_matrix(MIXED_TWINS, 1, [0] * 8))
-        assert rows[6] == rows[7] == 0
-        quotient, cells, merges = exact_linalg._first_level(rows, diagonal, w)
-        assert cells == [(0, 1, 2), (3,), (4, 5), (6, 7)]
-        assert merges == [(((0,), (1,), (2,)), -1), (((4,), (5,)), 0), (((6,), (7,)), 0)]
-        assert quotient.rows == ((2, 0, 0, 0), (0, 0, 2, 0), (0, 1, 0, 0), (0, 0, 0, 0))
-        exact_linalg._check_first_level(rows, diagonal, w, quotient, cells, merges)
-        # K_5 has one cell, so np.add.reduceat sums over a single start
-        rows, diagonal, w = exact_linalg._graph_rows(graph_matrix(K_5, -1))
-        quotient, cells, merges = exact_linalg._first_level(rows, diagonal, w)
-        assert cells == [(0, 1, 2, 3, 4)] and quotient.rows == ((0,),)
-        assert merges == [(((0,), (1,), (2,), (3,), (4,)), 5)]
-        certified = spy_first_level(monkeypatch)
-        for adjacency in (MIXED_TWINS, K_5):
-            n = len(adjacency)
-            for w in (1, -1):
-                for diagonal in ([0] * n, None):
-                    m = graph_matrix(adjacency, w, diagonal)
-                    assert char_poly_exact(m) == char_poly_leverrier(m)
-        assert certified == [4] * 4 + [1] * 4
-
-    @pytest.mark.parametrize(
-        "rows",
-        [
-            pytest.param([[0, 1, 1], [0, 0, 1], [1, 1, 0]], id="asymmetric pattern"),
-            pytest.param([[0, 1, 1], [1, 0, 2], [1, 2, 0]], id="two off-diagonal values"),
-            pytest.param([[2**63, 1, 1], [1, 0, 1], [1, 1, 0]], id="an entry of 2^63"),
-            pytest.param([[0, 1, -(2**63) - 1], [1, 0, 1], [1, 1, 0]], id="an entry below int64"),
-            pytest.param([[5]], id="n = 1"),
-            pytest.param([], id="n = 0"),
-        ],
-    )
-    def test_non_graph_matrices_skip_the_first_level(self, monkeypatch, rows):
-        certified = spy_first_level(monkeypatch)
-        m = IntMatrix.from_rows(rows)
-        assert exact_linalg._graph_rows(m) is None
-        assert char_poly_exact(m) == char_poly_leverrier(m)
-        assert certified == []
+        assert sum(map(bool, certified)) >= len(graphs)
 
     def test_random_graph_blow_ups_against_leverrier(self, monkeypatch):
-        certified = spy_first_level(monkeypatch)
+        certified = spy_twin_levels(monkeypatch)
         rng = random.Random(1019)
         for trial in range(40):
             k = rng.randint(1, 5)
@@ -936,9 +864,25 @@ class TestFirstLevel:
             for w, diagonal in ((1, [0] * n), (-1, None), (1, None)):
                 m = graph_matrix(adjacency, w, diagonal)
                 assert char_poly_exact(m) == char_poly_leverrier(m)
-        assert len(certified) >= 60
+        assert sum(map(bool, certified)) >= 60
 
-    def test_the_factored_core_holds_the_roots_of_both_levels(self, monkeypatch):
+    @pytest.mark.parametrize("w", (1, -1, 2, -3))
+    def test_nested_graph_blow_ups_against_leverrier(self, monkeypatch, w):
+        levels = []
+        real = exact_linalg._twin_levels
+        monkeypatch.setattr(
+            exact_linalg, "_twin_levels", lambda *g: levels.append(real(*g)) or levels[-1]
+        )
+        rng = random.Random(20261019 + w)
+        for trial in range(30):
+            for diagonal in ("zero", None, "random"):
+                m = nested_graph_blow_up(rng, w, diagonal)
+                assert char_poly_exact(m) == char_poly_leverrier(m)
+        assert len(levels) == 90
+        # a third or more merge above level 1
+        assert sum(bool(above_level_1(merges)) for _, _, merges in levels) >= 30
+
+    def test_the_factored_core_holds_the_roots_of_every_level(self, monkeypatch):
         m = matrix_of(build_power_graph(SemidihedralType(2, 3)), "laplacian")
         coeffs, roots = exact_linalg._char_poly_factored(m)
         assert len(coeffs) == 2 * 2 + 4 + 1 and sum(roots.values()) == m.n - 8
@@ -955,67 +899,56 @@ class TestFirstLevel:
         assert char_poly_exact(m) == char_poly_leverrier(m)
         assert len(products) == 1
 
-    def test_twin_free_graph_skips_the_first_level(self, monkeypatch):
-        certified = spy_first_level(monkeypatch)
-        for w in (1, -1):
-            m = graph_matrix(PATH_4, w)
-            assert exact_linalg._first_level(*exact_linalg._graph_rows(m)) is None
-            assert char_poly_exact(m) == char_poly_leverrier(m)
-        assert certified == []
+    @staticmethod
+    def corruption_inputs():
+        yield matrix_of(build_power_graph(SemidihedralType(2, 3)), "adjacency")
+        yield matrix_of(build_model_graph(2, 3), "laplacian")
+        # the star's leaves merge at level 1, the K_3 and the isolated pair
+        # above it
+        yield graph_matrix(MIXED_TWINS, -3, [6, 6, 6, 0, 3, 3, 0, 0])
 
-    @pytest.mark.parametrize("corruption", FIRST_LEVEL_CORRUPTIONS)
-    def test_wrong_first_levels_are_refused(self, monkeypatch, corruption):
-        real = exact_linalg._first_level
+    @pytest.mark.parametrize("level", (1, 2))
+    @pytest.mark.parametrize("corruption", CORRUPTIONS)
+    def test_wrong_reductions_are_refused(self, monkeypatch, corruption, level):
+        for m in self.corruption_inputs():
+            graph, found = twin_levels_of(m)
+            assert above_level_1(found[2])
+            with monkeypatch.context() as patch:
+                bad = _corrupt_twin_levels(corruption, level, graph, found)
+                refuse_on(patch, m, bad, CORRUPTIONS[corruption])
+            char_poly_exact(m)  # the honest reduction still passes
 
-        def corrupted(rows, diagonal, w):
-            return _corrupt_first_level(corruption, rows, diagonal, w, real(rows, diagonal, w))
+    def test_closed_groups_of_unequal_size_are_refused(self, monkeypatch):
+        # K_5 with D = (1, 1, 0, 0, 0): the closed groups (0, 1) and (2, 3, 4)
+        # share the row sum 2 and have nothing outside, but 1_G0 - 1_G1 is no
+        # eigenvector, as their sizes differ
+        m = graph_matrix(K_5, 1, [1, 1, 0, 0, 0])
+        graph, (_, _, merges) = twin_levels_of(m)
+        assert merges == [(((0,), (1,)), 0), (((2,), (3,), (4,)), -1)]
+        merges = merges + [(((0, 1), (2, 3, 4)), 0)]
+        cells = [(0, 1, 2, 3, 4)]
+        refuse_on(monkeypatch, m, (honest_quotient(*graph, cells), cells, merges), "unequal size")
 
-        def dense_must_not_run(m):
-            raise AssertionError("the dense level ran: the certificate let a bad B1 through")
-
-        monkeypatch.setattr(exact_linalg, "_first_level", corrupted)
-        monkeypatch.setattr(exact_linalg, "_twin_quotient", dense_must_not_run)
-        inputs = [
-            matrix_of(build_power_graph(SemidihedralType(2, 3)), "adjacency"),
-            matrix_of(build_model_graph(2, 3), "laplacian"),
-            graph_matrix(MIXED_TWINS, -3, [4, 4, 4, 0, 1, 1, 2, 2]),
-        ]
-        for m in inputs:
-            with pytest.raises(ArithmeticError, match="twin certificate"):
-                char_poly_exact(m)
+    def test_a_merge_mixing_open_and_closed_members_is_refused(self, monkeypatch):
+        # 0 ~ 1, and 2 apart: one row sum and nothing outside for all three
+        m = graph_matrix(adjacency_of(3, [(0, 1)]), 1, [0, 0, 0])
+        graph, _ = twin_levels_of(m)
+        cells = [(0, 1, 2)]
+        for r in (0, -1):  # the open root and the closed one
+            merges = [(((0,), (1,), (2,)), r)]
+            refuse_on(monkeypatch, m, (honest_quotient(*graph, cells), cells, merges), "not twins")
 
     def test_a_member_with_another_diagonal_is_refused(self):
         # leaves 1, 2, 3 of a star share R; leaf 3 has another diagonal
-        m = graph_matrix(adjacency_of(4, [(0, 1), (0, 2), (0, 3)]), 1, [0, 1, 1, 2])
-        rows, diagonal, w = exact_linalg._graph_rows(m)
-        quotient, cells, merges = exact_linalg._first_level(rows, diagonal, w)
+        m = graph_matrix(STAR_3, 1, [0, 1, 1, 2])
+        graph, (_, cells, _) = twin_levels_of(m)
         assert cells == [(0,), (1, 2), (3,)]
         cells = [(0,), (1, 2, 3)]
         merges = [(((1,), (2,), (3,)), 1)]
         with pytest.raises(ArithmeticError, match="not twins"):
-            exact_linalg._check_first_level(
-                rows, diagonal, w, honest_quotient(rows, diagonal, w, cells), cells, merges
+            exact_linalg._check_twin_levels(
+                *graph, honest_quotient(*graph, cells), cells, merges
             )
-
-    def test_the_dense_level_sees_only_the_first_quotient(self, monkeypatch):
-        from powspec.verify_cli import run_verification
-
-        orders = []
-        real = exact_linalg._twin_collapse
-        monkeypatch.setattr(
-            exact_linalg, "_twin_collapse", lambda rows: orders.append(len(rows)) or real(rows)
-        )
-        run_verification(2, 7)
-        assert orders and max(orders) < 56
-
-    @pytest.mark.parametrize("k, p", [(6, 3), (3, 31)])
-    def test_equals_the_dense_route_past_the_cap(self, monkeypatch, k, p):
-        monkeypatch.setenv(CAP_ENV_VAR, "512")
-        certified = spy_first_level(monkeypatch)
-        for label, m in family_matrices(k, p):
-            assert m.n > exact_linalg.DEFAULT_MATRIX_CAP
-            assert char_poly_exact(m) == dense_char_poly(monkeypatch, m), label
-        assert len(certified) == 6
 
 
 class TestMatrixCap:
