@@ -539,6 +539,36 @@ def charpoly_digest(pairs):
     return digest.hexdigest()
 
 
+# sha256 of charpoly_digest([(k, p)]) per pair, computed by the dense twin
+# search of earlier versions; the past-the-cap pairs with the cap at 512
+PINNED_CHARPOLYS = {
+    (2, 3): "cc7b742d6201b11adce4b68d1e5d927ddedab1bbe23e723c20cea9753439af8e",
+    (2, 5): "77247e25a0bc4b45f52c1a9ed4112e5e2610d20f32eb3a026de0a1081ce4833d",
+    (2, 7): "24a34f3dd8336e6c0dcc29febd9d2a6600572210a98db7c65a60714baaed6d2c",
+    (2, 11): "e9e40df830ca55b5da0d5cb7b3bb96ce7253163518d3d222e796c4bc3b706386",
+    (2, 13): "389c8d7f0cee3139703bb6b595d95b1e71647bc1db2b822a36323c8076271f7a",
+    (2, 17): "c553309a0f2646b8a5de358570bf2b96ca8644999e8463fbd050404d0ca8c51a",
+    (2, 19): "7eaa7d37c9a1d97827d9b37b84303d2981fa935610fd081ab60898458d60a855",
+    (2, 23): "a49ea8c06b027630dc6d97b714bff59f571c313c49f2a0bee6007953ff75812c",
+    (2, 29): "ee9ae5326f03049945f60039fdf5716f0ebf71d67e79cce8dc0df26a4eacf105",
+    (2, 31): "01c307bfbb5dc73d0bdf227aeae5c60d6fd970802f29e0aed2830677039f26e6",
+    (3, 3): "8e24c8ecbdb6910d5e32231dbe204ceaf42173f227ed94746151bdb2d3507457",
+    (3, 5): "2685172c6c888f1032c403d3d712654fe8c0fd704d193be2f05ca8ee21f81d34",
+    (3, 7): "d32608a74675860fb054b5d86e2d72caa2ac3f3c86599b80e9799f397160677f",
+    (3, 11): "0d2c7aae6f1e2dde7ac1d730da3c55098b0621197db99e8d0402a2ecaa3bbd1d",
+    (3, 13): "2b539297dfd46e1549fc2fe2da64477dcf9223ddd6c01550e79288aaf65b1755",
+    (4, 3): "745f78b6174ce76a54841a1af01ef73174856b243e5d79086063ed9d31d063cd",
+    (4, 5): "8c1a263bc5a5cc11766c2aef4210f43d0024499eab35367138d6a555053a7cd9",
+    (4, 7): "6defd149663e86fcf08aae7b3984f9bc83e5f31b5ccf1e8415b8fc5c9f508f31",
+    (5, 3): "d97a62d402282f119891b502344f57e2de9a5de2470eae77508fa422bda98a9b",
+}
+
+PINNED_PAST_THE_CAP = {
+    (6, 3): "1a432b2378197d3c3baab5e67e1579e0a23edfe1e27d02d78e91ddbd5040935c",
+    (3, 31): "2d893371e9c1fadab3516e66bf4fc938cd1ce5f92ba9d3aa62dba3a41a31323b",
+}
+
+
 def spy_twin_levels(monkeypatch):
     """A list that gets the number of merges of each certified reduction."""
     certified = []
@@ -728,21 +758,19 @@ def refuse_on(monkeypatch, m, found, error):
 
 
 class TestTwinLevels:
-    def test_pinned_charpolys_on_the_family(self, monkeypatch):
-        # computed by the dense twin search of earlier versions
+    @pytest.mark.parametrize("k, p", PAIRS_UNDER_CAP)
+    def test_pinned_charpolys_on_the_family(self, monkeypatch, k, p):
         certified = spy_twin_levels(monkeypatch)
-        assert charpoly_digest(PAIRS_UNDER_CAP) == (
-            "a7af2cb0d96f718ba89afe1f60d41656d83092e3ce12e33109807276e6bb2570"
-        )
-        assert len(certified) == 6 * len(PAIRS_UNDER_CAP) and min(certified) > 0
+        assert charpoly_digest([(k, p)]) == PINNED_CHARPOLYS[k, p]
+        assert len(certified) == 6 and min(certified) > 0
 
-    def test_pinned_charpolys_past_the_cap(self, monkeypatch):
+    @pytest.mark.parametrize("k, p", list(PINNED_PAST_THE_CAP))
+    def test_pinned_charpolys_past_the_cap(self, monkeypatch, k, p):
         monkeypatch.setenv(CAP_ENV_VAR, "512")
-        for k, p in ((6, 3), (3, 31)):
-            assert 2 ** (k + 1) * p > exact_linalg.DEFAULT_MATRIX_CAP
-        assert charpoly_digest([(6, 3), (3, 31)]) == (
-            "ca81a95bbc12770672abc3b532f0b462f50215dd5d7effe365e6793e5074e07a"
-        )
+        assert 2 ** (k + 1) * p > exact_linalg.DEFAULT_MATRIX_CAP
+        certified = spy_twin_levels(monkeypatch)
+        assert charpoly_digest([(k, p)]) == PINNED_PAST_THE_CAP[k, p]
+        assert len(certified) == 6 and min(certified) > 0
 
     @pytest.mark.parametrize("k, p", PAIRS_UNDER_CAP)
     def test_quotient_sizes_on_the_family(self, k, p):
