@@ -6,16 +6,18 @@ Two independent exact routes to det(xI - A) live here.
   computes det(xI - B) by Berkowitz's division-free recurrence, checks
   it with one Bareiss determinant on B at x0 = R(B) + 1, and multiplies
   in the linear factors of the twin classes.  The reduction runs when A
-  is graph-shaped (n >= 2, int64 entries, every off-diagonal entry 0 or
-  one value w, a symmetric zero pattern), A = diag(D) + w Adj, on the
-  packed bit rows R of Adj.  _twin_levels merges groups of open or
-  closed twins by hashed keys, round after round until nothing merges,
-  and counts B with numpy.  _check_twin_levels proves det(xI - A) =
-  det(xI - B) * prod (x - r)^(s - 1) on R and D: a few popcounts per
-  member of each merge, read on its head, and c^2 popcounts on the
-  heads of the c cells.  Any other A goes whole to Berkowitz.  The
-  char_poly_exact docstring states the lemmas, the certificate, the
-  cost and the point check.
+  is graph-shaped, A = diag(D) + w Adj, on the packed bit rows R of Adj.
+  For a matrix of matrix_of, R, D and w come from its graph, and the
+  graph-only work is done once per graph: _twin_levels finds the twin
+  classes on the adjacency keys, counts K with numpy, and
+  _check_twin_structure proves everything about them that reads R only;
+  the graph keeps the result.  Per matrix, _twin_quotient proves the
+  rest for its D and w, computes the roots and forms B = w K + diag(D).
+  Any other graph-shaped A (n >= 2, int64 entries, every off-diagonal
+  entry 0 or one value w, a symmetric zero pattern) is read by
+  _graph_rows and takes the same three steps, with nothing kept.  Any
+  other A goes whole to Berkowitz.  The char_poly_exact docstring states
+  the lemmas, the certificate, the cost and the point check.
 - char_poly_leverrier, the cross-check route, runs fraction-free
   Faddeev-LeVerrier on Python ints.
 
@@ -368,8 +370,18 @@ def _matrix_array(graph, kind: str) -> np.ndarray:
 
 
 def matrix_of(graph, kind: str) -> IntMatrix:
-    """_matrix_array as an IntMatrix of Python ints."""
-    return IntMatrix.from_array(_matrix_array(graph, kind))
+    """_matrix_array as an IntMatrix of Python ints.
+
+    The matrix also records its graph and kind, in a private attribute
+    outside the dataclass fields, so rows, ==, hash and repr do not see
+    it.  char_poly_exact reads them to take the twin quotient from the
+    graph's bit rows, found and proved once per graph for all three kinds;
+    an IntMatrix built from the same rows takes the dense route to the
+    same polynomial.
+    """
+    m = IntMatrix.from_array(_matrix_array(graph, kind))
+    object.__setattr__(m, "_source", (graph, kind))
+    return m
 
 
 def det_exact(m: IntMatrix) -> int:
@@ -383,9 +395,13 @@ def _gershgorin_radius(m: IntMatrix) -> int:
 
 
 # A group of indices of the original matrix, sorted, and one merge of
-# groups: its member groups G_0, ..., G_(s-1) and its root.
+# groups: its member groups G_0, ..., G_(s-1).
 _Group = tuple[int, ...]
-_Merge = tuple[tuple[_Group, ...], int]
+_Merge = tuple[_Group, ...]
+# A proved twin reduction, as char_poly_exact keeps it per graph: the
+# cells, K, and per merge the member heads, their inner counts and the
+# member size if the merge is closed, else 0 (see _check_twin_structure).
+_Twins = tuple[list[_Group], list[list[int]], list[tuple[list[int], list[int], int]]]
 
 
 def _union(members: Iterable[_Group]) -> _Group:
@@ -427,35 +443,34 @@ def _graph_rows(m: IntMatrix) -> tuple[list[int], list[int], int] | None:
 
 def _twin_levels(
     rows: Sequence[int], diagonal: Sequence[int], w: int
-) -> tuple[IntMatrix, list[_Group], list[_Merge]]:
-    """(B, cells, merges), the twin quotient of M = diag(D) + w A and how
-    it was formed, with R, D and w from _graph_rows.
+) -> tuple[list[_Group], list[_Merge], list[list[int]]]:
+    """(cells, merges, K): the twin classes of M = diag(D) + w A, how they
+    were formed, and the counts of the quotient, with R, D and w as in
+    _graph_rows.
 
     A group is a sorted tuple of indices, its head h its smallest index,
     its mask m the bits of its members, and b = D_h + w popcount(R_h & m)
     the head's row sum of M inside it.  From the singletons on, each
     round keys every current group twice:
 
-    - open twins (type c = 0) on (R_h & ~m, b, size), the size dropped
-      when R_h & ~m is 0;
-    - closed twins (type c = w size, never 0) on ((R_h & ~m) | m, b,
-      size);
+    - open twins on (R_h & ~m, b, size), the size dropped when R_h & ~m
+      is 0;
+    - closed twins on ((R_h & ~m) | m, b, size);
 
-    and merges the groups of every key held by two or more, with root
-    b - c.  Rounds repeat until nothing merges.  Equal open keys mean no
-    edge between the groups and one neighbourhood outside them all; equal
-    closed keys mean every edge between them.  No group has both kinds of
-    partner: if G, H are open twins and G, K closed twins, K is a
-    neighbour of G outside G and H, so of H, and H, outside G and K, is a
-    neighbour of K but not of G.  The merges come in round order, and
-    cells[J] is the group that index J of B stands for.
+    and merges the groups of every key held by two or more.  Rounds repeat
+    until nothing merges.  Equal open keys mean no edge between the groups
+    and one neighbourhood outside them all; equal closed keys mean every
+    edge between them.  No group has both kinds of partner: if G, H are
+    open twins and G, K closed twins, K is a neighbour of G outside G and
+    H, so of H, and H, outside G and K, is a neighbour of K but not of G.
+    The merges come in round order, and cells[J] is the group that index J
+    of the quotient stands for.
 
-    B = w K + diag(D_h), K_IJ the number of neighbours in cell J of the
-    head of cell I: the head rows unpacked to a c x n 0/1 array, its
-    columns grouped by cell and summed by np.add.reduceat, and w K + D
-    formed on Python ints, as it can leave int64 for a large w.  Nothing
-    here is trusted: _check_twin_levels proves the result by popcounts,
-    which share no code with this count.
+    K_IJ is the number of neighbours in cell J of the head of cell I: the
+    head rows unpacked to a c x n 0/1 array, its columns grouped by cell
+    and summed by np.add.reduceat.  Nothing here is trusted:
+    _check_twin_structure and _twin_quotient prove the result by
+    popcounts, which share no code with this count.
     """
     groups = {(i,): 1 << i for i in range(len(rows))}
     merges: list[_Merge] = []
@@ -465,107 +480,139 @@ def _twin_levels(
             row, size = rows[group[0]], len(group)
             outside = row & ~mask
             b = diagonal[group[0]] + w * (row & mask).bit_count()
-            keyed.setdefault((outside, b, size if outside else 0, 0), []).append(group)
-            keyed.setdefault((outside | mask, b, size, w * size), []).append(group)
-        level = sorted(
-            [(tuple(sorted(g)), b - c) for (_, b, _, c), g in keyed.items() if len(g) > 1]
-        )
+            keyed.setdefault((outside, b, size if outside else 0, False), []).append(group)
+            keyed.setdefault((outside | mask, b, size, True), []).append(group)
+        level = sorted([tuple(sorted(g)) for g in keyed.values() if len(g) > 1])
         if not level:
             break
-        for members, _ in level:
+        for members in level:
             groups[_union(members)] = sum([groups.pop(g) for g in members])
         merges += level
     cells = sorted(groups)
     by_cell = [v for cell in cells for v in cell]
     bits = _unpack([rows[cell[0]] for cell in cells], len(rows))[:, by_cell]
     starts = list(itertools.accumulate(map(len, cells[:-1]), initial=0))
-    counts = np.add.reduceat(bits, starts, axis=1, dtype=np.int64).tolist()
-    quotient = []
-    for j, (cell, row) in enumerate(zip(cells, counts)):
-        b = [w * k for k in row]
-        b[j] += diagonal[cell[0]]
-        quotient.append(tuple(b))
-    return IntMatrix(tuple(quotient)), cells, merges
+    return cells, merges, np.add.reduceat(bits, starts, axis=1, dtype=np.int64).tolist()
 
 
-def _check_twin_levels(
+def _check_twin_structure(
     rows: Sequence[int],
-    diagonal: Sequence[int],
-    w: int,
-    quotient: IntMatrix,
     cells: Sequence[_Group],
     merges: Sequence[_Merge],
-) -> None:
-    """Prove det(xI - M) = det(xI - B) * prod (x - r)^(s - 1) on the bit
-    rows of M = diag(D) + w A (see _graph_rows), for B = quotient and the
-    cells and merges of _twin_levels.
+    counts: Sequence[Sequence[int]],
+) -> list[tuple[list[int], list[int], int]]:
+    """The half of the twin certificate that reads the bit rows R only,
+    for the cells, merges and K of _twin_levels; _twin_quotient is the
+    other half, per diagonal D and weight w.  Returns, per merge, its
+    member heads, their inner counts popcount(R_h & m) and the member
+    size if the merge is closed, else 0.
 
-    A group G with head h and mask m is a regular module when every
-    member v has the head's row outside G, R_v & ~m = R_h & ~m, and the
-    head's row sum inside it, D_v + w popcount(R_v & m) = b.  Every
-    singleton is one.  Three exact checks:
+    A group G with head h and mask m is a module when every member v has
+    the head's row outside G, R_v & ~m = R_h & ~m, and a regular module of
+    M = diag(D) + w A when also every member has the head's row sum
+    inside it, D_v + w popcount(R_v & m) = b.  Every singleton is one.
+    Three exact checks:
 
     1. Replayed from the singletons, each merge replaces two or more
        distinct current groups G_0, ..., G_(s-1) by their union U, and
-       what is left is exactly the cells, one per index of B.  So the
-       cells partition range(n), and the cell indicators with every
-       merge's differences 1_(G_0) - 1_(G_a), a = 1 ... s - 1, form a
-       basis T of n vectors: each merge swaps s indicators for their sum
-       and s - 1 differences, which span the same space.
-    2. For each merge, on the member heads only: every member has one b
-       and one R_h & ~U; either every head has all of U & ~m in its row
-       (closed, c = w size) or none of it (open, c = 0); every member has
-       one size, unless the merge is open and R_h & ~U = 0; and r = b - c.
-    3. M P = P B for the cell-indicator matrix P, on the head h of each
-       cell only: for every cell J, w popcount(R_h & mask_J) plus D_h when
-       h is in J equals B's entry.
+       what is left is exactly the cells, one per row of K.  So the cells
+       partition range(n), and the cell indicators with every merge's
+       differences 1_(G_0) - 1_(G_a), a = 1 ... s - 1, form a basis T of n
+       vectors: each merge swaps s indicators for their sum and s - 1
+       differences, which span the same space.
+    2. For each merge, on the member heads only: every member has one
+       R_h & ~U; either every head has all of U & ~m in its row (closed)
+       or none of it (open); and every member has one size, unless the
+       merge is open and R_h & ~U = 0.
+    3. K_IJ = popcount(R_h & mask_J) for the head h of every cell I, c^2
+       popcounts for c cells.
 
-    Induction: if the members of a merge are regular modules, so is U.
-    A member v of G_a agrees with its head off m_a, so R_v & ~U is the
-    head's, one value by step 2, and R_v & (U & ~m_a) is all or none of
-    U & ~m_a as the merge's type says.  So U's row sum at v is b + w (|U|
-    - |G_a|) when closed and b when open, one value as the sizes agree
-    when closed.  Every group of the replay is a regular module, the
-    cells too.
-
-    Eigenvectors.  A is symmetric, so a row x outside a regular module G
-    reads w |G| at G when bit x of R_h is set and 0 otherwise.  So row x
-    of M (1_(G_0) - 1_(G_a)) reads 0 outside U, where the outside rows
-    agree and so do the sizes (or the row is 0); 0 in a third member,
-    w |G| - w |G| or 0 - 0; b - c = r in G_0 and c - b = -r in G_a.  Step
-    3 covers every row of M P: a row v in a cell, a regular module, has
-    its head's row outside it and its head's row sum inside, so row v of
-    M P is the head's.  So M T = T diag(B, r, ...), which proves the
-    identity.  Step 2 costs a few popcounts per member, step 3 c^2
-    popcounts for c cells.  Any failure raises ArithmeticError.
+    Any failure raises ArithmeticError.  _twin_quotient's docstring
+    carries the induction and the eigenvectors.
     """
     masks = {(i,): 1 << i for i in range(len(rows))}
-    for members, r in merges:
+    proof = []
+    for members in merges:
         if not len(set(members)) == len(members) >= 2 or not all(map(masks.__contains__, members)):
             raise ArithmeticError("twin certificate: a merge is not of distinct current groups")
         inner = [masks.pop(g) for g in members]
         union = sum(inner)
         heads = [g[0] for g in members]
-        sums = {diagonal[h] + w * (rows[h] & m).bit_count() for h, m in zip(heads, inner)}
         outside = {rows[h] & ~union for h in heads}
         links = [rows[h] & union & ~m for h, m in zip(heads, inner)]
         closed = all(link == union & ~m for link, m in zip(links, inner))
-        if len(sums) != 1 or len(outside) != 1 or not (closed or not any(links)):
+        if len(outside) != 1 or not (closed or not any(links)):
             raise ArithmeticError(f"twin certificate: the groups headed {heads} are not twins")
         if len({len(g) for g in members}) != 1 and (closed or outside != {0}):
             raise ArithmeticError(f"twin certificate: twins of unequal size headed {heads}")
-        c = w * len(members[0]) if closed else 0
-        if r != sums.pop() - c:
-            raise ArithmeticError(f"twin certificate: root {r} is not b - c for c = {c}")
+        inners = [(rows[h] & m).bit_count() for h, m in zip(heads, inner)]
+        proof.append((heads, inners, len(members[0]) if closed else 0))
         masks[_union(members)] = union
-    if not len(cells) == len(masks) == quotient.n or set(cells) != masks.keys():
+    if not len(cells) == len(masks) == len(counts) or set(cells) != masks.keys():
         raise ArithmeticError("twin certificate: the cells are not what the merges leave")
     cell_masks = [masks[cell] for cell in cells]
-    for j, cell in enumerate(cells):
-        got = [w * (rows[cell[0]] & mask).bit_count() for mask in cell_masks]
-        got[j] += diagonal[cell[0]]
-        if tuple(got) != quotient.rows[j]:
-            raise ArithmeticError(f"twin certificate: M P != P B in row {cell[0]}")
+    for cell, row in zip(cells, counts):
+        if [(rows[cell[0]] & mask).bit_count() for mask in cell_masks] != list(row):
+            raise ArithmeticError(f"twin certificate: K is wrong in row {cell[0]}")
+    return proof
+
+
+def _proved_twins(rows: Sequence[int], diagonal: Sequence[int], w: int) -> _Twins:
+    """_twin_levels on R with the keys of (D, w), and its structural proof."""
+    cells, merges, counts = _twin_levels(rows, diagonal, w)
+    return cells, counts, _check_twin_structure(rows, cells, merges, counts)
+
+
+def _twin_quotient(twins: _Twins, diagonal: Sequence[int], w: int) -> tuple[IntMatrix, Counter[int]]:
+    """(B, roots): the quotient of M = diag(D) + w A on proved twins of A,
+    and the Counter of the roots r with their multiplicities, so that
+    det(xI - M) = det(xI - B) * prod (x - r)^e.
+
+    The kind-dependent half of the certificate, on the member heads: b =
+    D_h + w inner_h must take one value on each merge's heads, else
+    ArithmeticError; the root is r = b - w size for a closed merge and b
+    for an open one, s - 1 times for s members; and B = w K + diag(D of
+    the cell heads), formed on Python ints, as w K can leave int64.
+
+    Induction: if the members of a merge are regular modules (see
+    _check_twin_structure), so is U.  A member v of G_a agrees with its
+    head off m_a, so R_v & ~U is the head's, one value, and R_v & (U &
+    ~m_a) is all or none of U & ~m_a as the merge's type says.  So U's row
+    sum at v is b + w (|U| - |G_a|) when closed and b when open, one value
+    as the sizes agree when closed.  Every group of the replay is a
+    regular module, the cells too.
+
+    Eigenvectors.  A is symmetric, so a row x outside a module G reads
+    w |G| at G when bit x of R_h is set and 0 otherwise.  So row x of
+    M (1_(G_0) - 1_(G_a)) reads 0 outside U, where the outside rows agree
+    and so do the sizes (or the row is 0); 0 in a third member, w |G| -
+    w |G| or 0 - 0; b - c = r in G_0 and c - b = -r in G_a, c = w size or
+    0.  A row v of M P, for the cell indicators P, is its head's, as a
+    cell is a regular module, and the head's is w K + D_h on the diagonal.
+    So M T = T diag(B, r, ...), which proves the identity.
+
+    One graph, three kinds.  For the adjacency D = 0 and w = 1; for the
+    Laplacian and the signless Laplacian D is the degree and w = -1, 1.
+    The degree of a member head is popcount(R_h & ~U) + popcount(R_h & U &
+    ~m) + inner_h: the first is one value by step 2 of the structure, the
+    second is |U| - |G_a| when closed and 0 when open, one value as the
+    sizes agree when closed, and the third is one value when the
+    adjacency's b is.  So twins found on the adjacency keys are twins for
+    all three kinds; the check above proves it again on every call.
+    """
+    cells, counts, proof = twins
+    roots: Counter[int] = Counter()
+    for heads, inners, closed_size in proof:
+        sums = {diagonal[h] + w * k for h, k in zip(heads, inners)}
+        if len(sums) != 1:
+            raise ArithmeticError(f"twin certificate: the groups headed {heads} differ in row sum")
+        roots[sums.pop() - w * closed_size] += len(heads) - 1
+    quotient = []
+    for j, (cell, row) in enumerate(zip(cells, counts)):
+        b = [w * k for k in row]
+        b[j] += diagonal[cell[0]]
+        quotient.append(tuple(b))
+    return IntMatrix(tuple(quotient)), roots
 
 
 def _char_poly_factored(m: IntMatrix) -> tuple[list[int], Counter[int]]:
@@ -573,11 +620,16 @@ def _char_poly_factored(m: IntMatrix) -> tuple[list[int], Counter[int]]:
     multiplicities), with det(xI - M) = det(xI - B) * prod (x - r)^e: the
     factored core of char_poly_exact, whose docstring states the route."""
     _check_cap(m.n)
-    quotient, merges = m, []
-    graph = _graph_rows(m)
-    if graph is not None:
-        quotient, cells, merges = _twin_levels(*graph)
-        _check_twin_levels(*graph, quotient, cells, merges)
+    quotient, roots = m, Counter()
+    graph, kind = getattr(m, "_source", (None, None))
+    if graph is not None and m.n >= 2:
+        if graph._twins is None:
+            rows = [graph.row_mask(i) for i in range(graph.n)]
+            graph._twins = _proved_twins(rows, [0] * graph.n, 1)
+        w = -1 if kind == "laplacian" else 1
+        quotient, roots = _twin_quotient(graph._twins, _matrix_diagonal(graph, kind).tolist(), w)
+    elif (shape := _graph_rows(m)) is not None:
+        quotient, roots = _twin_quotient(_proved_twins(*shape), *shape[1:])
     coeffs = kernels.charpoly_berkowitz(quotient.rows)
     x0 = _gershgorin_radius(quotient) + 1
     shifted = [
@@ -586,9 +638,6 @@ def _char_poly_factored(m: IntMatrix) -> tuple[list[int], Counter[int]]:
     ]
     if IntPolynomial.from_coeffs(coeffs)(x0) != kernels.det_bareiss(shifted):
         raise ArithmeticError(f"Berkowitz det(xI - B) disagrees with det({x0}I - B)")
-    roots: Counter[int] = Counter()
-    for members, root in merges:
-        roots[root] += len(members) - 1
     return coeffs, roots
 
 
@@ -617,16 +666,28 @@ def char_poly_exact(m: IntMatrix) -> IntPolynomial:
     one, for every matrix kind.  An M that is not graph-shaped goes whole
     to Berkowitz, twins or not.
 
-    Certificate, on the bit rows of M.  The merges are replayed from the
-    singletons and never trusted (see _check_twin_levels).  Every group
+    Once per graph.  A matrix of matrix_of carries its graph and kind, so
+    R is the graph's rows, D is _matrix_diagonal and w is -1 for the
+    Laplacian, 1 otherwise, and _graph_rows does not run.  The classes
+    are found on the adjacency keys (D = 0, w = 1) and proved on R once,
+    on the first call for the graph, which keeps them; each of its three
+    matrices takes only the per-kind step.  The degree lemma in
+    _twin_quotient shows why the adjacency's classes hold for the
+    Laplacians, and the per-kind step proves it on every call.  Any other
+    graph-shaped M is found on its own keys and proved, every call.
+
+    Certificate, on the bit rows.  The merges are replayed from the
+    singletons and never trusted (see _check_twin_structure).  Every group
     they form is a regular module: its members have one row outside it
     and one row sum inside it.  The final cells J and, for every merge of
-    groups G_0, ..., G_(s-1) with root r, the differences 1_(G_0) -
-    1_(G_a) form a basis T of n vectors.  Checks on the heads of the
-    members prove M (1_(G_0) - 1_(G_a)) = r (1_(G_0) - 1_(G_a)), and c^2
-    popcounts on the heads of the cells prove M P = P B for the cell
-    indicators P.  So M T = T diag(B, roots), which proves the
-    factorisation above; a failure raises ArithmeticError.
+    groups G_0, ..., G_(s-1), the differences 1_(G_0) - 1_(G_a) form a
+    basis T of n vectors.  Popcounts on the heads of the members, of R
+    once per graph and of D per kind (_twin_quotient), prove
+    M (1_(G_0) - 1_(G_a)) = r (1_(G_0) - 1_(G_a)) for the root r the
+    certificate computes, and c^2 popcounts on the heads of the cells
+    prove K, so M P = P B for the cell indicators P and B = w K + diag(D).
+    So M T = T diag(B, roots), which proves the factorisation above; a
+    failure raises ArithmeticError.
 
     Berkowitz, on B.  kernels.charpoly_berkowitz is division-free on
     Python ints, so det(xI - B) is exact with no bound and no primes.

@@ -14,8 +14,9 @@ subgroup per generator class rather than one per vertex.  Every consumer
 (neighbors, edges, edge_count, graph_diff, and a run's trace and
 model-vs-true-diff checks) counts or walks the set bits of whole rows, so
 it costs O(n + edges) big-int steps, not n^2 index tests.  The build writes
-each edge into both of its rows, and the symmetry check compares each tile
-of the unpacked bit matrix above the diagonal with its mirror's transpose.
+each edge into both of its rows, and the loop and symmetry check tests each
+band of rows, unpacked, for a diagonal bit and against the transpose of the
+same band of columns.
 
 The model graph's edges are written once, as three parts of row masks
 (_model_parts).  build_model_graph is their union, model_adjacency_split
@@ -60,13 +61,14 @@ __all__ = [
 ]
 
 
-# Side of the square tiles Graph compares with their mirror images.
+# Rows per band that Graph's loop and symmetry check unpacks at a time; a
+# multiple of 8, so that every band starts on a whole byte of the rows.
 _SYMMETRY_TILE = 256
 
 # The largest group order either builder accepts.  n packed rows of n
-# bits take n^2 / 8 bytes and the symmetry check unpacks them, so a larger
-# order would exhaust memory rather than fail; the family the verifier
-# covers stops at n = 4096.
+# bits take n^2 / 8 bytes, held twice while the symmetry check runs, so a
+# larger order would exhaust memory rather than fail; the family the
+# verifier covers stops at n = 4096.
 MAX_GRAPH_ORDER = 16384
 
 
@@ -79,9 +81,15 @@ def _check_graph_order(n: int) -> None:
 
 
 class Graph:
-    """Immutable vertex-labelled graph over packed bit rows."""
+    """Immutable vertex-labelled graph over packed bit rows.
 
-    __slots__ = ("labels", "_rows", "_index")
+    Its one mutable slot, _twins, is private to exact_linalg: None until
+    char_poly_exact first needs the graph's twin quotient, then that
+    quotient, found and proved on the rows and shared by the graph's
+    three matrices.  It is not part of ==, hash or the rows.
+    """
+
+    __slots__ = ("labels", "_rows", "_index", "_twins")
 
     def __init__(self, labels: tuple[GroupElement, ...], row_masks: tuple[int, ...]):
         n = len(labels)
@@ -92,19 +100,11 @@ class Graph:
             raise ValueError("vertex labels must be distinct")
         if any(mask >> n for mask in row_masks):
             raise ValueError("adjacency row has bits outside the vertex range")
-        bits = _unpack(row_masks)
-        if bits.diagonal().any():
-            raise ValueError("loops are not allowed")
-        # tile by tile above the diagonal: a whole strided bits.T reads
-        # cache-hostile columns when n is a large power of two
-        t = _SYMMETRY_TILE
-        for i in range(0, n, t):
-            for j in range(i, n, t):
-                if (bits[i : i + t, j : j + t] != bits[j : j + t, i : i + t].T).any():
-                    raise ValueError("adjacency rows must be symmetric")
+        _check_loops_and_symmetry(row_masks)
         self.labels = labels
         self._rows = row_masks
         self._index = index
+        self._twins = None
 
     @property
     def n(self) -> int:
@@ -137,6 +137,37 @@ class Graph:
 
     def __hash__(self) -> int:
         return hash((self.labels, self._rows))
+
+
+def _check_loops_and_symmetry(row_masks) -> None:
+    """Raise ValueError when the n x n bit matrix of the rows has a set
+    diagonal bit or is not symmetric.
+
+    The rows are packed to n^2 / 8 bytes once.  Band by band of
+    _SYMMETRY_TILE rows, the band's part on and above the diagonal is
+    unpacked, its diagonal tested, and the same band of columns below it
+    unpacked too; each tile of the one is compared with its mirror's
+    transpose in the other.  At most two bands of n x _SYMMETRY_TILE
+    bytes are unpacked at a time, and for n <= _SYMMETRY_TILE the one band
+    is the whole matrix, compared with its own transpose.  The comparison
+    goes tile by tile because a whole strided transpose reads
+    cache-hostile columns when n is a large power of two.
+    """
+    n, t = len(row_masks), _SYMMETRY_TILE
+    width = (n + 7) // 8
+    packed = b"".join([mask.to_bytes(width, "little") for mask in row_masks])
+    packed = np.frombuffer(packed, np.uint8).reshape(n, width)
+    for i in range(0, n, t):
+        band = np.unpackbits(packed[i : i + t, i // 8 :], axis=1, bitorder="little")[:, : n - i]
+        if band.diagonal().any():
+            raise ValueError("loops are not allowed")
+        columns = band
+        if n > t:
+            columns = packed[i:, i // 8 : (i + t) // 8]
+            columns = np.unpackbits(columns, axis=1, bitorder="little")[:, : len(band)]
+        for j in range(0, n - i, t):
+            if (band[:, j : j + t] != columns[j : j + t].T).any():
+                raise ValueError("adjacency rows must be symmetric")
 
 
 def _bits(mask: int):

@@ -1,3 +1,4 @@
+import collections
 import enum
 import hashlib
 import math
@@ -26,8 +27,9 @@ from powspec.formulas import (
     laplacian_charpoly_formula,
     signless_charpoly_formula,
 )
-from powspec.powergraph import build_model_graph, build_power_graph
-from powspec.group_core import Cyclic, SemidihedralType
+from powspec.powergraph import Graph, build_model_graph, build_power_graph
+from powspec.group_core import Cyclic, GroupElement, SemidihedralType
+from powspec.verify_cli import run_verification
 
 
 def det_cofactor(rows):
@@ -341,7 +343,7 @@ class TestCharPoly:
         # point check, which runs on that quotient, must still catch it.
         adjacency = blow_up([[0, 1], [1, 0]], sizes=(3, 4), diag=(0, 0), off=(1, 0))
         m = graph_matrix(adjacency, 2**40, [2**40] * 3 + [-(2**40)] * 4)
-        assert twin_levels_of(m)[1][0].n == 2
+        assert dense_quotient(m)[0].n == 2
         with pytest.raises(ArithmeticError, match="disagrees"):
             char_poly_exact(m)
 
@@ -358,7 +360,7 @@ class TestCharPoly:
         check([[0, 1, 2, 3], [4, 0, 0, 5], [6, 0, 0, 7], [8, 9, 10, 11]])
         # the largest quotient of the family past the cap: (7, 3), n = 768
         laplacian = matrix_of(build_power_graph(SemidihedralType(7, 3)), "laplacian")
-        quotient = twin_levels_of(laplacian)[1][0]
+        quotient = dense_quotient(laplacian)[0]
         assert quotient.n == 18
         check(quotient.to_lists())
 
@@ -529,12 +531,14 @@ def family_matrices(k, p):
             yield f"{construction}/{kind}", matrix_of(graph, kind)
 
 
-def charpoly_digest(pairs):
+def charpoly_digest(pairs, dense=False):
     """sha256 over repr(char_poly_exact(M).coeffs) + newline, for the six
-    matrices of every pair in turn."""
+    matrices of every pair in turn: matrix_of's, or with dense, an
+    IntMatrix of the same rows, which carries no graph."""
     digest = hashlib.sha256()
     for k, p in pairs:
         for _, m in family_matrices(k, p):
+            m = IntMatrix(m.rows) if dense else m
             digest.update((repr(char_poly_exact(m).coeffs) + "\n").encode())
     return digest.hexdigest()
 
@@ -570,16 +574,32 @@ PINNED_PAST_THE_CAP = {
 
 
 def spy_twin_levels(monkeypatch):
-    """A list that gets the number of merges of each certified reduction."""
+    """A list that gets the number of merges of each reduction that passes
+    the per-kind step of the twin certificate, _twin_quotient."""
     certified = []
-    real = exact_linalg._check_twin_levels
+    real = exact_linalg._twin_quotient
 
-    def spy(*args):
-        real(*args)
-        certified.append(len(args[-1]))
+    def spy(twins, *args):
+        result = real(twins, *args)
+        certified.append(len(twins[2]))
+        return result
 
-    monkeypatch.setattr(exact_linalg, "_check_twin_levels", spy)
+    monkeypatch.setattr(exact_linalg, "_twin_quotient", spy)
     return certified
+
+
+def count_calls(monkeypatch, *names):
+    """A Counter of the calls to the named exact_linalg functions."""
+    calls = collections.Counter()
+    for name in names:
+        real = getattr(exact_linalg, name)
+
+        def spy(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(exact_linalg, name, spy)
+    return calls
 
 
 def graph_matrix(adjacency, w=1, diagonal=None):
@@ -599,15 +619,39 @@ def adjacency_of(n, edges):
     return rows
 
 
+def graph_of(adjacency):
+    """A Graph on 0/1 rows, its vertices labelled by the cyclic group."""
+    labels = tuple(GroupElement(0, b) for b in range(len(adjacency)))
+    return Graph(labels, tuple(sum(bit << j for j, bit in enumerate(row)) for row in adjacency))
+
+
+def finder_input(m):
+    """The (R, D, w) char_poly_exact keys _twin_levels on: for a matrix of
+    matrix_of, its graph's rows with the adjacency's D = 0 and w = 1, and
+    _graph_rows(m) for any other."""
+    source = getattr(m, "_source", None)
+    if source is None:
+        return exact_linalg._graph_rows(m)
+    graph = source[0]
+    return [graph.row_mask(i) for i in range(graph.n)], [0] * graph.n, 1
+
+
 def twin_levels_of(m):
-    """(R, D, w) and _twin_levels' (B, cells, merges) for a graph-shaped m."""
-    graph = exact_linalg._graph_rows(m)
-    return graph, exact_linalg._twin_levels(*graph)
+    """finder_input(m) and _twin_levels' (cells, merges, K) on it."""
+    found = finder_input(m)
+    return found, exact_linalg._twin_levels(*found)
+
+
+def dense_quotient(m):
+    """(B, roots) of the dense route: _graph_rows, the finder, both halves
+    of the certificate."""
+    rows, diagonal, w = exact_linalg._graph_rows(m)
+    return exact_linalg._twin_quotient(exact_linalg._proved_twins(rows, diagonal, w), diagonal, w)
 
 
 def above_level_1(merges):
     """The merges with a member of two or more indices."""
-    return [merge for merge in merges if max(map(len, merge[0])) > 1]
+    return [members for members in merges if max(map(len, members)) > 1]
 
 
 # K_3 on 0..2 (closed twins), the star with centre 3 and leaves 4, 5
@@ -659,15 +703,10 @@ def nested_graph_blow_up(rng, w, diagonal):
     return graph_matrix(permuted(adjacency, perm), w, diagonal)
 
 
-def honest_quotient(rows, diagonal, w, cells):
-    """B read off the heads' rows for the given cells."""
+def honest_counts(rows, cells):
+    """K read off the heads' rows for the given cells."""
     masks = [sum(1 << v for v in cell) for cell in cells]
-    quotient = []
-    for j, cell in enumerate(cells):
-        b = [w * (rows[cell[0]] & mask).bit_count() for mask in masks]
-        b[j] += diagonal[cell[0]]
-        quotient.append(b)
-    return IntMatrix.from_rows(quotient)
+    return [[(rows[cell[0]] & mask).bit_count() for mask in masks] for cell in cells]
 
 
 def rename_groups(merges, cells, target, grown):
@@ -675,71 +714,66 @@ def rename_groups(merges, cells, target, grown):
     and every later group holding the old union holding the new one."""
     union = exact_linalg._union
     renamed, out = {}, []
-    for t, (members, r) in enumerate(merges):
+    for t, members in enumerate(merges):
         members = tuple(sorted(renamed.get(g, g) for g in members))
         if t == target:
             members = grown
         new = union(members)
-        old = union(merges[t][0])
+        old = union(merges[t])
         if new != old:
             renamed[old] = new
-        out.append((members, r))
+        out.append(members)
     return out, sorted(renamed.get(c, c) for c in cells)
 
 
-def _corrupt_twin_levels(corruption, level, graph, found):
+def _corrupt_twin_levels(corruption, level, rows, found):
     """A wrong _twin_levels result, of one of the kinds its certificate
     must refuse, placed on a merge (or cell) of the given level: 1 for a
     merge of singletons, 2 for one above them."""
-    rows, diagonal, w = graph
-    quotient, cells, merges = found
+    cells, merges, counts = found
     union = exact_linalg._union
     upper = above_level_1(merges)
-    pick = upper if level == 2 else [merge for merge in merges if merge not in upper]
+    pick = upper if level == 2 else [members for members in merges if members not in upper]
     target = merges.index(pick[-1])
-    members, r = merges[target]
+    members = merges[target]
     cell = next(c for c in cells if set(union(members)) <= set(c))
-    if corruption == "wrong root":
-        merges = merges[:target] + [(members, r + 1)] + merges[target + 1 :]
-    elif corruption == "wrong B entry":
-        b = [list(row) for row in quotient.rows]
-        b[cells.index(cell)][-1] += 1
-        quotient = IntMatrix.from_rows(b)
+    if corruption == "wrong K entry":
+        counts = [list(row) for row in counts]
+        counts[cells.index(cell)][-1] += 1
     elif corruption == "non-twin merged":
-        # a singleton cell joins the merge; B is read off the new cells
+        # a singleton cell joins the merge; K is read off the new cells
         # honestly, so only the twin checks can see it
         stray = next(c for c in cells if len(c) == 1)
         grown = tuple(sorted(members + (stray,)))
         merges, cells = rename_groups(merges, [c for c in cells if c != stray], target, grown)
-        quotient = honest_quotient(rows, diagonal, w, cells)
+        counts = honest_counts(rows, cells)
     elif corruption == "merge missing":
         merges = merges[:target] + merges[target + 1 :]
     elif corruption == "member repeated":
-        merges = merges[:target] + [(members + members[:1], r)] + merges[target + 1 :]
+        merges = merges[:target] + [members + members[:1]] + merges[target + 1 :]
     elif corruption == "cell missing":
-        # B read off the remaining cells honestly, so only the replay can see it
+        # K read off the remaining cells honestly, so only the replay can see it
         cells = [c for c in cells if c != cell]
-        quotient = honest_quotient(rows, diagonal, w, cells)
+        counts = honest_counts(rows, cells)
     elif corruption == "shuffled cells":
-        # every cell present, but two out of the order of the indices of B
+        # every cell present, but two out of the order of the rows of K
         i = cells.index(cell)
         j = (i + 1) % len(cells)
         cells = list(cells)
         cells[i], cells[j] = cells[j], cells[i]
     else:
         raise AssertionError(corruption)
-    return quotient, cells, merges
+    return cells, merges, counts
 
 
 # each corruption and the certificate's error it meets
 CORRUPTIONS = {
-    "wrong root": "is not b - c",
-    "wrong B entry": "M P != P B",
+    "wrong K entry": "K is wrong",
     "non-twin merged": "not twins",
     "merge missing": "cells are not what the merges leave|not of distinct current groups",
     "member repeated": "not of distinct current groups",
     "cell missing": "cells are not what the merges leave",
-    "shuffled cells": "M P != P B",
+    "shuffled cells": "K is wrong",
 }
 
 
@@ -775,40 +809,44 @@ class TestTwinLevels:
     @pytest.mark.parametrize("k, p", PAIRS_UNDER_CAP)
     def test_quotient_sizes_on_the_family(self, k, p):
         for label, m in family_matrices(k, p):
-            quotient, cells, merges = twin_levels_of(m)[1]
-            assert quotient.n == (5 if label.startswith("model") else 2 * k + 4), label
-            # the flip pairs of order-four elements merge above level 1
-            assert above_level_1(merges), label
+            want = 5 if label.startswith("model") else 2 * k + 4
+            for found in (exact_linalg._graph_rows(m), finder_input(m)):
+                cells, merges, counts = exact_linalg._twin_levels(*found)
+                assert len(cells) == len(counts) == want, label
+                # the flip pairs of order-four elements merge above level 1
+                assert above_level_1(merges), label
 
     def test_closed_and_open_twins_by_hand(self):
         # K_3: one class with d = 0, c = 1, so B = (0 + 2*1) and root 0 - 1 twice
         k3 = IntMatrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         _, found = twin_levels_of(k3)
-        assert found == (IntMatrix.from_rows([[2]]), [(0, 1, 2)], [(((0,), (1,), (2,)), -1)])
+        assert found == ([(0, 1, 2)], [((0,), (1,), (2,))], [[2]])
+        assert dense_quotient(k3) == (IntMatrix.from_rows([[2]]), {-1: 2})
         # star K_(1,3): the leaves are open twins (c = 0); B_(centre, leaves) = 3 * 1
-        _, found = twin_levels_of(graph_matrix(STAR_3, 1, [0] * 4))
-        assert found == (
-            IntMatrix.from_rows([[0, 3], [1, 0]]),
-            [(0,), (1, 2, 3)],
-            [(((1,), (2,), (3,)), 0)],
-        )
+        star = graph_matrix(STAR_3, 1, [0] * 4)
+        _, found = twin_levels_of(star)
+        assert found == ([(0,), (1, 2, 3)], [((1,), (2,), (3,))], [[0, 3], [1, 0]])
+        assert dense_quotient(star) == (IntMatrix.from_rows([[0, 3], [1, 0]]), {0: 2})
 
     def test_isolated_vertices_and_both_twin_types(self, monkeypatch):
-        graph, (quotient, cells, merges) = twin_levels_of(graph_matrix(MIXED_TWINS, 1, [0] * 8))
-        assert graph[0][6] == graph[0][7] == 0
+        rows, (cells, merges, counts) = twin_levels_of(graph_matrix(MIXED_TWINS, 1, [0] * 8))
+        assert rows[0][6] == rows[0][7] == 0
         assert cells == [(0, 1, 2), (3,), (4, 5), (6, 7)]
-        assert merges == [(((0,), (1,), (2,)), -1), (((4,), (5,)), 0), (((6,), (7,)), 0)]
-        assert quotient.rows == ((2, 0, 0, 0), (0, 0, 2, 0), (0, 1, 0, 0), (0, 0, 0, 0))
-        exact_linalg._check_twin_levels(*graph, quotient, cells, merges)
+        assert merges == [((0,), (1,), (2,)), ((4,), (5,)), ((6,), (7,))]
+        assert counts == [[2, 0, 0, 0], [0, 0, 2, 0], [0, 1, 0, 0], [0, 0, 0, 0]]
+        proof = exact_linalg._check_twin_structure(rows[0], cells, merges, counts)
+        assert proof == [([0, 1, 2], [0, 0, 0], 1), ([4, 5], [0, 0], 0), ([6, 7], [0, 0], 0)]
         # the Laplacian: K_3 and the isolated pair both have row sum 0 and
         # nothing outside, so they merge at level 2 though their sizes differ
-        graph, (quotient, cells, merges) = twin_levels_of(graph_matrix(MIXED_TWINS, -1))
+        _, (cells, merges, _) = twin_levels_of(graph_matrix(MIXED_TWINS, -1))
         assert cells == [(0, 1, 2, 6, 7), (3,), (4, 5)]
-        assert merges[-1] == (((0, 1, 2), (6, 7)), 0)
+        assert merges[-1] == ((0, 1, 2), (6, 7))
         # K_5 has one cell, so np.add.reduceat sums over a single start
-        _, (quotient, cells, merges) = twin_levels_of(graph_matrix(K_5, -1))
-        assert cells == [(0, 1, 2, 3, 4)] and quotient.rows == ((0,),)
-        assert merges == [(((0,), (1,), (2,), (3,), (4,)), 5)]
+        m = graph_matrix(K_5, -1)
+        _, (cells, merges, counts) = twin_levels_of(m)
+        assert cells == [(0, 1, 2, 3, 4)] and counts == [[4]]
+        assert merges == [((0,), (1,), (2,), (3,), (4,))]
+        assert dense_quotient(m) == (IntMatrix.from_rows([[0]]), {5: 4})
         certified = spy_twin_levels(monkeypatch)
         for adjacency in (MIXED_TWINS, K_5):
             n = len(adjacency)
@@ -822,31 +860,33 @@ class TestTwinLevels:
         # the two components are modules of sizes 2 and 3 with row sum 0
         # and nothing outside: open twins of unequal size, merged at level 2
         m = graph_matrix(K_2_K_3, -1)
-        _, (quotient, cells, merges) = twin_levels_of(m)
-        assert quotient.rows == ((0,),) and cells == [(0, 1, 2, 3, 4)]
-        assert merges == [
-            (((0,), (1,)), 2),
-            (((2,), (3,), (4,)), 3),
-            (((0, 1), (2, 3, 4)), 0),
-        ]
+        _, (cells, merges, _) = twin_levels_of(m)
+        assert cells == [(0, 1, 2, 3, 4)]
+        assert merges == [((0,), (1,)), ((2,), (3,), (4,)), ((0, 1), (2, 3, 4))]
+        assert dense_quotient(m) == (IntMatrix.from_rows([[0]]), {2: 1, 3: 2, 0: 1})
         # x (x - 2) * x (x - 3)^2
         assert char_poly_exact(m).coeffs == (0, 0, -18, 21, -8, 1)
         assert char_poly_exact(m) == char_poly_leverrier(m)
+        # the graph route keys on the adjacency, where the two differ in
+        # row sum, so its Laplacian keeps them apart, to the same polynomial
+        laplacian = matrix_of(graph_of(K_2_K_3), "laplacian")
+        assert laplacian == m and len(twin_levels_of(laplacian)[1][0]) == 2
+        assert char_poly_exact(laplacian) == char_poly_exact(m)
 
     def test_twin_free_graphs_are_their_own_quotient(self, monkeypatch):
-        certified = spy_twin_levels(monkeypatch)
         # paths, and cycles past C_4, have no twins of either type
         graphs = [PATH_4] + [
             adjacency_of(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(5, 10)
         ]
-        for adjacency in graphs:
-            for w in (1, -1):
-                m = graph_matrix(adjacency, w)
-                quotient, cells, merges = twin_levels_of(m)[1]
-                assert (quotient, merges) == (m, [])
-                assert cells == [(i,) for i in range(m.n)]
-                assert char_poly_exact(m) == char_poly_leverrier(m)
-        assert certified == [0] * 2 * len(graphs)
+        matrices = [graph_matrix(adjacency, w) for adjacency in graphs for w in (1, -1)]
+        for m in matrices:
+            cells, merges, _ = twin_levels_of(m)[1]
+            assert merges == [] and cells == [(i,) for i in range(m.n)]
+            assert dense_quotient(m) == (m, {})
+        certified = spy_twin_levels(monkeypatch)
+        for m in matrices:
+            assert char_poly_exact(m) == char_poly_leverrier(m)
+        assert certified == [0] * len(matrices)
 
     # w = 2^62 fits int64, but w K in B does not: B is formed on Python ints
     @pytest.mark.parametrize("w", (2, -3, 2**62))
@@ -892,7 +932,12 @@ class TestTwinLevels:
             for w, diagonal in ((1, [0] * n), (-1, None), (1, None)):
                 m = graph_matrix(adjacency, w, diagonal)
                 assert char_poly_exact(m) == char_poly_leverrier(m)
-        assert sum(map(bool, certified)) >= 60
+            # the same three through one Graph: found and proved once
+            g = graph_of(adjacency)
+            for kind in KINDS:
+                m = matrix_of(g, kind)
+                assert char_poly_exact(m) == char_poly_leverrier(m)
+        assert sum(map(bool, certified)) >= 120
 
     @pytest.mark.parametrize("w", (1, -1, 2, -3))
     def test_nested_graph_blow_ups_against_leverrier(self, monkeypatch, w):
@@ -908,7 +953,7 @@ class TestTwinLevels:
                 assert char_poly_exact(m) == char_poly_leverrier(m)
         assert len(levels) == 90
         # a third or more merge above level 1
-        assert sum(bool(above_level_1(merges)) for _, _, merges in levels) >= 30
+        assert sum(bool(above_level_1(merges)) for _, merges, _ in levels) >= 30
 
     def test_the_factored_core_holds_the_roots_of_every_level(self, monkeypatch):
         m = matrix_of(build_power_graph(SemidihedralType(2, 3)), "laplacian")
@@ -929,6 +974,8 @@ class TestTwinLevels:
 
     @staticmethod
     def corruption_inputs():
+        # two matrices of matrix_of, on a fresh graph each time, so that the
+        # graph route finds them, and one dense
         yield matrix_of(build_power_graph(SemidihedralType(2, 3)), "adjacency")
         yield matrix_of(build_model_graph(2, 3), "laplacian")
         # the star's leaves merge at level 1, the K_3 and the isolated pair
@@ -939,44 +986,116 @@ class TestTwinLevels:
     @pytest.mark.parametrize("corruption", CORRUPTIONS)
     def test_wrong_reductions_are_refused(self, monkeypatch, corruption, level):
         for m in self.corruption_inputs():
-            graph, found = twin_levels_of(m)
-            assert above_level_1(found[2])
+            found, levels = twin_levels_of(m)
+            assert above_level_1(levels[1])
             with monkeypatch.context() as patch:
-                bad = _corrupt_twin_levels(corruption, level, graph, found)
+                bad = _corrupt_twin_levels(corruption, level, found[0], levels)
                 refuse_on(patch, m, bad, CORRUPTIONS[corruption])
+        for m in self.corruption_inputs():
             char_poly_exact(m)  # the honest reduction still passes
+
+    def test_structural_twins_of_unequal_row_sum_are_refused_per_kind(self, monkeypatch):
+        # K_3 and the isolated pair of MIXED_TWINS: one outside row (none),
+        # no links, and open, so any sizes; the inner counts are 2 and 0
+        cells = [(0, 1, 2, 6, 7), (3,), (4, 5)]
+        merges = [((0,), (1,), (2,)), ((4,), (5,)), ((6,), (7,)), ((0, 1, 2), (6, 7))]
+        g = graph_of(MIXED_TWINS)
+        rows = [g.row_mask(i) for i in range(g.n)]
+        found = (cells, merges, honest_counts(rows, cells))
+        exact_linalg._check_twin_structure(rows, *found)
+        # the adjacency (b = 2 and 0) and signless Laplacian (4 and 0)
+        # refuse the merge, through the graph route and the dense one
+        for kind in ("adjacency", "signless"):
+            for m in (matrix_of(graph_of(MIXED_TWINS), kind), matrix_of(g, kind)):
+                with monkeypatch.context() as patch:
+                    refuse_on(patch, IntMatrix(m.rows), found, "differ in row sum")
+                with monkeypatch.context() as patch:
+                    refuse_on(patch, m, found, "differ in row sum")
+        # for the Laplacian both row sums are 0: the merge is sound, and the
+        # structure the graph kept gives the right polynomial
+        laplacian = matrix_of(g, "laplacian")
+        assert char_poly_exact(laplacian) == char_poly_leverrier(laplacian)
+        # a star leaf with another diagonal, on the dense route
+        m = graph_matrix(STAR_3, 1, [0, 1, 1, 2])
+        _, (cells, _, _) = twin_levels_of(m)
+        assert cells == [(0,), (1, 2), (3,)]
+        cells = [(0,), (1, 2, 3)]
+        found = (cells, [((1,), (2,), (3,))], honest_counts(finder_input(m)[0], cells))
+        refuse_on(monkeypatch, m, found, "differ in row sum")
 
     def test_closed_groups_of_unequal_size_are_refused(self, monkeypatch):
         # K_5 with D = (1, 1, 0, 0, 0): the closed groups (0, 1) and (2, 3, 4)
         # share the row sum 2 and have nothing outside, but 1_G0 - 1_G1 is no
         # eigenvector, as their sizes differ
         m = graph_matrix(K_5, 1, [1, 1, 0, 0, 0])
-        graph, (_, _, merges) = twin_levels_of(m)
-        assert merges == [(((0,), (1,)), 0), (((2,), (3,), (4,)), -1)]
-        merges = merges + [(((0, 1), (2, 3, 4)), 0)]
+        (rows, _, _), (_, merges, _) = twin_levels_of(m)
+        assert merges == [((0,), (1,)), ((2,), (3,), (4,))]
+        merges = merges + [((0, 1), (2, 3, 4))]
         cells = [(0, 1, 2, 3, 4)]
-        refuse_on(monkeypatch, m, (honest_quotient(*graph, cells), cells, merges), "unequal size")
+        refuse_on(monkeypatch, m, (cells, merges, honest_counts(rows, cells)), "unequal size")
 
     def test_a_merge_mixing_open_and_closed_members_is_refused(self, monkeypatch):
         # 0 ~ 1, and 2 apart: one row sum and nothing outside for all three
         m = graph_matrix(adjacency_of(3, [(0, 1)]), 1, [0, 0, 0])
-        graph, _ = twin_levels_of(m)
+        (rows, _, _), _ = twin_levels_of(m)
         cells = [(0, 1, 2)]
-        for r in (0, -1):  # the open root and the closed one
-            merges = [(((0,), (1,), (2,)), r)]
-            refuse_on(monkeypatch, m, (honest_quotient(*graph, cells), cells, merges), "not twins")
+        found = (cells, [((0,), (1,), (2,))], honest_counts(rows, cells))
+        refuse_on(monkeypatch, m, found, "not twins")
 
-    def test_a_member_with_another_diagonal_is_refused(self):
-        # leaves 1, 2, 3 of a star share R; leaf 3 has another diagonal
-        m = graph_matrix(STAR_3, 1, [0, 1, 1, 2])
-        graph, (_, cells, _) = twin_levels_of(m)
-        assert cells == [(0,), (1, 2), (3,)]
-        cells = [(0,), (1, 2, 3)]
-        merges = [(((1,), (2,), (3,)), 1)]
-        with pytest.raises(ArithmeticError, match="not twins"):
-            exact_linalg._check_twin_levels(
-                *graph, honest_quotient(*graph, cells), cells, merges
-            )
+
+class TestGraphRoute:
+    """A matrix of matrix_of takes its twin quotient from its graph: found
+    and proved on the graph's bit rows once per graph, and certified per
+    matrix kind."""
+
+    @pytest.mark.parametrize("k, p", PAIRS_UNDER_CAP)
+    def test_the_graph_route_equals_the_dense_route(self, k, p):
+        for label, m in family_matrices(k, p):
+            assert char_poly_exact(IntMatrix(m.rows)) == char_poly_exact(m), label
+        assert charpoly_digest([(k, p)], dense=True) == PINNED_CHARPOLYS[k, p]
+
+    @pytest.mark.parametrize("k, p", list(PINNED_PAST_THE_CAP))
+    def test_the_graph_route_equals_the_dense_route_past_the_cap(self, monkeypatch, k, p):
+        monkeypatch.setenv(CAP_ENV_VAR, "512")
+        assert charpoly_digest([(k, p)], dense=True) == PINNED_PAST_THE_CAP[k, p]
+
+    def test_the_record_is_outside_the_dataclass_fields(self):
+        g = build_model_graph(2, 3)
+        m = matrix_of(g, "laplacian")
+        plain = IntMatrix(m.rows)
+        assert m._source == (g, "laplacian") and not hasattr(plain, "_source")
+        assert m == plain and hash(m) == hash(plain) and repr(m) == repr(plain)
+
+    def test_one_run_finds_and_proves_once_per_graph(self, monkeypatch):
+        calls = count_calls(
+            monkeypatch, "_twin_levels", "_check_twin_structure", "_twin_quotient", "_graph_rows"
+        )
+        run_verification(2, 3)
+        assert calls == {"_twin_levels": 2, "_check_twin_structure": 2, "_twin_quotient": 6}
+        calls.clear()
+        run_verification(2, 3, kinds=())
+        assert calls == {}
+
+    def test_a_fresh_graph_with_the_same_rows_recomputes(self, monkeypatch):
+        calls = count_calls(monkeypatch, "_twin_levels", "_check_twin_structure")
+        first = build_power_graph(SemidihedralType(2, 3))
+        for kind in KINDS:
+            char_poly_exact(matrix_of(first, kind))
+        assert calls == {"_twin_levels": 1, "_check_twin_structure": 1}
+        second = build_power_graph(SemidihedralType(2, 3))
+        assert second == first and second._twins is None
+        want = char_poly_exact(matrix_of(first, "signless"))
+        assert char_poly_exact(matrix_of(second, "signless")) == want
+        assert calls == {"_twin_levels": 2, "_check_twin_structure": 2}
+
+    def test_small_graphs_go_whole_to_berkowitz(self, monkeypatch):
+        calls = count_calls(monkeypatch, "_twin_levels", "_twin_quotient")
+        for n in (0, 1):
+            g = graph_of([[0] * n for _ in range(n)])
+            for kind in KINDS:
+                m = matrix_of(g, kind)
+                assert char_poly_exact(m) == char_poly_leverrier(m)
+        assert calls == {}
 
 
 class TestMatrixCap:

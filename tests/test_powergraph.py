@@ -257,7 +257,47 @@ class TestGraphBasics:
 
 class TestSymmetryCheck:
     """Graph's symmetry check compares each tile above the diagonal with
-    the transpose of its mirror tile."""
+    the transpose of its mirror tile, one band of rows at a time."""
+
+    @pytest.mark.parametrize(
+        "i,j", [(600, 700), (700, 600), (520, 530), (530, 520), (300, 799), (799, 768)]
+    )
+    def test_one_asymmetric_bit_in_a_later_band(self, i, j):
+        # n = 800: bands of rows 0, 256, 512 and a partial one from 768
+        labels = tuple(E(0, b) for b in range(800))
+        sym = random_simple_rows(800, i * j)
+        Graph(labels, tuple(sym))
+        rows = list(sym)
+        rows[i] ^= 1 << j
+        with pytest.raises(ValueError, match="adjacency rows must be symmetric"):
+            Graph(labels, tuple(rows))
+
+    @pytest.mark.parametrize("v", [256, 600, 767, 768, 799])
+    def test_one_loop_in_a_later_band(self, v):
+        labels = tuple(E(0, b) for b in range(800))
+        rows = random_simple_rows(800, v)
+        Graph(labels, tuple(rows))
+        rows[v] |= 1 << v
+        with pytest.raises(ValueError, match="loops are not allowed"):
+            Graph(labels, tuple(rows))
+
+    def test_no_n_by_n_unpack_past_one_band(self, monkeypatch):
+        shapes = []
+        real = np.unpackbits
+
+        def spy(a, *args, **kwargs):
+            out = real(a, *args, **kwargs)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(np, "unpackbits", spy)
+        labels = tuple(E(0, b) for b in range(800))
+        Graph(labels, tuple(random_simple_rows(800, 1)))
+        assert shapes and max(min(shape) for shape in shapes) <= 256
+        # at most n <= 256 the one band is the whole matrix, unpacked once
+        shapes.clear()
+        Graph(labels[:256], tuple(random_simple_rows(256, 1)))
+        assert shapes == [(256, 256)]
 
     @pytest.mark.parametrize("col", [7, 8, 63, 64, 255, 256])
     def test_one_asymmetric_bit_at_byte_and_word_edges(self, col):
