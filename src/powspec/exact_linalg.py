@@ -115,9 +115,20 @@ class IntMatrix:
     def zeros(cls, n: int) -> "IntMatrix":
         return cls(tuple((0,) * n for _ in range(n)))
 
+    def __getattr__(self, name: str):
+        # Reached only when normal lookup fails: for a matrix of matrix_of,
+        # the rows before their first read, written from its graph once.
+        source = self.__dict__.get("_source")
+        if name != "rows" or source is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rows = IntMatrix.from_array(_matrix_array(*source)).rows
+        object.__setattr__(self, "rows", rows)
+        return rows
+
     @property
     def n(self) -> int:
-        return len(self.rows)
+        source = self.__dict__.get("_source")
+        return len(self.rows) if source is None else source[0].n
 
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.n))
@@ -351,14 +362,18 @@ def _matrix_diagonal(graph, kind: str) -> np.ndarray:
     return np.array([graph.degree(i) for i in range(graph.n)], np.int64)
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in ("adjacency", "laplacian", "signless"):
+        raise ValueError(f"unknown matrix kind {kind!r}")
+
+
 def _matrix_array(graph, kind: str) -> np.ndarray:
     """Adjacency, laplacian, or signless laplacian matrix of a graph.
 
     The adjacency is the graph's packed bit rows unpacked; the two
     laplacians write _matrix_diagonal over minus or plus it.
     """
-    if kind not in ("adjacency", "laplacian", "signless"):
-        raise ValueError(f"unknown matrix kind {kind!r}")
+    _check_kind(kind)
     bits = _unpack([graph.row_mask(i) for i in range(graph.n)])
     if kind == "adjacency":
         return bits
@@ -370,16 +385,19 @@ def _matrix_array(graph, kind: str) -> np.ndarray:
 
 
 def matrix_of(graph, kind: str) -> IntMatrix:
-    """_matrix_array as an IntMatrix of Python ints.
+    """_matrix_array as an IntMatrix of Python ints, its rows written on
+    their first read.
 
-    The matrix also records its graph and kind, in a private attribute
-    outside the dataclass fields, so rows, ==, hash and repr do not see
-    it.  char_poly_exact reads them to take the twin quotient from the
-    graph's bit rows, found and proved once per graph for all three kinds;
-    an IntMatrix built from the same rows takes the dense route to the
-    same polynomial.
+    The matrix records its graph and kind, in a private attribute outside
+    the dataclass fields, and n reads the graph's order.  char_poly_exact
+    reads them to take the twin quotient from the graph's bit rows, found
+    and proved once per graph for all three kinds, so it never writes the
+    rows.  Any reader of rows, and so ==, hash and repr, sees the rows of
+    IntMatrix.from_array(_matrix_array(graph, kind)); an IntMatrix built
+    from the same rows takes the dense route to the same polynomial.
     """
-    m = IntMatrix.from_array(_matrix_array(graph, kind))
+    _check_kind(kind)
+    m = object.__new__(IntMatrix)
     object.__setattr__(m, "_source", (graph, kind))
     return m
 

@@ -3,14 +3,16 @@
 Every function here transcribes a claimed formula; none of them touches a
 matrix.  The verifier's job is to compare these against the exact and
 numeric computations in the rest of the package, so this module must stay
-free of anything derived from the graphs themselves.  The one count here
-that is not a claim, the edges of P(C_q) inside <r>, comes from the
-divisor lattice of q alone, so a bug in the graph builder cannot cancel
-out of the checks that compare a built graph with it.
+free of anything derived from the graphs themselves.  The one structure
+here that is not a claim, P(C_q) inside <r> as a quotient over the
+divisors of q, with its edge count, comes from the divisor lattice of q
+alone, so a bug in the graph builder cannot cancel out of the checks that
+compare a built graph with it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,25 +67,48 @@ class ModelParameters:
     def model_edge_count(self) -> int:
         return self.quarter_rotation * (5 + 2 ** (self.k + 1) * self.p)
 
+    @functools.cached_property
+    def rotation_quotient(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """(s, K): the divisor-lattice quotient of the power graph of <r> = C_q.
+
+        x ~ y exactly when one of <x>, <y> contains the other, and C_q has
+        one subgroup of each order d | q, with phi(d) generators.  So the
+        elements of order d form one cell I of size s_I = phi(d), one per
+        divisor 2^i p^j (i <= k, j <= 1), with phi(2^i p^j) =
+        phi(2^i) * phi(p^j).  An element of order d is joined to every other
+        generator of its subgroup, to every element of order d' | d and to
+        every element of order d' with d | d', so each member of cell I has
+        K_IJ neighbours in cell J of order d':
+        K_II = phi(d) - 1, K_IJ = phi(d') when d | d' or d' | d, else 0.
+        The partition is equitable, and s_I K_IJ = s_J K_JI counts the
+        edges between two cells.
+        """
+        orders = [2**i * self.p**j for i in range(self.k + 1) for j in (0, 1)]
+        sizes = [
+            (1 << (i - 1) if i else 1) * (self.p - 1 if j else 1)
+            for i in range(self.k + 1)
+            for j in (0, 1)
+        ]
+        # lists first: tuple(<generator>) makes the peak RSS creep from run to run
+        counts = [
+            tuple([s - (d == e) if d % e == 0 or e % d == 0 else 0 for e, s in zip(orders, sizes)])
+            for d in orders
+        ]
+        return tuple(sizes), tuple(counts)
+
     @property
     def rotation_edge_count(self) -> int:
         """Edges of the power graph of <r> = C_q, from the divisor lattice of q.
 
-        x ~ y exactly when one of <x>, <y> contains the other.  The subgroup
-        of order d has phi(d) generators, so pairing each element of order d
-        with the d - 1 other elements of its subgroup counts every edge once,
-        except the phi(d)(phi(d) - 1)/2 edges between two generators of one
-        subgroup, counted twice.  Hence
-        |E| = 1/2 * sum over d | q of (2d - phi(d) - 1) * phi(d), over the
-        2(k + 1) divisors 2^i p^j, with phi(2^i p^j) = phi(2^i) * phi(p^j).
+        Half the degree sum over rotation_quotient: a member of cell I has
+        sum over J of K_IJ neighbours, so |E| = 1/2 * sum over I of
+        s_I * sum over J of K_IJ.  Cell I of order d has
+        (d - 1) + sum over d | d', d' != d of phi(d') of them: its own
+        subgroup less itself, and the generators of every larger subgroup
+        that contains it.
         """
-        total = 0
-        for i in range(self.k + 1):
-            for j in (0, 1):
-                d = 2**i * self.p**j
-                phi = (2 ** (i - 1) if i else 1) * (self.p - 1 if j else 1)
-                total += (2 * d - phi - 1) * phi
-        return total // 2
+        sizes, counts = self.rotation_quotient
+        return sum(s * sum(row) for s, row in zip(sizes, counts)) // 2
 
 
 def _linear(constant: int) -> IntPolynomial:

@@ -19,9 +19,11 @@ band of rows, unpacked, for a diagonal bit and against the transpose of the
 same band of columns.
 
 The model graph's edges are written once, as three parts of row masks
-(_model_parts).  build_model_graph is their union, model_adjacency_split
-unpacks each part into a numpy 0/1 array, and the decomposition census
-checks a graph's rows against the union.
+(_model_parts).  build_model_graph is their union, the decomposition
+census checks a graph's rows against the union, and _certify_split checks
+the parts themselves for a run's split-spectra check.
+model_adjacency_split unpacks each part into a numpy 0/1 array, for
+library use and as the tests' reference.
 """
 
 from __future__ import annotations
@@ -286,6 +288,56 @@ def build_model_graph(k: int, p: int) -> Graph:
     _check_graph_order(spec.order)
     rows = tuple(a | b | c for a, b, c in zip(*_model_parts(spec)))
     return Graph(canonical_order(spec), rows)
+
+
+def _is_symmetric(rows) -> bool:
+    """Bit j of row i set exactly when bit i of row j is; O(set bits)."""
+    return all((rows[j] >> i) & 1 for i, row in enumerate(rows) for j in _bits(row))
+
+
+def _class_counts(rows, starts) -> list[tuple[int, ...]] | None:
+    """K, when the cells [starts[I], starts[I + 1]) divide the rows
+    equitably: K_IJ is the popcount in cell J of the row of every member
+    of cell I.  None when two members of a cell differ.  Equal rows have
+    equal counts, so each distinct row of a cell is counted once."""
+    cells = list(zip(starts, starts[1:]))
+    masks = [(1 << hi) - (1 << lo) for lo, hi in cells]
+    counts = []
+    for lo, hi in cells:
+        found = {tuple([(row & m).bit_count() for m in masks]) for row in set(rows[lo:hi])}
+        if len(found) != 1:
+            return None
+        counts.append(found.pop())
+    return counts
+
+
+def _certify_split(clique, star, rest, model: Graph) -> tuple[list[str], dict[str, list]]:
+    """(problems, counts) for the parts of _model_parts against the model
+    graph.  The parts must be pairwise disjoint with the model's rows as
+    their OR, and the star and the rest symmetric, bit by bit, so that
+    clique+star, the model's symmetric rows less the rest, is too.  Each of
+    star, rest and clique+star is divided by the five classes of the
+    canonical order (e, u, the other rotations, the order-4 flips, the
+    order-2 flips): counts holds K of every part that divides equitably
+    (_class_counts), and problems names every part that does not."""
+    n = len(star)
+    q = n // 2
+    problems = []
+    if any(a & b or a & c or b & c for a, b, c in zip(clique, star, rest)):
+        problems.append("split parts overlap")
+    if any(a | b | c != model.row_mask(i) for i, (a, b, c) in enumerate(zip(clique, star, rest))):
+        problems.append("split does not reassemble the adjacency matrix")
+    for name, rows in (("star", star), ("rest", rest)):
+        if not _is_symmetric(rows):
+            problems.append(f"{name} part is not symmetric")
+    parts = {"star": star, "rest": rest, "clique+star": [a | b for a, b in zip(clique, star)]}
+    counts = {}
+    for name, rows in parts.items():
+        if (found := _class_counts(rows, (0, 1, 2, q, q + q // 2, n))) is None:
+            problems.append(f"{name} part is not equitable on the five classes")
+        else:
+            counts[name] = found
+    return problems, counts
 
 
 def edge_count(g: Graph) -> int:

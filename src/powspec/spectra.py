@@ -4,7 +4,10 @@ The eigensolver is the one numeric component of the package.  Everything
 it reports is bounded by an explicit residual check, and downstream
 comparisons against closed forms carry their own tolerance, so a silent
 solver failure cannot masquerade as a verified claim.  A run hands it
-the numpy arrays of exact_linalg._matrix_array.
+the numpy arrays of exact_linalg._matrix_array for the three matrices
+whose spectra it checks (the two adjacencies and the model Laplacian),
+and the small symmetrised quotients of quotient_eigenvalues for
+everything else it reads a top eigenvalue of.
 """
 
 from __future__ import annotations
@@ -125,6 +128,23 @@ def cluster_multiplicities(values: Sequence[float], tol: float) -> SpectrumSumma
         )
         i = j
     return SpectrumSummary(tuple(entries))
+
+
+def quotient_eigenvalues(counts, tol: float = 1e-9) -> EigenResult:
+    """Eigenvalues of the quotient K of an equitable partition of a
+    symmetric matrix A, residual-checked, from the symmetric S_IJ =
+    sqrt(K_IJ K_JI).
+
+    K_IJ is the count every member of cell I has in cell J, so A P = P K
+    for the cell indicators P, and the eigenvalues of K are eigenvalues of
+    A.  A symmetric gives s_I K_IJ = s_J K_JI for the cell sizes s, so
+    S = D^(1/2) K D^(-1/2) with D = diag(s), similar to K.  For A >= 0
+    the largest is the largest of A: its Perron vector x >= 0 has
+    x^T A P = x^T P K, so P^T x, nonnegative and not 0, is an eigenvector
+    of K^T for the same eigenvalue.
+    """
+    k = np.asarray(counts, dtype=float)
+    return symmetric_eigenvalues(np.sqrt(k * k.T), tol)
 
 
 def spectral_radius(graph, tol: float = 1e-9) -> float:

@@ -41,21 +41,22 @@ from .formulas import (
     signless_charpoly_formula,
     spectral_radius_bounds,
 )
-from .group_core import Cyclic, SemidihedralType, validate_parameters, validate_presentation
+from .group_core import SemidihedralType, validate_parameters, validate_presentation
 from .powergraph import (
+    _certify_split,
     _check_graph_order,
+    _model_parts,
     _pairs,
     build_model_graph,
     build_power_graph,
     edge_count,
-    model_adjacency_split,
     to_dot,
     verify_decomposition,
 )
 from .spectra import (
     cluster_multiplicities,
     laplacian_energy,
-    spectral_radius,
+    quotient_eigenvalues,
     spectrum_to_csv,
     summaries_match,
     symmetric_eigenvalues,
@@ -229,7 +230,7 @@ class _Run:
         if "true" in constructions:
             self.graphs["true"] = build_power_graph(self.spec)
         self.m_counts = {name: edge_count(g) for name, g in self.graphs.items()}
-        # every matrix of a run has order n; P(C_q) follows an order-n eigensolve
+        # every matrix a run writes has order n, every quotient it solves is smaller
         try:
             _check_cap(self.mp.vertex_count)
             self.cap = None
@@ -454,7 +455,7 @@ def _structure(run: _Run):
 
 def _radius(run: _Run):
     """The spectral radius bracket of each construction, then the model's
-    split spectra, which reuse the model adjacency and its eigensolve."""
+    split spectra, which reuse the model adjacency's eigensolve."""
     if "adjacency" not in run.kinds:
         return
     q = run.mp.rotation_order
@@ -462,15 +463,15 @@ def _radius(run: _Run):
     for cname, g in run.graphs.items():
         if run.skip(f"radius bounds for {cname}"):
             continue
-        adjacency = _matrix_array(g, "adjacency")
-        whole = symmetric_eigenvalues(adjacency, NUMERIC_TOL)
+        whole = symmetric_eigenvalues(_matrix_array(g, "adjacency"), NUMERIC_TOL)
         if cname == "model":
-            model = adjacency, whole
+            model = whole
             base = float(q - 1)
         else:
-            # the one build of P(C_q), the true graph inside <r>; its edge
-            # count is mp.rotation_edge_count, from the divisor lattice
-            base = spectral_radius(build_power_graph(Cyclic(q)), NUMERIC_TOL)
+            # lambda1 of P(C_q), the true graph inside <r>: the top
+            # eigenvalue of its divisor-lattice quotient, built by no builder
+            _, counts = run.mp.rotation_quotient
+            base = quotient_eigenvalues(counts, NUMERIC_TOL).eigenvalues[-1]
         lam1 = whole.radius
         bounds = spectral_radius_bounds(run.k, run.p, base)
         tol = NUMERIC_TOL * max(1.0, lam1)
@@ -491,7 +492,7 @@ def _radius(run: _Run):
             },
         )
     if "model" in run.graphs and not run.skip("split spectra"):
-        yield _split_spectra_check(run, *model)
+        yield _split_spectra_check(run, model)
 
 
 # the check families in report order; each yields its checks and may add notices
@@ -529,33 +530,40 @@ def run_verification(
     return report
 
 
-def _split_spectra_check(run: _Run, model_adjacency, whole) -> Check:
-    """The additive split behind the radius bound: reassembly must be exact,
-    the star part must have spectrum {+-sqrt(q), 0...}, the rest part must
-    peak at (1 + sqrt(1 + 2q)) / 2, and the top eigenvalues must obey
-    subadditivity.  whole is the eigensolve of model_adjacency, which the
-    reassembled split must equal; the caller skips it past the matrix cap."""
+def _split_spectra_check(run: _Run, whole) -> Check:
+    """The additive split behind the radius bound, on the rows of
+    _model_parts, certified by powergraph._certify_split: the parts
+    reassemble the model, and star, rest and clique+star are each
+    equitable on the five canonical-order classes, or the check fails by
+    name.  A Perron vector x >= 0 of a part A with A P = P K gives the
+    eigenvector P^T x >= 0 of K^T, so the top eigenvalue of A is that of
+    its 5 x 5 quotient (quotient_eigenvalues).  The star's quotient gives
+    +-sqrt(q), and its q edges give trace(A^2) = 2q, so its other n - 2
+    eigenvalues are 0.  The rest must peak at (1 + sqrt(1 + 2q)) / 2, and
+    the top eigenvalues must be subadditive against whole, the model
+    adjacency's eigensolve; the caller skips this past the matrix cap."""
     q = run.mp.rotation_order
-    split = model_adjacency_split(run.k, run.p)
-    problems = []
-    if (split.full != model_adjacency).any():
-        problems.append("split does not reassemble the adjacency matrix")
-    star = symmetric_eigenvalues(split.star_only, NUMERIC_TOL)
-    rest = symmetric_eigenvalues(split.rest, NUMERIC_TOL)
-    climbed = symmetric_eigenvalues(split.clique_plus_star, NUMERIC_TOL)
-    n = run.mp.vertex_count
+    clique, star, rest = _model_parts(run.spec)
+    problems, counts = _certify_split(clique, star, rest, run.graphs["model"])
+    spectra = {name: quotient_eigenvalues(k, NUMERIC_TOL).eigenvalues for name, k in counts.items()}
     root_q = math.sqrt(q)
     tol = NUMERIC_TOL * max(1.0, float(q))
-    star_expected = [-root_q] + [0.0] * (n - 2) + [root_q]
-    if any(abs(a - b) > tol for a, b in zip(star.eigenvalues, star_expected)):
-        problems.append("star spectrum is not {+-sqrt(q), 0}")
+    star_extremes = rest_peak = None
+    if "star" in spectra:
+        star_extremes = [spectra["star"][0], spectra["star"][-1]]
+        edges = sum(row.bit_count() for row in star) // 2
+        low, high = star_extremes
+        if abs(low + root_q) > tol or abs(high - root_q) > tol or edges != q:
+            problems.append("star spectrum is not {+-sqrt(q), 0}")
     rest_peak_claim = (1 + math.sqrt(1 + 2 * q)) / 2
-    if abs(rest.eigenvalues[-1] - rest_peak_claim) > tol:
-        problems.append(
-            f"rest part peaks at {rest.eigenvalues[-1]}, claimed {rest_peak_claim}"
-        )
-    if whole.eigenvalues[-1] > climbed.eigenvalues[-1] + rest.eigenvalues[-1] + tol:
-        problems.append("top eigenvalue is not subadditive across the split")
+    if "rest" in spectra:
+        rest_peak = spectra["rest"][-1]
+        if abs(rest_peak - rest_peak_claim) > tol:
+            problems.append(f"rest part peaks at {rest_peak}, claimed {rest_peak_claim}")
+        if "clique+star" in spectra and whole.eigenvalues[-1] > (
+            spectra["clique+star"][-1] + rest_peak + tol
+        ):
+            problems.append("top eigenvalue is not subadditive across the split")
     return Check(
         name="split-spectra",
         construction="model",
@@ -565,8 +573,8 @@ def _split_spectra_check(run: _Run, model_adjacency, whole) -> Check:
         claimed=f"star +-sqrt({q}), rest peak {_fmt(rest_peak_claim)}, subadditive top",
         tolerance=_fmt(tol),
         detail={
-            "star_extremes": [star.eigenvalues[0], star.eigenvalues[-1]],
-            "rest_peak": rest.eigenvalues[-1],
+            "star_extremes": star_extremes,
+            "rest_peak": rest_peak,
             "full_peak": whole.eigenvalues[-1],
         },
     )

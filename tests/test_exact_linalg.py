@@ -1338,6 +1338,28 @@ class TestMatrixOf:
             for kind in ("adjacency", "laplacian", "signless"):
                 assert matrix_of(g, kind) == matrix_by_has_edge(g, kind), (g.n, kind)
 
+    @pytest.mark.parametrize("k, p", PAIRS_UNDER_CAP)
+    def test_lazy_rows_read_as_the_eager_matrix(self, k, p):
+        for label, m in family_matrices(k, p):
+            graph, kind = m._source
+            eager = IntMatrix.from_array(exact_linalg._matrix_array(graph, kind))
+            assert "rows" not in vars(m) and m.n == eager.n == graph.n, label
+            assert hash(m) == hash(eager) and "rows" in vars(m), label
+            assert m.rows == eager.rows and repr(m) == repr(eager), label
+            fresh = matrix_of(graph, kind)
+            assert fresh == eager and eager == fresh, label
+            assert matrix_of(graph, kind) == fresh, label
+
+    def test_the_graph_route_leaves_the_rows_unwritten(self):
+        for label, m in family_matrices(2, 3):
+            char_poly_exact(m)
+            assert "rows" not in vars(m), label
+        g = build_model_graph(2, 3)
+        with pytest.raises(AttributeError, match="no attribute 'cols'"):
+            matrix_of(g, "adjacency").cols
+        with pytest.raises(AttributeError, match="no attribute 'rows'"):
+            object.__new__(IntMatrix).rows
+
 
 class TestSchurCheck:
     def test_zero_off_diagonal_blocks(self):

@@ -5,6 +5,8 @@ import pytest
 
 from powspec.group_core import Cyclic, is_odd_prime
 from powspec.powergraph import build_power_graph, edge_count
+from powspec.spectra import quotient_eigenvalues, spectral_radius
+from powspec.verify_cli import NUMERIC_TOL
 from powspec.formulas import (
     ModelParameters,
     RadiusBounds,
@@ -22,6 +24,21 @@ GRID = [(2, 3), (2, 5), (3, 3)]
 FAMILY_TO_4096 = [
     (k, p) for k in range(2, 10) for p in range(3, 2048 >> k) if is_odd_prime(p)
 ]
+# the 19 pairs with n <= 256, then (6, 3) and (3, 31), whose q are 192 and 248
+ROTATION_PAIRS = [(k, p) for k, p in FAMILY_TO_4096 if 2 ** (k + 1) * p <= 256]
+ROTATION_PAIRS += [(6, 3), (3, 31)]
+
+
+def divisor_sum_edge_count(mp):
+    """The reference count: 1/2 sum over d | q of (2d - phi(d) - 1) phi(d),
+    pairing each element of order d with the rest of its subgroup."""
+    total = 0
+    for i in range(mp.k + 1):
+        for j in (0, 1):
+            d = 2**i * mp.p**j
+            phi = (2 ** (i - 1) if i else 1) * (mp.p - 1 if j else 1)
+            total += (2 * d - phi - 1) * phi
+    return total // 2
 
 
 class TestModelParameters:
@@ -52,6 +69,43 @@ class TestModelParameters:
             mp = ModelParameters(k, p)
             built = edge_count(build_power_graph(Cyclic(mp.rotation_order)))
             assert mp.rotation_edge_count == built, (k, p)
+
+    def test_rotation_quotient_at_2_3(self):
+        # divisors of 12 in the order 1, 3, 2, 6, 4, 12
+        sizes, counts = ModelParameters(2, 3).rotation_quotient
+        assert sizes == (1, 2, 1, 2, 2, 4)
+        assert counts[0] == (0, 2, 1, 2, 2, 4)  # the identity is joined to all
+        assert counts[1] == (1, 1, 0, 2, 0, 4)  # order 3: r^4, r^8
+        assert sum(sizes) == 12
+
+    def test_rotation_quotient_degree_sum_is_twice_the_edge_count(self):
+        assert len(FAMILY_TO_4096) == 215
+        for k, p in FAMILY_TO_4096:
+            mp = ModelParameters(k, p)
+            sizes, counts = mp.rotation_quotient
+            assert len(sizes) == 2 * (k + 1) and sum(sizes) == mp.rotation_order, (k, p)
+            degree_sum = sum(s * sum(row) for s, row in zip(sizes, counts))
+            assert degree_sum == 2 * mp.rotation_edge_count, (k, p)
+            assert mp.rotation_edge_count == divisor_sum_edge_count(mp), (k, p)
+
+    @pytest.mark.parametrize("k,p", ROTATION_PAIRS)
+    def test_rotation_quotient_is_the_built_graph_quotient(self, k, p):
+        mp = ModelParameters(k, p)
+        q = mp.rotation_order
+        g = build_power_graph(Cyclic(q))
+        # the cells in the quotient's order: the elements r^b of order q / gcd(b, q)
+        orders = [2**i * p**j for i in range(k + 1) for j in (0, 1)]
+        masks = [sum(1 << b for b in range(q) if q // math.gcd(b, q) == d) for d in orders]
+        sizes, counts = mp.rotation_quotient
+        assert sizes == tuple(m.bit_count() for m in masks)
+        for mask, row in zip(masks, counts):
+            members = [b for b in range(q) if (mask >> b) & 1]
+            for b in members:
+                got = tuple((g.row_mask(b) & other).bit_count() for other in masks)
+                assert got == row, (q, b)
+        lam1 = spectral_radius(g)
+        base = quotient_eigenvalues(counts, NUMERIC_TOL).eigenvalues[-1]
+        assert abs(base - lam1) <= NUMERIC_TOL * lam1
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -158,12 +158,14 @@ class TestRunVerification:
         for name in (
             "char_poly_exact",
             "symmetric_eigenvalues",
-            "spectral_radius",
-            "model_adjacency_split",
+            "quotient_eigenvalues",
+            "_model_parts",
             "matrix_of",
         ):
             spy(verify_cli, name)
         spy(spectra, "symmetric_eigenvalues")
+        spy(spectra, "spectral_radius")
+        spy(powergraph, "model_adjacency_split")
         spy(FactoredPolynomial, "expand")
         spy(IntPolynomial, "deflate")
         monkeypatch.setenv(CAP_ENV_VAR, "10")
@@ -205,7 +207,8 @@ class TestRunVerification:
         run_verification(2, 3)
         assert "graph_diff" not in calls and "_matrix_array" in calls
 
-    def test_rotation_graph_is_built_only_for_the_radius_base(self, monkeypatch):
+    def test_rotation_graph_is_never_built(self, monkeypatch):
+        # the radius base comes from the divisor-lattice quotient of P(C_q)
         built = []
         real = verify_cli.build_power_graph
 
@@ -218,10 +221,9 @@ class TestRunVerification:
         run_verification(2, 3, kinds=())
         run_verification(2, 509, kinds=())
         run_verification(2, 509)  # past the default cap: no radius check
-        assert not any(isinstance(spec, Cyclic) for spec in built)
-        built.clear()
         run_verification(2, 3)
-        assert built == [SemidihedralType(2, 3), Cyclic(12)]
+        small, large = SemidihedralType(2, 3), SemidihedralType(2, 509)
+        assert built == [small, large, large, small]  # one true graph per run
 
     def test_rotation_edge_dropped_in_both_groups_fails(self, monkeypatch):
         # the expected counts come from the divisor lattice, so a builder
@@ -270,14 +272,15 @@ class TestRunVerification:
             solved.append(matrix.shape[0])
             return real(matrix, tol)
 
-        # spectral_radius looks the solver up in spectra, run_verification in verify_cli
+        # quotient_eigenvalues looks the solver up in spectra, run_verification in verify_cli
         monkeypatch.setattr(spectra, "symmetric_eigenvalues", counting)
         monkeypatch.setattr(verify_cli, "symmetric_eigenvalues", counting)
         run_verification(2, 3)
-        # radius bracket of both constructions and of P(C_12), three split
-        # parts and the model laplacian; the split's whole matrix is the
-        # model adjacency, already solved for its radius bracket
-        assert sorted(solved) == [12] + [24] * 6
+        # the three order-n matrices whose spectra the run checks (both
+        # adjacencies and the model laplacian); the 5 x 5 quotients of the
+        # three split parts and the 6 x 6 divisor-lattice quotient of P(C_12);
+        # the split's whole matrix is the model adjacency, already solved
+        assert sorted(solved) == [5, 5, 5, 6] + [24] * 3
 
     def test_each_claim_array_and_parameter_set_is_built_once(self, monkeypatch):
         calls = Counter()
@@ -303,7 +306,7 @@ class TestRunVerification:
         run_verification(2, 3)
         # one claim per kind serves charpoly, spectrum-divides and both
         # constructions; the arrays are the two adjacencies eigensolved for
-        # the radius bracket (the model's serves the split too) and the
+        # the radius bracket (the model's eigensolve serves the split too) and the
         # model laplacian of spectrum-numeric
         assert calls == {
             "adjacency_charpoly_formula": 1,
@@ -350,11 +353,12 @@ class TestRunVerification:
 
         monkeypatch.setattr(IntMatrix, "from_array", classmethod(counting))
         run_verification(2, 3)
-        assert built == [24] * 6  # one per char_poly_exact call
-        built.clear()
+        assert built == []  # char_poly_exact reads the graph, never the rows
         model_adjacency_split(2, 3)
         spectral_radius(build_power_graph(Cyclic(12)))
         assert built == []
+        m = exact_linalg.matrix_of(build_model_graph(2, 3), "laplacian")
+        assert m.rows == m.rows and built == [24]  # written on the first read only
 
     def test_walk_that_never_closes_is_an_error(self, monkeypatch, capsys):
         real = group_core._product
@@ -378,7 +382,7 @@ class TestRunVerification:
     def test_canonical_order_is_built_once_per_group(self):
         canonical_order.cache_clear()
         run_verification(2, 3)
-        assert canonical_order.cache_info().misses == 2  # the spec and Cyclic(12)
+        assert canonical_order.cache_info().misses == 1  # the spec; no P(C_q) is built
 
     def test_out_writes_report_file(self, tmp_path):
         out = tmp_path / "report.json"
@@ -472,6 +476,113 @@ class TestDiffCheck:
         check = diff_check(2, 5, model, model)
         assert (check.status, check.computed, check.detail) == reference_diff_check(model, model)
         assert check.status == "pass" and check.detail["sample"] == []
+
+
+def split_check(k, p):
+    """The split-spectra check of a model adjacency run at (k, p)."""
+    report = run_verification(k, p, kinds=("adjacency",), constructions=("model",))
+    (check,) = [c for c in report.checks if c.name == "split-spectra"]
+    return check
+
+
+def star_leaf_moved_to_u(clique, star, rest):
+    leaf = len(star) - 1  # an order-2 flip
+    star[0] ^= 1 << leaf
+    star[1] |= 1 << leaf
+    star[leaf] = 0b10
+
+
+def rotation_edge_also_in_rest(clique, star, rest):
+    rest[2] |= 1 << 3
+    rest[3] |= 1 << 2
+
+
+def flip_pair_edge_dropped(clique, star, rest):
+    a = len(star) // 2  # the first order-4 flip; its partner is a + 1
+    rest[a] &= ~(1 << (a + 1))
+    rest[a + 1] &= ~(1 << a)
+
+
+def flip_pair_edge_moved_to_clique(clique, star, rest):
+    a = len(star) // 2
+    flip_pair_edge_dropped(clique, star, rest)
+    clique[a] |= 1 << (a + 1)
+    clique[a + 1] |= 1 << a
+
+
+def star_half_edge_moved_to_clique(clique, star, rest):
+    leaf = len(star) - 1
+    star[0] &= ~(1 << leaf)
+    clique[0] |= 1 << leaf
+
+
+def rotation_matching_moved_to_star(clique, star, rest):
+    # equitable, and the star's quotient keeps its extremes +-sqrt(q), but
+    # the star gains (q - 2) / 2 edges and the eigenvalues +-1
+    for a in range(2, len(star) // 2, 2):
+        for x, y in ((a, a + 1), (a + 1, a)):
+            clique[x] &= ~(1 << y)
+            star[x] |= 1 << y
+
+
+def mutated_parts(monkeypatch, mutation):
+    real = verify_cli._model_parts
+
+    def parts(spec):
+        clique, star, rest = (list(part) for part in real(spec))
+        mutation(clique, star, rest)
+        return clique, star, rest
+
+    monkeypatch.setattr(verify_cli, "_model_parts", parts)
+
+
+class TestSplitSpectra:
+    """split-spectra reads the _model_parts rows and their 5 x 5 quotients."""
+
+    @pytest.mark.parametrize("k,p", PAIRS_UNDER_CAP)
+    def test_agrees_with_the_dense_split(self, k, p):
+        check = split_check(k, p)
+        assert check.status == "pass"
+        split = model_adjacency_split(k, p)
+        star = spectra.symmetric_eigenvalues(split.star_only).eigenvalues
+        rest = spectra.symmetric_eigenvalues(split.rest).eigenvalues
+        full = spectra.symmetric_eigenvalues(split.full).eigenvalues
+        tol = verify_cli.NUMERIC_TOL * 2 ** (k + 1) * p
+        got = check.detail
+        assert abs(got["star_extremes"][0] - star[0]) <= tol
+        assert abs(got["star_extremes"][1] - star[-1]) <= tol
+        assert abs(got["rest_peak"] - rest[-1]) <= tol
+        assert abs(got["full_peak"] - full[-1]) <= tol
+
+    @pytest.mark.parametrize(
+        "mutation,problem",
+        [
+            (star_leaf_moved_to_u, "split does not reassemble the adjacency matrix"),
+            (rotation_edge_also_in_rest, "split parts overlap"),
+            (flip_pair_edge_dropped, "split does not reassemble the adjacency matrix"),
+            (flip_pair_edge_moved_to_clique, "rest part is not equitable on the five classes"),
+            (star_half_edge_moved_to_clique, "star part is not symmetric"),
+            (rotation_matching_moved_to_star, "star spectrum is not {+-sqrt(q), 0}"),
+        ],
+        ids=lambda v: getattr(v, "__name__", "problem"),
+    )
+    def test_mutated_parts_fail(self, monkeypatch, capsys, mutation, problem):
+        mutated_parts(monkeypatch, mutation)
+        check = split_check(2, 3)
+        assert check.status == "fail"
+        assert problem in check.computed.split("; ")
+        assert main(["verify", "--k", "2", "--p", "3"]) == 1
+        assert "[fail] split-spectra" in capsys.readouterr().out
+
+    def test_a_part_off_the_classes_is_named(self, monkeypatch):
+        mutated_parts(monkeypatch, flip_pair_edge_moved_to_clique)
+        check = split_check(2, 3)
+        # the parts still reassemble, are disjoint and symmetric
+        assert check.computed == (
+            "rest part is not equitable on the five classes; "
+            "clique+star part is not equitable on the five classes"
+        )
+        assert check.detail["rest_peak"] is None
 
 
 class TestReportBytes:
