@@ -356,10 +356,11 @@ def _unpack(rows, n: int | None = None) -> np.ndarray:
 
 
 def _matrix_diagonal(graph, kind: str) -> np.ndarray:
-    """The diagonal of _matrix_array(graph, kind), read off the packed rows."""
+    """The diagonal of _matrix_array(graph, kind): bit i of row i for the
+    adjacency, the graph's degrees for the two Laplacians."""
     if kind == "adjacency":
         return np.array([(graph.row_mask(i) >> i) & 1 for i in range(graph.n)], np.uint8)
-    return np.array([graph.degree(i) for i in range(graph.n)], np.int64)
+    return np.array(graph.degrees, np.int64)
 
 
 def _check_kind(kind: str) -> None:

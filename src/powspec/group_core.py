@@ -177,13 +177,14 @@ def _product(q: int, theta: int, x: tuple[int, int], y: tuple[int, int]) -> tupl
 
     Moving r^b across s twists the exponent by theta, which gives the
     closed form (s^a r^b)(s^c r^d) = s^(a xor c) r^(theta^c * b + d), with
-    q the rotation order.  The pairs are not checked; the result is a plain tuple.
+    q the rotation order.  The pairs are not checked; the result is a plain
+    tuple.  It has no branch, so the a and b of x and y may also be equal
+    length int64 arrays, which multiply many pairs at once; b theta < q^2
+    stays exact in int64 for every q whose elements elements() can list.
     """
     a, b = x
     c, d = y
-    if c:
-        b *= theta
-    return a ^ c, (b + d) % q
+    return a ^ c, (b * theta**c + d) % q
 
 
 def multiply(spec: GroupSpec, x: GroupElement, y: GroupElement) -> GroupElement:
@@ -329,14 +330,16 @@ def validate_presentation(spec: SemidihedralType) -> PresentationReport:
         PresentationCheck("group_order", len(set(elems)) == spec.order, f"{len(elems)} elements")
     )
 
-    picks = iter(random.Random(spec.order).choices(elems, k=3 * _SAMPLE_TRIPLES))
-    ok = True
-    for x, y, z in zip(picks, picks, picks):
-        lhs = _product(q, theta, _product(q, theta, x, y), z)
-        rhs = _product(q, theta, x, _product(q, theta, y, z))
-        if lhs != rhs:
-            ok = False
-            break
+    import numpy as np  # the one use in this module: the sample's array products
+
+    # the seeded draws by index, the ones choices(elems) draws; elems lists
+    # the rotations, then the flips, so index i is the pair divmod(i, q)
+    picks = random.Random(spec.order).choices(range(len(elems)), k=3 * _SAMPLE_TRIPLES)
+    a, b = np.divmod(np.array(picks, np.int64).reshape(-1, 3).T, q)
+    x, y, z = zip(a, b)  # the triples' (a, b) arrays, one pair of arrays per position
+    lhs = _product(q, theta, _product(q, theta, x, y), z)
+    rhs = _product(q, theta, x, _product(q, theta, y, z))
+    ok = all(left.tolist() == right.tolist() for left, right in zip(lhs, rhs))
     items.append(PresentationCheck("associativity_sample", ok, f"{_SAMPLE_TRIPLES} triples"))
 
     return PresentationReport(group_order=spec.order, items=tuple(items))

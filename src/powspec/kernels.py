@@ -96,6 +96,8 @@ def charpoly_berkowitz(rows: Sequence[Sequence[int]]) -> list[int]:
     column (1, -a, -R C, -R A_k C, ..., -R A_k^(k-1) C) times those of
     det(xI - A_k) (Berkowitz, Inf. Process. Lett. 18, 1984).  There is no
     division, so the result is exact; it takes about n^4 / 4 multiplications.
+    Coefficient i of the product is the dot product of poly with the
+    reversed column from position k + 1 - i.
     """
     poly = [1]  # descending coefficients of det(xI - A_k)
     for k, row in enumerate(rows):
@@ -105,5 +107,6 @@ def charpoly_berkowitz(rows: Sequence[Sequence[int]]) -> list[int]:
             if j:
                 vector = [sum(map(operator.mul, rows[i], vector)) for i in range(k)]
             column.append(-sum(map(operator.mul, row, vector)))
-        poly = [sum(column[i - j] * poly[j] for j in range(min(i, k) + 1)) for i in range(k + 2)]
+        reverse = column[::-1]
+        poly = [sum(map(operator.mul, poly, reverse[k + 1 - i :])) for i in range(k + 2)]
     return poly[::-1]

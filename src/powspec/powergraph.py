@@ -11,12 +11,13 @@ than deciding which one is intended.
 A graph is stored as symmetric packed bit rows: row i is an int whose
 bit j is set when i ~ j.  build_power_graph computes one cyclic
 subgroup per generator class rather than one per vertex.  Every consumer
-(neighbors, edges, edge_count, graph_diff, and a run's trace and
-model-vs-true-diff checks) counts or walks the set bits of whole rows, so
-it costs O(n + edges) big-int steps, not n^2 index tests.  The build writes
-each edge into both of its rows, and the loop and symmetry check tests each
-band of rows, unpacked, for a diagonal bit and against the transpose of the
-same band of columns.
+(neighbors, edges, graph_diff, and a run's model-vs-true-diff check)
+counts or walks the set bits of whole rows, so it costs O(n + edges)
+big-int steps, not n^2 index tests; the row popcounts, the degrees, are
+counted once per graph, and edge_count and the trace checks read them.
+The build writes each edge into both of its rows, and the loop and
+symmetry check tests each band of rows, unpacked, for a diagonal bit and
+against the transpose of the same band of columns.
 
 The model graph's edges are written once, as three parts of row masks
 (_model_parts).  build_model_graph is their union, the decomposition
@@ -85,13 +86,15 @@ def _check_graph_order(n: int) -> None:
 class Graph:
     """Immutable vertex-labelled graph over packed bit rows.
 
-    Its one mutable slot, _twins, is private to exact_linalg: None until
-    char_poly_exact first needs the graph's twin quotient, then that
-    quotient, found and proved on the rows and shared by the graph's
-    three matrices.  It is not part of ==, hash or the rows.
+    degrees holds the popcount of every row, counted once at build, for
+    degree, edge_count and the Laplacian diagonals.  The one mutable
+    slot, _twins, is private to exact_linalg: None until char_poly_exact
+    first needs the graph's twin quotient, then that quotient, found and
+    proved on the rows and shared by the graph's three matrices.  It is
+    not part of ==, hash or the rows.
     """
 
-    __slots__ = ("labels", "_rows", "_index", "_twins")
+    __slots__ = ("labels", "_rows", "_index", "_twins", "degrees")
 
     def __init__(self, labels: tuple[GroupElement, ...], row_masks: tuple[int, ...]):
         n = len(labels)
@@ -107,6 +110,7 @@ class Graph:
         self._rows = row_masks
         self._index = index
         self._twins = None
+        self.degrees = tuple(map(int.bit_count, row_masks))
 
     @property
     def n(self) -> int:
@@ -123,7 +127,7 @@ class Graph:
         return self._rows[i]
 
     def degree(self, i: int) -> int:
-        return self._rows[i].bit_count()
+        return self.degrees[i]
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         return tuple(_bits(self._rows[i]))
@@ -290,11 +294,6 @@ def build_model_graph(k: int, p: int) -> Graph:
     return Graph(canonical_order(spec), rows)
 
 
-def _is_symmetric(rows) -> bool:
-    """Bit j of row i set exactly when bit i of row j is; O(set bits)."""
-    return all((rows[j] >> i) & 1 for i, row in enumerate(rows) for j in _bits(row))
-
-
 def _class_counts(rows, starts) -> list[tuple[int, ...]] | None:
     """K, when the cells [starts[I], starts[I + 1]) divide the rows
     equitably: K_IJ is the popcount in cell J of the row of every member
@@ -314,12 +313,14 @@ def _class_counts(rows, starts) -> list[tuple[int, ...]] | None:
 def _certify_split(clique, star, rest, model: Graph) -> tuple[list[str], dict[str, list]]:
     """(problems, counts) for the parts of _model_parts against the model
     graph.  The parts must be pairwise disjoint with the model's rows as
-    their OR, and the star and the rest symmetric, bit by bit, so that
-    clique+star, the model's symmetric rows less the rest, is too.  Each of
-    star, rest and clique+star is divided by the five classes of the
-    canonical order (e, u, the other rotations, the order-4 flips, the
-    order-2 flips): counts holds K of every part that divides equitably
-    (_class_counts), and problems names every part that does not."""
+    their OR, and the star and the rest symmetric and loop-free, by the
+    band check of Graph (_check_loops_and_symmetry), so that clique+star,
+    the model's symmetric rows less the rest, is too; a loop in a part
+    also fails the reassembly, as the model has none.  Each of star, rest
+    and clique+star is divided by the five classes of the canonical order
+    (e, u, the other rotations, the order-4 flips, the order-2 flips):
+    counts holds K of every part that divides equitably (_class_counts),
+    and problems names every part that does not."""
     n = len(star)
     q = n // 2
     problems = []
@@ -328,7 +329,9 @@ def _certify_split(clique, star, rest, model: Graph) -> tuple[list[str], dict[st
     if any(a | b | c != model.row_mask(i) for i, (a, b, c) in enumerate(zip(clique, star, rest))):
         problems.append("split does not reassemble the adjacency matrix")
     for name, rows in (("star", star), ("rest", rest)):
-        if not _is_symmetric(rows):
+        try:
+            _check_loops_and_symmetry(rows)
+        except ValueError:
             problems.append(f"{name} part is not symmetric")
     parts = {"star": star, "rest": rest, "clique+star": [a | b for a, b in zip(clique, star)]}
     counts = {}
@@ -341,11 +344,11 @@ def _certify_split(clique, star, rest, model: Graph) -> tuple[list[str], dict[st
 
 
 def edge_count(g: Graph) -> int:
-    return sum(g.degree(i) for i in range(g.n)) // 2
+    return sum(g.degrees) // 2
 
 
 def degree_sequence(g: Graph) -> tuple[int, ...]:
-    return tuple(sorted((g.degree(i) for i in range(g.n)), reverse=True))
+    return tuple(sorted(g.degrees, reverse=True))
 
 
 def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:

@@ -7,7 +7,10 @@ solver failure cannot masquerade as a verified claim.  A run hands it
 the numpy arrays of exact_linalg._matrix_array for the three matrices
 whose spectra it checks (the two adjacencies and the model Laplacian),
 and the small symmetrised quotients of quotient_eigenvalues for
-everything else it reads a top eigenvalue of.
+everything else it reads a top eigenvalue of.  Matrices of one order go
+in as one stack, so a run makes one solver call per matrix order: its
+order-n matrices together, the split's three 5 x 5 quotients together,
+and the divisor-lattice quotient alone.
 """
 
 from __future__ import annotations
@@ -70,36 +73,65 @@ class SpectrumSummary:
         return tuple((e.value, e.multiplicity) for e in self.entries)
 
 
-def _as_array(matrix) -> np.ndarray:
+def _is_stack(matrix) -> bool:
+    """True for a stack of matrices: a 3-D array, or a list or tuple of 2-D arrays."""
+    if isinstance(matrix, np.ndarray):
+        return matrix.ndim == 3
+    return (
+        isinstance(matrix, (list, tuple))
+        and bool(matrix)
+        and all(isinstance(m, np.ndarray) and m.ndim == 2 for m in matrix)
+    )
+
+
+def _as_array(matrix, stack: bool) -> np.ndarray:
+    """matrix as a float array, n x n, or s x n x n for a stack; every
+    member is checked against the cap before the float copy is made."""
     rows = matrix.rows if isinstance(matrix, IntMatrix) else matrix
-    _check_cap(len(rows))  # before the float copy is made
+    for member in rows if stack else (rows,):
+        _check_cap(len(member))
+        if stack and member.shape != (len(member), len(member)):
+            raise ValueError("matrix must be square")
+    if stack and len({len(member) for member in rows}) > 1:
+        raise ValueError("stacked matrices must have one order")
     arr = np.asarray(rows, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim != 2 + stack or arr.shape[-1] != arr.shape[-2]:
         raise ValueError("matrix must be square")
     return arr
 
 
-def symmetric_eigenvalues(matrix, tol: float = 1e-9) -> EigenResult:
+def symmetric_eigenvalues(matrix, tol: float = 1e-9):
     """Eigenvalues of a real symmetric matrix, ascending, residual-checked.
 
     The residual is max over eigenpairs of ||M v - lambda v||, and the
     result is rejected if it exceeds tol * max(1, ||M||).
+
+    A stack of matrices of one order (a 3-D array, or a list or tuple of
+    2-D arrays) gives a tuple of one EigenResult per member from one
+    batched eigh, which runs LAPACK once per member, so each result is the
+    one a solve of that member alone gives.  Every member is checked for
+    the cap, squareness, symmetry and its residual, and the first that
+    fails raises the error a single matrix raises.
     """
-    arr = _as_array(matrix)
-    n = arr.shape[0]
-    if not (arr == arr.T).all():
+    stack = _is_stack(matrix)
+    arr = _as_array(matrix, stack)
+    if not (arr == arr.swapaxes(-1, -2)).all():
         raise ValueError("matrix is not symmetric")
-    if n == 0:
-        return EigenResult((), 0.0)
+    members = arr if stack else arr[None]
     try:
-        w, v = np.linalg.eigh(arr)
+        w, v = np.linalg.eigh(members)
     except np.linalg.LinAlgError as exc:
         raise EigenSolveError(f"eigensolver did not converge: {exc}") from exc
-    residual = float(np.max(np.linalg.norm(arr @ v - v * w, axis=0)))
-    scale = max(1.0, float(np.max(np.abs(w))))
-    if residual > tol * scale:
-        raise EigenSolveError(f"residual {residual} exceeds {tol} * {scale}")
-    return EigenResult(tuple(float(x) for x in w), residual)
+    # initial: an empty member has residual 0 and scale 1
+    residuals = np.max(np.linalg.norm(members @ v - v * w[:, None, :], axis=1), axis=1, initial=0.0)
+    scales = np.max(np.abs(w), axis=1, initial=1.0)
+    results = []
+    # lists first: a tuple built from a generator of floats made peak RSS creep
+    for values, residual, scale in zip(w.tolist(), residuals.tolist(), scales.tolist()):
+        if residual > tol * scale:
+            raise EigenSolveError(f"residual {residual} exceeds {tol} * {scale}")
+        results.append(EigenResult(tuple(values), residual))
+    return tuple(results) if stack else results[0]
 
 
 def cluster_multiplicities(values: Sequence[float], tol: float) -> SpectrumSummary:
@@ -141,10 +173,11 @@ def quotient_eigenvalues(counts, tol: float = 1e-9) -> EigenResult:
     S = D^(1/2) K D^(-1/2) with D = diag(s), similar to K.  For A >= 0
     the largest is the largest of A: its Perron vector x >= 0 has
     x^T A P = x^T P K, so P^T x, nonnegative and not 0, is an eigenvector
-    of K^T for the same eigenvalue.
+    of K^T for the same eigenvalue.  A stack of quotients of one order
+    gives one EigenResult per member, from one symmetric_eigenvalues call.
     """
     k = np.asarray(counts, dtype=float)
-    return symmetric_eigenvalues(np.sqrt(k * k.T), tol)
+    return symmetric_eigenvalues(np.sqrt(k * k.swapaxes(-1, -2)), tol)
 
 
 def spectral_radius(graph, tol: float = 1e-9) -> float:
@@ -166,12 +199,12 @@ def laplacian_energy(
         raise ValueError(f"spectrum multiplicities sum to {spectrum.total}, expected {n}")
     exact = all(isinstance(e.value, (int, Fraction)) for e in spectrum.entries)
     if exact:
-        shift = Fraction(2 * m, n)
-        acc = Fraction(0)
-        for e in spectrum.entries:
-            weight = e.multiplicity if with_multiplicity else 1
-            acc += weight * abs(Fraction(e.value) - shift)
-        return acc
+        # |mu - 2m/n| = |n mu - 2m| / n: one exact sum, one division
+        total = sum(
+            (e.multiplicity if with_multiplicity else 1) * abs(n * e.value - 2 * m)
+            for e in spectrum.entries
+        )
+        return Fraction(total, n)
     shift_f = 2 * m / n
     return sum(
         (e.multiplicity if with_multiplicity else 1) * abs(float(e.value) - shift_f)

@@ -195,12 +195,8 @@ def _charpoly_formula(kind: str, k: int, p: int):
 
 
 def _poly_difference_detail(computed, claimed) -> dict:
-    top = max(computed.degree, claimed.degree)
-
-    def coeff(poly, d):
-        return poly.coeffs[d] if d <= poly.degree else 0
-
-    diffs = [d for d in range(top + 1) if coeff(computed, d) != coeff(claimed, d)]
+    pairs = itertools.zip_longest(computed.coeffs, claimed.coeffs, fillvalue=0)
+    diffs = [d for d, (a, b) in enumerate(pairs) if a != b]
     return {
         "degree_computed": computed.degree,
         "degree_claimed": claimed.degree,
@@ -215,7 +211,8 @@ class _Run:
     The claims are the factored closed forms, one per kind; a family
     expands one only when it compares against it.  skip(what) turns a
     heavy check into a notice past the matrix-order cap, decided once
-    before any of that work is done.
+    before any of that work is done, and eigen solves the checked
+    order-n matrices in one stacked call.
     """
 
     def __init__(self, k: int, p: int, kinds, constructions) -> None:
@@ -238,12 +235,24 @@ class _Run:
             self.cap = exc
         self.claims = {kind: _charpoly_formula(kind, k, p) for kind in self.kinds}
         self.notices: list[str] = []
+        self._eigen = None
 
     def skip(self, what: str) -> bool:
         """True, with a notice naming what, when the run is past the cap."""
         if self.cap:
             self.notices.append(f"{what} skipped: {self.cap}")
         return bool(self.cap)
+
+    def eigen(self, construction: str, kind: str):
+        """The eigensolve of a checked matrix, each adjacency or the model
+        Laplacian, asked for under the cap only; the first call solves all."""
+        if self._eigen is None:
+            wanted = [(c, "adjacency") for c in self.graphs if "adjacency" in self.kinds]
+            if "model" in self.graphs and "laplacian" in self.kinds:
+                wanted.append(("model", "laplacian"))
+            arrays = [_matrix_array(self.graphs[c], m) for c, m in wanted]
+            self._eigen = dict(zip(wanted, symmetric_eigenvalues(arrays, NUMERIC_TOL)))
+        return self._eigen[construction, kind]
 
 
 def _counts(run: _Run):
@@ -297,17 +306,17 @@ def _charpolys(run: _Run):
     The model matrices are the ones the claims describe; the true power
     graph is expected to deviate (clique assumption), so an inequality
     there is reported as a mismatch rather than a failure.  Each claim is
-    expanded once, for its first comparison; each IntMatrix is built as
-    the argument of its one call.
+    expanded and written out once, for its first comparison; each
+    IntMatrix is built as the argument of its one call.
     """
-    expanded: dict[str, IntPolynomial] = {}
+    expanded: dict[str, tuple[IntPolynomial, str]] = {}
     for cname, g in run.graphs.items():
         for kind in run.kinds:
             if run.skip(f"charpoly {kind}/{cname}"):
                 continue
             if kind not in expanded:
-                expanded[kind] = run.claims[kind].expand()
-            claimed_poly = expanded[kind]
+                expanded[kind] = run.claims[kind].expand(), str(run.claims[kind])
+            claimed_poly, claimed_text = expanded[kind]
             computed_poly = char_poly_exact(matrix_of(g, kind))
             if computed_poly == claimed_poly:
                 status = STATUS_PASS
@@ -323,7 +332,7 @@ def _charpolys(run: _Run):
                 matrix=kind,
                 status=status,
                 computed=computed,
-                claimed=str(run.claims[kind]),
+                claimed=claimed_text,
                 detail=detail,
             )
 
@@ -360,7 +369,7 @@ def _laplacian(run: _Run):
     )
 
     if "model" in run.graphs and not run.skip("laplacian spectrum numeric check"):
-        eig = symmetric_eigenvalues(_matrix_array(run.graphs["model"], "laplacian"), NUMERIC_TOL)
+        eig = run.eigen("model", "laplacian")
         scale = max(1.0, max(abs(v) for v in eig.eigenvalues))
         clustered = cluster_multiplicities(eig.eigenvalues, CLUSTER_TOL * scale)
         ok, dev = summaries_match(clustered, spectrum, NUMERIC_TOL * scale)
@@ -463,7 +472,7 @@ def _radius(run: _Run):
     for cname, g in run.graphs.items():
         if run.skip(f"radius bounds for {cname}"):
             continue
-        whole = symmetric_eigenvalues(_matrix_array(g, "adjacency"), NUMERIC_TOL)
+        whole = run.eigen(cname, "adjacency")
         if cname == "model":
             model = whole
             base = float(q - 1)
@@ -537,22 +546,23 @@ def _split_spectra_check(run: _Run, whole) -> Check:
     equitable on the five canonical-order classes, or the check fails by
     name.  A Perron vector x >= 0 of a part A with A P = P K gives the
     eigenvector P^T x >= 0 of K^T, so the top eigenvalue of A is that of
-    its 5 x 5 quotient (quotient_eigenvalues).  The star's quotient gives
-    +-sqrt(q), and its q edges give trace(A^2) = 2q, so its other n - 2
-    eigenvalues are 0.  The rest must peak at (1 + sqrt(1 + 2q)) / 2, and
-    the top eigenvalues must be subadditive against whole, the model
-    adjacency's eigensolve; the caller skips this past the matrix cap."""
+    its 5 x 5 quotient (one quotient_eigenvalues call for all three).  The
+    star's quotient gives +-sqrt(q), and its q edges give trace(A^2) = 2q,
+    so its other n - 2 eigenvalues are 0.  The rest must peak at
+    (1 + sqrt(1 + 2q)) / 2, and the top eigenvalues must be subadditive
+    against whole, the model adjacency's eigensolve; the caller skips
+    this past the matrix cap."""
     q = run.mp.rotation_order
     clique, star, rest = _model_parts(run.spec)
     problems, counts = _certify_split(clique, star, rest, run.graphs["model"])
-    spectra = {name: quotient_eigenvalues(k, NUMERIC_TOL).eigenvalues for name, k in counts.items()}
+    solved = quotient_eigenvalues(list(counts.values()), NUMERIC_TOL) if counts else ()
+    spectra = {name: result.eigenvalues for name, result in zip(counts, solved)}
     root_q = math.sqrt(q)
     tol = NUMERIC_TOL * max(1.0, float(q))
     star_extremes = rest_peak = None
     if "star" in spectra:
-        star_extremes = [spectra["star"][0], spectra["star"][-1]]
+        low, high = star_extremes = [spectra["star"][0], spectra["star"][-1]]
         edges = sum(row.bit_count() for row in star) // 2
-        low, high = star_extremes
         if abs(low + root_q) > tol or abs(high - root_q) > tol or edges != q:
             problems.append("star spectrum is not {+-sqrt(q), 0}")
     rest_peak_claim = (1 + math.sqrt(1 + 2 * q)) / 2
@@ -586,22 +596,9 @@ def _sweep_one(args) -> VerificationReport:
         return run_verification(k, p, kinds=kinds, constructions=constructions)
     except Exception:
         mp = ModelParameters(k, p)
-        return VerificationReport(
-            k=k,
-            p=p,
-            n=mp.vertex_count,
-            theta=mp.twist,
-            m_model=None,
-            m_true=None,
-            checks=(
-                Check(
-                    name="execution",
-                    status=STATUS_FAIL,
-                    computed="unhandled exception",
-                    detail={"traceback": traceback.format_exc()},
-                ),
-            ),
-        )
+        trace = {"traceback": traceback.format_exc()}
+        crash = Check("execution", STATUS_FAIL, computed="unhandled exception", detail=trace)
+        return VerificationReport(k, p, mp.vertex_count, mp.twist, None, None, checks=(crash,))
 
 
 def sweep(

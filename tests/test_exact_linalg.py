@@ -347,6 +347,24 @@ class TestCharPoly:
         with pytest.raises(ArithmeticError, match="disagrees"):
             char_poly_exact(m)
 
+    @given(
+        st.integers(0, 12).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.integers(-9, 9) | st.sampled_from((-HUGE, HUGE)),
+                    min_size=n,
+                    max_size=n,
+                ),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    @settings(deadline=None, max_examples=80)
+    def test_berkowitz_kernel_equals_leverrier_property(self, rows):
+        # the Toeplitz step's slice dot products against the independent route
+        assert kernels.charpoly_berkowitz(rows) == kernels.charpoly_leverrier(rows)
+
     def test_berkowitz_kernel_equals_leverrier(self):
         def check(rows):
             assert kernels.charpoly_berkowitz(rows) == kernels.charpoly_leverrier(rows)
@@ -1315,6 +1333,13 @@ class TestMatrixOf:
             for kind in ("adjacency", "laplacian", "signless"):
                 diagonal = exact_linalg._matrix_diagonal(g, kind)
                 assert np.array_equal(exact_linalg._matrix_array(g, kind).diagonal(), diagonal)
+
+    @pytest.mark.parametrize("k, p", PAIRS_UNDER_CAP)
+    def test_diagonal_is_the_array_diagonal_on_the_family(self, k, p):
+        for g in (build_model_graph(k, p), build_power_graph(SemidihedralType(k, p))):
+            for kind in ("adjacency", "laplacian", "signless"):
+                diagonal = exact_linalg._matrix_diagonal(g, kind)
+                assert np.array_equal(np.diag(exact_linalg._matrix_array(g, kind)), diagonal)
 
     def test_laplacian_and_signless_from_adjacency(self, model_graphs):
         g = model_graphs[(2, 3)]

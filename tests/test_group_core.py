@@ -1,6 +1,7 @@
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -246,10 +247,36 @@ class TestPairProduct:
 
         monkeypatch.setattr(group_core, "_product", spy)
         assert validate_presentation(spec).ok
-        # the sample is the last 200 x 4 products: (x y), (x y) z, (y z), x (y z)
-        sample = calls[-800:]
-        got = [(sample[i][0], sample[i][1], sample[i + 2][1]) for i in range(0, 800, 4)]
-        assert got == want
+        # the sample is the last 4 products, each over all 200 triples as
+        # (a, b) arrays: (x y), (x y) z, (y z), x (y z)
+        (x, y), (xy, z), (y_again, z_again), (x_again, yz) = calls[-4:]
+
+        def pairs(arrays):
+            a, b = arrays
+            return [(int(i), int(j)) for i, j in zip(a, b)]
+
+        assert list(zip(pairs(x), pairs(y), pairs(z))) == want
+        assert (pairs(x_again), pairs(y_again), pairs(z_again)) == (pairs(x), pairs(y), pairs(z))
+        q, theta = spec.rotation_order, spec.twist
+        assert pairs(xy) == [real(q, theta, u, v) for u, v in zip(pairs(x), pairs(y))]
+        assert pairs(yz) == [real(q, theta, u, v) for u, v in zip(pairs(y), pairs(z))]
+
+    @pytest.mark.parametrize("spec", [SemidihedralType(2, 3), SemidihedralType(3, 5)], ids=str)
+    def test_array_products_are_the_pair_products(self, spec):
+        q, theta = spec.rotation_order, spec.twist
+        els = elements(spec)
+        xs = [x for x in els for _ in els]
+        ys = [y for _ in els for y in els]
+        a, b = group_core._product(
+            q,
+            theta,
+            (np.array([x.a for x in xs]), np.array([x.b for x in xs])),
+            (np.array([y.a for y in ys]), np.array([y.b for y in ys])),
+        )
+        assert a.dtype == b.dtype == np.int64
+        assert list(zip(a.tolist(), b.tolist())) == [
+            group_core._product(q, theta, x, y) for x, y in zip(xs, ys)
+        ]
 
 
 @pytest.fixture

@@ -413,6 +413,14 @@ class TestTruePowerGraph:
     def test_matches_subgroup_walk_reference(self, spec):
         assert build_power_graph(spec) == subgroup_walk_graph(spec)
 
+    @pytest.mark.parametrize("k,p", PAIRS_UNDER_CAP)
+    def test_degrees_are_the_row_popcounts(self, k, p):
+        for g in (build_model_graph(k, p), build_power_graph(SemidihedralType(k, p))):
+            assert g.degrees == tuple(g.row_mask(i).bit_count() for i in range(g.n))
+            assert g.degrees == tuple(g.degree(i) for i in range(g.n))
+            assert edge_count(g) == len(g.edges())
+            assert degree_sequence(g) == tuple(sorted(g.degrees, reverse=True))
+
     def test_degrees_at_2_3(self, true_graphs):
         g = true_graphs[(2, 3)]
         assert g.degree(g.index_of(E(0, 0))) == 23

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from powspec.exact_linalg import CAP_ENV_VAR, MatrixCapExceeded, matrix_of
-from powspec.formulas import laplacian_spectrum_formula
-from powspec.group_core import Cyclic, GroupElement
+from powspec.formulas import ModelParameters, laplacian_spectrum_formula
+from powspec.group_core import Cyclic, GroupElement, is_odd_prime
 from powspec.powergraph import Graph, build_power_graph, model_adjacency_split
 from powspec.spectra import (
     EigenSolveError,
@@ -93,6 +93,69 @@ class TestEigensolver:
         monkeypatch.setenv(CAP_ENV_VAR, "4")
         with pytest.raises(MatrixCapExceeded, match=CAP_ENV_VAR):
             symmetric_eigenvalues(np.zeros((5, 5)))
+
+
+def solve_error(matrix, **kwargs):
+    """The type and text of the error symmetric_eigenvalues raises on matrix."""
+    with pytest.raises((ValueError, EigenSolveError, MatrixCapExceeded)) as info:
+        symmetric_eigenvalues(matrix, **kwargs)
+    return type(info.value), str(info.value)
+
+
+class TestStackedSolve:
+    """A stack of one order's matrices: one call, one result per member, and
+    every member checked as a single matrix is."""
+
+    def test_results_are_the_single_solves(self):
+        rng = random.Random(7)
+        for n in (1, 2, 5, 12):
+            members = [random_symmetric(rng, n) for _ in range(3)]
+            for stack in (members, tuple(members), np.array(members)):
+                got = symmetric_eigenvalues(stack)
+                assert got == tuple(symmetric_eigenvalues(m) for m in members)
+
+    def test_empty_members(self):
+        got = symmetric_eigenvalues(np.zeros((2, 0, 0)))
+        assert got == (symmetric_eigenvalues(np.zeros((0, 0))),) * 2
+
+    def test_a_list_of_rows_is_one_matrix(self):
+        rows = [[0.0, 1.0], [1.0, 0.0]]
+        assert symmetric_eigenvalues(rows) == symmetric_eigenvalues(np.array(rows))
+
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_asymmetric_member(self, at):
+        bad = np.array([[0.0, 1.0], [0.0, 0.0]])
+        stack = [np.eye(2)] * 3
+        stack[at] = bad
+        assert solve_error(stack) == solve_error(bad)
+
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_non_square_member(self, at):
+        bad = np.zeros((3, 4))
+        stack = [np.eye(3)] * 3
+        stack[at] = bad
+        assert solve_error(stack) == solve_error(bad) == (ValueError, "matrix must be square")
+        assert solve_error(np.zeros((2, 3, 4))) == solve_error(bad)
+
+    def test_members_of_two_orders(self):
+        assert solve_error([np.eye(2), np.eye(3)]) == (
+            ValueError,
+            "stacked matrices must have one order",
+        )
+
+    def test_over_cap_member(self, monkeypatch):
+        monkeypatch.setenv(CAP_ENV_VAR, "4")
+        assert solve_error([np.eye(5)] * 2) == solve_error(np.eye(5))
+        assert solve_error(np.zeros((2, 5, 5))) == solve_error(np.eye(5))
+        assert len(symmetric_eigenvalues([np.eye(4)] * 2)) == 2  # members at the cap solve
+
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_residual_failing_member(self, model_graphs, at):
+        bad = matrix_of(model_graphs[(2, 3)], "laplacian")
+        stack = [np.zeros((24, 24))] * 2
+        stack[at] = np.array(bad.rows, dtype=float)
+        assert solve_error(stack, tol=1e-18) == solve_error(bad, tol=1e-18)
+        assert solve_error(stack, tol=1e-18)[0] is EigenSolveError
 
 
 class TestClustering:
@@ -191,6 +254,36 @@ class TestLaplacianEnergy:
         s = SpectrumSummary((SpectrumEntry(0, 1), SpectrumEntry(2, 1)))
         with pytest.raises(ValueError):
             laplacian_energy(s, 1, 3)
+
+    def test_claimed_spectra_match_the_fraction_loop(self):
+        # every (k, p) of the family with n = 2^(k+1) p <= 4096
+        family = [(k, p) for k in range(2, 10) for p in range(3, 2048 >> k) if is_odd_prime(p)]
+        assert len(family) == 215
+        for k, p in family:
+            mp = ModelParameters(k, p)
+            spectrum = laplacian_spectrum_formula(k, p)
+            for weighted in (True, False):
+                args = (spectrum, mp.model_edge_count, mp.vertex_count, weighted)
+                assert laplacian_energy(*args) == fraction_loop_energy(*args), (k, p)
+
+    def test_fraction_spectrum_matches_the_fraction_loop(self):
+        entries = ((Fraction(-7, 3), 2), (1, 3), (Fraction(9, 2), 1))
+        s = SpectrumSummary(tuple(SpectrumEntry(v, mult) for v, mult in entries))
+        for m in (0, 1, 5, 17):
+            for weighted in (True, False):
+                got = laplacian_energy(s, m, 6, weighted)
+                assert got == fraction_loop_energy(s, m, 6, weighted)
+                assert isinstance(got, Fraction)
+
+
+def fraction_loop_energy(spectrum, m, n, with_multiplicity=True):
+    """The reference: sum of w |mu - 2m/n|, one Fraction per entry."""
+    shift = Fraction(2 * m, n)
+    acc = Fraction(0)
+    for e in spectrum.entries:
+        weight = e.multiplicity if with_multiplicity else 1
+        acc += weight * abs(Fraction(e.value) - shift)
+    return acc
 
 
 class TestComponentMultiplicity:

@@ -9,6 +9,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import powspec
@@ -39,6 +40,21 @@ from powspec.verify_cli import (
 )
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report.schema.json"
+
+
+def eigensolve_calls(monkeypatch):
+    """The arguments of every symmetric_eigenvalues call, as arrays."""
+    solved = []
+    real = spectra.symmetric_eigenvalues
+
+    def counting(matrix, tol=1e-9):
+        solved.append(np.asarray(matrix))
+        return real(matrix, tol)
+
+    # quotient_eigenvalues looks the solver up in spectra, run_verification in verify_cli
+    monkeypatch.setattr(spectra, "symmetric_eigenvalues", counting)
+    monkeypatch.setattr(verify_cli, "symmetric_eigenvalues", counting)
+    return solved
 
 
 class TestRunVerification:
@@ -265,22 +281,37 @@ class TestRunVerification:
         assert len(expanded) == 0  # spectrum-divides reads the factors
 
     def test_each_matrix_is_eigensolved_once_per_run(self, monkeypatch):
-        solved = []
-        real = spectra.symmetric_eigenvalues
-
-        def counting(matrix, tol=1e-9):
-            solved.append(matrix.shape[0])
-            return real(matrix, tol)
-
-        # quotient_eigenvalues looks the solver up in spectra, run_verification in verify_cli
-        monkeypatch.setattr(spectra, "symmetric_eigenvalues", counting)
-        monkeypatch.setattr(verify_cli, "symmetric_eigenvalues", counting)
+        solved = eigensolve_calls(monkeypatch)
         run_verification(2, 3)
-        # the three order-n matrices whose spectra the run checks (both
-        # adjacencies and the model laplacian); the 5 x 5 quotients of the
-        # three split parts and the 6 x 6 divisor-lattice quotient of P(C_12);
-        # the split's whole matrix is the model adjacency, already solved
-        assert sorted(solved) == [5, 5, 5, 6] + [24] * 3
+        # one call per matrix order: the three order-n matrices whose
+        # spectra the run checks in one stack, the 5 x 5 quotients of the
+        # three split parts in another, and the 6 x 6 divisor-lattice
+        # quotient of P(C_12) alone; the split's whole matrix is the model
+        # adjacency, already solved
+        assert sorted(a.shape for a in solved) == [(3, 5, 5), (3, 24, 24), (6, 6)]
+        members = [m.tobytes() for a in solved for m in (a if a.ndim == 3 else [a])]
+        assert len(set(members)) == len(members) == 7  # no matrix solved twice
+        (stack,) = [a for a in solved if a.shape[-1] == 24]
+        model, true = build_model_graph(2, 3), build_power_graph(SemidihedralType(2, 3))
+        want = [(model, "adjacency"), (true, "adjacency"), (model, "laplacian")]
+        for got, (g, kind) in zip(stack, want):
+            assert np.array_equal(got, exact_linalg._matrix_array(g, kind))
+
+    @pytest.mark.parametrize(
+        "kinds,constructions,shapes",
+        [
+            (("laplacian",), ("model", "true"), [(1, 24, 24)]),
+            (("laplacian",), ("true",), []),
+            (("adjacency",), ("true",), [(1, 24, 24), (6, 6)]),
+            (("adjacency",), ("model",), [(1, 24, 24), (3, 5, 5)]),
+            (("signless",), ("model", "true"), []),
+            (("adjacency", "laplacian"), ("model",), [(2, 24, 24), (3, 5, 5)]),
+        ],
+    )
+    def test_stack_holds_only_the_checked_matrices(self, monkeypatch, kinds, constructions, shapes):
+        solved = eigensolve_calls(monkeypatch)
+        run_verification(2, 3, kinds=kinds, constructions=constructions)
+        assert sorted(a.shape for a in solved) == shapes
 
     def test_each_claim_array_and_parameter_set_is_built_once(self, monkeypatch):
         calls = Counter()
@@ -534,6 +565,38 @@ def mutated_parts(monkeypatch, mutation):
         return clique, star, rest
 
     monkeypatch.setattr(verify_cli, "_model_parts", parts)
+
+
+def result_bits(results):
+    """Eigenvalues and residuals as float.hex strings, so that == is bit for bit."""
+    return [(tuple(map(float.hex, r.eigenvalues)), float.hex(r.residual)) for r in results]
+
+
+class TestStackedSolves:
+    """A run's two stacks give, bit for bit, the results of single solves."""
+
+    @pytest.mark.parametrize("k,p", PAIRS_UNDER_CAP)
+    def test_order_n_stack_is_the_single_solves(self, k, p):
+        model, true = build_model_graph(k, p), build_power_graph(SemidihedralType(k, p))
+        arrays = [
+            exact_linalg._matrix_array(model, "adjacency"),
+            exact_linalg._matrix_array(true, "adjacency"),
+            exact_linalg._matrix_array(model, "laplacian"),
+        ]
+        tol = verify_cli.NUMERIC_TOL
+        stacked = spectra.symmetric_eigenvalues(arrays, tol)
+        single = [spectra.symmetric_eigenvalues(a, tol) for a in arrays]
+        assert result_bits(stacked) == result_bits(single)
+
+    @pytest.mark.parametrize("k,p", PAIRS_UNDER_CAP)
+    def test_split_quotient_stack_is_the_single_solves(self, k, p):
+        parts = powergraph._model_parts(SemidihedralType(k, p))
+        problems, counts = powergraph._certify_split(*parts, build_model_graph(k, p))
+        assert not problems and list(counts) == ["star", "rest", "clique+star"]
+        tol = verify_cli.NUMERIC_TOL
+        stacked = spectra.quotient_eigenvalues(list(counts.values()), tol)
+        single = [spectra.quotient_eigenvalues(c, tol) for c in counts.values()]
+        assert result_bits(stacked) == result_bits(single)
 
 
 class TestSplitSpectra:
