@@ -8,10 +8,13 @@ Two independent exact routes to det(xI - A) live here.
   in the linear factors of the twin classes.  The reduction runs when A
   is graph-shaped, A = diag(D) + w Adj, on the packed bit rows R of Adj.
   For a matrix of matrix_of, R, D and w come from its graph, and the
-  graph-only work is done once per graph: _twin_levels finds the twin
-  classes on the adjacency keys, counts K with numpy, and
-  _check_twin_structure proves everything about them that reads R only;
-  the graph keeps the result.  Per matrix, _twin_quotient proves the
+  graph-only work is done once per graph: _twin_levels proposes the
+  merges that form the twin classes, on the adjacency keys, and
+  _check_twin_structure replays them, reads the cells and K off the
+  replay (K by _quotient_counts, popcounts on the cell heads) and proves
+  everything about them that reads R only; the graph keeps the result.
+  The split's classes in powergraph are counted by the same
+  _quotient_counts, on every member.  Per matrix, _twin_quotient proves the
   rest for its D and w, computes the roots and forms B = w K + diag(D).
   Any other graph-shaped A (n >= 2, int64 entries, every off-diagonal
   entry 0 or one value w, a symmetric zero pattern) is read by
@@ -420,7 +423,7 @@ _Merge = tuple[_Group, ...]
 # A proved twin reduction, as char_poly_exact keeps it per graph: the
 # cells, K, and per merge the member heads, their inner counts and the
 # member size if the merge is closed, else 0 (see _check_twin_structure).
-_Twins = tuple[list[_Group], list[list[int]], list[tuple[list[int], list[int], int]]]
+_Twins = tuple[list[_Group], list[tuple[int, ...]], list[tuple[list[int], list[int], int]]]
 
 
 def _union(members: Iterable[_Group]) -> _Group:
@@ -460,12 +463,26 @@ def _graph_rows(m: IntMatrix) -> tuple[list[int], list[int], int] | None:
     return rows, diagonal, w
 
 
-def _twin_levels(
-    rows: Sequence[int], diagonal: Sequence[int], w: int
-) -> tuple[list[_Group], list[_Merge], list[list[int]]]:
-    """(cells, merges, K): the twin classes of M = diag(D) + w A, how they
-    were formed, and the counts of the quotient, with R, D and w as in
-    _graph_rows.
+def _quotient_counts(
+    masks: Sequence[int], member_rows: Iterable[Iterable[int]]
+) -> list[tuple[int, ...]] | None:
+    """K of the cells with the given masks, when the rows given divide
+    equitably: K_IJ = popcount(row & masks[J]) for every row given for
+    cell I.  None when two rows of one cell have different counts.  Equal
+    rows have equal counts, so each distinct row of a cell is counted
+    once."""
+    counts = []
+    for rows in member_rows:
+        found = {tuple([(row & m).bit_count() for m in masks]) for row in set(rows)}
+        if len(found) != 1:
+            return None
+        counts.append(found.pop())
+    return counts
+
+
+def _twin_levels(rows: Sequence[int], diagonal: Sequence[int], w: int) -> list[_Merge]:
+    """The merges that form the twin classes of M = diag(D) + w A, with
+    R, D and w as in _graph_rows.
 
     A group is a sorted tuple of indices, its head h its smallest index,
     its mask m the bits of its members, and b = D_h + w popcount(R_h & m)
@@ -482,14 +499,9 @@ def _twin_levels(
     edge between them.  No group has both kinds of partner: if G, H are
     open twins and G, K closed twins, K is a neighbour of G outside G and
     H, so of H, and H, outside G and K, is a neighbour of K but not of G.
-    The merges come in round order, and cells[J] is the group that index J
-    of the quotient stands for.
-
-    K_IJ is the number of neighbours in cell J of the head of cell I: the
-    head rows unpacked to a c x n 0/1 array, its columns grouped by cell
-    and summed by np.add.reduceat.  Nothing here is trusted:
-    _check_twin_structure and _twin_quotient prove the result by
-    popcounts, which share no code with this count.
+    The merges come in round order.  They are only proposed:
+    _check_twin_structure replays them, takes the cells from the replay
+    and proves them, and _twin_quotient proves the rest per kind.
     """
     groups = {(i,): 1 << i for i in range(len(rows))}
     merges: list[_Merge] = []
@@ -503,48 +515,41 @@ def _twin_levels(
             keyed.setdefault((outside | mask, b, size, True), []).append(group)
         level = sorted([tuple(sorted(g)) for g in keyed.values() if len(g) > 1])
         if not level:
-            break
+            return merges
         for members in level:
             groups[_union(members)] = sum([groups.pop(g) for g in members])
         merges += level
-    cells = sorted(groups)
-    by_cell = [v for cell in cells for v in cell]
-    bits = _unpack([rows[cell[0]] for cell in cells], len(rows))[:, by_cell]
-    starts = list(itertools.accumulate(map(len, cells[:-1]), initial=0))
-    return cells, merges, np.add.reduceat(bits, starts, axis=1, dtype=np.int64).tolist()
 
 
-def _check_twin_structure(
-    rows: Sequence[int],
-    cells: Sequence[_Group],
-    merges: Sequence[_Merge],
-    counts: Sequence[Sequence[int]],
-) -> list[tuple[list[int], list[int], int]]:
-    """The half of the twin certificate that reads the bit rows R only,
-    for the cells, merges and K of _twin_levels; _twin_quotient is the
-    other half, per diagonal D and weight w.  Returns, per merge, its
-    member heads, their inner counts popcount(R_h & m) and the member
-    size if the merge is closed, else 0.
+def _check_twin_structure(rows: Sequence[int], merges: Sequence[_Merge]) -> _Twins:
+    """(cells, K, proof): the half of the twin certificate that reads the
+    bit rows R only, for the merges of _twin_levels; _twin_quotient is the
+    other half, per diagonal D and weight w.  cells[J] is the group that
+    index J of the quotient stands for, K its counts, and proof holds, per
+    merge, its member heads, their inner counts popcount(R_h & m) and the
+    member size if the merge is closed, else 0.
 
     A group G with head h and mask m is a module when every member v has
     the head's row outside G, R_v & ~m = R_h & ~m, and a regular module of
     M = diag(D) + w A when also every member has the head's row sum
     inside it, D_v + w popcount(R_v & m) = b.  Every singleton is one.
-    Three exact checks:
+    Three exact steps:
 
     1. Replayed from the singletons, each merge replaces two or more
-       distinct current groups G_0, ..., G_(s-1) by their union U, and
-       what is left is exactly the cells, one per row of K.  So the cells
-       partition range(n), and the cell indicators with every merge's
-       differences 1_(G_0) - 1_(G_a), a = 1 ... s - 1, form a basis T of n
-       vectors: each merge swaps s indicators for their sum and s - 1
-       differences, which span the same space.
+       distinct current groups G_0, ..., G_(s-1) by their union U, and the
+       cells are the groups left, sorted by head.  So the cells partition
+       range(n), and the cell indicators with every merge's differences
+       1_(G_0) - 1_(G_a), a = 1 ... s - 1, form a basis T of n vectors:
+       each merge swaps s indicators for their sum and s - 1 differences,
+       which span the same space.
     2. For each merge, on the member heads only: every member has one
        R_h & ~U; either every head has all of U & ~m in its row (closed)
        or none of it (open); and every member has one size, unless the
        merge is open and R_h & ~U = 0.
     3. K_IJ = popcount(R_h & mask_J) for the head h of every cell I, c^2
-       popcounts for c cells.
+       popcounts for c cells (_quotient_counts).  A proved cell is a
+       regular module, so its head's row of M P, w K + D_h on the
+       diagonal, is every member's (see _twin_quotient).
 
     Any failure raises ArithmeticError.  _twin_quotient's docstring
     carries the induction and the eigenvectors.
@@ -567,19 +572,14 @@ def _check_twin_structure(
         inners = [(rows[h] & m).bit_count() for h, m in zip(heads, inner)]
         proof.append((heads, inners, len(members[0]) if closed else 0))
         masks[_union(members)] = union
-    if not len(cells) == len(masks) == len(counts) or set(cells) != masks.keys():
-        raise ArithmeticError("twin certificate: the cells are not what the merges leave")
-    cell_masks = [masks[cell] for cell in cells]
-    for cell, row in zip(cells, counts):
-        if [(rows[cell[0]] & mask).bit_count() for mask in cell_masks] != list(row):
-            raise ArithmeticError(f"twin certificate: K is wrong in row {cell[0]}")
-    return proof
+    cells = sorted(masks)
+    counts = _quotient_counts([masks[cell] for cell in cells], [[rows[c[0]]] for c in cells])
+    return cells, counts, proof
 
 
 def _proved_twins(rows: Sequence[int], diagonal: Sequence[int], w: int) -> _Twins:
     """_twin_levels on R with the keys of (D, w), and its structural proof."""
-    cells, merges, counts = _twin_levels(rows, diagonal, w)
-    return cells, counts, _check_twin_structure(rows, cells, merges, counts)
+    return _check_twin_structure(rows, _twin_levels(rows, diagonal, w))
 
 
 def _twin_quotient(twins: _Twins, diagonal: Sequence[int], w: int) -> tuple[IntMatrix, Counter[int]]:
@@ -695,18 +695,22 @@ def char_poly_exact(m: IntMatrix) -> IntPolynomial:
     Laplacians, and the per-kind step proves it on every call.  Any other
     graph-shaped M is found on its own keys and proved, every call.
 
-    Certificate, on the bit rows.  The merges are replayed from the
-    singletons and never trusted (see _check_twin_structure).  Every group
+    Certificate, on the bit rows.  The finder only proposes merges; they
+    are replayed from the singletons and never trusted, and the cells are
+    the groups the replay leaves (see _check_twin_structure).  Every group
     they form is a regular module: its members have one row outside it
     and one row sum inside it.  The final cells J and, for every merge of
     groups G_0, ..., G_(s-1), the differences 1_(G_0) - 1_(G_a) form a
     basis T of n vectors.  Popcounts on the heads of the members, of R
     once per graph and of D per kind (_twin_quotient), prove
     M (1_(G_0) - 1_(G_a)) = r (1_(G_0) - 1_(G_a)) for the root r the
-    certificate computes, and c^2 popcounts on the heads of the cells
-    prove K, so M P = P B for the cell indicators P and B = w K + diag(D).
+    certificate computes.  K is counted once, by c^2 popcounts on the
+    heads of the cells (_quotient_counts); a proved cell is a regular
+    module, so M P = P B for the cell indicators P and B = w K + diag(D).
     So M T = T diag(B, roots), which proves the factorisation above; a
-    failure raises ArithmeticError.
+    failure raises ArithmeticError.  The certificate proves the
+    reduction sound, not that the finder merged every twin: a merge it
+    missed leaves a larger quotient and the same polynomial.
 
     Berkowitz, on B.  kernels.charpoly_berkowitz is division-free on
     Python ints, so det(xI - B) is exact with no bound and no primes.

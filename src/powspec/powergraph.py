@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact_linalg import _unpack
+from .exact_linalg import _quotient_counts, _unpack
 from .group_core import (
     Cyclic,
     GroupElement,
@@ -294,22 +294,6 @@ def build_model_graph(k: int, p: int) -> Graph:
     return Graph(canonical_order(spec), rows)
 
 
-def _class_counts(rows, starts) -> list[tuple[int, ...]] | None:
-    """K, when the cells [starts[I], starts[I + 1]) divide the rows
-    equitably: K_IJ is the popcount in cell J of the row of every member
-    of cell I.  None when two members of a cell differ.  Equal rows have
-    equal counts, so each distinct row of a cell is counted once."""
-    cells = list(zip(starts, starts[1:]))
-    masks = [(1 << hi) - (1 << lo) for lo, hi in cells]
-    counts = []
-    for lo, hi in cells:
-        found = {tuple([(row & m).bit_count() for m in masks]) for row in set(rows[lo:hi])}
-        if len(found) != 1:
-            return None
-        counts.append(found.pop())
-    return counts
-
-
 def _certify_split(clique, star, rest, model: Graph) -> tuple[list[str], dict[str, list]]:
     """(problems, counts) for the parts of _model_parts against the model
     graph.  The parts must be pairwise disjoint with the model's rows as
@@ -319,10 +303,14 @@ def _certify_split(clique, star, rest, model: Graph) -> tuple[list[str], dict[st
     also fails the reassembly, as the model has none.  Each of star, rest
     and clique+star is divided by the five classes of the canonical order
     (e, u, the other rotations, the order-4 flips, the order-2 flips):
-    counts holds K of every part that divides equitably (_class_counts),
-    and problems names every part that does not."""
+    counts holds K of every part that divides equitably, by
+    exact_linalg._quotient_counts on every row of each class, and
+    problems names every part that does not."""
     n = len(star)
     q = n // 2
+    bounds = (0, 1, 2, q, q + q // 2, n)
+    classes = list(zip(bounds, bounds[1:]))
+    masks = [(1 << hi) - (1 << lo) for lo, hi in classes]
     problems = []
     if any(a & b or a & c or b & c for a, b, c in zip(clique, star, rest)):
         problems.append("split parts overlap")
@@ -336,7 +324,7 @@ def _certify_split(clique, star, rest, model: Graph) -> tuple[list[str], dict[st
     parts = {"star": star, "rest": rest, "clique+star": [a | b for a, b in zip(clique, star)]}
     counts = {}
     for name, rows in parts.items():
-        if (found := _class_counts(rows, (0, 1, 2, q, q + q // 2, n))) is None:
+        if (found := _quotient_counts(masks, [rows[lo:hi] for lo, hi in classes])) is None:
             problems.append(f"{name} part is not equitable on the five classes")
         else:
             counts[name] = found

@@ -640,7 +640,12 @@ def adjacency_of(n, edges):
 def graph_of(adjacency):
     """A Graph on 0/1 rows, its vertices labelled by the cyclic group."""
     labels = tuple(GroupElement(0, b) for b in range(len(adjacency)))
-    return Graph(labels, tuple(sum(bit << j for j, bit in enumerate(row)) for row in adjacency))
+    return Graph(labels, tuple(row_masks(adjacency)))
+
+
+def row_masks(adjacency):
+    """0/1 rows as packed ints, bit j of row i set when adjacency[i][j] is."""
+    return [sum(bit << j for j, bit in enumerate(row)) for row in adjacency]
 
 
 def finder_input(m):
@@ -655,9 +660,14 @@ def finder_input(m):
 
 
 def twin_levels_of(m):
-    """finder_input(m) and _twin_levels' (cells, merges, K) on it."""
+    """finder_input(m) and the merges _twin_levels proposes on it."""
     found = finder_input(m)
     return found, exact_linalg._twin_levels(*found)
+
+
+def proved_twins_of(m):
+    """The certified (cells, K, proof) of _proved_twins on finder_input(m)."""
+    return exact_linalg._proved_twins(*finder_input(m))
 
 
 def dense_quotient(m):
@@ -721,15 +731,9 @@ def nested_graph_blow_up(rng, w, diagonal):
     return graph_matrix(permuted(adjacency, perm), w, diagonal)
 
 
-def honest_counts(rows, cells):
-    """K read off the heads' rows for the given cells."""
-    masks = [sum(1 << v for v in cell) for cell in cells]
-    return [[(rows[cell[0]] & mask).bit_count() for mask in masks] for cell in cells]
-
-
-def rename_groups(merges, cells, target, grown):
-    """merges and cells with merges[target]'s members replaced by grown,
-    and every later group holding the old union holding the new one."""
+def rename_groups(merges, target, grown):
+    """merges with merges[target]'s members replaced by grown, and every
+    later group holding the old union holding the new one."""
     union = exact_linalg._union
     renamed, out = {}, []
     for t, members in enumerate(merges):
@@ -741,68 +745,54 @@ def rename_groups(merges, cells, target, grown):
         if new != old:
             renamed[old] = new
         out.append(members)
-    return out, sorted(renamed.get(c, c) for c in cells)
+    return out
 
 
-def _corrupt_twin_levels(corruption, level, rows, found):
-    """A wrong _twin_levels result, of one of the kinds its certificate
-    must refuse, placed on a merge (or cell) of the given level: 1 for a
-    merge of singletons, 2 for one above them."""
-    cells, merges, counts = found
-    union = exact_linalg._union
+def corruption_target(merges, level):
+    """The index of the last merge of the given level: 1 for a merge of
+    singletons, 2 for one above them."""
     upper = above_level_1(merges)
     pick = upper if level == 2 else [members for members in merges if members not in upper]
-    target = merges.index(pick[-1])
+    return merges.index(pick[-1])
+
+
+def _corrupt_twin_levels(corruption, level, n, merges):
+    """Wrong merges for _twin_levels to propose on n indices, of one of the
+    kinds its certificate must refuse, placed on a merge of the given
+    level (see corruption_target)."""
+    target = corruption_target(merges, level)
     members = merges[target]
-    cell = next(c for c in cells if set(union(members)) <= set(c))
-    if corruption == "wrong K entry":
-        counts = [list(row) for row in counts]
-        counts[cells.index(cell)][-1] += 1
-    elif corruption == "non-twin merged":
-        # a singleton cell joins the merge; K is read off the new cells
-        # honestly, so only the twin checks can see it
-        stray = next(c for c in cells if len(c) == 1)
-        grown = tuple(sorted(members + (stray,)))
-        merges, cells = rename_groups(merges, [c for c in cells if c != stray], target, grown)
-        counts = honest_counts(rows, cells)
-    elif corruption == "merge missing":
-        merges = merges[:target] + merges[target + 1 :]
-    elif corruption == "member repeated":
-        merges = merges[:target] + [members + members[:1]] + merges[target + 1 :]
-    elif corruption == "cell missing":
-        # K read off the remaining cells honestly, so only the replay can see it
-        cells = [c for c in cells if c != cell]
-        counts = honest_counts(rows, cells)
-    elif corruption == "shuffled cells":
-        # every cell present, but two out of the order of the rows of K
-        i = cells.index(cell)
-        j = (i + 1) % len(cells)
-        cells = list(cells)
-        cells[i], cells[j] = cells[j], cells[i]
-    else:
-        raise AssertionError(corruption)
-    return cells, merges, counts
+    if corruption == "non-twin merged":
+        # a singleton cell joins the merge, and the later merges follow it
+        merged = {g for group in merges for g in group}
+        stray = next((i,) for i in range(n) if (i,) not in merged)
+        return rename_groups(merges, target, tuple(sorted(members + (stray,))))
+    if corruption == "member repeated":
+        return merges[:target] + [members + members[:1]] + merges[target + 1 :]
+    raise AssertionError(corruption)
 
 
 # each corruption and the certificate's error it meets
 CORRUPTIONS = {
-    "wrong K entry": "K is wrong",
     "non-twin merged": "not twins",
-    "merge missing": "cells are not what the merges leave|not of distinct current groups",
     "member repeated": "not of distinct current groups",
-    "cell missing": "cells are not what the merges leave",
-    "shuffled cells": "K is wrong",
 }
+
+
+# per level, what dropping the last merge of that level does to each of
+# corruption_inputs: at level 1 on MIXED_TWINS the isolated pair (6, 7) is
+# left unmerged, and the later merge of (0, 1, 2) with (6, 7) names it
+MISSING_MERGE_OUTCOMES = {1: ["sound", "sound", "refused"], 2: ["sound", "sound", "sound"]}
 
 
 def must_not_run(rows):
     raise AssertionError("a kernel ran: the certificate let a bad reduction through")
 
 
-def refuse_on(monkeypatch, m, found, error):
-    """char_poly_exact(m) with _twin_levels returning found must raise the
+def refuse_on(monkeypatch, m, merges, error):
+    """char_poly_exact(m) with _twin_levels proposing merges must raise the
     certificate's error before Berkowitz or Bareiss runs."""
-    monkeypatch.setattr(exact_linalg, "_twin_levels", lambda rows, diagonal, w: found)
+    monkeypatch.setattr(exact_linalg, "_twin_levels", lambda rows, diagonal, w: merges)
     monkeypatch.setattr(kernels, "charpoly_berkowitz", must_not_run)
     monkeypatch.setattr(kernels, "det_bareiss", must_not_run)
     with pytest.raises(ArithmeticError, match=f"^twin certificate: .*({error})"):
@@ -829,41 +819,40 @@ class TestTwinLevels:
         for label, m in family_matrices(k, p):
             want = 5 if label.startswith("model") else 2 * k + 4
             for found in (exact_linalg._graph_rows(m), finder_input(m)):
-                cells, merges, counts = exact_linalg._twin_levels(*found)
+                cells, counts, _ = exact_linalg._proved_twins(*found)
                 assert len(cells) == len(counts) == want, label
                 # the flip pairs of order-four elements merge above level 1
-                assert above_level_1(merges), label
+                assert above_level_1(exact_linalg._twin_levels(*found)), label
 
     def test_closed_and_open_twins_by_hand(self):
         # K_3: one class with d = 0, c = 1, so B = (0 + 2*1) and root 0 - 1 twice
         k3 = IntMatrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-        _, found = twin_levels_of(k3)
-        assert found == ([(0, 1, 2)], [((0,), (1,), (2,))], [[2]])
+        assert twin_levels_of(k3)[1] == [((0,), (1,), (2,))]
+        assert proved_twins_of(k3)[:2] == ([(0, 1, 2)], [(2,)])
         assert dense_quotient(k3) == (IntMatrix.from_rows([[2]]), {-1: 2})
         # star K_(1,3): the leaves are open twins (c = 0); B_(centre, leaves) = 3 * 1
         star = graph_matrix(STAR_3, 1, [0] * 4)
-        _, found = twin_levels_of(star)
-        assert found == ([(0,), (1, 2, 3)], [((1,), (2,), (3,))], [[0, 3], [1, 0]])
+        assert twin_levels_of(star)[1] == [((1,), (2,), (3,))]
+        assert proved_twins_of(star)[:2] == ([(0,), (1, 2, 3)], [(0, 3), (1, 0)])
         assert dense_quotient(star) == (IntMatrix.from_rows([[0, 3], [1, 0]]), {0: 2})
 
     def test_isolated_vertices_and_both_twin_types(self, monkeypatch):
-        rows, (cells, merges, counts) = twin_levels_of(graph_matrix(MIXED_TWINS, 1, [0] * 8))
+        rows, merges = twin_levels_of(graph_matrix(MIXED_TWINS, 1, [0] * 8))
         assert rows[0][6] == rows[0][7] == 0
-        assert cells == [(0, 1, 2), (3,), (4, 5), (6, 7)]
         assert merges == [((0,), (1,), (2,)), ((4,), (5,)), ((6,), (7,))]
-        assert counts == [[2, 0, 0, 0], [0, 0, 2, 0], [0, 1, 0, 0], [0, 0, 0, 0]]
-        proof = exact_linalg._check_twin_structure(rows[0], cells, merges, counts)
+        cells, counts, proof = exact_linalg._check_twin_structure(rows[0], merges)
+        assert cells == [(0, 1, 2), (3,), (4, 5), (6, 7)]
+        assert counts == [(2, 0, 0, 0), (0, 0, 2, 0), (0, 1, 0, 0), (0, 0, 0, 0)]
         assert proof == [([0, 1, 2], [0, 0, 0], 1), ([4, 5], [0, 0], 0), ([6, 7], [0, 0], 0)]
         # the Laplacian: K_3 and the isolated pair both have row sum 0 and
         # nothing outside, so they merge at level 2 though their sizes differ
-        _, (cells, merges, _) = twin_levels_of(graph_matrix(MIXED_TWINS, -1))
-        assert cells == [(0, 1, 2, 6, 7), (3,), (4, 5)]
-        assert merges[-1] == ((0, 1, 2), (6, 7))
-        # K_5 has one cell, so np.add.reduceat sums over a single start
+        m = graph_matrix(MIXED_TWINS, -1)
+        assert twin_levels_of(m)[1][-1] == ((0, 1, 2), (6, 7))
+        assert proved_twins_of(m)[0] == [(0, 1, 2, 6, 7), (3,), (4, 5)]
+        # K_5: one merge of its five singletons leaves one cell
         m = graph_matrix(K_5, -1)
-        _, (cells, merges, counts) = twin_levels_of(m)
-        assert cells == [(0, 1, 2, 3, 4)] and counts == [[4]]
-        assert merges == [((0,), (1,), (2,), (3,), (4,))]
+        assert twin_levels_of(m)[1] == [((0,), (1,), (2,), (3,), (4,))]
+        assert proved_twins_of(m)[:2] == ([(0, 1, 2, 3, 4)], [(4,)])
         assert dense_quotient(m) == (IntMatrix.from_rows([[0]]), {5: 4})
         certified = spy_twin_levels(monkeypatch)
         for adjacency in (MIXED_TWINS, K_5):
@@ -878,9 +867,8 @@ class TestTwinLevels:
         # the two components are modules of sizes 2 and 3 with row sum 0
         # and nothing outside: open twins of unequal size, merged at level 2
         m = graph_matrix(K_2_K_3, -1)
-        _, (cells, merges, _) = twin_levels_of(m)
-        assert cells == [(0, 1, 2, 3, 4)]
-        assert merges == [((0,), (1,)), ((2,), (3,), (4,)), ((0, 1), (2, 3, 4))]
+        assert proved_twins_of(m)[0] == [(0, 1, 2, 3, 4)]
+        assert twin_levels_of(m)[1] == [((0,), (1,)), ((2,), (3,), (4,)), ((0, 1), (2, 3, 4))]
         assert dense_quotient(m) == (IntMatrix.from_rows([[0]]), {2: 1, 3: 2, 0: 1})
         # x (x - 2) * x (x - 3)^2
         assert char_poly_exact(m).coeffs == (0, 0, -18, 21, -8, 1)
@@ -888,7 +876,7 @@ class TestTwinLevels:
         # the graph route keys on the adjacency, where the two differ in
         # row sum, so its Laplacian keeps them apart, to the same polynomial
         laplacian = matrix_of(graph_of(K_2_K_3), "laplacian")
-        assert laplacian == m and len(twin_levels_of(laplacian)[1][0]) == 2
+        assert laplacian == m and len(proved_twins_of(laplacian)[0]) == 2
         assert char_poly_exact(laplacian) == char_poly_exact(m)
 
     def test_twin_free_graphs_are_their_own_quotient(self, monkeypatch):
@@ -898,8 +886,8 @@ class TestTwinLevels:
         ]
         matrices = [graph_matrix(adjacency, w) for adjacency in graphs for w in (1, -1)]
         for m in matrices:
-            cells, merges, _ = twin_levels_of(m)[1]
-            assert merges == [] and cells == [(i,) for i in range(m.n)]
+            assert twin_levels_of(m)[1] == []
+            assert proved_twins_of(m)[0] == [(i,) for i in range(m.n)]
             assert dense_quotient(m) == (m, {})
         certified = spy_twin_levels(monkeypatch)
         for m in matrices:
@@ -971,7 +959,7 @@ class TestTwinLevels:
                 assert char_poly_exact(m) == char_poly_leverrier(m)
         assert len(levels) == 90
         # a third or more merge above level 1
-        assert sum(bool(above_level_1(merges)) for _, merges, _ in levels) >= 30
+        assert sum(bool(above_level_1(merges)) for merges in levels) >= 30
 
     def test_the_factored_core_holds_the_roots_of_every_level(self, monkeypatch):
         m = matrix_of(build_power_graph(SemidihedralType(2, 3)), "laplacian")
@@ -1004,61 +992,132 @@ class TestTwinLevels:
     @pytest.mark.parametrize("corruption", CORRUPTIONS)
     def test_wrong_reductions_are_refused(self, monkeypatch, corruption, level):
         for m in self.corruption_inputs():
-            found, levels = twin_levels_of(m)
-            assert above_level_1(levels[1])
+            _, merges = twin_levels_of(m)
+            assert above_level_1(merges)
             with monkeypatch.context() as patch:
-                bad = _corrupt_twin_levels(corruption, level, found[0], levels)
+                bad = _corrupt_twin_levels(corruption, level, m.n, merges)
                 refuse_on(patch, m, bad, CORRUPTIONS[corruption])
         for m in self.corruption_inputs():
             char_poly_exact(m)  # the honest reduction still passes
 
+    @pytest.mark.parametrize("level", (1, 2))
+    def test_a_missing_merge_is_refused_or_sound(self, monkeypatch, level):
+        # the certificate proves a reduction sound, not complete: without
+        # one merge the cells are finer and the polynomial the same, unless
+        # a later merge names the union it would have formed
+        outcomes = []
+        for m in self.corruption_inputs():
+            _, merges = twin_levels_of(m)
+            target = corruption_target(merges, level)
+            fewer = merges[:target] + merges[target + 1 :]
+            with monkeypatch.context() as patch:
+                patch.setattr(exact_linalg, "_twin_levels", lambda rows, diagonal, w: fewer)
+                try:
+                    got = char_poly_exact(m)
+                except ArithmeticError as exc:
+                    assert "not of distinct current groups" in str(exc)
+                    outcomes.append("refused")
+                    continue
+            assert got == char_poly_leverrier(m)
+            outcomes.append("sound")
+        assert outcomes == MISSING_MERGE_OUTCOMES[level]
+
     def test_structural_twins_of_unequal_row_sum_are_refused_per_kind(self, monkeypatch):
         # K_3 and the isolated pair of MIXED_TWINS: one outside row (none),
         # no links, and open, so any sizes; the inner counts are 2 and 0
-        cells = [(0, 1, 2, 6, 7), (3,), (4, 5)]
         merges = [((0,), (1,), (2,)), ((4,), (5,)), ((6,), (7,)), ((0, 1, 2), (6, 7))]
         g = graph_of(MIXED_TWINS)
         rows = [g.row_mask(i) for i in range(g.n)]
-        found = (cells, merges, honest_counts(rows, cells))
-        exact_linalg._check_twin_structure(rows, *found)
+        cells, counts, _ = exact_linalg._check_twin_structure(rows, merges)
+        assert cells == [(0, 1, 2, 6, 7), (3,), (4, 5)]
+        assert counts == [(2, 0, 0), (0, 0, 2), (0, 1, 0)]
         # the adjacency (b = 2 and 0) and signless Laplacian (4 and 0)
         # refuse the merge, through the graph route and the dense one
         for kind in ("adjacency", "signless"):
             for m in (matrix_of(graph_of(MIXED_TWINS), kind), matrix_of(g, kind)):
                 with monkeypatch.context() as patch:
-                    refuse_on(patch, IntMatrix(m.rows), found, "differ in row sum")
+                    refuse_on(patch, IntMatrix(m.rows), merges, "differ in row sum")
                 with monkeypatch.context() as patch:
-                    refuse_on(patch, m, found, "differ in row sum")
+                    refuse_on(patch, m, merges, "differ in row sum")
         # for the Laplacian both row sums are 0: the merge is sound, and the
         # structure the graph kept gives the right polynomial
         laplacian = matrix_of(g, "laplacian")
         assert char_poly_exact(laplacian) == char_poly_leverrier(laplacian)
         # a star leaf with another diagonal, on the dense route
         m = graph_matrix(STAR_3, 1, [0, 1, 1, 2])
-        _, (cells, _, _) = twin_levels_of(m)
-        assert cells == [(0,), (1, 2), (3,)]
-        cells = [(0,), (1, 2, 3)]
-        found = (cells, [((1,), (2,), (3,))], honest_counts(finder_input(m)[0], cells))
-        refuse_on(monkeypatch, m, found, "differ in row sum")
+        assert proved_twins_of(m)[0] == [(0,), (1, 2), (3,)]
+        refuse_on(monkeypatch, m, [((1,), (2,), (3,))], "differ in row sum")
 
     def test_closed_groups_of_unequal_size_are_refused(self, monkeypatch):
         # K_5 with D = (1, 1, 0, 0, 0): the closed groups (0, 1) and (2, 3, 4)
         # share the row sum 2 and have nothing outside, but 1_G0 - 1_G1 is no
         # eigenvector, as their sizes differ
         m = graph_matrix(K_5, 1, [1, 1, 0, 0, 0])
-        (rows, _, _), (_, merges, _) = twin_levels_of(m)
+        _, merges = twin_levels_of(m)
         assert merges == [((0,), (1,)), ((2,), (3,), (4,))]
-        merges = merges + [((0, 1), (2, 3, 4))]
-        cells = [(0, 1, 2, 3, 4)]
-        refuse_on(monkeypatch, m, (cells, merges, honest_counts(rows, cells)), "unequal size")
+        refuse_on(monkeypatch, m, merges + [((0, 1), (2, 3, 4))], "unequal size")
 
     def test_a_merge_mixing_open_and_closed_members_is_refused(self, monkeypatch):
         # 0 ~ 1, and 2 apart: one row sum and nothing outside for all three
         m = graph_matrix(adjacency_of(3, [(0, 1)]), 1, [0, 0, 0])
-        (rows, _, _), _ = twin_levels_of(m)
-        cells = [(0, 1, 2)]
-        found = (cells, [((0,), (1,), (2,))], honest_counts(rows, cells))
-        refuse_on(monkeypatch, m, found, "not twins")
+        refuse_on(monkeypatch, m, [((0,), (1,), (2,))], "not twins")
+
+
+class CountedRow(int):
+    """An int row that counts the & taken on it, over all instances."""
+
+    ands = 0
+
+    def __and__(self, other):
+        CountedRow.ands += 1
+        return int(self) & other
+
+
+class TestQuotientCounts:
+    """_quotient_counts: K of an equitable partition, by popcounts on the
+    rows given for each cell, or None."""
+
+    def test_contiguous_cells(self):
+        # K_2 and K_3 apart, on the cells 0..1 and 2..4
+        rows = row_masks(K_2_K_3)
+        got = exact_linalg._quotient_counts([0b00011, 0b11100], [rows[:2], rows[2:]])
+        assert got == [(1, 0), (0, 2)]
+
+    def test_non_contiguous_cells(self):
+        # C_6 on its even and its odd vertices: a bipartite 2-regular split
+        rows = row_masks(adjacency_of(6, [(i, (i + 1) % 6) for i in range(6)]))
+        masks = [0b010101, 0b101010]
+        got = exact_linalg._quotient_counts(masks, [rows[0::2], rows[1::2]])
+        assert got == [(0, 2), (2, 0)]
+        # the same rows on the cells {0, 1, 2} and {3, 4, 5}, which are not
+        # equitable: vertex 0 has one neighbour in its cell, vertex 1 two
+        masks = [0b000111, 0b111000]
+        assert exact_linalg._quotient_counts(masks, [rows[:3], rows[3:]]) is None
+
+    @pytest.mark.parametrize("position", (1, 2))
+    def test_one_disagreeing_non_first_member_returns_none(self, position):
+        # the star's leaves agree; one leaf after the first, given one more
+        # bit in the leaves' cell, does not
+        rows = row_masks(STAR_3)
+        leaves = rows[1:]
+        leaves[position] |= 0b0010
+        masks = [0b0001, 0b1110]
+        assert exact_linalg._quotient_counts(masks, [rows[:1], leaves]) is None
+        assert exact_linalg._quotient_counts(masks, [rows[:1], rows[1:]]) == [(0, 3), (1, 0)]
+
+    def test_repeated_rows_are_counted_once(self):
+        rows = row_masks(K_5)
+        masks = [0b00011, 0b11100]
+        CountedRow.ands = 0
+        given = [[CountedRow(rows[0])] * 4, [CountedRow(rows[2])] * 7 + [CountedRow(rows[2])]]
+        assert exact_linalg._quotient_counts(masks, given) == [(1, 3), (2, 2)]
+        assert CountedRow.ands == 2 * len(masks)
+
+    def test_one_cell(self):
+        # K_5 is one cell of closed twins: each member has 4 neighbours in it
+        rows = row_masks(K_5)
+        assert exact_linalg._quotient_counts([0b11111], [rows]) == [(4,)]
+        assert exact_linalg._quotient_counts([0b11111], [rows[:1]]) == [(4,)]
 
 
 class TestGraphRoute:

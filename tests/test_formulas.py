@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from powspec.exact_linalg import _quotient_counts
 from powspec.group_core import Cyclic, is_odd_prime
 from powspec.powergraph import build_power_graph, edge_count
 from powspec.spectra import quotient_eigenvalues, spectral_radius
@@ -98,11 +99,14 @@ class TestModelParameters:
         masks = [sum(1 << b for b in range(q) if q // math.gcd(b, q) == d) for d in orders]
         sizes, counts = mp.rotation_quotient
         assert sizes == tuple(m.bit_count() for m in masks)
-        for mask, row in zip(masks, counts):
-            members = [b for b in range(q) if (mask >> b) & 1]
+        cells = [[b for b in range(q) if (mask >> b) & 1] for mask in masks]
+        for members, row in zip(cells, counts):
             for b in members:
                 got = tuple((g.row_mask(b) & other).bit_count() for other in masks)
                 assert got == row, (q, b)
+        # the verifier's certificate, on every member of each non-contiguous cell
+        every_row = [[g.row_mask(b) for b in members] for members in cells]
+        assert _quotient_counts(masks, every_row) == list(counts)
         lam1 = spectral_radius(g)
         base = quotient_eigenvalues(counts, NUMERIC_TOL).eigenvalues[-1]
         assert abs(base - lam1) <= NUMERIC_TOL * lam1
