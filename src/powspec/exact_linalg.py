@@ -7,10 +7,10 @@ Two independent exact routes to det(xI - A) live here.
   it with one Bareiss determinant on B at x0 = R(B) + 1, and multiplies
   in the linear factors of the twin classes.  The reduction runs when A
   is graph-shaped, A = diag(D) + w Adj, on the packed bit rows R of Adj.
-  For a matrix of matrix_of, R, D and w come from its graph, and the
-  graph-only work is done once per graph: _twin_levels proposes the
-  merges that form the twin classes, on the adjacency keys, and
-  _check_twin_structure replays them, reads the cells and K off the
+  For a matrix of matrix_of, R, D and w are _graph_shape of its graph
+  and kind, and the graph-only work is done once per graph: _twin_levels
+  proposes the merges that form the twin classes, on the adjacency keys,
+  and _check_twin_structure replays them, reads the cells and K off the
   replay (K by _quotient_counts, popcounts on the cell heads) and proves
   everything about them that reads R only; the graph keeps the result.
   The split's classes in powergraph are counted by the same
@@ -349,21 +349,19 @@ class FactoredPolynomial:
         return " ".join(parts) if parts else "1"
 
 
-def _unpack(rows, n: int | None = None) -> np.ndarray:
-    """Packed rows of n bits, n = len(rows) unless given, as a len(rows) x n
-    uint8 array of 0/1, bit j of row i at [i, j]."""
-    n = len(rows) if n is None else n
+def _packed(rows) -> np.ndarray:
+    """Packed rows of n = len(rows) bits as an n x ceil(n / 8) uint8
+    array, little-endian: bit j of row i is bit j % 8 of [i, j // 8]."""
+    n = len(rows)
     width = (n + 7) // 8
-    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), np.uint8)
-    return np.unpackbits(packed.reshape(len(rows), width), axis=1, bitorder="little")[:, :n]
+    packed = b"".join([r.to_bytes(width, "little") for r in rows])
+    return np.frombuffer(packed, np.uint8).reshape(n, width)
 
 
-def _matrix_diagonal(graph, kind: str) -> np.ndarray:
-    """The diagonal of _matrix_array(graph, kind): bit i of row i for the
-    adjacency, the graph's degrees for the two Laplacians."""
-    if kind == "adjacency":
-        return np.array([(graph.row_mask(i) >> i) & 1 for i in range(graph.n)], np.uint8)
-    return np.array(graph.degrees, np.int64)
+def _unpack(rows) -> np.ndarray:
+    """Packed rows of n = len(rows) bits as an n x n uint8 array of 0/1,
+    bit j of row i at [i, j]."""
+    return np.unpackbits(_packed(rows), axis=1, bitorder="little")[:, : len(rows)]
 
 
 def _check_kind(kind: str) -> None:
@@ -371,21 +369,26 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"unknown matrix kind {kind!r}")
 
 
-def _matrix_array(graph, kind: str) -> np.ndarray:
-    """Adjacency, laplacian, or signless laplacian matrix of a graph.
-
-    The adjacency is the graph's packed bit rows unpacked; the two
-    laplacians write _matrix_diagonal over minus or plus it.
-    """
+def _graph_shape(graph, kind: str) -> tuple[list[int], list[int], int]:
+    """(R, D, w) of the graph's matrix of a kind, diag(D) + w A as in
+    _graph_rows, and the one place a kind is decoded: R the graph's bit
+    rows, D bit i of row i for the adjacency and the degrees for the two
+    Laplacians, w -1 for the Laplacian and 1 otherwise."""
     _check_kind(kind)
-    bits = _unpack([graph.row_mask(i) for i in range(graph.n)])
+    rows = list(map(graph.row_mask, range(graph.n)))
     if kind == "adjacency":
-        return bits
-    edges = bits.astype(np.int64)
-    if kind == "laplacian":
-        edges = -edges
-    np.fill_diagonal(edges, _matrix_diagonal(graph, kind))
-    return edges
+        return rows, [(row >> i) & 1 for i, row in enumerate(rows)], 1
+    return rows, list(graph.degrees), -1 if kind == "laplacian" else 1
+
+
+def _matrix_array(graph, kind: str) -> np.ndarray:
+    """Adjacency, laplacian, or signless laplacian matrix of a graph: w
+    times the unpacked rows as int64, D on the diagonal, for the (R, D, w)
+    of _graph_shape."""
+    rows, diagonal, w = _graph_shape(graph, kind)
+    a = w * _unpack(rows).astype(np.int64)
+    np.fill_diagonal(a, diagonal)
+    return a
 
 
 def matrix_of(graph, kind: str) -> IntMatrix:
@@ -394,11 +397,12 @@ def matrix_of(graph, kind: str) -> IntMatrix:
 
     The matrix records its graph and kind, in a private attribute outside
     the dataclass fields, and n reads the graph's order.  char_poly_exact
-    reads them to take the twin quotient from the graph's bit rows, found
-    and proved once per graph for all three kinds, so it never writes the
-    rows.  Any reader of rows, and so ==, hash and repr, sees the rows of
-    IntMatrix.from_array(_matrix_array(graph, kind)); an IntMatrix built
-    from the same rows takes the dense route to the same polynomial.
+    reads them, through _graph_shape, to take the twin quotient from the
+    graph's bit rows, found and proved once per graph for all three kinds,
+    so it never writes the rows.  Any reader of rows, and so ==, hash and
+    repr, sees the rows of IntMatrix.from_array(_matrix_array(graph,
+    kind)); an IntMatrix built from the same rows takes the dense route to
+    the same polynomial.
     """
     _check_kind(kind)
     m = object.__new__(IntMatrix)
@@ -438,8 +442,9 @@ def _graph_rows(m: IntMatrix) -> tuple[list[int], list[int], int] | None:
     symmetric; then m = diag(D) + w A for a symmetric 0/1 matrix A with a
     zero diagonal.  R holds the rows of A as packed ints, bit j of R[i]
     set when m_ij = w, and D the diagonal.  Adjacency, Laplacian and
-    signless Laplacian matrices are graph-shaped with w = 1, -1, 1.  A
-    matrix with no off-diagonal entry has A = 0 and w = 1.
+    signless Laplacian matrices are graph-shaped with w = 1, -1, 1, as
+    _graph_shape, the graph-side counterpart, decodes them.  A matrix
+    with no off-diagonal entry has A = 0 and w = 1.
     """
     n = m.n
     if n < 2:
@@ -642,11 +647,10 @@ def _char_poly_factored(m: IntMatrix) -> tuple[list[int], Counter[int]]:
     quotient, roots = m, Counter()
     graph, kind = getattr(m, "_source", (None, None))
     if graph is not None and m.n >= 2:
+        rows, diagonal, w = _graph_shape(graph, kind)
         if graph._twins is None:
-            rows = [graph.row_mask(i) for i in range(graph.n)]
             graph._twins = _proved_twins(rows, [0] * graph.n, 1)
-        w = -1 if kind == "laplacian" else 1
-        quotient, roots = _twin_quotient(graph._twins, _matrix_diagonal(graph, kind).tolist(), w)
+        quotient, roots = _twin_quotient(graph._twins, diagonal, w)
     elif (shape := _graph_rows(m)) is not None:
         quotient, roots = _twin_quotient(_proved_twins(*shape), *shape[1:])
     coeffs = kernels.charpoly_berkowitz(quotient.rows)
@@ -686,14 +690,14 @@ def char_poly_exact(m: IntMatrix) -> IntPolynomial:
     to Berkowitz, twins or not.
 
     Once per graph.  A matrix of matrix_of carries its graph and kind, so
-    R is the graph's rows, D is _matrix_diagonal and w is -1 for the
-    Laplacian, 1 otherwise, and _graph_rows does not run.  The classes
-    are found on the adjacency keys (D = 0, w = 1) and proved on R once,
-    on the first call for the graph, which keeps them; each of its three
-    matrices takes only the per-kind step.  The degree lemma in
-    _twin_quotient shows why the adjacency's classes hold for the
-    Laplacians, and the per-kind step proves it on every call.  Any other
-    graph-shaped M is found on its own keys and proved, every call.
+    (R, D, w) is _graph_shape(graph, kind): the graph's rows, the
+    diagonal and -1 for the Laplacian, 1 otherwise; _graph_rows does not
+    run.  The classes are found on the adjacency keys (D = 0, w = 1) and
+    proved on R once, on the first call for the graph, which keeps them;
+    each of its three matrices takes only the per-kind step.  The degree
+    lemma in _twin_quotient shows why the adjacency's classes hold for
+    the Laplacians, and the per-kind step proves it on every call.  Any
+    other graph-shaped M is found on its own keys and proved, every call.
 
     Certificate, on the bit rows.  The finder only proposes merges; they
     are replayed from the singletons and never trusted, and the cells are

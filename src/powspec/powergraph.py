@@ -32,10 +32,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .exact_linalg import _quotient_counts, _unpack
+from .exact_linalg import _packed, _quotient_counts, _unpack
 from .group_core import (
     Cyclic,
     GroupElement,
@@ -86,6 +87,8 @@ def _check_graph_order(n: int) -> None:
 class Graph:
     """Immutable vertex-labelled graph over packed bit rows.
 
+    The labels and rows are kept as tuples, whatever sequences they come
+    in, so that graphs of equal labels and rows are == and hash alike.
     degrees holds the popcount of every row, counted once at build, for
     degree, edge_count and the Laplacian diagonals.  The one mutable
     slot, _twins, is private to exact_linalg: None until char_poly_exact
@@ -96,7 +99,8 @@ class Graph:
 
     __slots__ = ("labels", "_rows", "_index", "_twins", "degrees")
 
-    def __init__(self, labels: tuple[GroupElement, ...], row_masks: tuple[int, ...]):
+    def __init__(self, labels: Sequence[GroupElement], row_masks: Sequence[int]):
+        labels, row_masks = tuple(labels), tuple(row_masks)  # no copy of a tuple
         n = len(labels)
         if len(row_masks) != n:
             raise ValueError("one adjacency row per vertex required")
@@ -149,7 +153,8 @@ def _check_loops_and_symmetry(row_masks) -> None:
     """Raise ValueError when the n x n bit matrix of the rows has a set
     diagonal bit or is not symmetric.
 
-    The rows are packed to n^2 / 8 bytes once.  Band by band of
+    The rows are packed to n^2 / 8 bytes once, by the packer
+    exact_linalg._unpack uses (_packed).  Band by band of
     _SYMMETRY_TILE rows, the band's part on and above the diagonal is
     unpacked, its diagonal tested, and the same band of columns below it
     unpacked too; each tile of the one is compared with its mirror's
@@ -160,9 +165,7 @@ def _check_loops_and_symmetry(row_masks) -> None:
     cache-hostile columns when n is a large power of two.
     """
     n, t = len(row_masks), _SYMMETRY_TILE
-    width = (n + 7) // 8
-    packed = b"".join([mask.to_bytes(width, "little") for mask in row_masks])
-    packed = np.frombuffer(packed, np.uint8).reshape(n, width)
+    packed = _packed(row_masks)
     for i in range(0, n, t):
         band = np.unpackbits(packed[i : i + t, i // 8 :], axis=1, bitorder="little")[:, : n - i]
         if band.diagonal().any():

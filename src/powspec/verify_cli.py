@@ -26,8 +26,8 @@ from .exact_linalg import (
     IntPolynomial,
     MatrixCapExceeded,
     _check_cap,
+    _graph_shape,
     _matrix_array,
-    _matrix_diagonal,
     char_poly_exact,
     matrix_of,
     matrix_order_cap,
@@ -133,6 +133,13 @@ class Check:
             "claimed": self.claimed,
             "detail": self.detail,
         }
+
+
+def _equal(name: str, got, want, **scope) -> Check:
+    """The check that got == want, both written by _fmt; scope names the
+    construction and matrix."""
+    status = STATUS_PASS if got == want else STATUS_FAIL
+    return Check(name=name, status=status, computed=_fmt(got), claimed=_fmt(want), **scope)
 
 
 @dataclass
@@ -266,38 +273,18 @@ def _counts(run: _Run):
         claimed="all relations hold",
     )
     for cname, g in run.graphs.items():
-        yield Check(
-            name="vertex-count",
-            construction=cname,
-            status=STATUS_PASS if g.n == mp.vertex_count else STATUS_FAIL,
-            computed=_fmt(g.n),
-            claimed=_fmt(mp.vertex_count),
-        )
+        yield _equal("vertex-count", g.n, mp.vertex_count, construction=cname)
     if "model" in run.graphs:
-        m = run.m_counts["model"]
-        yield Check(
-            name="edge-count",
-            construction="model",
-            status=STATUS_PASS if m == mp.model_edge_count else STATUS_FAIL,
-            computed=_fmt(m),
-            claimed=_fmt(mp.model_edge_count),
-        )
+        yield _equal("edge-count", run.m_counts["model"], mp.model_edge_count, construction="model")
 
 
 def _traces(run: _Run):
-    """Trace identities, exact, on the diagonal matrix_of writes, read off the rows."""
+    """Trace identities, exact, on the diagonal D of _graph_shape, read off the rows."""
     for cname, g in run.graphs.items():
         for kind in run.kinds:
             want = 0 if kind == "adjacency" else 2 * run.m_counts[cname]
-            got = int(_matrix_diagonal(g, kind).sum())
-            yield Check(
-                name="trace",
-                construction=cname,
-                matrix=kind,
-                status=STATUS_PASS if got == want else STATUS_FAIL,
-                computed=_fmt(got),
-                claimed=_fmt(want),
-            )
+            got = sum(_graph_shape(g, kind)[1])
+            yield _equal("trace", got, want, construction=cname, matrix=kind)
 
 
 def _charpolys(run: _Run):
@@ -468,20 +455,17 @@ def _radius(run: _Run):
     if "adjacency" not in run.kinds:
         return
     q = run.mp.rotation_order
-    model = None
-    for cname, g in run.graphs.items():
+    for cname in run.graphs:
         if run.skip(f"radius bounds for {cname}"):
             continue
-        whole = run.eigen(cname, "adjacency")
+        lam1 = run.eigen(cname, "adjacency").radius
         if cname == "model":
-            model = whole
             base = float(q - 1)
         else:
             # lambda1 of P(C_q), the true graph inside <r>: the top
             # eigenvalue of its divisor-lattice quotient, built by no builder
             _, counts = run.mp.rotation_quotient
             base = quotient_eigenvalues(counts, NUMERIC_TOL).eigenvalues[-1]
-        lam1 = whole.radius
         bounds = spectral_radius_bounds(run.k, run.p, base)
         tol = NUMERIC_TOL * max(1.0, lam1)
         ok = bounds.lower < lam1 <= bounds.upper_shifted_radical + tol
@@ -501,7 +485,7 @@ def _radius(run: _Run):
             },
         )
     if "model" in run.graphs and not run.skip("split spectra"):
-        yield _split_spectra_check(run, model)
+        yield _split_spectra_check(run)
 
 
 # the check families in report order; each yields its checks and may add notices
@@ -539,7 +523,7 @@ def run_verification(
     return report
 
 
-def _split_spectra_check(run: _Run, whole) -> Check:
+def _split_spectra_check(run: _Run) -> Check:
     """The additive split behind the radius bound, on the rows of
     _model_parts, certified by powergraph._certify_split: the parts
     reassemble the model, and star, rest and clique+star are each
@@ -550,11 +534,12 @@ def _split_spectra_check(run: _Run, whole) -> Check:
     star's quotient gives +-sqrt(q), and its q edges give trace(A^2) = 2q,
     so its other n - 2 eigenvalues are 0.  The rest must peak at
     (1 + sqrt(1 + 2q)) / 2, and the top eigenvalues must be subadditive
-    against whole, the model adjacency's eigensolve; the caller skips
-    this past the matrix cap."""
+    against the model adjacency's eigensolve (run.eigen); the caller
+    skips this past the matrix cap."""
     q = run.mp.rotation_order
     clique, star, rest = _model_parts(run.spec)
     problems, counts = _certify_split(clique, star, rest, run.graphs["model"])
+    whole = run.eigen("model", "adjacency")
     solved = quotient_eigenvalues(list(counts.values()), NUMERIC_TOL) if counts else ()
     spectra = {name: result.eigenvalues for name, result in zip(counts, solved)}
     root_q = math.sqrt(q)
@@ -615,7 +600,7 @@ def sweep(
     one pair are contained in that pair's report."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    pairs = [(k, p) for k in ks for p in ps]
+    pairs = list(itertools.product(ks, ps))
     if not pairs:
         return []
     for k, p in pairs:

@@ -1372,10 +1372,9 @@ class TestMatrixOf:
         assert matrix_of(g, "adjacency").rows == ((0, 1), (1, 0))
         assert matrix_of(g, "laplacian").rows == ((1, -1), (-1, 1))
         assert matrix_of(g, "signless").rows == ((1, 1), (1, 1))
-        with pytest.raises(ValueError):
-            matrix_of(g, "incidence")
-        with pytest.raises(ValueError, match="unknown matrix kind"):
-            exact_linalg._matrix_array(g, "incidence")
+        for read in (exact_linalg._graph_shape, exact_linalg._matrix_array, matrix_of):
+            with pytest.raises(ValueError, match="unknown matrix kind 'incidence'"):
+                read(g, "incidence")
 
     @pytest.mark.parametrize("construction", ["model", "true"])
     def test_array_trace_is_the_matrix_trace(self, construction, model_graphs, true_graphs):
@@ -1390,15 +1389,23 @@ class TestMatrixOf:
         graphs = model_graphs if construction == "model" else true_graphs
         for g in graphs.values():
             for kind in ("adjacency", "laplacian", "signless"):
-                diagonal = exact_linalg._matrix_diagonal(g, kind)
+                diagonal = exact_linalg._graph_shape(g, kind)[1]
                 assert np.array_equal(exact_linalg._matrix_array(g, kind).diagonal(), diagonal)
 
     @pytest.mark.parametrize("k, p", PAIRS_UNDER_CAP)
     def test_diagonal_is_the_array_diagonal_on_the_family(self, k, p):
         for g in (build_model_graph(k, p), build_power_graph(SemidihedralType(k, p))):
             for kind in ("adjacency", "laplacian", "signless"):
-                diagonal = exact_linalg._matrix_diagonal(g, kind)
+                diagonal = exact_linalg._graph_shape(g, kind)[1]
                 assert np.array_equal(np.diag(exact_linalg._matrix_array(g, kind)), diagonal)
+
+    @pytest.mark.parametrize("k, p", PAIRS_UNDER_CAP)
+    def test_dense_decoder_inverts_the_graph_decoder(self, k, p):
+        # _graph_rows reads back from the array the (R, D, w) it was written from
+        for g in (build_model_graph(k, p), build_power_graph(SemidihedralType(k, p))):
+            for kind in ("adjacency", "laplacian", "signless"):
+                dense = IntMatrix.from_array(exact_linalg._matrix_array(g, kind))
+                assert exact_linalg._graph_rows(dense) == exact_linalg._graph_shape(g, kind)
 
     def test_laplacian_and_signless_from_adjacency(self, model_graphs):
         g = model_graphs[(2, 3)]

@@ -247,6 +247,13 @@ class TestGraphBasics:
         with pytest.raises(ValueError, match="symmetric"):
             Graph(labels, tuple(rows))
 
+    def test_list_inputs_build_the_tuple_graph(self):
+        g = build_model_graph(2, 3)
+        rows = [g.row_mask(i) for i in range(g.n)]
+        from_lists = Graph(list(g.labels), rows)
+        assert from_lists == g and hash(from_lists) == hash(g)
+        assert verify_decomposition(from_lists, 2, 3) == verify_decomposition(g, 2, 3)
+
     def test_equality_and_hash(self):
         a = graph_with_edges([E(0, 0), E(0, 1)], [(0, 1)])
         b = graph_with_edges([E(0, 0), E(0, 1)], [(0, 1)])

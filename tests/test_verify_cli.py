@@ -189,13 +189,13 @@ class TestRunVerification:
         assert calls == []
 
     def test_trace_check_reads_the_matrix(self, monkeypatch):
-        real = verify_cli._matrix_diagonal
+        real = verify_cli._graph_shape
 
         def negated_laplacian(graph, kind):
-            a = real(graph, kind)
-            return -a if kind == "laplacian" else a
+            rows, diagonal, w = real(graph, kind)
+            return rows, [-d for d in diagonal] if kind == "laplacian" else diagonal, w
 
-        monkeypatch.setattr(verify_cli, "_matrix_diagonal", negated_laplacian)
+        monkeypatch.setattr(verify_cli, "_graph_shape", negated_laplacian)
         report = run_verification(2, 3, constructions=("model",))
         traces = {c.matrix: c.status for c in report.checks if c.name == "trace"}
         assert traces == {"adjacency": "pass", "laplacian": "fail", "signless": "pass"}
@@ -813,6 +813,10 @@ class TestSweep:
         reports = sweep([2, 3], [3, 5], kinds=())
         assert [r.n for r in reports] == [24, 40, 48, 80]
         assert all(r.status == "pass" for r in reports)
+
+    def test_one_shot_iterables_give_every_pair(self):
+        reports = sweep(iter([2, 3]), (p for p in (3, 5)), kinds=())
+        assert [(r.k, r.p) for r in reports] == [(2, 3), (2, 5), (3, 3), (3, 5)]
 
     def test_empty_p_list(self):
         assert sweep([2, 3], []) == []
