@@ -791,6 +791,8 @@ def schur_charpoly_check(
 
     Points where xI - D is singular are skipped and reported.  Blocks of
     order 0, or no point left, leave nothing to verify: that is an error.
+    Twice the block order, the order of the full matrix, is checked
+    against the cap before the first point.
     """
     order = a.n
     for blk in (b, c, d):
@@ -798,6 +800,7 @@ def schur_charpoly_check(
             raise ValueError("all four blocks must have the same order")
     if order == 0:
         raise ValueError("blocks of order 0 leave nothing to verify")
+    _check_cap(2 * order)
     checked, skipped = [], []
     passed = True
     for x in points:

@@ -395,10 +395,11 @@ def verify_decomposition(g: Graph, k: int, p: int) -> DecompositionReport:
     The three buckets together are the edges of the model graph, so an
     edge is covered exactly when the model graph has it; whole rows of g
     are tested against the model rows, and every edge outside them lands
-    in uncovered_edges.
+    in uncovered_edges.  A graph of another order is refused before the
+    canonical order of (k, p) is built.
     """
     spec = SemidihedralType(k, p)
-    if g.labels != canonical_order(spec):
+    if g.n != spec.order or g.labels != canonical_order(spec):
         raise ValueError("graph does not carry the canonical vertex order for (k, p)")
     labels, rows = g.labels, g._rows
     clique, star, rest = _model_parts(spec)
@@ -476,6 +477,8 @@ class AdjacencySplit:
 
 
 def model_adjacency_split(k: int, p: int) -> AdjacencySplit:
-    y1, y2, z = (_unpack(part) for part in _model_parts(SemidihedralType(k, p)))
+    spec = SemidihedralType(k, p)
+    _check_graph_order(spec.order)
+    y1, y2, z = (_unpack(part) for part in _model_parts(spec))
     y = y1 + y2
     return AdjacencySplit(full=y + z, clique_plus_star=y, star_only=y2, rest=z)

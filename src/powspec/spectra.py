@@ -7,10 +7,12 @@ solver failure cannot masquerade as a verified claim.  A run hands it
 the numpy arrays of exact_linalg._matrix_array for the three matrices
 whose spectra it checks (the two adjacencies and the model Laplacian),
 and the small symmetrised quotients of quotient_eigenvalues for
-everything else it reads a top eigenvalue of.  Matrices of one order go
-in as one stack, so a run makes one solver call per matrix order: its
-order-n matrices together, the split's three 5 x 5 quotients together,
-and the divisor-lattice quotient alone.
+everything else it reads a top eigenvalue of.  Matrices of a common
+order go in as one stack, a 3-D array, so a run makes one solver call
+per matrix order: its order-n matrices together, the split's three 5 x 5
+quotients together, and the divisor-lattice quotient alone.  The solver
+checks the order of its input against the matrix cap before any copy is
+made or any row of a matrix_of matrix is written.
 """
 
 from __future__ import annotations
@@ -73,29 +75,19 @@ class SpectrumSummary:
         return tuple((e.value, e.multiplicity) for e in self.entries)
 
 
-def _is_stack(matrix) -> bool:
-    """True for a stack of matrices: a 3-D array, or a list or tuple of 2-D arrays."""
+def _as_array(matrix) -> np.ndarray:
+    """matrix as a float array, n x n, or s x n x n for a 3-D array (a
+    stack), with n checked against the cap before any copy or row write;
+    an IntMatrix or a list with no rows is 0 x 0."""
     if isinstance(matrix, np.ndarray):
-        return matrix.ndim == 3
-    return (
-        isinstance(matrix, (list, tuple))
-        and bool(matrix)
-        and all(isinstance(m, np.ndarray) and m.ndim == 2 for m in matrix)
-    )
-
-
-def _as_array(matrix, stack: bool) -> np.ndarray:
-    """matrix as a float array, n x n, or s x n x n for a stack; every
-    member is checked against the cap before the float copy is made."""
-    rows = matrix.rows if isinstance(matrix, IntMatrix) else matrix
-    for member in rows if stack else (rows,):
-        _check_cap(len(member))
-        if stack and member.shape != (len(member), len(member)):
-            raise ValueError("matrix must be square")
-    if stack and len({len(member) for member in rows}) > 1:
-        raise ValueError("stacked matrices must have one order")
-    arr = np.asarray(rows, dtype=float)
-    if arr.ndim != 2 + stack or arr.shape[-1] != arr.shape[-2]:
+        _check_cap(matrix.shape[-1] if matrix.ndim else 0)
+        arr, ndims = np.asarray(matrix, dtype=float), (2, 3)
+    else:
+        n = matrix.n if isinstance(matrix, IntMatrix) else len(matrix)
+        _check_cap(n)
+        rows = matrix.rows if isinstance(matrix, IntMatrix) else matrix
+        arr, ndims = np.asarray(rows if n else np.empty((0, 0)), dtype=float), (2,)
+    if arr.ndim not in ndims or arr.shape[-1] != arr.shape[-2]:
         raise ValueError("matrix must be square")
     return arr
 
@@ -104,19 +96,20 @@ def symmetric_eigenvalues(matrix, tol: float = 1e-9):
     """Eigenvalues of a real symmetric matrix, ascending, residual-checked.
 
     The residual is max over eigenpairs of ||M v - lambda v||, and the
-    result is rejected if it exceeds tol * max(1, ||M||).
+    result is rejected if it exceeds tol * max(1, ||M||).  The order is
+    checked against the cap before any copy is made or any row of a
+    matrix_of matrix is written.
 
-    A stack of matrices of one order (a 3-D array, or a list or tuple of
-    2-D arrays) gives a tuple of one EigenResult per member from one
-    batched eigh, which runs LAPACK once per member, so each result is the
-    one a solve of that member alone gives.  Every member is checked for
-    the cap, squareness, symmetry and its residual, and the first that
-    fails raises the error a single matrix raises.
+    A stack is a 3-D array, s matrices of order n.  It gives a tuple of
+    one EigenResult per member from one batched eigh, which runs LAPACK
+    once per member, so each result is the one a solve of that member
+    alone gives.  Every member is checked for symmetry and its residual,
+    and the first that fails raises the error a single matrix raises.
     """
-    stack = _is_stack(matrix)
-    arr = _as_array(matrix, stack)
+    arr = _as_array(matrix)
     if not (arr == arr.swapaxes(-1, -2)).all():
         raise ValueError("matrix is not symmetric")
+    stack = arr.ndim == 3
     members = arr if stack else arr[None]
     try:
         w, v = np.linalg.eigh(members)
@@ -173,7 +166,7 @@ def quotient_eigenvalues(counts, tol: float = 1e-9) -> EigenResult:
     S = D^(1/2) K D^(-1/2) with D = diag(s), similar to K.  For A >= 0
     the largest is the largest of A: its Perron vector x >= 0 has
     x^T A P = x^T P K, so P^T x, nonnegative and not 0, is an eigenvector
-    of K^T for the same eigenvalue.  A stack of quotients of one order
+    of K^T for the same eigenvalue.  A stack of quotients of a common order
     gives one EigenResult per member, from one symmetric_eigenvalues call.
     """
     k = np.asarray(counts, dtype=float)
@@ -181,7 +174,9 @@ def quotient_eigenvalues(counts, tol: float = 1e-9) -> EigenResult:
 
 
 def spectral_radius(graph, tol: float = 1e-9) -> float:
-    """Largest absolute adjacency eigenvalue of a graph."""
+    """Largest absolute adjacency eigenvalue of a graph, its order checked
+    against the cap before the n x n array is built."""
+    _check_cap(graph.n)
     return symmetric_eigenvalues(_matrix_array(graph, "adjacency"), tol).radius
 
 

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+import numpy as np
+
 from .exact_linalg import (
     IntPolynomial,
     MatrixCapExceeded,
@@ -257,7 +259,7 @@ class _Run:
             wanted = [(c, "adjacency") for c in self.graphs if "adjacency" in self.kinds]
             if "model" in self.graphs and "laplacian" in self.kinds:
                 wanted.append(("model", "laplacian"))
-            arrays = [_matrix_array(self.graphs[c], m) for c, m in wanted]
+            arrays = np.array([_matrix_array(self.graphs[c], m) for c, m in wanted], dtype=float)
             self._eigen = dict(zip(wanted, symmetric_eigenvalues(arrays, NUMERIC_TOL)))
         return self._eigen[construction, kind]
 
@@ -497,7 +499,6 @@ def run_verification(
     p: int,
     kinds: Iterable[str] = MATRIX_KINDS,
     constructions: Iterable[str] = CONSTRUCTIONS,
-    out: str | None = None,
 ) -> VerificationReport:
     """Run every applicable check for one (k, p) and assemble a report.
 
@@ -508,7 +509,7 @@ def run_verification(
     """
     run = _Run(k, p, kinds, constructions)
     checks = [check for family in _FAMILIES for check in family(run)]
-    report = VerificationReport(
+    return VerificationReport(
         k=k,
         p=p,
         n=run.mp.vertex_count,
@@ -518,9 +519,6 @@ def run_verification(
         checks=tuple(checks),
         notices=tuple(run.notices),
     )
-    if out is not None:
-        _emit(report.to_json(), out)
-    return report
 
 
 def _split_spectra_check(run: _Run) -> Check:
@@ -669,8 +667,9 @@ def _cmd_verify(args) -> int:
         args.p,
         kinds=_parse_kinds(args.matrix),
         constructions=_parse_constructions(args.construction),
-        out=args.out,
     )
+    if args.out is not None:
+        _emit(report.to_json(), args.out)
     print(f"powspec verify k={report.k} p={report.p} n={report.n}")
     for check in report.checks:
         scope = "/".join(x for x in (check.construction, check.matrix) if x)

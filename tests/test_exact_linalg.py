@@ -1489,6 +1489,17 @@ class TestSchurCheck:
         with pytest.raises(ValueError):
             schur_charpoly_check(a, z, z, d, (0,))
 
+    def test_cap_bounds_the_full_matrix(self, monkeypatch):
+        def no_determinant(rows):
+            raise AssertionError("a determinant was taken past the cap")
+
+        monkeypatch.setenv(CAP_ENV_VAR, "4")
+        two, three = IntMatrix.identity(2), IntMatrix.identity(3)
+        assert schur_charpoly_check(two, two, two, two, [5]).passed  # 4 x 4, at the cap
+        monkeypatch.setattr(kernels, "det_bareiss", no_determinant)
+        with pytest.raises(MatrixCapExceeded, match="matrix order 6 exceeds"):
+            schur_charpoly_check(three, three, three, three, [5])
+
     def test_order_zero_has_nothing_to_verify(self):
         e = IntMatrix(())
         with pytest.raises(ValueError, match="nothing to verify"):

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from powspec import powergraph
 from powspec.exact_linalg import matrix_of
 from powspec.group_core import (
     Cyclic,
@@ -590,6 +591,12 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             verify_decomposition(model_graphs[(2, 5)], 2, 3)
 
+    def test_rejects_another_order_before_building_its_labels(self, model_graphs):
+        canonical_order.cache_clear()
+        with pytest.raises(ValueError, match="canonical vertex order"):
+            verify_decomposition(model_graphs[(2, 3)], 5, 3)
+        assert canonical_order.cache_info().misses == 0
+
 
 def mutated(g, k, p, mutation):
     """g with one edge dropped or added, named by the classes it touches."""
@@ -750,6 +757,12 @@ class TestAdjacencySplit:
         adjacency = matrix_of(model_graphs[(k, p)], "adjacency")
         assert np.array_equal(split.full, adjacency.rows)
         assert np.array_equal(split.clique_plus_star + split.rest, split.full)
+
+    def test_graph_order_limit(self, monkeypatch):
+        monkeypatch.setattr(powergraph, "MAX_GRAPH_ORDER", 16)
+        for build in (build_model_graph, model_adjacency_split):
+            with pytest.raises(ValueError, match="exceeds the graph-order limit"):
+                build(2, 3)
 
     def test_parts_are_arrays(self):
         split = model_adjacency_split(2, 3)

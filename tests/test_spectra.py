@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from powspec.exact_linalg import CAP_ENV_VAR, MatrixCapExceeded, matrix_of
+from powspec import spectra
+from powspec.exact_linalg import CAP_ENV_VAR, IntMatrix, MatrixCapExceeded, matrix_of
 from powspec.formulas import ModelParameters, laplacian_spectrum_formula
 from powspec.group_core import Cyclic, GroupElement, is_odd_prime
 from powspec.powergraph import Graph, build_power_graph, model_adjacency_split
@@ -94,6 +95,22 @@ class TestEigensolver:
         with pytest.raises(MatrixCapExceeded, match=CAP_ENV_VAR):
             symmetric_eigenvalues(np.zeros((5, 5)))
 
+    @pytest.mark.parametrize(
+        "empty",
+        [lambda: IntMatrix.zeros(0), lambda: [], lambda: matrix_of(Graph([], []), "adjacency")],
+        ids=["IntMatrix", "list", "matrix_of"],
+    )
+    def test_no_rows_is_the_empty_matrix(self, empty):
+        assert symmetric_eigenvalues(empty()) == symmetric_eigenvalues(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("kind", ["adjacency", "laplacian", "signless"])
+    def test_cap_refuses_before_any_row_is_written(self, monkeypatch, model_graphs, kind):
+        monkeypatch.setenv(CAP_ENV_VAR, "16")
+        m = matrix_of(model_graphs[(2, 3)], kind)
+        with pytest.raises(MatrixCapExceeded):
+            symmetric_eigenvalues(m)
+        assert "rows" not in m.__dict__
+
 
 def solve_error(matrix, **kwargs):
     """The type and text of the error symmetric_eigenvalues raises on matrix."""
@@ -110,9 +127,8 @@ class TestStackedSolve:
         rng = random.Random(7)
         for n in (1, 2, 5, 12):
             members = [random_symmetric(rng, n) for _ in range(3)]
-            for stack in (members, tuple(members), np.array(members)):
-                got = symmetric_eigenvalues(stack)
-                assert got == tuple(symmetric_eigenvalues(m) for m in members)
+            got = symmetric_eigenvalues(np.array(members))
+            assert got == tuple(symmetric_eigenvalues(m) for m in members)
 
     def test_empty_members(self):
         got = symmetric_eigenvalues(np.zeros((2, 0, 0)))
@@ -122,38 +138,40 @@ class TestStackedSolve:
         rows = [[0.0, 1.0], [1.0, 0.0]]
         assert symmetric_eigenvalues(rows) == symmetric_eigenvalues(np.array(rows))
 
+    def test_a_list_of_matrices_is_not_a_stack(self):
+        assert solve_error([np.eye(2)] * 2) == (ValueError, "matrix must be square")
+
     @pytest.mark.parametrize("at", [0, 2])
     def test_asymmetric_member(self, at):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-        stack = [np.eye(2)] * 3
+        stack = np.array([np.eye(2)] * 3)
         stack[at] = bad
         assert solve_error(stack) == solve_error(bad)
 
     @pytest.mark.parametrize("at", [0, 2])
     def test_non_square_member(self, at):
         bad = np.zeros((3, 4))
-        stack = [np.eye(3)] * 3
+        # one shape for every member of an array: the others are I_3 and a zero column
+        stack = np.zeros((3, 3, 4))
+        stack[:, :, :3] = np.eye(3)
         stack[at] = bad
         assert solve_error(stack) == solve_error(bad) == (ValueError, "matrix must be square")
         assert solve_error(np.zeros((2, 3, 4))) == solve_error(bad)
 
     def test_members_of_two_orders(self):
-        assert solve_error([np.eye(2), np.eye(3)]) == (
-            ValueError,
-            "stacked matrices must have one order",
-        )
+        assert solve_error([np.eye(2), np.eye(3)])[0] is ValueError
 
     def test_over_cap_member(self, monkeypatch):
         monkeypatch.setenv(CAP_ENV_VAR, "4")
-        assert solve_error([np.eye(5)] * 2) == solve_error(np.eye(5))
+        assert solve_error(np.array([np.eye(5)] * 2)) == solve_error(np.eye(5))
         assert solve_error(np.zeros((2, 5, 5))) == solve_error(np.eye(5))
-        assert len(symmetric_eigenvalues([np.eye(4)] * 2)) == 2  # members at the cap solve
+        assert len(symmetric_eigenvalues(np.array([np.eye(4)] * 2))) == 2  # members at the cap solve
 
     @pytest.mark.parametrize("at", [0, 1])
     def test_residual_failing_member(self, model_graphs, at):
         bad = matrix_of(model_graphs[(2, 3)], "laplacian")
-        stack = [np.zeros((24, 24))] * 2
-        stack[at] = np.array(bad.rows, dtype=float)
+        stack = np.zeros((2, 24, 24))
+        stack[at] = bad.rows
         assert solve_error(stack, tol=1e-18) == solve_error(bad, tol=1e-18)
         assert solve_error(stack, tol=1e-18)[0] is EigenSolveError
 
@@ -233,6 +251,15 @@ class TestSpectralRadius:
         for v in (0, 1, 5, 13, 20):
             sub = induced_subgraph(g, [i for i in range(g.n) if i != v])
             assert spectral_radius(sub) < lam1 - 1e-9
+
+    def test_cap_is_checked_before_the_array(self, monkeypatch, model_graphs):
+        def no_array(graph, kind):
+            raise AssertionError("an n x n array was built past the cap")
+
+        monkeypatch.setenv(CAP_ENV_VAR, "16")
+        monkeypatch.setattr(spectra, "_matrix_array", no_array)
+        with pytest.raises(MatrixCapExceeded):
+            spectral_radius(model_graphs[(2, 3)])
 
 
 class TestLaplacianEnergy:

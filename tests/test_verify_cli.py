@@ -415,11 +415,6 @@ class TestRunVerification:
         run_verification(2, 3)
         assert canonical_order.cache_info().misses == 1  # the spec; no P(C_q) is built
 
-    def test_out_writes_report_file(self, tmp_path):
-        out = tmp_path / "report.json"
-        report = run_verification(2, 3, kinds=(), out=str(out))
-        assert json.loads(out.read_text()) == report.to_dict()
-
 
 # every (k, p) of the twisted family with n = 2^(k+1) p <= 256
 PAIRS_UNDER_CAP = [
@@ -578,11 +573,14 @@ class TestStackedSolves:
     @pytest.mark.parametrize("k,p", PAIRS_UNDER_CAP)
     def test_order_n_stack_is_the_single_solves(self, k, p):
         model, true = build_model_graph(k, p), build_power_graph(SemidihedralType(k, p))
-        arrays = [
-            exact_linalg._matrix_array(model, "adjacency"),
-            exact_linalg._matrix_array(true, "adjacency"),
-            exact_linalg._matrix_array(model, "laplacian"),
-        ]
+        arrays = np.array(
+            [
+                exact_linalg._matrix_array(model, "adjacency"),
+                exact_linalg._matrix_array(true, "adjacency"),
+                exact_linalg._matrix_array(model, "laplacian"),
+            ],
+            dtype=float,
+        )
         tol = verify_cli.NUMERIC_TOL
         stacked = spectra.symmetric_eigenvalues(arrays, tol)
         single = [spectra.symmetric_eigenvalues(a, tol) for a in arrays]
@@ -865,6 +863,17 @@ class TestCliExitCodes:
         out = capsys.readouterr().out
         assert "status: pass" in out
         assert "[mismatch-reported] laplacian-energy" in out
+
+    def test_verify_out_writes_the_report_first(self, capsys, tmp_path):
+        argv = ["verify", "--k", "2", "--p", "3", "--matrix", "laplacian"]
+        out = tmp_path / "report.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_text() == run_verification(2, 3, kinds=("laplacian",)).to_json()
+        assert "status: pass" in capsys.readouterr().out
+        # a failed write exits 2 before the summary is printed
+        assert main([*argv, "--out", str(tmp_path / "missing" / "report.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "No such file or directory" in captured.err
 
     def test_invalid_p_is_usage_error(self, capsys):
         assert main(["verify", "--k", "2", "--p", "9"]) == 2
