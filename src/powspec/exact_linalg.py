@@ -354,7 +354,7 @@ def _packed(rows) -> np.ndarray:
     array, little-endian: bit j of row i is bit j % 8 of [i, j // 8]."""
     n = len(rows)
     width = (n + 7) // 8
-    packed = b"".join([r.to_bytes(width, "little") for r in rows])
+    packed = b"".join(map(int.to_bytes, rows, itertools.repeat(width), itertools.repeat("little")))
     return np.frombuffer(packed, np.uint8).reshape(n, width)
 
 

@@ -12,7 +12,10 @@ on elements as they are.  The public functions check each element they
 are given once, at the boundary; the loops inside them, the
 presentation's associativity sample and the power-graph build do not
 re-validate one.  The walk of powers turns its generator into a plain
-pair once, so each step of _product unpacks an exact tuple.
+pair once, so each step of _product unpacks an exact tuple.  Lists of
+elements are built by _elements, one C-level map of tuple.__new__ over
+the pairs, which makes the same GroupElement instances as the class call
+without running its Python-level __new__ once per element.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple, Union
 
 __all__ = [
@@ -157,12 +161,18 @@ def identity(spec: GroupSpec) -> GroupElement:
     return GroupElement(0, 0)
 
 
+def _elements(a: int, bs):
+    """The elements s^a r^b for b in bs, lazily, in the order of bs; each
+    one is a GroupElement made by tuple.__new__ at C speed."""
+    return map(tuple.__new__, repeat(GroupElement), zip(repeat(a), bs))
+
+
 def elements(spec: GroupSpec) -> list[GroupElement]:
     """All elements, rotations first, each side in ascending exponent order."""
     q = spec.rotation_order
-    out = [GroupElement(0, b) for b in range(q)]
+    out = list(_elements(0, range(q)))
     if isinstance(spec, SemidihedralType):
-        out.extend(GroupElement(1, b) for b in range(q))
+        out.extend(_elements(1, range(q)))
     return out
 
 

@@ -22,7 +22,9 @@ against the transpose of the same band of columns.
 The model graph's edges are written once, as three parts of row masks
 (_model_parts).  build_model_graph is their union, the decomposition
 census checks a graph's rows against the union, and _certify_split checks
-the parts themselves for a run's split-spectra check.
+the parts themselves for a run's split-spectra check.  The parts and the
+union are made once per group, in one-entry caches, and the census and
+the diff read rows with bulk map/operator passes, not per-row Python.
 model_adjacency_split unpacks each part into a numpy 0/1 array, for
 library use and as the tests' reference.
 """
@@ -31,7 +33,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
+from itertools import chain, count
 from typing import Sequence
 
 import numpy as np
@@ -42,8 +46,8 @@ from .group_core import (
     GroupElement,
     GroupSpec,
     SemidihedralType,
+    _elements,
     _powers,
-    identity,
 )
 
 __all__ = [
@@ -104,10 +108,10 @@ class Graph:
         n = len(labels)
         if len(row_masks) != n:
             raise ValueError("one adjacency row per vertex required")
-        index = {lab: i for i, lab in enumerate(labels)}
+        index = dict(zip(labels, count()))
         if len(index) != n:
             raise ValueError("vertex labels must be distinct")
-        if any(mask >> n for mask in row_masks):
+        if row_masks and (min(row_masks) < 0 or max(row_masks) >> n):
             raise ValueError("adjacency row has bits outside the vertex range")
         _check_loops_and_symmetry(row_masks)
         self.labels = labels
@@ -213,19 +217,18 @@ def canonical_order(spec: GroupSpec) -> tuple[GroupElement, ...]:
     the identity and the central rotation, then the other rotations
     ascending, then the order-4 flips laid out pair by pair, then the
     order-2 flips ascending.  The specs are frozen, so a run's graphs and
-    censuses share one cached tuple per group.
+    censuses share one cached tuple per group.  The labels are made by
+    group_core._elements from ranges of exponents, with no Python-level
+    step per vertex; the flip pairs interleave as quartic_flip_pairs
+    lists them.
     """
     if isinstance(spec, Cyclic):
-        return tuple(GroupElement(0, b) for b in range(spec.n))
+        return tuple(_elements(0, range(spec.n)))
     q = spec.rotation_order
-    u = spec.central_rotation
-    out = [identity(spec), u]
-    out.extend(GroupElement(0, b) for b in range(1, q) if b != u.b)
-    for first, second in quartic_flip_pairs(spec):
-        out.append(first)
-        out.append(second)
-    out.extend(GroupElement(1, b) for b in range(0, q, 2))
-    return tuple(out)
+    half = spec.central_rotation.b
+    rotations = chain((0, half), range(1, half), range(half + 1, q))
+    quads = chain.from_iterable(zip(range(1, half, 2), range(half + 1, q, 2)))
+    return tuple(chain(_elements(0, rotations), _elements(1, chain(quads, range(0, q, 2)))))
 
 
 def build_power_graph(spec: GroupSpec) -> Graph:
@@ -241,37 +244,50 @@ def build_power_graph(spec: GroupSpec) -> Graph:
     then x^t generates the same subgroup exactly when gcd(t, m) = 1.  The
     rows of those generators gain the index mask S of <x>, and the rows in S
     gain the generators' mask C; over all classes that is x ~ y iff y is in
-    <x> or x is in <y>, once the loops are cleared.
+    <x> or x is in <y>, once the loops are cleared.  The walk's pairs are
+    looked up by one map over the index, and one pass over the powers
+    builds S, C and the generator list.
     """
     _check_graph_order(spec.order)
     labels = canonical_order(spec)
-    index = {x: i for i, x in enumerate(labels)}
+    position = dict(zip(labels, count())).__getitem__
     rows = [0] * len(labels)
     for i, x in enumerate(labels):
         if (rows[i] >> i) & 1:
             continue  # only a generator of a done class holds its own bit
         try:
-            powers = [index[y] for y in _powers(spec, x)]
+            powers = list(map(position, _powers(spec, x)))
         except KeyError as exc:
             raise ArithmeticError(f"powers of {x} reach the non-canonical pair {exc}") from None
         m = len(powers)
-        gens = [j for t, j in enumerate(powers) if math.gcd(t, m) == 1]
-        sub_mask = sum(1 << j for j in powers)
-        gen_mask = sum(1 << j for j in gens)
+        sub_mask = gen_mask = 0
+        gens = []
+        for t, j in enumerate(powers):
+            bit = 1 << j
+            sub_mask |= bit
+            if math.gcd(t, m) == 1:
+                gen_mask |= bit
+                gens.append(j)
         for j in gens:
             rows[j] |= sub_mask
         for j in powers:
             rows[j] |= gen_mask
-    return Graph(labels, tuple(row & ~(1 << i) for i, row in enumerate(rows)))
+    # every vertex generates its own class, so its row holds its own bit,
+    # and XOR with that bit clears the loop
+    return Graph(labels, tuple(map(operator.xor, rows, map((1).__lshift__, count()))))
 
 
-def _model_parts(spec: SemidihedralType) -> tuple[list[int], list[int], list[int]]:
+@functools.lru_cache(maxsize=1)
+def _model_parts(spec: SemidihedralType) -> tuple[tuple[int, ...], ...]:
     """The model graph's edges, the only place they are written down.
 
-    Three symmetric lists of row masks in canonical order, pairwise
+    Three symmetric tuples of row masks in canonical order, pairwise
     disjoint: the clique on the rotations, the star from the identity to
     every flip, and the rest, which joins the central rotation to each
-    order-4 flip and each order-4 flip to its pair partner.
+    order-4 flip and each order-4 flip to its pair partner.  A run's model
+    build, censuses and split check all read them, so they are made once
+    per group and kept for the last group only: tuples, which no reader
+    can change for the next.
     """
     q = spec.rotation_order
     half = q // 2
@@ -281,7 +297,17 @@ def _model_parts(spec: SemidihedralType) -> tuple[list[int], list[int], list[int
     # q is a multiple of 4, so the pair partners q + 2t, q + 2t + 1 differ in bit 0
     rest = [0, quads] + [0] * (q - 2)
     rest += [0b10 | (1 << (a ^ 1)) for a in range(q, q + half)] + [0] * half
-    return clique, star, rest
+    return tuple(clique), tuple(star), tuple(rest)
+
+
+@functools.lru_cache(maxsize=1)
+def _model_rows(spec: SemidihedralType) -> tuple[int, ...]:
+    """The model graph's rows, the union of the three _model_parts, made
+    once per group like the parts and kept for the last group only.  A
+    row that only the clique has bits in is the clique's own int, not a
+    copy, so the rotations' rows are held once."""
+    clique, star, rest = _model_parts(spec)
+    return tuple([c | s | r if s | r else c for c, s, r in zip(clique, star, rest)])
 
 
 def build_model_graph(k: int, p: int) -> Graph:
@@ -293,8 +319,7 @@ def build_model_graph(k: int, p: int) -> Graph:
     """
     spec = SemidihedralType(k, p)
     _check_graph_order(spec.order)
-    rows = tuple(a | b | c for a, b, c in zip(*_model_parts(spec)))
-    return Graph(canonical_order(spec), rows)
+    return Graph(canonical_order(spec), _model_rows(spec))
 
 
 def _certify_split(clique, star, rest, model: Graph) -> tuple[list[str], dict[str, list]]:
@@ -403,7 +428,7 @@ def verify_decomposition(g: Graph, k: int, p: int) -> DecompositionReport:
         raise ValueError("graph does not carry the canonical vertex order for (k, p)")
     labels, rows = g.labels, g._rows
     clique, star, rest = _model_parts(spec)
-    outside = [row & ~(a | b | c) for row, a, b, c in zip(rows, clique, star, rest)]
+    outside = list(map(operator.and_, rows, map(operator.invert, _model_rows(spec))))
 
     # identity at 0 and central rotation at 1, as in every canonical order
     e, row_e, row_u = labels[0], rows[0], rows[1]
@@ -433,19 +458,30 @@ def verify_decomposition(g: Graph, k: int, p: int) -> DecompositionReport:
         pendant_edges=tuple(sorted(pendant)),
         quad_blocks=tuple(complete),
         incomplete_quads=tuple(incomplete),
-        rotation_part_edges=sum((row & ok).bit_count() for row, ok in zip(rows, clique)) // 2,
-        uncovered_edges=tuple(
-            sorted((labels[i], labels[j]) for i, j in _pairs(outside))
-        ),
+        rotation_part_edges=sum(map(int.bit_count, map(operator.and_, rows, clique))) // 2,
+        uncovered_edges=tuple(sorted(_label_pairs(labels, outside))),
     )
+
+
+def _label_pairs(labels, rows):
+    """The label pairs of _pairs(rows), lazily; none, with no row walked,
+    when every row is 0."""
+    if not any(rows):
+        return ()
+    return ((labels[i], labels[j]) for i, j in _pairs(rows))
+
+
+def _diff_rows(g1: Graph, g2: Graph) -> list[int]:
+    """The XOR of the two graphs' rows: bit j of row i is set when exactly
+    one graph has the edge i ~ j."""
+    if g1.labels != g2.labels:
+        raise ValueError("graphs must share the same labelled vertex set")
+    return list(map(operator.xor, g1._rows, g2._rows))
 
 
 def graph_diff(g1: Graph, g2: Graph) -> tuple[tuple[GroupElement, GroupElement], ...]:
     """Symmetric difference of edge sets, as label pairs in vertex order."""
-    if g1.labels != g2.labels:
-        raise ValueError("graphs must share the same labelled vertex set")
-    rows = [a ^ b for a, b in zip(g1._rows, g2._rows)]
-    return tuple((g1.labels[i], g1.labels[j]) for i, j in _pairs(rows))
+    return tuple(_label_pairs(g1.labels, _diff_rows(g1, g2)))
 
 
 def to_dot(g: Graph) -> str:

@@ -15,6 +15,7 @@ import argparse
 import itertools
 import json
 import math
+import operator
 import sys
 import traceback
 from collections import Counter
@@ -47,8 +48,9 @@ from .group_core import SemidihedralType, validate_parameters, validate_presenta
 from .powergraph import (
     _certify_split,
     _check_graph_order,
+    _diff_rows,
+    _label_pairs,
     _model_parts,
-    _pairs,
     build_model_graph,
     build_power_graph,
     edge_count,
@@ -426,13 +428,15 @@ def _structure(run: _Run):
     if "model" not in run.graphs or "true" not in run.graphs:
         return
     # XOR rows; they are symmetric, so testing every row tests both ends
-    model, true = run.graphs["model"], run.graphs["true"]
-    diff = [model.row_mask(i) ^ true.row_mask(i) for i in range(model.n)]
-    size = sum(row.bit_count() for row in diff) // 2
+    model = run.graphs["model"]
+    diff = _diff_rows(model, run.graphs["true"])
+    size = sum(map(int.bit_count, diff)) // 2
     expected_size = math.comb(q, 2) - mp.rotation_edge_count
-    rotations = sum(1 << i for i, x in enumerate(model.labels) if x.a == 0 and x.b != 0)
-    inside_rotations = not any(row & ~rotations for row in diff)
-    sample = [(model.labels[i], model.labels[j]) for i, j in itertools.islice(_pairs(diff), 8)]
+    # the census refuses a graph off the canonical order, in which
+    # vertices 1 .. q - 1 are the rotations other than the identity
+    outside_rotations = ~((1 << q) - 2)
+    inside_rotations = not any(map(operator.and_, diff, itertools.repeat(outside_rotations)))
+    sample = list(itertools.islice(_label_pairs(model.labels, diff), 8))
     if not size:
         status = STATUS_PASS
     elif size == expected_size and inside_rotations:

@@ -12,6 +12,7 @@ from powspec.group_core import (
     SemidihedralType,
     class_partition,
     cyclic_subgroup,
+    elements,
     identity,
 )
 from powspec.powergraph import (
@@ -348,6 +349,25 @@ class TestCanonicalOrder:
     def test_cyclic_order(self):
         assert canonical_order(Cyclic(3)) == (E(0, 0), E(0, 1), E(0, 2))
 
+    @pytest.mark.parametrize(
+        "spec", [SemidihedralType(k, p) for k, p in PAIRS_UNDER_CAP] + [Cyclic(12)], ids=str
+    )
+    def test_labels_are_exact_group_elements(self, spec):
+        q = spec.rotation_order
+        sides = (0, 1) if isinstance(spec, SemidihedralType) else (0,)
+        want_elements = [GroupElement(a, b) for a in sides for b in range(q)]
+        if isinstance(spec, Cyclic):
+            want_order = [GroupElement(0, b) for b in range(q)]
+        else:
+            u = spec.central_rotation
+            want_order = [identity(spec), u]
+            want_order += [GroupElement(0, b) for b in range(1, q) if b != u.b]
+            want_order += [x for pair in quartic_flip_pairs(spec) for x in pair]
+            want_order += [GroupElement(1, b) for b in range(0, q, 2)]
+        for got, want in ((canonical_order(spec), tuple(want_order)), (elements(spec), want_elements)):
+            assert got == want
+            assert all(type(x) is GroupElement for x in got)
+
     def test_graphs_share_one_label_tuple(self):
         spec = SemidihedralType(2, 3)
         assert build_model_graph(2, 3).labels is build_power_graph(spec).labels
@@ -516,7 +536,7 @@ class TestModelParts:
             assert all(x & y == 0 for x, y in zip(a, b))
         for part in (clique, star, rest):
             assert len(part) == 2 ** (k + 1) * p
-            assert bit_walk_transpose(part) == part
+            assert bit_walk_transpose(part) == list(part)
 
     @pytest.mark.parametrize("k,p", PAIRS_UNDER_CAP)
     def test_union_is_the_model_graph(self, k, p):
@@ -580,9 +600,12 @@ class TestDecomposition:
         assert len(rep.incomplete_quads) == 1
         assert rep.covered
 
-    def test_foreign_edge_uncovered(self, model_graphs):
-        g = model_graphs[(2, 3)]
+    @pytest.mark.parametrize("construction", ["model", "true"])
+    def test_foreign_edge_uncovered(self, construction, model_graphs, true_graphs):
+        # one flip-flip edge added: the one row bit outside the model is listed
+        g = (model_graphs if construction == "model" else true_graphs)[(2, 3)]
         extra = (g.index_of(E(1, 0)), g.index_of(E(1, 2)))
+        assert extra not in g.edges()
         rep = verify_decomposition(graph_with_edges(g.labels, g.edges() + [extra]), 2, 3)
         assert not rep.covered
         assert rep.uncovered_edges == ((E(1, 0), E(1, 2)),)

@@ -415,6 +415,25 @@ class TestRunVerification:
         run_verification(2, 3)
         assert canonical_order.cache_info().misses == 1  # the spec; no P(C_q) is built
 
+    @pytest.mark.parametrize("kinds", [(), verify_cli.MATRIX_KINDS], ids=["structure", "full"])
+    def test_model_parts_are_made_once_per_run(self, kinds):
+        # the model build and both censuses read the parts, and a full
+        # run's split check too; the run computes them once
+        for cache in (powergraph._model_parts, powergraph._model_rows):
+            cache.cache_clear()
+        run_verification(2, 3, kinds=kinds)
+        spec = SemidihedralType(2, 3)
+        for cache in (powergraph._model_parts, powergraph._model_rows):
+            info = cache.cache_info()
+            assert (info.misses, info.currsize, info.maxsize) == (1, 1, 1)
+        parts = powergraph._model_parts(spec)
+        assert type(parts) is tuple and all(type(part) is tuple for part in parts)
+        assert type(powergraph._model_rows(spec)) is tuple
+        # the next group's parts replace them, so one group's are kept at most
+        run_verification(2, 5, kinds=kinds)
+        assert powergraph._model_parts.cache_info().currsize == 1
+        assert powergraph._model_parts(spec) is not parts
+
 
 # every (k, p) of the twisted family with n = 2^(k+1) p <= 256
 PAIRS_UNDER_CAP = [
