@@ -28,9 +28,7 @@ from .exact_linalg import (
     IntPolynomial,
     char_poly_exact,
     char_poly_leverrier,
-    det_exact,
     matrix_of,
-    schur_charpoly_check,
 )
 from .formulas import (
     ModelParameters,
@@ -46,7 +44,6 @@ from .spectra import (
     SpectrumSummary,
     cluster_multiplicities,
     laplacian_energy,
-    spectral_radius,
     symmetric_eigenvalues,
 )
 from .verify_cli import VerificationReport, run_verification, sweep

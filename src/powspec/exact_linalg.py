@@ -35,12 +35,10 @@ substitution kernel, _kronecker_product.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 import struct
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -110,14 +108,6 @@ class IntMatrix:
         object.__setattr__(m, "rows", tuple(map(tuple, a.tolist())))
         return m
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zeros(cls, n: int) -> "IntMatrix":
-        return cls(tuple((0,) * n for _ in range(n)))
-
     def __getattr__(self, name: str):
         # Reached only when normal lookup fails: for a matrix of matrix_of,
         # the rows before their first read, written from its graph once.
@@ -132,25 +122,6 @@ class IntMatrix:
     def n(self) -> int:
         source = self.__dict__.get("_source")
         return len(self.rows) if source is None else source[0].n
-
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.n))
-
-    def to_lists(self) -> list[list[int]]:
-        return [list(r) for r in self.rows]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.rows))) if self.n else self
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.n != other.n:
-            raise ValueError("matrix orders differ")
-        return IntMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
 
 
 @dataclass(frozen=True)
@@ -408,11 +379,6 @@ def matrix_of(graph, kind: str) -> IntMatrix:
     m = object.__new__(IntMatrix)
     object.__setattr__(m, "_source", (graph, kind))
     return m
-
-
-def det_exact(m: IntMatrix) -> int:
-    _check_cap(m.n)
-    return kernels.det_bareiss(m.rows)
 
 
 def _gershgorin_radius(m: IntMatrix) -> int:
@@ -750,93 +716,3 @@ def char_poly_leverrier(m: IntMatrix) -> IntPolynomial:
     """det(xI - M) by fraction-free Faddeev-LeVerrier (cross-check route)."""
     _check_cap(m.n)
     return IntPolynomial.from_coeffs(kernels.charpoly_leverrier(m.rows))
-
-
-def _fraction_solve(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Solve A X = B by Gauss-Jordan; A must be invertible."""
-    n = len(a)
-    w = len(b[0])
-    m = [a[i][:] + b[i][:] for i in range(n)]
-    for col in range(n):
-        pivot_row = None
-        for i in range(col, n):
-            if m[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            raise ZeroDivisionError("singular system")
-        m[col], m[pivot_row] = m[pivot_row], m[col]
-        pivot = m[col][col]
-        m[col] = [v / pivot for v in m[col]]
-        for i in range(n):
-            if i == col or m[i][col] == 0:
-                continue
-            factor = m[i][col]
-            m[i] = [v - factor * w_ for v, w_ in zip(m[i], m[col])]
-    return [row[n : n + w] for row in m]
-
-
-@dataclass(frozen=True)
-class SchurCheckOutcome:
-    passed: bool
-    checked_points: tuple[int, ...]
-    skipped_points: tuple[int, ...]
-
-
-def schur_charpoly_check(
-    a: IntMatrix, b: IntMatrix, c: IntMatrix, d: IntMatrix, points: Iterable[int]
-) -> SchurCheckOutcome:
-    """Verify det(xI - [[A,B],[C,D]]) = det(xI-D) * det((xI-A) - B (xI-D)^-1 C)
-    at the given integer sample points.
-
-    Points where xI - D is singular are skipped and reported.  Blocks of
-    order 0, or no point left, leave nothing to verify: that is an error.
-    Twice the block order, the order of the full matrix, is checked
-    against the cap before the first point.
-    """
-    order = a.n
-    for blk in (b, c, d):
-        if blk.n != order:
-            raise ValueError("all four blocks must have the same order")
-    if order == 0:
-        raise ValueError("blocks of order 0 leave nothing to verify")
-    _check_cap(2 * order)
-    checked, skipped = [], []
-    passed = True
-    for x in points:
-        x = int(x)
-        d_shift = [
-            [(x if i == j else 0) - v for j, v in enumerate(row)] for i, row in enumerate(d.rows)
-        ]
-        dd = kernels.det_bareiss(d_shift)
-        if dd == 0:
-            skipped.append(x)
-            continue
-        checked.append(x)
-        # full shifted matrix [[xI-A, -B], [-C, xI-D]]
-        top = [
-            [(x if i == j else 0) - a.rows[i][j] for j in range(order)]
-            + [-b.rows[i][j] for j in range(order)]
-            for i in range(order)
-        ]
-        bottom = [[-v for v in c_row] + d_row for c_row, d_row in zip(c.rows, d_shift)]
-        lhs = kernels.det_bareiss(top + bottom)
-        dinv_c = _fraction_solve(
-            [[Fraction(v) for v in row] for row in d_shift],
-            [[Fraction(v) for v in row] for row in c.rows],
-        )
-        schur = [
-            [
-                top[i][j] - sum(b.rows[i][t] * dinv_c[t][j] for t in range(order))
-                for j in range(order)
-            ]
-            for i in range(order)
-        ]
-        # det(S) = det(L S) / L^order, with L S an integer matrix
-        scale = math.lcm(*(v.denominator for row in schur for v in row))
-        scaled = [[int(v * scale) for v in row] for row in schur]
-        if dd * kernels.det_bareiss(scaled) != lhs * scale**order:
-            passed = False
-    if not checked:
-        raise ValueError("all sample points left the lower-right block singular")
-    return SchurCheckOutcome(passed, tuple(checked), tuple(skipped))

@@ -25,8 +25,6 @@ census checks a graph's rows against the union, and _certify_split checks
 the parts themselves for a run's split-spectra check.  The parts and the
 union are made once per group, in one-entry caches, and the census and
 the diff read rows with bulk map/operator passes, not per-row Python.
-model_adjacency_split unpacks each part into a numpy 0/1 array, for
-library use and as the tests' reference.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact_linalg import _packed, _quotient_counts, _unpack
+from .exact_linalg import _packed, _quotient_counts
 from .group_core import (
     Cyclic,
     GroupElement,
@@ -53,19 +51,15 @@ from .group_core import (
 __all__ = [
     "Graph",
     "DecompositionReport",
-    "AdjacencySplit",
     "canonical_order",
     "quartic_flip_pairs",
     "build_power_graph",
     "build_model_graph",
     "MAX_GRAPH_ORDER",
     "edge_count",
-    "degree_sequence",
-    "connected_components",
     "verify_decomposition",
     "graph_diff",
     "to_dot",
-    "model_adjacency_split",
 ]
 
 
@@ -363,31 +357,6 @@ def edge_count(g: Graph) -> int:
     return sum(g.degrees) // 2
 
 
-def degree_sequence(g: Graph) -> tuple[int, ...]:
-    return tuple(sorted(g.degrees, reverse=True))
-
-
-def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Components by breadth-first traversal, each sorted, smallest head first."""
-    seen = [False] * g.n
-    comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        queue = [start]
-        seen[start] = True
-        comp = []
-        while queue:
-            v = queue.pop(0)
-            comp.append(v)
-            for w in g.neighbors(v):
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
-
-
 @dataclass(frozen=True)
 class DecompositionReport:
     """Census of the pendant / 4-clique / rotation-part edge decomposition."""
@@ -493,28 +462,3 @@ def to_dot(g: Graph) -> str:
         lines.append(f"  n{i} -- n{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True, eq=False)
-class AdjacencySplit:
-    """Additive split of the model adjacency used by the radius bound.
-
-    full = clique_plus_star + rest, each an n x n uint8 0/1 array.
-    star_only is the star from the identity to every flip, and
-    clique_plus_star adds the rotation clique to it; rest holds the central
-    rotation's links to the order-4 flips and the flip-pair edges.  eq=False:
-    == over arrays gives no bool.
-    """
-
-    full: np.ndarray
-    clique_plus_star: np.ndarray
-    star_only: np.ndarray
-    rest: np.ndarray
-
-
-def model_adjacency_split(k: int, p: int) -> AdjacencySplit:
-    spec = SemidihedralType(k, p)
-    _check_graph_order(spec.order)
-    y1, y2, z = (_unpack(part) for part in _model_parts(spec))
-    y = y1 + y2
-    return AdjacencySplit(full=y + z, clique_plus_star=y, star_only=y2, rest=z)

@@ -12,7 +12,9 @@ order go in as one stack, a 3-D array, so a run makes one solver call
 per matrix order: its order-n matrices together, the split's three 5 x 5
 quotients together, and the divisor-lattice quotient alone.  The solver
 checks the order of its input against the matrix cap before any copy is
-made or any row of a matrix_of matrix is written.
+made or any row of a matrix_of matrix is written.  The module builds no
+matrix of its own: a graph's spectral radius is the EigenResult.radius
+of the solve its caller hands in.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact_linalg import IntMatrix, _check_cap, _matrix_array
+from .exact_linalg import IntMatrix, _check_cap
 
 
 class EigenSolveError(RuntimeError):
@@ -171,13 +173,6 @@ def quotient_eigenvalues(counts, tol: float = 1e-9) -> EigenResult:
     """
     k = np.asarray(counts, dtype=float)
     return symmetric_eigenvalues(np.sqrt(k * k.swapaxes(-1, -2)), tol)
-
-
-def spectral_radius(graph, tol: float = 1e-9) -> float:
-    """Largest absolute adjacency eigenvalue of a graph, its order checked
-    against the cap before the n x n array is built."""
-    _check_cap(graph.n)
-    return symmetric_eigenvalues(_matrix_array(graph, "adjacency"), tol).radius
 
 
 def laplacian_energy(

@@ -17,10 +17,8 @@ from powspec.exact_linalg import (
     MatrixCapExceeded,
     char_poly_exact,
     char_poly_leverrier,
-    det_exact,
     matrix_of,
     poly_x,
-    schur_charpoly_check,
 )
 from powspec.formulas import (
     adjacency_charpoly_formula,
@@ -46,6 +44,18 @@ def det_cofactor(rows):
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
         total += (-1) ** j * rows[0][j] * det_cofactor(minor)
     return total
+
+
+def identity(n):
+    return IntMatrix.from_array(np.eye(n, dtype=np.int64))
+
+
+def zeros(n):
+    return IntMatrix.from_array(np.zeros((n, n), np.int64))
+
+
+def trace(m):
+    return sum(row[i] for i, row in enumerate(m.rows))
 
 
 def random_int_matrix(rng, n, lo=-5, hi=5):
@@ -139,7 +149,7 @@ class TestIntMatrix:
             HIGH = 7
 
         m = IntMatrix(((Level.LOW, 0), (2, Level.HIGH)))
-        assert m.trace() == 8
+        assert trace(m) == 8
 
     @pytest.mark.parametrize(
         "a",
@@ -163,46 +173,30 @@ class TestIntMatrix:
         assert {type(v) for row in m.rows for v in row} == {int}
         assert IntMatrix.from_array(np.zeros((0, 0), dtype)) == IntMatrix(())
 
-    def test_identity_zeros_trace(self):
-        assert IntMatrix.identity(3).trace() == 3
-        assert IntMatrix.zeros(3).trace() == 0
-        assert IntMatrix.identity(0).rows == ()
-
-    def test_transpose(self):
-        m = IntMatrix.from_rows([[1, 2], [3, 4]])
-        assert m.transpose().rows == ((1, 3), (2, 4))
-
-    def test_add(self):
-        a = IntMatrix.from_rows([[1, 0], [0, 1]])
-        b = IntMatrix.from_rows([[0, 2], [3, 0]])
-        assert (a + b).rows == ((1, 2), (3, 1))
-        with pytest.raises(ValueError):
-            a + IntMatrix.identity(3)
-
 
 class TestDeterminant:
     def test_examples(self):
-        assert det_exact(IntMatrix.identity(5)) == 1
-        assert det_exact(IntMatrix.from_rows([[2, 3], [4, 5]])) == -2
-        assert det_exact(IntMatrix.from_rows([[0, 1], [1, 0]])) == -1
-        assert det_exact(IntMatrix.from_rows([[1, 2], [2, 4]])) == 0
-        assert det_exact(IntMatrix(())) == 1
+        assert kernels.det_bareiss(identity(5).rows) == 1
+        assert kernels.det_bareiss([[2, 3], [4, 5]]) == -2
+        assert kernels.det_bareiss([[0, 1], [1, 0]]) == -1
+        assert kernels.det_bareiss([[1, 2], [2, 4]]) == 0
+        assert kernels.det_bareiss([]) == 1
 
     def test_zero_pivot_needs_row_swap(self):
-        m = IntMatrix.from_rows([[0, 2, 1], [3, 0, 0], [1, 1, 1]])
-        assert det_exact(m) == det_cofactor(m.to_lists())
+        rows = [[0, 2, 1], [3, 0, 0], [1, 1, 1]]
+        assert kernels.det_bareiss(rows) == det_cofactor(rows)
 
     def test_zero_pivot_at_step_one_or_two_swaps_rows(self):
         # a zero first pivot, and a zero pivot that only appears at step 2
         for rows in ([[0, 2, 1], [2, 0, 3], [1, 3, 1]], [[1, 1, 0], [1, 1, 2], [0, 2, 5]]):
-            assert det_exact(IntMatrix.from_rows(rows)) == det_cofactor(rows)
+            assert kernels.det_bareiss(rows) == det_cofactor(rows)
 
     def test_against_cofactor_oracle(self):
         rng = random.Random(20260819)
         for _ in range(30):
             n = rng.randint(1, 6)
             rows = random_int_matrix(rng, n, -9, 9)
-            assert det_exact(IntMatrix.from_rows(rows)) == det_cofactor(rows)
+            assert kernels.det_bareiss(rows) == det_cofactor(rows)
         for trial in range(45):
             n = rng.randint(1, 6)
             pool = (-HUGE, HUGE) if trial % 3 == 1 else ()
@@ -215,21 +209,19 @@ class TestDeterminant:
                 for i in range(n):
                     if i == 0 or rng.random() < 0.5:
                         rows[i][i] = 0
-            assert det_exact(IntMatrix.from_rows(rows)) == det_cofactor(rows)
+            assert kernels.det_bareiss(rows) == det_cofactor(rows)
 
     def test_rank_one_update_formula(self):
         # constant diagonal x, constant off-diagonal y
         for n in range(2, 9):
             for x in range(-3, 4):
                 for y in range(-3, 4):
-                    m = IntMatrix.from_rows(
-                        [[x if i == j else y for j in range(n)] for i in range(n)]
-                    )
-                    assert det_exact(m) == (x + (n - 1) * y) * (x - y) ** (n - 1)
+                    rows = [[x if i == j else y for j in range(n)] for i in range(n)]
+                    assert kernels.det_bareiss(rows) == (x + (n - 1) * y) * (x - y) ** (n - 1)
 
     def test_rank_one_update_spec_point(self):
-        m = IntMatrix.from_rows([[3 if i == j else 1 for j in range(4)] for i in range(4)])
-        assert det_exact(m) == 48
+        rows = [[3 if i == j else 1 for j in range(4)] for i in range(4)]
+        assert kernels.det_bareiss(rows) == 48
 
     def test_block_diagonal_product(self):
         rng = random.Random(7)
@@ -238,21 +230,19 @@ class TestDeterminant:
             a = random_int_matrix(rng, na)
             b = random_int_matrix(rng, nb)
             block = [row + [0] * nb for row in a] + [[0] * na + row for row in b]
-            assert det_exact(IntMatrix.from_rows(block)) == det_exact(
-                IntMatrix.from_rows(a)
-            ) * det_exact(IntMatrix.from_rows(b))
+            assert kernels.det_bareiss(block) == kernels.det_bareiss(a) * kernels.det_bareiss(b)
 
 
 class TestCharPoly:
     def test_identity(self):
-        assert char_poly_exact(IntMatrix.identity(3)).coeffs == (-1, 3, -3, 1)
+        assert char_poly_exact(identity(3)).coeffs == (-1, 3, -3, 1)
 
     def test_k3_adjacency(self):
         m = IntMatrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         assert char_poly_exact(m).coeffs == (-2, -3, 0, 1)
 
     def test_zero_matrix(self):
-        assert char_poly_exact(IntMatrix.zeros(4)).coeffs == (0, 0, 0, 0, 1)
+        assert char_poly_exact(zeros(4)).coeffs == (0, 0, 0, 0, 1)
 
     def test_empty_matrix(self):
         assert char_poly_exact(IntMatrix(())).coeffs == (1,)
@@ -264,8 +254,8 @@ class TestCharPoly:
             m = IntMatrix.from_rows(random_int_matrix(rng, n))
             poly = char_poly_exact(m)
             assert poly.is_monic and poly.degree == n
-            assert poly.coeffs[n - 1] == -m.trace()
-            assert poly.coeffs[0] == (-1) ** n * det_exact(m)
+            assert poly.coeffs[n - 1] == -trace(m)
+            assert poly.coeffs[0] == (-1) ** n * kernels.det_bareiss(m.rows)
 
     def test_two_routes_agree_random(self):
         rng = random.Random(4242)
@@ -312,7 +302,7 @@ class TestCharPoly:
         x = sympy.Symbol("x")
 
         def sympy_charpoly(m):
-            coeffs = sympy.Matrix(m.to_lists()).charpoly(x).all_coeffs()
+            coeffs = sympy.Matrix(m.rows).charpoly(x).all_coeffs()
             return tuple(int(c) for c in reversed(coeffs))
 
         rng = random.Random(31)
@@ -380,7 +370,7 @@ class TestCharPoly:
         laplacian = matrix_of(build_power_graph(SemidihedralType(7, 3)), "laplacian")
         quotient = dense_quotient(laplacian)[0]
         assert quotient.n == 18
-        check(quotient.to_lists())
+        check(quotient.rows)
 
     @pytest.mark.parametrize("k", (2, 3))
     def test_one_berkowitz_call_per_charpoly_on_the_quotient(self, monkeypatch, k):
@@ -915,7 +905,7 @@ class TestTwinLevels:
                 m = graph_matrix(adjacency, w, diagonal)
                 want = char_poly_leverrier(m)
                 assert char_poly_exact(m) == want
-                coeffs = sympy.Matrix(m.to_lists()).charpoly(x).all_coeffs()
+                coeffs = sympy.Matrix(m.rows).charpoly(x).all_coeffs()
                 assert want.coeffs == tuple(int(c) for c in reversed(coeffs))
         # every graph has twins when the diagonal is constant on its classes
         assert sum(map(bool, certified)) >= len(graphs)
@@ -1179,20 +1169,18 @@ class TestMatrixCap:
     def test_cap_enforced(self, monkeypatch):
         monkeypatch.setenv(CAP_ENV_VAR, "4")
         with pytest.raises(MatrixCapExceeded):
-            det_exact(IntMatrix.identity(5))
+            char_poly_exact(identity(5))
         with pytest.raises(MatrixCapExceeded):
-            char_poly_exact(IntMatrix.identity(5))
-        with pytest.raises(MatrixCapExceeded):
-            char_poly_leverrier(IntMatrix.identity(5))
-        assert det_exact(IntMatrix.identity(4)) == 1
+            char_poly_leverrier(identity(5))
+        assert char_poly_exact(identity(4)).coeffs == (1, -4, 6, -4, 1)
 
     def test_invalid_cap_value(self, monkeypatch):
         monkeypatch.setenv(CAP_ENV_VAR, "not-a-number")
         with pytest.raises(ValueError):
-            det_exact(IntMatrix.identity(2))
+            char_poly_exact(identity(2))
         monkeypatch.setenv(CAP_ENV_VAR, "0")
         with pytest.raises(ValueError):
-            det_exact(IntMatrix.identity(2))
+            char_poly_exact(identity(2))
 
 
 class TestIntPolynomial:
@@ -1382,7 +1370,7 @@ class TestMatrixOf:
         for g in graphs.values():
             for kind in ("adjacency", "laplacian", "signless"):
                 got = int(exact_linalg._matrix_array(g, kind).trace())
-                assert got == matrix_of(g, kind).trace(), (g.n, kind)
+                assert got == trace(matrix_of(g, kind)), (g.n, kind)
 
     @pytest.mark.parametrize("construction", ["model", "true"])
     def test_diagonal_is_the_array_diagonal(self, construction, model_graphs, true_graphs):
@@ -1418,8 +1406,8 @@ class TestMatrixOf:
                 d = g.degree(i) if i == j else 0
                 assert lap.rows[i][j] == d - a.rows[i][j]
                 assert sig.rows[i][j] == d + a.rows[i][j]
-        assert a.trace() == 0
-        assert lap.trace() == sig.trace() == 174
+        assert trace(a) == 0
+        assert trace(lap) == trace(sig) == 174
 
     def test_matches_the_has_edge_reference(self):
         graphs = [build_model_graph(2, 5), build_power_graph(SemidihedralType(2, 3))]
@@ -1450,67 +1438,3 @@ class TestMatrixOf:
             matrix_of(g, "adjacency").cols
         with pytest.raises(AttributeError, match="no attribute 'rows'"):
             object.__new__(IntMatrix).rows
-
-
-class TestSchurCheck:
-    def test_zero_off_diagonal_blocks(self):
-        rng = random.Random(13)
-        for _ in range(10):
-            n = rng.randint(1, 3)
-            a = IntMatrix.from_rows(random_int_matrix(rng, n))
-            d = IntMatrix.from_rows(random_int_matrix(rng, n))
-            z = IntMatrix.zeros(n)
-            outcome = schur_charpoly_check(a, z, z, d, range(-4, 5))
-            assert outcome.passed
-
-    def test_random_blocks(self):
-        rng = random.Random(20260819)
-        for _ in range(50):
-            blocks = [
-                IntMatrix.from_rows(random_int_matrix(rng, 3)) for _ in range(4)
-            ]
-            outcome = schur_charpoly_check(*blocks, points=range(-3, 4))
-            assert outcome.passed
-            assert outcome.checked_points
-
-    def test_singular_point_skipped(self):
-        a = IntMatrix.from_rows([[1]])
-        z = IntMatrix.zeros(1)
-        d = IntMatrix.zeros(1)
-        outcome = schur_charpoly_check(a, z, z, d, (0, 1))
-        assert outcome.checked_points == (1,)
-        assert outcome.skipped_points == (0,)
-        assert outcome.passed
-
-    def test_all_points_singular(self):
-        a = IntMatrix.from_rows([[1]])
-        z = IntMatrix.zeros(1)
-        d = IntMatrix.zeros(1)
-        with pytest.raises(ValueError):
-            schur_charpoly_check(a, z, z, d, (0,))
-
-    def test_cap_bounds_the_full_matrix(self, monkeypatch):
-        def no_determinant(rows):
-            raise AssertionError("a determinant was taken past the cap")
-
-        monkeypatch.setenv(CAP_ENV_VAR, "4")
-        two, three = IntMatrix.identity(2), IntMatrix.identity(3)
-        assert schur_charpoly_check(two, two, two, two, [5]).passed  # 4 x 4, at the cap
-        monkeypatch.setattr(kernels, "det_bareiss", no_determinant)
-        with pytest.raises(MatrixCapExceeded, match="matrix order 6 exceeds"):
-            schur_charpoly_check(three, three, three, three, [5])
-
-    def test_order_zero_has_nothing_to_verify(self):
-        e = IntMatrix(())
-        with pytest.raises(ValueError, match="nothing to verify"):
-            schur_charpoly_check(e, e, e, e, [0])
-
-    def test_rejects_mismatched_blocks(self):
-        with pytest.raises(ValueError):
-            schur_charpoly_check(
-                IntMatrix.identity(2),
-                IntMatrix.identity(2),
-                IntMatrix.identity(2),
-                IntMatrix.identity(3),
-                (1,),
-            )

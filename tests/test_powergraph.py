@@ -23,11 +23,8 @@ from powspec.powergraph import (
     build_model_graph,
     build_power_graph,
     canonical_order,
-    connected_components,
-    degree_sequence,
     edge_count,
     graph_diff,
-    model_adjacency_split,
     quartic_flip_pairs,
     to_dot,
     verify_decomposition,
@@ -447,7 +444,6 @@ class TestTruePowerGraph:
             assert g.degrees == tuple(g.row_mask(i).bit_count() for i in range(g.n))
             assert g.degrees == tuple(g.degree(i) for i in range(g.n))
             assert edge_count(g) == len(g.edges())
-            assert degree_sequence(g) == tuple(sorted(g.degrees, reverse=True))
 
     def test_degrees_at_2_3(self, true_graphs):
         g = true_graphs[(2, 3)]
@@ -463,7 +459,9 @@ class TestTruePowerGraph:
         assert g.degree(0) == g.n - 1
 
     def test_connected(self, true_graphs):
-        assert len(connected_components(true_graphs[(2, 3)])) == 1
+        # the identity is joined to every vertex
+        g = true_graphs[(2, 3)]
+        assert g.degree(0) == g.n - 1
 
 
 
@@ -479,7 +477,7 @@ class TestModelGraph:
         g = model_graphs[(2, 3)]
         assert g.degree(g.index_of(E(0, 0))) == 23
         assert g.degree(g.index_of(E(0, 6))) == 17
-        seq = degree_sequence(g)
+        seq = sorted(g.degrees, reverse=True)
         assert seq.count(11) == 10
         assert seq[0] == 23
 
@@ -502,7 +500,7 @@ class TestModelGraph:
             a, b = q + 2 * t, q + 2 * t + 1
             expected[a][b] = expected[b][a] = 1
         got = matrix_of(model_graphs[(2, 3)], "adjacency")
-        assert got.to_lists() == expected
+        assert [list(row) for row in got.rows] == expected
 
     @pytest.mark.parametrize("k,p", [(2, 3), (2, 5), (3, 3), (2, 7), (4, 3), (5, 3)])
     def test_matches_pair_list_reference(self, k, p):
@@ -523,7 +521,14 @@ class TestModelGraph:
                     assert g.has_edge(i, j)
 
     def test_connected(self, model_graphs):
-        assert len(connected_components(model_graphs[(2, 3)])) == 1
+        # the identity is joined to every vertex
+        g = model_graphs[(2, 3)]
+        assert g.degree(0) == g.n - 1
+
+    def test_graph_order_limit(self, monkeypatch):
+        monkeypatch.setattr(powergraph, "MAX_GRAPH_ORDER", 16)
+        with pytest.raises(ValueError, match="exceeds the graph-order limit"):
+            build_model_graph(2, 3)
 
 
 class TestModelParts:
@@ -552,18 +557,6 @@ class TestModelParts:
         assert rep.pendant_count == q // 2
         assert rep.quad_count == q // 4
         assert rep.rotation_part_edges == math.comb(q, 2)
-
-
-class TestComponents:
-    def test_two_disjoint_edges(self):
-        g = graph_with_edges(
-            [E(0, 0), E(0, 1), E(0, 2), E(0, 3)], [(0, 1), (2, 3)]
-        )
-        assert connected_components(g) == ((0, 1), (2, 3))
-
-    def test_isolated_vertex(self):
-        g = graph_with_edges([E(0, 0), E(0, 1), E(0, 2)], [(0, 1)])
-        assert connected_components(g) == ((0, 1), (2,))
 
 
 class TestDecomposition:
@@ -771,36 +764,3 @@ class TestDotExport:
         b = to_dot(build_power_graph(SemidihedralType(2, 3)))
         assert a == b
         assert a.endswith("}\n")
-
-
-class TestAdjacencySplit:
-    @pytest.mark.parametrize("k,p", [(2, 3), (2, 5)])
-    def test_reassembles_exactly(self, k, p, model_graphs):
-        split = model_adjacency_split(k, p)
-        adjacency = matrix_of(model_graphs[(k, p)], "adjacency")
-        assert np.array_equal(split.full, adjacency.rows)
-        assert np.array_equal(split.clique_plus_star + split.rest, split.full)
-
-    def test_graph_order_limit(self, monkeypatch):
-        monkeypatch.setattr(powergraph, "MAX_GRAPH_ORDER", 16)
-        for build in (build_model_graph, model_adjacency_split):
-            with pytest.raises(ValueError, match="exceeds the graph-order limit"):
-                build(2, 3)
-
-    def test_parts_are_arrays(self):
-        split = model_adjacency_split(2, 3)
-        for part in (split.full, split.clique_plus_star, split.star_only, split.rest):
-            assert isinstance(part, np.ndarray)
-            assert part.shape == (24, 24)
-
-    def test_parts_have_disjoint_support(self):
-        split = model_adjacency_split(2, 3)
-        for row in split.full:
-            assert all(v in (0, 1) for v in row)
-
-    def test_star_part_shape(self):
-        split = model_adjacency_split(2, 3)
-        rows = split.star_only.tolist()
-        assert rows[0] == [0] * 12 + [1] * 12
-        assert all(rows[i] == [1] + [0] * 23 for i in range(12, 24))
-        assert all(rows[i] == [0] * 24 for i in range(1, 12))

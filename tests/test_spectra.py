@@ -5,18 +5,23 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from powspec import spectra
-from powspec.exact_linalg import CAP_ENV_VAR, IntMatrix, MatrixCapExceeded, matrix_of
+from powspec.exact_linalg import (
+    CAP_ENV_VAR,
+    IntMatrix,
+    MatrixCapExceeded,
+    _matrix_array,
+    _unpack,
+    matrix_of,
+)
 from powspec.formulas import ModelParameters, laplacian_spectrum_formula
-from powspec.group_core import Cyclic, GroupElement, is_odd_prime
-from powspec.powergraph import Graph, build_power_graph, model_adjacency_split
+from powspec.group_core import GroupElement, SemidihedralType, is_odd_prime
+from powspec.powergraph import Graph, _model_parts
 from powspec.spectra import (
     EigenSolveError,
     SpectrumEntry,
     SpectrumSummary,
     cluster_multiplicities,
     laplacian_energy,
-    spectral_radius,
     spectrum_to_csv,
     summaries_match,
     symmetric_eigenvalues,
@@ -41,6 +46,15 @@ def induced_subgraph(g, keep):
             if b in pos:
                 rows[pos[a]] |= 1 << pos[b]
     return Graph(tuple(g.labels[v] for v in keep), tuple(rows))
+
+
+def adjacency_radius(g):
+    return symmetric_eigenvalues(_matrix_array(g, "adjacency")).radius
+
+
+def dense_parts(k, p):
+    """The model's clique, star and rest parts as dense 0/1 arrays."""
+    return [_unpack(part) for part in _model_parts(SemidihedralType(k, p))]
 
 
 def random_symmetric(rng, n, lo=-4, hi=4):
@@ -97,7 +111,7 @@ class TestEigensolver:
 
     @pytest.mark.parametrize(
         "empty",
-        [lambda: IntMatrix.zeros(0), lambda: [], lambda: matrix_of(Graph([], []), "adjacency")],
+        [lambda: IntMatrix(()), lambda: [], lambda: matrix_of(Graph([], []), "adjacency")],
         ids=["IntMatrix", "list", "matrix_of"],
     )
     def test_no_rows_is_the_empty_matrix(self, empty):
@@ -232,34 +246,25 @@ class TestSummaryValidation:
 
 class TestSpectralRadius:
     def test_complete_graphs(self):
-        assert spectral_radius(complete_graph(4)) == pytest.approx(3.0, abs=1e-9)
-        assert spectral_radius(complete_graph(2)) == pytest.approx(1.0, abs=1e-9)
+        assert adjacency_radius(complete_graph(4)) == pytest.approx(3.0, abs=1e-9)
+        assert adjacency_radius(complete_graph(2)) == pytest.approx(1.0, abs=1e-9)
 
     def test_bipartite_star_uses_absolute_value(self):
         labels = tuple(GroupElement(0, b) for b in range(5))
         rows = (0b11110, 1, 1, 1, 1)
         star = Graph(labels, rows)
-        assert spectral_radius(star) == pytest.approx(2.0, abs=1e-9)
+        assert adjacency_radius(star) == pytest.approx(2.0, abs=1e-9)
 
     def test_model_graph_bracket(self, model_graphs):
-        lam1 = spectral_radius(model_graphs[(2, 3)])
+        lam1 = adjacency_radius(model_graphs[(2, 3)])
         assert 11.0 < lam1 <= 17.465
 
     def test_vertex_deletion_strictly_decreases(self, model_graphs):
         g = model_graphs[(2, 3)]
-        lam1 = spectral_radius(g)
+        lam1 = adjacency_radius(g)
         for v in (0, 1, 5, 13, 20):
             sub = induced_subgraph(g, [i for i in range(g.n) if i != v])
-            assert spectral_radius(sub) < lam1 - 1e-9
-
-    def test_cap_is_checked_before_the_array(self, monkeypatch, model_graphs):
-        def no_array(graph, kind):
-            raise AssertionError("an n x n array was built past the cap")
-
-        monkeypatch.setenv(CAP_ENV_VAR, "16")
-        monkeypatch.setattr(spectra, "_matrix_array", no_array)
-        with pytest.raises(MatrixCapExceeded):
-            spectral_radius(model_graphs[(2, 3)])
+            assert adjacency_radius(sub) < lam1 - 1e-9
 
 
 class TestLaplacianEnergy:
@@ -331,29 +336,29 @@ class TestComponentMultiplicity:
 
 class TestSplitSpectra:
     def test_star_spectrum_at_2_3(self):
-        split = model_adjacency_split(2, 3)
-        res = symmetric_eigenvalues(split.star_only)
+        _, star, _ = dense_parts(2, 3)
+        res = symmetric_eigenvalues(star)
         root = math.sqrt(12)
         expected = [-root] + [0.0] * 22 + [root]
         assert res.eigenvalues == pytest.approx(expected, abs=1e-9)
 
     def test_rest_peak_is_exactly_three_at_2_3(self):
         # 1 + 2q = 25 is a perfect square here, so the claimed peak is 3
-        split = model_adjacency_split(2, 3)
-        res = symmetric_eigenvalues(split.rest)
+        _, _, rest = dense_parts(2, 3)
+        res = symmetric_eigenvalues(rest)
         assert res.eigenvalues[-1] == pytest.approx(3.0, abs=1e-9)
 
     def test_rest_peak_at_2_5(self):
-        split = model_adjacency_split(2, 5)
-        res = symmetric_eigenvalues(split.rest)
+        _, _, rest = dense_parts(2, 5)
+        res = symmetric_eigenvalues(rest)
         assert res.eigenvalues[-1] == pytest.approx((1 + math.sqrt(41)) / 2, abs=1e-9)
 
     @pytest.mark.parametrize("k,p", [(2, 3), (2, 5)])
     def test_weyl_on_the_split(self, k, p):
-        split = model_adjacency_split(k, p)
-        top = symmetric_eigenvalues(split.full).eigenvalues[-1]
-        y = symmetric_eigenvalues(split.clique_plus_star).eigenvalues[-1]
-        z = symmetric_eigenvalues(split.rest).eigenvalues[-1]
+        clique, star, rest = dense_parts(k, p)
+        top = symmetric_eigenvalues(clique + star + rest).eigenvalues[-1]
+        y = symmetric_eigenvalues(clique + star).eigenvalues[-1]
+        z = symmetric_eigenvalues(rest).eigenvalues[-1]
         assert top <= y + z + 1e-9 * max(1.0, top)
 
 

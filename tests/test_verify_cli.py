@@ -28,10 +28,9 @@ from powspec.powergraph import (
     canonical_order,
     edge_count,
     graph_diff,
-    model_adjacency_split,
     to_dot,
 )
-from powspec.spectra import SpectrumEntry, SpectrumSummary, spectral_radius
+from powspec.spectra import SpectrumEntry, SpectrumSummary
 from powspec.verify_cli import (
     main,
     run_verification,
@@ -180,8 +179,6 @@ class TestRunVerification:
         ):
             spy(verify_cli, name)
         spy(spectra, "symmetric_eigenvalues")
-        spy(spectra, "spectral_radius")
-        spy(powergraph, "model_adjacency_split")
         spy(FactoredPolynomial, "expand")
         spy(IntPolynomial, "deflate")
         monkeypatch.setenv(CAP_ENV_VAR, "10")
@@ -385,9 +382,6 @@ class TestRunVerification:
         monkeypatch.setattr(IntMatrix, "from_array", classmethod(counting))
         run_verification(2, 3)
         assert built == []  # char_poly_exact reads the graph, never the rows
-        model_adjacency_split(2, 3)
-        spectral_radius(build_power_graph(Cyclic(12)))
-        assert built == []
         m = exact_linalg.matrix_of(build_model_graph(2, 3), "laplacian")
         assert m.rows == m.rows and built == [24]  # written on the first read only
 
@@ -623,10 +617,11 @@ class TestSplitSpectra:
     def test_agrees_with_the_dense_split(self, k, p):
         check = split_check(k, p)
         assert check.status == "pass"
-        split = model_adjacency_split(k, p)
-        star = spectra.symmetric_eigenvalues(split.star_only).eigenvalues
-        rest = spectra.symmetric_eigenvalues(split.rest).eigenvalues
-        full = spectra.symmetric_eigenvalues(split.full).eigenvalues
+        parts = powergraph._model_parts(SemidihedralType(k, p))
+        clique, star, rest = map(exact_linalg._unpack, parts)
+        full = spectra.symmetric_eigenvalues(clique + star + rest).eigenvalues
+        star = spectra.symmetric_eigenvalues(star).eigenvalues
+        rest = spectra.symmetric_eigenvalues(rest).eigenvalues
         tol = verify_cli.NUMERIC_TOL * 2 ** (k + 1) * p
         got = check.detail
         assert abs(got["star_extremes"][0] - star[0]) <= tol
