@@ -50,10 +50,6 @@ def identity(n):
     return IntMatrix.from_array(np.eye(n, dtype=np.int64))
 
 
-def zeros(n):
-    return IntMatrix.from_array(np.zeros((n, n), np.int64))
-
-
 def trace(m):
     return sum(row[i] for i, row in enumerate(m.rows))
 
@@ -242,7 +238,8 @@ class TestCharPoly:
         assert char_poly_exact(m).coeffs == (-2, -3, 0, 1)
 
     def test_zero_matrix(self):
-        assert char_poly_exact(zeros(4)).coeffs == (0, 0, 0, 0, 1)
+        zero = IntMatrix.from_array(np.zeros((4, 4), np.int64))
+        assert char_poly_exact(zero).coeffs == (0, 0, 0, 0, 1)
 
     def test_empty_matrix(self):
         assert char_poly_exact(IntMatrix(())).coeffs == (1,)
