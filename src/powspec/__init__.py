@@ -5,7 +5,6 @@ from .group_core import (
     Cyclic,
     GroupElement,
     SemidihedralType,
-    class_partition,
     cyclic_subgroup,
     element_order,
     inverse,

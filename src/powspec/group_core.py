@@ -31,7 +31,6 @@ __all__ = [
     "SemidihedralType",
     "GroupSpec",
     "GroupElement",
-    "ClassPartition",
     "PresentationCheck",
     "PresentationReport",
     "is_odd_prime",
@@ -43,7 +42,6 @@ __all__ = [
     "power",
     "element_order",
     "cyclic_subgroup",
-    "class_partition",
     "validate_presentation",
 ]
 
@@ -251,48 +249,6 @@ def cyclic_subgroup(spec: GroupSpec, x: GroupElement) -> tuple[GroupElement, ...
     """Powers of x in generation order, starting from the identity."""
     _require_canonical(spec, x)
     return tuple([GroupElement(*y) for y in _powers(spec, x)])
-
-
-@dataclass(frozen=True)
-class ClassPartition:
-    """The four structural classes of the twisted group.
-
-    core: identity and the central rotation u = r^(2^(k-1)p).
-    rotations: the remaining powers of r.
-    order2_flips: s r^b with b even, involutions attached to the identity only.
-    order4_flips: s r^b with b odd, elements of order 4 whose square is u.
-    """
-
-    core: frozenset[GroupElement]
-    rotations: frozenset[GroupElement]
-    order2_flips: frozenset[GroupElement]
-    order4_flips: frozenset[GroupElement]
-
-    @property
-    def total(self) -> int:
-        return (
-            len(self.core)
-            + len(self.rotations)
-            + len(self.order2_flips)
-            + len(self.order4_flips)
-        )
-
-
-def class_partition(spec: SemidihedralType) -> ClassPartition:
-    if not isinstance(spec, SemidihedralType):
-        raise ValueError("class partition is defined for the twisted family only")
-    q = spec.rotation_order
-    u = spec.central_rotation
-    e = identity(spec)
-    part = ClassPartition(
-        core=frozenset({e, u}),
-        rotations=frozenset(GroupElement(0, b) for b in range(1, q) if b != u.b),
-        order2_flips=frozenset(GroupElement(1, b) for b in range(0, q, 2)),
-        order4_flips=frozenset(GroupElement(1, b) for b in range(1, q, 2)),
-    )
-    if part.total != spec.order:
-        raise AssertionError("partition does not cover the group")
-    return part
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,14 @@ symmetry check tests each band of rows, unpacked, for a diagonal bit and
 against the transpose of the same band of columns.
 
 The model graph's edges are written once, as three parts of row masks
-(_model_parts).  build_model_graph is their union, the decomposition
-census checks a graph's rows against the union, and _certify_split checks
-the parts themselves for a run's split-spectra check.  The parts and the
-union are made once per group, in one-entry caches, and the census and
-the diff read rows with bulk map/operator passes, not per-row Python.
+(_model_parts): build_model_graph is their union, and _certify_split
+checks the parts themselves for a run's split-spectra check.
+verify_decomposition checks each graph row for row against the graph the
+divisor lattice of the rotation order predicts (_lattice), written from
+the labels' exponents and gcd alone, so it shares no code with either
+builder.  The parts and the prediction are made once per group, in
+one-entry caches, and the identity and the diff read rows with bulk
+map/operator passes, not per-row Python.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from itertools import chain, count
 from typing import Sequence
 
@@ -50,7 +52,6 @@ from .group_core import (
 
 __all__ = [
     "Graph",
-    "DecompositionReport",
     "canonical_order",
     "quartic_flip_pairs",
     "build_power_graph",
@@ -211,7 +212,7 @@ def canonical_order(spec: GroupSpec) -> tuple[GroupElement, ...]:
     the identity and the central rotation, then the other rotations
     ascending, then the order-4 flips laid out pair by pair, then the
     order-2 flips ascending.  The specs are frozen, so a run's graphs and
-    censuses share one cached tuple per group.  The labels are made by
+    lattice checks share one cached tuple per group.  The labels are made by
     group_core._elements from ranges of exponents, with no Python-level
     step per vertex; the flip pairs interleave as quartic_flip_pairs
     lists them.
@@ -279,9 +280,9 @@ def _model_parts(spec: SemidihedralType) -> tuple[tuple[int, ...], ...]:
     disjoint: the clique on the rotations, the star from the identity to
     every flip, and the rest, which joins the central rotation to each
     order-4 flip and each order-4 flip to its pair partner.  A run's model
-    build, censuses and split check all read them, so they are made once
-    per group and kept for the last group only: tuples, which no reader
-    can change for the next.
+    build and split check both read them, so they are made once per group
+    and kept for the last group only: tuples, which no reader can change
+    for the next.
     """
     q = spec.rotation_order
     half = q // 2
@@ -294,26 +295,21 @@ def _model_parts(spec: SemidihedralType) -> tuple[tuple[int, ...], ...]:
     return tuple(clique), tuple(star), tuple(rest)
 
 
-@functools.lru_cache(maxsize=1)
-def _model_rows(spec: SemidihedralType) -> tuple[int, ...]:
-    """The model graph's rows, the union of the three _model_parts, made
-    once per group like the parts and kept for the last group only.  A
-    row that only the clique has bits in is the clique's own int, not a
-    copy, so the rotations' rows are held once."""
-    clique, star, rest = _model_parts(spec)
-    return tuple([c | s | r if s | r else c for c, s, r in zip(clique, star, rest)])
-
-
 def build_model_graph(k: int, p: int) -> Graph:
     """The block-model graph behind the closed-form polynomials.
 
     Rotations form a clique; each order-4 flip pair attaches to the
     identity and the central rotation and closes internally (a 4-clique
-    with the core); each order-2 flip hangs off the identity alone.
+    with the core); each order-2 flip hangs off the identity alone.  The
+    rows are the union of the three _model_parts, built as a list; a row
+    that only the clique has bits in is the clique's own int, not a copy,
+    so the rotations' rows are held once.
     """
     spec = SemidihedralType(k, p)
     _check_graph_order(spec.order)
-    return Graph(canonical_order(spec), _model_rows(spec))
+    clique, star, rest = _model_parts(spec)
+    rows = [c | s | r if s | r else c for c, s, r in zip(clique, star, rest)]
+    return Graph(canonical_order(spec), rows)
 
 
 def _certify_split(clique, star, rest, model: Graph) -> tuple[list[str], dict[str, list]]:
@@ -357,79 +353,69 @@ def edge_count(g: Graph) -> int:
     return sum(g.degrees) // 2
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Census of the pendant / 4-clique / rotation-part edge decomposition."""
+def verify_decomposition(g: Graph, k: int, p: int) -> dict[str, list[int]]:
+    """The XOR of g's rows with the rows of each graph that the divisor
+    lattice of q = 2^k p predicts (_lattice), keyed "model" and "true".
 
-    pendant_edges: tuple[tuple[GroupElement, GroupElement], ...]
-    quad_blocks: tuple[tuple[GroupElement, ...], ...]
-    incomplete_quads: tuple[tuple[GroupElement, ...], ...]
-    rotation_part_edges: int
-    uncovered_edges: tuple[tuple[GroupElement, GroupElement], ...]
-
-    @property
-    def pendant_count(self) -> int:
-        return len(self.pendant_edges)
-
-    @property
-    def quad_count(self) -> int:
-        return len(self.quad_blocks)
-
-    @property
-    def covered(self) -> bool:
-        return not self.uncovered_edges
-
-
-def verify_decomposition(g: Graph, k: int, p: int) -> DecompositionReport:
-    """Classify every edge of g into the rotation subgraph, a pendant edge
-    at the identity, or one of the 4-cliques on a flip pair plus the core.
-
-    The core edge {identity, central rotation} counts toward the rotation
-    part, so each complete 4-clique contributes exactly five edges here.
-    The three buckets together are the edges of the model graph, so an
-    edge is covered exactly when the model graph has it; whole rows of g
-    are tested against the model rows, and every edge outside them lands
-    in uncovered_edges.  A graph of another order is refused before the
+    g equals the model or the true graph of (k, p) exactly when every XOR
+    row under that key is 0; the set bits are the edges one of the two has
+    and the other lacks.  A graph of another order is refused before the
     canonical order of (k, p) is built.
     """
     spec = SemidihedralType(k, p)
     if g.n != spec.order or g.labels != canonical_order(spec):
         raise ValueError("graph does not carry the canonical vertex order for (k, p)")
-    labels, rows = g.labels, g._rows
-    clique, star, rest = _model_parts(spec)
-    outside = list(map(operator.and_, rows, map(operator.invert, _model_rows(spec))))
+    true, to_model = _lattice(spec)
+    diff = {"true": list(map(operator.xor, g._rows, true))}
+    diff["model"] = list(map(operator.xor, diff["true"], to_model))
+    return diff
 
-    # identity at 0 and central rotation at 1, as in every canonical order
-    e, row_e, row_u = labels[0], rows[0], rows[1]
-    # the order-2 flips: the star's leaves that the central rotation misses
-    pendant = [(e, labels[f]) for f in _bits(row_e & star[0] & ~rest[1])]
-    complete, incomplete = [], []
-    # the central rotation's rest row lists the order-4 flips; the rest row
-    # of such a flip a is the central rotation plus a's pair partner b
-    for a in _bits(rest[1]):
-        b = (rest[a] ^ 0b10).bit_length() - 1
-        if b < a:
-            continue
-        present = (
-            ((row_e >> a) & 1)
-            + ((row_e >> b) & 1)
-            + ((row_u >> a) & 1)
-            + ((row_u >> b) & 1)
-            + ((rows[a] >> b) & 1)
-        )
-        block = (e, labels[1], labels[a], labels[b])
-        if present == 5:
-            complete.append(block)
-        elif present:
-            incomplete.append(block)
 
-    return DecompositionReport(
-        pendant_edges=tuple(sorted(pendant)),
-        quad_blocks=tuple(complete),
-        incomplete_quads=tuple(incomplete),
-        rotation_part_edges=sum(map(int.bit_count, map(operator.and_, rows, clique))) // 2,
-        uncovered_edges=tuple(sorted(_label_pairs(labels, outside))),
-    )
+@functools.lru_cache(maxsize=1)
+def _lattice(spec: SemidihedralType) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(true, to_model): the power graph's rows as the divisor lattice of
+    q predicts them, in canonical order, and per row what the model adds.
+
+    Only the labels' exponents (a, b) and gcd are read: nothing here calls
+    the group law (_powers, _product) or reads the model's parts
+    (_model_parts), so the prediction checks both builders independently.
+    The rotation r^b has order d = q / gcd(b, q), and the flip s r^b has
+    order 4 when b is odd, 2 when it is even.  In the power graph two
+    rotations are joined exactly when one order divides the other; e is
+    joined to every flip, u (the rotation of order 2) to every order-4
+    flip, each order-4 flip to its pair partner s r^(b + q/2), its
+    inverse, and each order-2 flip to e only.  So row i is one table
+    entry, that of its key (a rotation's order; -1 for an order-4 flip, 0
+    for an order-2 flip), with one bit flipped: a rotation's own bit,
+    which its entry holds; an order-4 flip's partner; or e for an
+    order-2 flip, whose entry is empty.  The model joins every two
+    rotations, so its row i is true[i] ^ to_model[i].  A run's two graphs
+    share the prediction, kept for the last group only, as tuples that no
+    reader can change.
+    """
+    n, q = spec.order, spec.rotation_order
+    a, b = np.fromiter(chain.from_iterable(canonical_order(spec)), np.int64, 2 * n).reshape(n, 2).T
+    odd = b & 1
+    key = np.where(a, -odd, q // np.gcd(b, q))
+    # position[a q + b] is the vertex s^a r^b; the flipped bit is read at
+    # the vertex itself, at the partner s r^(b + q/2), or at e
+    position = np.empty(2 * q, np.int64)
+    position[a * q + b] = np.arange(n)
+    bit = position[np.where(a, odd * (q + (b + q // 2) % q), b)].tolist()
+    # the vertex mask of each key, ascending: -1, 0, then the rotation orders
+    key_of = key.tolist()
+    keys = sorted(set(key_of))
+    packed = np.packbits(key == np.array(keys)[:, None], axis=1, bitorder="little")
+    of_key = {c: int.from_bytes(row.tobytes(), "little") for c, row in zip(keys, packed)}
+    orders = keys[2:]
+    table = {d: sum(of_key[c] for c in orders if d % c == 0 or c % d == 0) for d in orders}
+    table[1] |= of_key[-1] | of_key[0]  # e sees every flip
+    table[2] |= of_key[-1]  # u sees every order-4 flip
+    table[-1], table[0] = of_key[1] | of_key[2], 0
+    rotations = sum(map(of_key.__getitem__, orders))
+    to_model = {d: rotations & ~table[d] for d in orders} | {-1: 0, 0: 0}
+    true = tuple([table[c] ^ (1 << i) for c, i in zip(key_of, bit)])
+    return true, tuple(map(to_model.__getitem__, key_of))
 
 
 def _label_pairs(labels, rows):

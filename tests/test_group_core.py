@@ -7,11 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from powspec import group_core
 from powspec.group_core import (
-    ClassPartition,
     Cyclic,
     GroupElement,
     SemidihedralType,
-    class_partition,
     cyclic_subgroup,
     element_order,
     elements,
@@ -411,38 +409,6 @@ class TestGroupAxioms:
                     assert multiply(spec, xy, z) == multiply(spec, x, multiply(spec, y, z))
 
 
-class TestClassPartition:
-    @pytest.mark.parametrize(
-        "k,p,sizes",
-        [(2, 3, (2, 10, 6, 6)), (2, 5, (2, 18, 10, 10)), (3, 3, (2, 22, 12, 12))],
-    )
-    def test_sizes(self, k, p, sizes):
-        part = class_partition(SemidihedralType(k, p))
-        assert (
-            len(part.core),
-            len(part.rotations),
-            len(part.order2_flips),
-            len(part.order4_flips),
-        ) == sizes
-
-    def test_is_partition(self):
-        spec = SemidihedralType(2, 5)
-        part = class_partition(spec)
-        blocks = [part.core, part.rotations, part.order2_flips, part.order4_flips]
-        union = set().union(*blocks)
-        assert len(union) == sum(len(b) for b in blocks) == spec.order
-        assert union == set(elements(spec))
-
-    def test_core_contents(self):
-        spec = SemidihedralType(2, 3)
-        part = class_partition(spec)
-        assert part.core == {GroupElement(0, 0), GroupElement(0, 6)}
-
-    def test_rejects_cyclic(self):
-        with pytest.raises(ValueError):
-            class_partition(Cyclic(12))
-
-
 class TestPresentation:
     @pytest.mark.parametrize("k,p", [(2, 3), (2, 5), (3, 3), (4, 7)])
     def test_relations_hold(self, k, p):
@@ -458,14 +424,6 @@ def test_twist_is_involutive_mod_rotation_order(k, p):
     q = 2**k * p
     theta = 2 ** (k - 1) * p - 1
     assert theta * theta % q == 1
-
-
-@given(k=st.integers(2, 4), p=st.sampled_from([3, 5, 7, 11, 13]))
-@settings(deadline=None, max_examples=25)
-def test_partition_size_formulas(k, p):
-    part = class_partition(SemidihedralType(k, p))
-    assert len(part.rotations) == 2**k * p - 2
-    assert len(part.order2_flips) == len(part.order4_flips) == 2 ** (k - 1) * p
 
 
 @given(

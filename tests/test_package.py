@@ -1,5 +1,5 @@
-"""The package's own surface: every export resolves, and no module imports
-a name it never uses."""
+"""The package's own surface: every export resolves, and no module, nor
+any test module, imports a name it never uses."""
 
 import ast
 import importlib
@@ -15,12 +15,13 @@ import powspec
 SRC = Path(powspec.__file__).resolve().parent
 # every module but the package itself, whose imports are its exports
 MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
+TESTS = sorted(path.name for path in Path(__file__).resolve().parent.glob("*.py"))
 
 
-def unused_imports(name):
-    """(line, name) of each name the module binds by import and never
-    reads.  A name in its __all__ counts as read: the module exports it."""
-    tree = ast.parse((SRC / f"{name}.py").read_text(), filename=f"{name}.py")
+def unused_imports(path, exported=()):
+    """(line, name) of each name the file binds by import and never reads.
+    A name in exported, a module's __all__, counts as read."""
+    tree = ast.parse(path.read_text(), filename=path.name)
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -30,7 +31,7 @@ def unused_imports(name):
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    read.update(getattr(importlib.import_module(f"powspec.{name}"), "__all__", ()))
+    read.update(exported)
     return sorted((line, bound) for bound, line in imported.items() if bound not in read)
 
 
@@ -64,4 +65,10 @@ def test_star_imports_run_with_warnings_as_errors():
 
 @pytest.mark.parametrize("name", MODULES)
 def test_no_unused_import(name):
-    assert unused_imports(name) == []
+    exported = getattr(importlib.import_module(f"powspec.{name}"), "__all__", ())
+    assert unused_imports(SRC / f"{name}.py", exported) == []
+
+
+@pytest.mark.parametrize("name", TESTS)
+def test_no_unused_import_in_tests(name):
+    assert unused_imports(Path(__file__).resolve().parent / name) == []

@@ -1,22 +1,22 @@
 import math
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from powspec import powergraph
+from powspec import group_core, powergraph
 from powspec.exact_linalg import matrix_of
+from powspec.formulas import ModelParameters
 from powspec.group_core import (
     Cyclic,
     GroupElement,
     SemidihedralType,
-    class_partition,
     cyclic_subgroup,
     elements,
     identity,
 )
 from powspec.powergraph import (
-    DecompositionReport,
     Graph,
     _bits,
     _model_parts,
@@ -97,71 +97,25 @@ def random_simple_rows(n, seed):
     return [a | b for a, b in zip(upper, bit_walk_transpose(upper))]
 
 
-def edge_walk_decomposition(g, k, p):
-    """Reference census: every edge of g.edges() classified on its own."""
-    spec = SemidihedralType(k, p)
-    part = class_partition(spec)
-    e = identity(spec)
-    u = spec.central_rotation
-    pairs = quartic_flip_pairs(spec)
-    partner = {}
-    block_of = {}
-    for idx, (x, y) in enumerate(pairs):
-        partner[x], partner[y] = y, x
-        block_of[x] = block_of[y] = idx
+def model_pair_list(spec):
+    """Reference model edges as index pairs in canonical order: the
+    rotation clique, the 4-clique of each flip pair with e (0) and u (1),
+    and a pendant from e to each order-2 flip."""
+    q = spec.rotation_order
+    pairs = [(i, j) for i in range(q) for j in range(i + 1, q)]
+    for t in range(q // 4):
+        a, b = q + 2 * t, q + 2 * t + 1
+        pairs += [(0, a), (0, b), (1, a), (1, b), (a, b)]
+    pairs += [(0, q + q // 2 + j) for j in range(q // 2)]
+    return pairs
 
-    pendant = []
-    rotation_edges = 0
-    uncovered = []
-    quad_edges = {i: set() for i in range(len(pairs))}
 
-    for i, j in g.edges():
-        x, y = g.labels[i], g.labels[j]
-        if x.a == 0 and y.a == 0:
-            rotation_edges += 1
-            continue
-        flat = {v for v in (x, y) if v in part.order2_flips}
-        if flat:
-            other = y if x in flat else x
-            if len(flat) == 1 and other == e:
-                pendant.append((x, y) if x == e else (y, x))
-            else:
-                uncovered.append((x, y))
-            continue
-        if x in part.order4_flips and y in part.order4_flips:
-            if partner[x] == y:
-                quad_edges[block_of[x]].add(frozenset((x, y)))
-            else:
-                uncovered.append((x, y))
-            continue
-        flip, other = (x, y) if x in part.order4_flips else (y, x)
-        if other in (e, u):
-            quad_edges[block_of[flip]].add(frozenset((flip, other)))
-        else:
-            uncovered.append((x, y))
-
-    complete, incomplete = [], []
-    for idx, (x, y) in enumerate(pairs):
-        expected = {
-            frozenset((e, x)),
-            frozenset((e, y)),
-            frozenset((u, x)),
-            frozenset((u, y)),
-            frozenset((x, y)),
-        }
-        block = (e, u, x, y)
-        if quad_edges[idx] == expected:
-            complete.append(block)
-        elif quad_edges[idx]:
-            incomplete.append(block)
-
-    return DecompositionReport(
-        pendant_edges=tuple(sorted(pendant)),
-        quad_blocks=tuple(complete),
-        incomplete_quads=tuple(incomplete),
-        rotation_part_edges=rotation_edges,
-        uncovered_edges=tuple(sorted(uncovered)),
-    )
+def lattice_graph(k, p, construction):
+    """The graph verify_decomposition predicts: the XOR rows of the graph
+    with no edges are the predicted rows themselves."""
+    labels = canonical_order(SemidihedralType(k, p))
+    empty = Graph(labels, [0] * len(labels))
+    return Graph(labels, verify_decomposition(empty, k, p)[construction])
 
 
 # every (k, p) of the twisted family with n = 2^(k+1) p <= 256
@@ -505,13 +459,7 @@ class TestModelGraph:
     @pytest.mark.parametrize("k,p", [(2, 3), (2, 5), (3, 3), (2, 7), (4, 3), (5, 3)])
     def test_matches_pair_list_reference(self, k, p):
         spec = SemidihedralType(k, p)
-        q = spec.rotation_order
-        pairs = [(i, j) for i in range(q) for j in range(i + 1, q)]
-        for t in range(q // 4):
-            a, b = q + 2 * t, q + 2 * t + 1
-            pairs += [(0, a), (0, b), (1, a), (1, b), (a, b)]
-        pairs += [(0, q + q // 2 + j) for j in range(q // 2)]
-        assert build_model_graph(k, p) == graph_with_edges(canonical_order(spec), pairs)
+        assert build_model_graph(k, p) == graph_with_edges(canonical_order(spec), model_pair_list(spec))
 
     def test_rotations_form_clique(self, model_graphs):
         for (k, p), g in model_graphs.items():
@@ -548,70 +496,6 @@ class TestModelParts:
         g = build_model_graph(k, p)
         union = [a | b | c for a, b, c in zip(*_model_parts(SemidihedralType(k, p)))]
         assert union == [g.row_mask(i) for i in range(g.n)]
-
-    @pytest.mark.parametrize("k,p", PAIRS_UNDER_CAP)
-    def test_model_graph_passes_its_own_census(self, k, p):
-        q = 2**k * p
-        rep = verify_decomposition(build_model_graph(k, p), k, p)
-        assert rep.covered and not rep.incomplete_quads
-        assert rep.pendant_count == q // 2
-        assert rep.quad_count == q // 4
-        assert rep.rotation_part_edges == math.comb(q, 2)
-
-
-class TestDecomposition:
-    @pytest.mark.parametrize("construction", ["model", "true"])
-    def test_census_at_2_3(self, construction, model_graphs, true_graphs):
-        g = (model_graphs if construction == "model" else true_graphs)[(2, 3)]
-        rep = verify_decomposition(g, 2, 3)
-        assert rep.pendant_count == 6
-        assert rep.quad_count == 3
-        assert not rep.incomplete_quads
-        assert rep.covered
-        assert rep.rotation_part_edges == (66 if construction == "model" else 56)
-        blocks = {frozenset(b) for b in rep.quad_blocks}
-        assert blocks == {
-            frozenset({E(0, 0), E(0, 6), E(1, m), E(1, m + 6)}) for m in (1, 3, 5)
-        }
-
-    def test_census_at_2_5(self, model_graphs):
-        rep = verify_decomposition(model_graphs[(2, 5)], 2, 5)
-        assert rep.pendant_count == 10
-        assert rep.quad_count == 5
-        assert rep.covered
-
-    def test_pendants_hang_off_identity(self, true_graphs):
-        rep = verify_decomposition(true_graphs[(2, 3)], 2, 3)
-        assert all(x == E(0, 0) and y.a == 1 and y.b % 2 == 0 for x, y in rep.pendant_edges)
-
-    def test_missing_quad_edge_reported(self, model_graphs):
-        g = model_graphs[(2, 3)]
-        pair_edge = (g.index_of(E(1, 1)), g.index_of(E(1, 7)))
-        pairs = [e for e in g.edges() if e != pair_edge]
-        rep = verify_decomposition(graph_with_edges(g.labels, pairs), 2, 3)
-        assert rep.quad_count == 2
-        assert len(rep.incomplete_quads) == 1
-        assert rep.covered
-
-    @pytest.mark.parametrize("construction", ["model", "true"])
-    def test_foreign_edge_uncovered(self, construction, model_graphs, true_graphs):
-        # one flip-flip edge added: the one row bit outside the model is listed
-        g = (model_graphs if construction == "model" else true_graphs)[(2, 3)]
-        extra = (g.index_of(E(1, 0)), g.index_of(E(1, 2)))
-        assert extra not in g.edges()
-        rep = verify_decomposition(graph_with_edges(g.labels, g.edges() + [extra]), 2, 3)
-        assert not rep.covered
-        assert rep.uncovered_edges == ((E(1, 0), E(1, 2)),)
-
-    def test_rejects_wrong_labels(self, model_graphs):
-        with pytest.raises(ValueError):
-            verify_decomposition(model_graphs[(2, 5)], 2, 3)
-
-    def test_rejects_another_order_before_building_its_labels(self, model_graphs):
-        canonical_order.cache_clear()
-        with pytest.raises(ValueError, match="canonical vertex order"):
-            verify_decomposition(model_graphs[(2, 3)], 5, 3)
-        assert canonical_order.cache_info().misses == 0
 
 
 def mutated(g, k, p, mutation):
@@ -664,27 +548,103 @@ MUTATIONS = [
 ]
 
 
-class TestDecompositionMatchesEdgeWalk:
+class TestDecomposition:
+    """verify_decomposition: each graph must equal the graph its divisor
+    lattice predicts, row for row."""
+
     @pytest.mark.parametrize("k,p", PAIRS_UNDER_CAP)
-    def test_every_pair_under_cap(self, k, p):
-        for g in (build_model_graph(k, p), build_power_graph(SemidihedralType(k, p))):
-            rep = verify_decomposition(g, k, p)
-            assert rep == edge_walk_decomposition(g, k, p)
-            assert rep.covered and not rep.incomplete_quads
-            assert rep.quad_count == 2 ** (k - 2) * p
+    def test_both_graphs_equal_their_lattice_graphs(self, k, p):
+        builds = {"model": build_model_graph(k, p), "true": build_power_graph(SemidihedralType(k, p))}
+        for construction, g in builds.items():
+            diff = verify_decomposition(g, k, p)
+            assert not any(diff[construction])
+            # the other lattice graph differs, inside the rotations only
+            other = Graph(g.labels, diff["true" if construction == "model" else "model"])
+            assert other.edges() and all(g.labels[i].a == g.labels[j].a == 0 for i, j in other.edges())
+            assert lattice_graph(k, p, construction) == g
+
+    @pytest.mark.parametrize("k,p", [(2, 3), (2, 5), (3, 3), (2, 7), (4, 3), (3, 5)])
+    def test_lattice_graphs_match_the_reference_builders(self, k, p):
+        spec = SemidihedralType(k, p)
+        assert lattice_graph(k, p, "true") == pair_scan_graph(spec)[0]
+        assert lattice_graph(k, p, "model") == graph_with_edges(canonical_order(spec), model_pair_list(spec))
+
+    @pytest.mark.parametrize("construction", ["model", "true"])
+    @pytest.mark.parametrize("k,p", PAIRS_UNDER_CAP)
+    def test_lattice_graph_has_the_claimed_census(self, k, p, construction):
+        # the counts a passing decomposition check prints as computed
+        spec, mp = SemidihedralType(k, p), ModelParameters(k, p)
+        q = spec.rotation_order
+        g = lattice_graph(k, p, construction)
+        pendants = [g.labels[j] for j in range(g.n) if g.neighbors(j) == (0,)]
+        assert pendants == [E(1, b) for b in range(0, q, 2)]
+        assert len(pendants) == mp.half_rotation
+        pairs = quartic_flip_pairs(spec)
+        assert len(pairs) == mp.quarter_rotation
+        for x, y in pairs:
+            i, j = g.index_of(x), g.index_of(y)
+            assert g.neighbors(i) == (0, 1, j) and g.neighbors(j) == (0, 1, i)
+        rotation_edges = sum(g.labels[i].a == g.labels[j].a == 0 for i, j in g.edges())
+        if construction == "model":
+            assert rotation_edges == math.comb(q, 2)
+        else:
+            assert rotation_edges == mp.rotation_edge_count == len(cyclic_power_edges(q))
+        # every edge is a rotation edge, a pendant, or one of the quads' five
+        assert edge_count(g) == rotation_edges + len(pendants) + 5 * len(pairs)
+
+    @pytest.mark.parametrize("construction", ["model", "true"])
+    def test_census_at_2_3(self, construction, model_graphs, true_graphs):
+        g = (model_graphs if construction == "model" else true_graphs)[(2, 3)]
+        assert g == lattice_graph(2, 3, construction)
+        pendants = {g.labels[j] for j in range(g.n) if g.neighbors(j) == (0,)}
+        assert pendants == {E(1, b) for b in (0, 2, 4, 6, 8, 10)}
+        quads = {
+            frozenset(labels)
+            for labels in combinations(g.labels, 4)
+            if all(g.has_edge(g.index_of(x), g.index_of(y)) for x, y in combinations(labels, 2))
+            and any(x.a == 1 for x in labels)
+        }
+        assert quads == {frozenset({E(0, 0), E(0, 6), E(1, m), E(1, m + 6)}) for m in (1, 3, 5)}
+        rotation_edges = sum(g.labels[i].a == g.labels[j].a == 0 for i, j in g.edges())
+        assert rotation_edges == (66 if construction == "model" else 56)
+
+    def test_prediction_reads_no_group_law_and_no_model_parts(self, monkeypatch, model_graphs, true_graphs):
+        def forbidden(*args):
+            raise AssertionError("the prediction called a builder's code")
+
+        monkeypatch.setattr(group_core, "_powers", forbidden)
+        monkeypatch.setattr(group_core, "_product", forbidden)
+        monkeypatch.setattr(powergraph, "_powers", forbidden)
+        monkeypatch.setattr(powergraph, "_model_parts", forbidden)
+        powergraph._lattice.cache_clear()
+        for k, p in [(2, 3), (3, 3)]:
+            assert not any(verify_decomposition(model_graphs[(k, p)], k, p)["model"])
+            assert not any(verify_decomposition(true_graphs[(k, p)], k, p)["true"])
+        assert powergraph._lattice.cache_info().misses == 2
+
+    def test_rejects_wrong_labels(self, model_graphs):
+        with pytest.raises(ValueError):
+            verify_decomposition(model_graphs[(2, 5)], 2, 3)
+
+    def test_rejects_another_order_before_building_its_labels(self, model_graphs):
+        canonical_order.cache_clear()
+        with pytest.raises(ValueError, match="canonical vertex order"):
+            verify_decomposition(model_graphs[(2, 3)], 5, 3)
+        assert canonical_order.cache_info().misses == 0
 
     @pytest.mark.parametrize("mutation", MUTATIONS)
     @pytest.mark.parametrize("construction", ["model", "true"])
     @pytest.mark.parametrize("k,p", [(2, 3), (3, 3)])
     def test_mutated(self, k, p, construction, mutation):
+        # refused, and the XOR rows name exactly the edge that moved
         if construction == "model":
             g = build_model_graph(k, p)
         else:
             g = build_power_graph(SemidihedralType(k, p))
         bad = mutated(g, k, p, mutation)
-        rep = verify_decomposition(bad, k, p)
-        assert rep == edge_walk_decomposition(bad, k, p)
-        assert rep != verify_decomposition(g, k, p)
+        moved = Graph(bad.labels, verify_decomposition(bad, k, p)[construction])
+        assert [(bad.labels[i], bad.labels[j]) for i, j in moved.edges()] == list(graph_diff(g, bad))
+        assert moved.edges()
 
 
 class TestGraphDiff:

@@ -344,32 +344,55 @@ class TestRunVerification:
             "ModelParameters": 1,
         }
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason=(
-            "ROADMAP item 4: nothing predicts the true graph's edges inside <r>, "
-            "so a swap that keeps every count hides behind the true charpoly's "
-            "mismatch-reported"
-        ),
+    @pytest.mark.parametrize(
+        "swaps,rows,diff_fails",
+        [
+            # drop r ~ r^2, add r^2 ~ r^3: every count inside <r> is kept
+            pytest.param([((0, 1), (0, 2)), ((0, 2), (0, 3))], 3, False, id="inside-rotations"),
+            # drop s r ~ s r^7, its pair partner; add s r ~ s r^3, a non-partner
+            pytest.param([((1, 1), (1, 7)), ((1, 1), (1, 3))], 3, True, id="flip-to-non-partner"),
+            # re-pair two flip pairs crosswise: s r ~ s r^9 and s r^3 ~ s r^7
+            pytest.param(
+                [((1, 1), (1, 7)), ((1, 3), (1, 9)), ((1, 1), (1, 9)), ((1, 3), (1, 7))],
+                4,
+                True,
+                id="flip-pairs-crosswise",
+            ),
+        ],
     )
-    def test_count_preserving_swap_inside_rotations_fails(self, monkeypatch):
+    def test_count_preserving_swap_fails(self, swaps, rows, diff_fails, monkeypatch, full_reports):
+        # each swap keeps the edge count; only the lattice identity sees one
+        # inside <r>, where the true charpolys are mismatch-reported by
+        # design and the diff keeps its size.  A swap between flips also
+        # moves the diff outside <r>, which fails it too.
         real = verify_cli.build_power_graph
-        r, r2, r3 = (GroupElement(0, b) for b in (1, 2, 3))
+        toggles = [(GroupElement(*x), GroupElement(*y)) for x, y in swaps]
 
         def swapped(spec):
             g = real(spec)
-            if not isinstance(spec, SemidihedralType):
-                return g
-            # drop r ~ r^2 and add r^2 ~ r^3
-            return toggled(toggled(g, r, r2), r2, r3)
+            for x, y in toggles:
+                g = toggled(g, x, y)
+            return g
 
         honest = real(SemidihedralType(2, 3))
-        if edge_count(swapped(SemidihedralType(2, 3))) != edge_count(honest):
-            pytest.fail("the swap must keep the edge count")
+        assert edge_count(swapped(SemidihedralType(2, 3))) == edge_count(honest)
         monkeypatch.setattr(verify_cli, "build_power_graph", swapped)
         report = run_verification(2, 3)
-        assert "fail" in {c.status for c in report.checks}
+
+        def statuses(r):
+            return {(c.name, c.construction, c.matrix): c.status for c in r.checks}
+
+        before, after = statuses(full_reports[(2, 3)]), statuses(report)
+        assert len(after) == len(report.checks) and after.keys() == before.keys()
+        changed = {key for key in after if after[key] != before[key]}
+        want = {("decomposition", "true", None)}
+        if diff_fails:
+            want.add(("model-vs-true-diff", None, None))
+        assert changed == want and {after[key] for key in changed} == {"fail"}
+        (check,) = [c for c in report.checks if c.name == "decomposition" and c.construction == "true"]
+        assert check.computed == f"{rows} rows differ from the lattice graph"
+        pairs = {frozenset(pair.split(" ~ ")) for pair in check.detail["missing"] + check.detail["extra"]}
+        assert pairs == {frozenset(map(str, toggle)) for toggle in toggles}
 
     def test_int_matrices_are_built_only_for_the_exact_route(self, monkeypatch):
         built = []
@@ -411,21 +434,27 @@ class TestRunVerification:
 
     @pytest.mark.parametrize("kinds", [(), verify_cli.MATRIX_KINDS], ids=["structure", "full"])
     def test_model_parts_are_made_once_per_run(self, kinds):
-        # the model build and both censuses read the parts, and a full
-        # run's split check too; the run computes them once
-        for cache in (powergraph._model_parts, powergraph._model_rows):
+        # the model build reads the parts, and a full run's split check
+        # too; both graphs' decomposition checks read the lattice
+        # prediction.  The run computes each once
+        caches = (powergraph._model_parts, powergraph._lattice)
+        for cache in caches:
             cache.cache_clear()
         run_verification(2, 3, kinds=kinds)
         spec = SemidihedralType(2, 3)
-        for cache in (powergraph._model_parts, powergraph._model_rows):
+        for cache in caches:
             info = cache.cache_info()
             assert (info.misses, info.currsize, info.maxsize) == (1, 1, 1)
         parts = powergraph._model_parts(spec)
         assert type(parts) is tuple and all(type(part) is tuple for part in parts)
-        assert type(powergraph._model_rows(spec)) is tuple
+        # the model rows are the parts' union, a row the clique alone fills
+        # being the clique's own int
+        model = build_model_graph(2, 3)
+        assert all(model.row_mask(i) is parts[0][i] for i in range(2, 12))
         # the next group's parts replace them, so one group's are kept at most
         run_verification(2, 5, kinds=kinds)
-        assert powergraph._model_parts.cache_info().currsize == 1
+        for cache in caches:
+            assert cache.cache_info().currsize == 1
         assert powergraph._model_parts(spec) is not parts
 
 
