@@ -16,6 +16,11 @@ pair once, so each step of _product unpacks an exact tuple.  Lists of
 elements are built by _elements, one C-level map of tuple.__new__ over
 the pairs, which makes the same GroupElement instances as the class call
 without running its Python-level __new__ once per element.
+
+validate_presentation decides the order of r in O(log q) products by the
+prime-divisor test (r^q = e, and r^(q/l) != e for the primes l = 2, p
+of q), and draws the associativity sample's 600 seeded indices from one
+getrandbits call (_seeded_indices), the same indices that choices draws.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from typing import NamedTuple, Union
+
+import numpy as np
 
 __all__ = [
     "Cyclic",
@@ -268,6 +275,24 @@ class PresentationReport:
         return all(item.ok for item in self.items)
 
 
+def _seeded_indices(seed: int, n: int, count: int):
+    """random.Random(seed).choices(range(n), k=count) as an int64 array,
+    from one getrandbits call in place of count Python-level random() calls.
+
+    choices draws index floor(random() * n), and random() reads two 32-bit
+    outputs a, b of the generator as ((a >> 5) 2^26 + (b >> 6)) 2^-53.
+    getrandbits(64 count) returns the same 2 count outputs, the first one
+    least significant, so its words read in pairs give the same floats:
+    the numerator is below 2^53, exact in float64, and the two products
+    round as random() and choices round them.
+    """
+    bits = random.Random(seed).getrandbits(64 * count)
+    words = np.frombuffer(bits.to_bytes(8 * count, "little"), "<u4")
+    a, b = words[0::2] >> 5, words[1::2] >> 6
+    # the products are non-negative, so truncating to int is the floor
+    return ((a * 2.0**26 + b) * 2.0**-53 * n).astype(np.int64)
+
+
 def validate_presentation(spec: SemidihedralType) -> PresentationReport:
     """Check the defining relations and a sampled slice of associativity."""
     if not isinstance(spec, SemidihedralType):
@@ -279,9 +304,11 @@ def validate_presentation(spec: SemidihedralType) -> PresentationReport:
     r = GroupElement(0, 1)
 
     items = []
-    items.append(
-        PresentationCheck("rotation_order", power(spec, r, q) == e and element_order(spec, r) == q)
+    # r has order q = 2^k p exactly when r^q = e and r^(q/l) != e for l = 2, p
+    rotation_order = power(spec, r, q) == e and all(
+        power(spec, r, q // ell) != e for ell in (2, spec.p)
     )
+    items.append(PresentationCheck("rotation_order", rotation_order))
     items.append(PresentationCheck("involution", multiply(spec, s, s) == e))
     conj = multiply(spec, multiply(spec, s, r), inverse(spec, s))
     items.append(
@@ -296,12 +323,10 @@ def validate_presentation(spec: SemidihedralType) -> PresentationReport:
         PresentationCheck("group_order", len(set(elems)) == spec.order, f"{len(elems)} elements")
     )
 
-    import numpy as np  # the one use in this module: the sample's array products
-
     # the seeded draws by index, the ones choices(elems) draws; elems lists
     # the rotations, then the flips, so index i is the pair divmod(i, q)
-    picks = random.Random(spec.order).choices(range(len(elems)), k=3 * _SAMPLE_TRIPLES)
-    a, b = np.divmod(np.array(picks, np.int64).reshape(-1, 3).T, q)
+    picks = _seeded_indices(spec.order, len(elems), 3 * _SAMPLE_TRIPLES)
+    a, b = np.divmod(picks.reshape(-1, 3).T, q)
     x, y, z = zip(a, b)  # the triples' (a, b) arrays, one pair of arrays per position
     lhs = _product(q, theta, _product(q, theta, x, y), z)
     rhs = _product(q, theta, x, _product(q, theta, y, z))

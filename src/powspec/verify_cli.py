@@ -653,15 +653,22 @@ def _parse_constructions(raw: str) -> tuple[str, ...]:
     return CONSTRUCTIONS if raw == "both" else (raw,)
 
 
+def _int_token(flag: str, token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{flag} {token!r} is not an integer") from None
+
+
 def _parse_k_range(raw: str) -> list[int]:
     if ".." in raw:
         lo, hi = raw.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in raw.split(",") if x]
+        return list(range(_int_token("--k", lo), _int_token("--k", hi) + 1))
+    return _parse_int_list(raw, "--k")
 
 
-def _parse_int_list(raw: str) -> list[int]:
-    return [int(x) for x in raw.split(",") if x]
+def _parse_int_list(raw: str, flag: str = "--p") -> list[int]:
+    return [_int_token(flag, x) for x in raw.split(",") if x]
 
 
 def _emit(payload: str, out: str | None) -> None:

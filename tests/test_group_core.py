@@ -418,6 +418,44 @@ class TestPresentation:
         names = {i.name for i in report.items}
         assert "conjugation_twist" in names and "twist_involutive" in names
 
+    @pytest.mark.parametrize("divisor", ["2", "p"])
+    def test_rotation_order_fails_on_a_proper_divisor(self, divisor, monkeypatch):
+        # a law that reduces exponents mod q/2 or mod q/p: r^q is still e,
+        # so only the prime-divisor half of the order test can catch it
+        spec = SemidihedralType(3, 5)
+        q = spec.rotation_order
+        small = q // (2 if divisor == "2" else spec.p)
+        real = group_core._product
+        monkeypatch.setattr(
+            group_core, "_product", lambda _q, theta, x, y: real(small, theta, x, y)
+        )
+        assert power(spec, GroupElement(0, 1), q) == identity(spec)
+        (item,) = [i for i in validate_presentation(spec).items if i.name == "rotation_order"]
+        assert not item.ok
+
+    def test_rotation_order_does_not_walk_the_powers(self, monkeypatch):
+        def forbidden(spec, x):
+            raise AssertionError("the order of r is decided by O(log q) powers, not a walk")
+
+        monkeypatch.setattr(group_core, "_powers", forbidden)
+        assert validate_presentation(SemidihedralType(4, 7)).ok
+
+
+def test_seeded_indices_are_the_choices_draws():
+    # every order up to 2999, and the family's orders 2^(k+1) p up to k = 11
+    orders = [*range(1, 3000)]
+    orders += [2 ** (k + 1) * p for k in range(2, 12) for p in (3, 5, 7, 2039)]
+    mismatched = [
+        n
+        for n in orders
+        if group_core._seeded_indices(n, n, 600).tolist()
+        != random.Random(n).choices(range(n), k=600)
+    ]
+    assert mismatched == []
+    drawn = group_core._seeded_indices(7, 24, 5)
+    assert drawn.dtype == np.int64
+    assert drawn.tolist() == random.Random(7).choices(range(24), k=5)
+
 
 @given(k=st.integers(2, 40), p=st.sampled_from(PRIMES))
 def test_twist_is_involutive_mod_rotation_order(k, p):

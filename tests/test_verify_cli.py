@@ -965,6 +965,16 @@ class TestCliExitCodes:
             assert captured.out == ""
             assert captured.err.startswith("powspec: error: empty (k, p) grid")
 
+    @pytest.mark.parametrize(
+        "k,p,flag,token",
+        [("a", "3", "--k", "a"), ("2..b", "3", "--k", "b"), ("2,3", "5,x", "--p", "x")],
+    )
+    def test_sweep_cli_names_a_non_integer_token(self, k, p, flag, token, capsys):
+        assert main(["sweep", "--k", k, "--p", p]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"powspec: error: {flag} {token!r} is not an integer\n"
+
     @pytest.mark.parametrize("command", ["verify", "sweep"])
     def test_malformed_cap_is_usage_error(self, command, monkeypatch, capsys):
         monkeypatch.setenv(CAP_ENV_VAR, "abc")
