@@ -9,9 +9,9 @@ and nowhere else.  The verifier keeps both and reports the gap rather
 than deciding which one is intended.
 
 A graph is stored as symmetric packed bit rows: row i is an int whose
-bit j is set when i ~ j.  build_power_graph computes one cyclic
-subgroup per generator class rather than one per vertex.  Every consumer
-(neighbors, edges, graph_diff, and a run's model-vs-true-diff check)
+bit j is set when i ~ j.  build_power_graph walks one rotation subgroup
+per generator class, and writes the flips of order 2 and 4 in bulk.  Every
+consumer (neighbors, edges, graph_diff, a run's model-vs-true-diff check)
 counts or walks the set bits of whole rows, so it costs O(n + edges)
 big-int steps, not n^2 index tests; the row popcounts, the degrees, are
 counted once per graph, and edge_count and the trace checks read them.
@@ -22,12 +22,12 @@ against the transpose of the same band of columns.
 The model graph's edges are written once, as three parts of row masks
 (_model_parts): build_model_graph is their union, and _certify_split
 checks the parts themselves for a run's split-spectra check.
-verify_decomposition checks each graph row for row against the graph the
-divisor lattice of the rotation order predicts (_lattice), written from
-the labels' exponents and gcd alone, so it shares no code with either
+A run checks each graph row for row against the graph the divisor
+lattice of the rotation order predicts (_lattice_of), written from the
+labels' exponents and gcd alone, so it shares no code with either
 builder.  The parts and the prediction are made once per group, in
-one-entry caches, and the identity and the diff read rows with bulk
-map/operator passes, not per-row Python.
+one-entry caches; the identity compares row tuples, and when both graphs
+pass, the diff is the prediction's to_model rows.
 """
 
 from __future__ import annotations
@@ -35,11 +35,12 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from itertools import chain, count
+from itertools import chain, compress, count, repeat
 from typing import Sequence
 
 import numpy as np
 
+from . import group_core
 from .exact_linalg import _packed, _quotient_counts
 from .group_core import (
     Cyclic,
@@ -230,30 +231,25 @@ def build_power_graph(spec: GroupSpec) -> Graph:
     """The true power graph: an edge wherever one vertex is a power of the
     other, i.e. lies in the other's cyclic subgroup.
 
-    The subgroups come from the group law alone: group_core._powers
-    multiplies by x with _product until it returns to the identity, with no
-    closed form for any element, so the graph stays an independent check on
-    the structure claimed for it.  An element is its (a, b) pair, so the
-    index of the labels also looks up the plain pairs the walk returns.
-    One subgroup is computed per generator class: if <x> = (x^0, ..., x^(m-1))
-    then x^t generates the same subgroup exactly when gcd(t, m) = 1.  The
-    rows of those generators gain the index mask S of <x>, and the rows in S
-    gain the generators' mask C; over all classes that is x ~ y iff y is in
-    <x> or x is in <y>, once the loops are cleared.  The walk's pairs are
-    looked up by one map over the index, and one pass over the powers
-    builds S, C and the generator list.
+    The subgroups come from the group law alone, group_core._product read
+    at call time, with no closed form for any element, so the graph stays an
+    independent check on the structure claimed for it; the label index also
+    looks up the plain (a, b) pairs the law returns.  A rotation's subgroup
+    is walked (_powers) once per generator class: if <x> = (x^0, ..., x^(m-1))
+    then x^t generates it exactly when gcd(t, m) = 1.  The generators' rows
+    gain the index mask S of <x>, and the rows in S the generators' mask C;
+    over all classes that is x ~ y iff y is in <x> or x is in <y>, once the
+    loops are cleared.  The flips of order 2 and 4 go in bulk (_to_walk),
+    and any other flip is walked like a rotation.
     """
     _check_graph_order(spec.order)
     labels = canonical_order(spec)
     position = dict(zip(labels, count())).__getitem__
     rows = [0] * len(labels)
-    for i, x in enumerate(labels):
+    for i, x in _to_walk(spec, labels, position, rows):
         if (rows[i] >> i) & 1:
             continue  # only a generator of a done class holds its own bit
-        try:
-            powers = list(map(position, _powers(spec, x)))
-        except KeyError as exc:
-            raise ArithmeticError(f"powers of {x} reach the non-canonical pair {exc}") from None
+        powers = _look_up(position, x, _powers(spec, x))
         m = len(powers)
         sub_mask = gen_mask = 0
         gens = []
@@ -270,6 +266,38 @@ def build_power_graph(spec: GroupSpec) -> Graph:
     # every vertex generates its own class, so its row holds its own bit,
     # and XOR with that bit clears the loop
     return Graph(labels, tuple(map(operator.xor, rows, map((1).__lshift__, count()))))
+
+
+def _look_up(position, x, pairs) -> list[int]:
+    """The vertices of pairs, powers of x; ArithmeticError names one off the labels."""
+    try:
+        return list(map(position, pairs))
+    except KeyError as exc:
+        raise ArithmeticError(f"powers of {x} reach the non-canonical pair {exc}") from None
+
+
+def _to_walk(spec: GroupSpec, labels, position, rows: list[int]):
+    """(index, label) of every rotation; then, with those walked, write the
+    rows of each flip of order 2 or 4 from x^2, x^3 and x^4, made for all
+    flips at once by maps of the law, and yield each other flip."""
+    q, e = spec.rotation_order, (0, 0)
+    yield from zip(range(q), labels)
+    law, args = group_core._product, (repeat(q), repeat(spec.twist))
+    flips = list(map(tuple, labels[q:]))  # plain pairs, which the law unpacks fastest
+    squares = list(map(law, *args, flips, flips))
+    wide = [y != e for y in squares]
+    rows[0] |= (1 << len(labels)) - (1 << q)  # e lies in every subgroup
+    for i in compress(count(q), map(operator.not_, wide)):
+        rows[i] |= 1 | 1 << i
+    xs, ys = list(compress(flips, wide)), list(compress(squares, wide))
+    cubes = list(map(law, *args, ys, xs))
+    for i, y2, y3, y4 in zip(compress(count(q), wide), ys, cubes, map(law, *args, cubes, xs)):
+        if y4 != e:
+            yield i, labels[i]
+            continue
+        j2, j3 = _look_up(position, labels[i], (y2, y3))
+        rows[i] |= 1 | 1 << i | 1 << j2 | 1 << j3
+        rows[j2] |= 1 << i
 
 
 @functools.lru_cache(maxsize=1)
@@ -362,13 +390,18 @@ def verify_decomposition(g: Graph, k: int, p: int) -> dict[str, list[int]]:
     and the other lacks.  A graph of another order is refused before the
     canonical order of (k, p) is built.
     """
-    spec = SemidihedralType(k, p)
-    if g.n != spec.order or g.labels != canonical_order(spec):
-        raise ValueError("graph does not carry the canonical vertex order for (k, p)")
-    true, to_model = _lattice(spec)
+    true, to_model = _lattice_of(g, k, p)
     diff = {"true": list(map(operator.xor, g._rows, true))}
     diff["model"] = list(map(operator.xor, diff["true"], to_model))
     return diff
+
+
+def _lattice_of(g: Graph, k: int, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """_lattice of (k, p), once g has its canonical order (checked by size first)."""
+    spec = SemidihedralType(k, p)
+    if g.n != spec.order or g.labels != canonical_order(spec):
+        raise ValueError("graph does not carry the canonical vertex order for (k, p)")
+    return _lattice(spec)
 
 
 @functools.lru_cache(maxsize=1)

@@ -50,12 +50,12 @@ from .powergraph import (
     _check_graph_order,
     _diff_rows,
     _label_pairs,
+    _lattice_of,
     _model_parts,
     build_model_graph,
     build_power_graph,
     edge_count,
     to_dot,
-    verify_decomposition,
 )
 from .spectra import (
     cluster_multiplicities,
@@ -398,16 +398,19 @@ def _laplacian(run: _Run):
 
 def _structure(run: _Run):
     """Each graph against the graph its divisor lattice predicts, then the
-    model-vs-true diff.
+    model-vs-true diff, which reads the lattice when both graphs equal it.
 
     A graph passes decomposition when its rows equal the predicted rows
-    (powergraph.verify_decomposition), and then it has the claimed census,
-    which is printed as computed; a graph that differs names how many rows
-    differ and lists up to 8 of its missing and of its extra edges."""
+    (powergraph._lattice_of), and then it has the claimed census, which is
+    printed as computed; a graph that differs names how many rows differ
+    and lists up to 8 of its missing and of its extra edges."""
     mp = run.mp
     q = mp.rotation_order
+    diffs = {}  # empty for a graph that equals its prediction, compared as tuples
     for cname, g in run.graphs.items():
-        diff = verify_decomposition(g, run.k, run.p)[cname]
+        true, to_model = _lattice_of(g, run.k, run.p)
+        want = tuple(map(operator.xor, true, to_model)) if cname == "model" else true
+        diff = diffs[cname] = [] if g._rows == want else list(map(operator.xor, g._rows, want))
         rows = len(diff) - diff.count(0)
         expected_rotation = math.comb(q, 2) if cname == "model" else mp.rotation_edge_count
         claimed = (
@@ -432,11 +435,11 @@ def _structure(run: _Run):
         return
     # XOR rows; they are symmetric, so testing every row tests both ends
     model = run.graphs["model"]
-    diff = _diff_rows(model, run.graphs["true"])
+    diff = _diff_rows(model, run.graphs["true"]) if any(diffs.values()) else to_model
     size = sum(map(int.bit_count, diff)) // 2
     expected_size = math.comb(q, 2) - mp.rotation_edge_count
-    # verify_decomposition refuses a graph off the canonical order, in
-    # which vertices 1 .. q - 1 are the rotations other than the identity
+    # _lattice_of refuses a graph off the canonical order, in which
+    # vertices 1 .. q - 1 are the rotations other than the identity
     outside_rotations = ~((1 << q) - 2)
     inside_rotations = not any(map(operator.and_, diff, itertools.repeat(outside_rotations)))
     if not size:
@@ -668,7 +671,11 @@ def _parse_k_range(raw: str) -> list[int]:
 
 
 def _parse_int_list(raw: str, flag: str = "--p") -> list[int]:
-    return [_int_token(flag, x) for x in raw.split(",") if x]
+    tokens = [x for x in raw.split(",") if x]
+    values = [_int_token(flag, x) for x in tokens]
+    if repeats := [x for i, x in enumerate(tokens) if values[i] in values[:i]]:
+        raise ValueError(f"{flag} {repeats[0]!r} repeats an earlier value")
+    return values
 
 
 def _emit(payload: str, out: str | None) -> None:

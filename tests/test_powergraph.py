@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from itertools import combinations
 
 import numpy as np
@@ -129,6 +130,12 @@ PAIRS_UNDER_CAP = [
     }.items()
     for p in ps
 ]
+
+
+class DirectProductType(SemidihedralType):
+    """Z_2 x Z_q on the family's labels: twist 1, so that s commutes with r."""
+
+    twist = 1
 
 
 def cyclic_power_edges(q):
@@ -416,6 +423,47 @@ class TestTruePowerGraph:
         # the identity is joined to every vertex
         g = true_graphs[(2, 3)]
         assert g.degree(0) == g.n - 1
+
+    @pytest.mark.parametrize("k,p", [(2, 3), (2, 5), (3, 3)])
+    def test_flips_past_order_4_take_the_class_walk(self, k, p):
+        # in Z_2 x Z_q a flip s r^b has order lcm(2, q / gcd(b, q)): orders
+        # 2 and 4 go in bulk, and every other flip stays open after four
+        # steps and is walked by class
+        spec = DirectProductType(k, p)
+        q = spec.rotation_order
+        orders = {len(cyclic_subgroup(spec, x)) for x in canonical_order(spec)[q:]}
+        assert {2, 4, q} <= orders and max(orders) == q
+        g = build_power_graph(spec)
+        assert g == subgroup_walk_graph(spec) == pair_scan_graph(spec)[0]
+
+    @pytest.mark.parametrize("k,p", [(2, 3), (3, 5), (5, 3)])
+    def test_no_flip_of_the_family_is_walked(self, monkeypatch, k, p):
+        walked = []
+        real = powergraph._powers
+
+        def spy(spec, x):
+            walked.append(x)
+            return real(spec, x)
+
+        monkeypatch.setattr(powergraph, "_powers", spy)
+        spec = SemidihedralType(k, p)
+        assert build_power_graph(spec) == subgroup_walk_graph(spec)
+        assert walked and all(x.a == 0 for x in walked)
+
+    def test_flip_power_off_the_canonical_pairs_is_named(self, monkeypatch):
+        real = group_core._product
+
+        def law(q, theta, x, y):
+            # a flip squared lands at u + q, off the canonical range; every
+            # other product, x^3 and x^4 included, is the true one
+            a, b = real(q, theta, x, y)
+            return (a, b + q) if x[0] == 1 and tuple(x) == tuple(y) else (a, b)
+
+        monkeypatch.setattr(group_core, "_product", law)
+        with pytest.raises(
+            ArithmeticError, match=re.escape("powers of s^1 r^1 reach the non-canonical pair (0, 18)")
+        ):
+            build_power_graph(SemidihedralType(2, 3))
 
 
 

@@ -539,6 +539,37 @@ class TestDiffCheck:
         assert check.status == "fail"
         assert (check.status, check.computed, check.detail) == reference_diff_check(model, mutated)
 
+    def test_graphs_that_equal_the_lattice_read_it(self, monkeypatch):
+        # the pass path makes no XOR rows: neither the graphs' diff nor
+        # verify_decomposition runs, and the 19 reports keep their bytes
+        def forbidden(*args):
+            raise AssertionError("a passing run made XOR rows")
+
+        for module in (powergraph, verify_cli):
+            monkeypatch.setattr(module, "_diff_rows", forbidden)
+        monkeypatch.setattr(powergraph, "verify_decomposition", forbidden)
+        text = "".join(run_verification(k, p, kinds=()).to_json() for k, p in PAIRS_UNDER_CAP)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "61a68d9fd6ee8e14508772c3481a403038d1110241a6e4e23c190c0ca3b47623"
+        )
+
+    def test_a_graph_off_the_lattice_diffs_the_graphs(self, monkeypatch):
+        # one flip-e edge dropped from the model: its decomposition fails, and
+        # the diff is the XOR of the two graphs, with that edge outside <r>
+        model = toggled(build_model_graph(2, 3), GroupElement(0, 0), GroupElement(1, 0))
+        true = build_power_graph(SemidihedralType(2, 3))
+        diffed = []
+        real = verify_cli._diff_rows
+        monkeypatch.setattr(verify_cli, "_diff_rows", lambda g1, g2: diffed.append(1) or real(g1, g2))
+        monkeypatch.setattr(verify_cli, "build_model_graph", lambda k, p: model)
+        checks = {(c.name, c.construction): c for c in run_verification(2, 3, kinds=()).checks}
+        assert checks["decomposition", "model"].status == "fail"
+        assert checks["decomposition", "true"].status == "pass"
+        check = checks["model-vs-true-diff", None]
+        assert diffed == [1]
+        assert (check.status, check.computed, check.detail) == reference_diff_check(model, true)
+        assert check.computed == "11 differing edges, all inside rotations: False"
+
     def test_model_against_itself_passes(self):
         model = build_model_graph(2, 5)
         check = diff_check(2, 5, model, model)
@@ -974,6 +1005,17 @@ class TestCliExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"powspec: error: {flag} {token!r} is not an integer\n"
+
+    @pytest.mark.parametrize(
+        "k,p,flag,token",
+        [("2", "3,3", "--p", "3"), ("2,3,2", "3", "--k", "2"), ("2..3", "3,5,03", "--p", "03")],
+    )
+    def test_sweep_cli_names_a_repeated_token(self, k, p, flag, token, capsys):
+        # a repeated pair would run twice and print two rows
+        assert main(["sweep", "--k", k, "--p", p]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"powspec: error: {flag} {token!r} repeats an earlier value\n"
 
     @pytest.mark.parametrize("command", ["verify", "sweep"])
     def test_malformed_cap_is_usage_error(self, command, monkeypatch, capsys):
