@@ -340,13 +340,13 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"unknown matrix kind {kind!r}")
 
 
-def _graph_shape(graph, kind: str) -> tuple[list[int], list[int], int]:
+def _graph_shape(graph, kind: str) -> tuple[tuple[int, ...], list[int], int]:
     """(R, D, w) of the graph's matrix of a kind, diag(D) + w A as in
-    _graph_rows, and the one place a kind is decoded: R the graph's bit
-    rows, D bit i of row i for the adjacency and the degrees for the two
-    Laplacians, w -1 for the Laplacian and 1 otherwise."""
+    _graph_rows, and the one place a kind is decoded: R the graph's tuple
+    of bit rows itself, D bit i of row i for the adjacency and the degrees
+    for the two Laplacians, w -1 for the Laplacian and 1 otherwise."""
     _check_kind(kind)
-    rows = list(map(graph.row_mask, range(graph.n)))
+    rows = graph._rows
     if kind == "adjacency":
         return rows, [(row >> i) & 1 for i, row in enumerate(rows)], 1
     return rows, list(graph.degrees), -1 if kind == "laplacian" else 1
@@ -400,15 +400,15 @@ def _union(members: Iterable[_Group]) -> _Group:
     return tuple(sorted(itertools.chain.from_iterable(members)))
 
 
-def _graph_rows(m: IntMatrix) -> tuple[list[int], list[int], int] | None:
+def _graph_rows(m: IntMatrix) -> tuple[tuple[int, ...], list[int], int] | None:
     """(R, D, w) when m is graph-shaped, else None.
 
     m is graph-shaped when n >= 2, every entry fits int64, every
     off-diagonal entry is 0 or one value w, and the zero pattern is
     symmetric; then m = diag(D) + w A for a symmetric 0/1 matrix A with a
-    zero diagonal.  R holds the rows of A as packed ints, bit j of R[i]
-    set when m_ij = w, and D the diagonal.  Adjacency, Laplacian and
-    signless Laplacian matrices are graph-shaped with w = 1, -1, 1, as
+    zero diagonal.  R holds the rows of A as a tuple of packed ints, bit
+    j of R[i] set when m_ij = w, and D the diagonal.  Adjacency, Laplacian
+    and signless Laplacian matrices are graph-shaped with w = 1, -1, 1, as
     _graph_shape, the graph-side counterpart, decodes them.  A matrix
     with no off-diagonal entry has A = 0 and w = 1.
     """
@@ -431,7 +431,7 @@ def _graph_rows(m: IntMatrix) -> tuple[list[int], list[int], int] | None:
     width = (n + 7) // 8
     packed = np.packbits(edges, axis=1, bitorder="little").tobytes()
     rows = [int.from_bytes(packed[i : i + width], "little") for i in range(0, n * width, width)]
-    return rows, diagonal, w
+    return tuple(rows), diagonal, w
 
 
 def _quotient_counts(

@@ -23,11 +23,11 @@ The model graph's edges are written once, as three parts of row masks
 (_model_parts): build_model_graph is their union, and _certify_split
 checks the parts themselves for a run's split-spectra check.
 A run checks each graph row for row against the graph the divisor
-lattice of the rotation order predicts (_lattice_of), written from the
-labels' exponents and gcd alone, so it shares no code with either
-builder.  The parts and the prediction are made once per group, in
-one-entry caches; the identity compares row tuples, and when both graphs
-pass, the diff is the prediction's to_model rows.
+lattice of the rotation order predicts (verify_decomposition), written
+from the labels' exponents and gcd alone (_lattice), so it shares no
+code with either builder.  The parts and the prediction are made once
+per group, in one-entry caches; the identity compares row tuples, and
+when both graphs pass, the diff is the prediction's to_model rows.
 """
 
 from __future__ import annotations
@@ -360,7 +360,7 @@ def _certify_split(clique, star, rest, model: Graph) -> tuple[list[str], dict[st
     problems = []
     if any(a & b or a & c or b & c for a, b, c in zip(clique, star, rest)):
         problems.append("split parts overlap")
-    if any(a | b | c != model.row_mask(i) for i, (a, b, c) in enumerate(zip(clique, star, rest))):
+    if tuple([a | b | c for a, b, c in zip(clique, star, rest)]) != model._rows:
         problems.append("split does not reassemble the adjacency matrix")
     for name, rows in (("star", star), ("rest", rest)):
         try:
@@ -381,27 +381,21 @@ def edge_count(g: Graph) -> int:
     return sum(g.degrees) // 2
 
 
-def verify_decomposition(g: Graph, k: int, p: int) -> dict[str, list[int]]:
-    """The XOR of g's rows with the rows of each graph that the divisor
-    lattice of q = 2^k p predicts (_lattice), keyed "model" and "true".
-
-    g equals the model or the true graph of (k, p) exactly when every XOR
-    row under that key is 0; the set bits are the edges one of the two has
-    and the other lacks.  A graph of another order is refused before the
-    canonical order of (k, p) is built.
-    """
-    true, to_model = _lattice_of(g, k, p)
-    diff = {"true": list(map(operator.xor, g._rows, true))}
-    diff["model"] = list(map(operator.xor, diff["true"], to_model))
-    return diff
-
-
-def _lattice_of(g: Graph, k: int, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """_lattice of (k, p), once g has its canonical order (checked by size first)."""
+def verify_decomposition(g: Graph, k: int, p: int, construction: str) -> list[int]:
+    """[] when g's rows equal, as tuples, those of the graph that the
+    divisor lattice of q = 2^k p predicts (_lattice) for the construction,
+    "model" or "true"; else the n XOR rows of the two, whose set bits are
+    the edges one has and the other lacks.  An unknown construction is
+    refused first, and a graph of another order before the canonical
+    order of (k, p) is built."""
+    if construction not in ("model", "true"):
+        raise ValueError(f"unknown construction {construction!r}")
     spec = SemidihedralType(k, p)
     if g.n != spec.order or g.labels != canonical_order(spec):
         raise ValueError("graph does not carry the canonical vertex order for (k, p)")
-    return _lattice(spec)
+    true, to_model = _lattice(spec)
+    want = tuple(map(operator.xor, true, to_model)) if construction == "model" else true
+    return [] if g._rows == want else list(map(operator.xor, g._rows, want))
 
 
 @functools.lru_cache(maxsize=1)

@@ -50,12 +50,13 @@ from .powergraph import (
     _check_graph_order,
     _diff_rows,
     _label_pairs,
-    _lattice_of,
+    _lattice,
     _model_parts,
     build_model_graph,
     build_power_graph,
     edge_count,
     to_dot,
+    verify_decomposition,
 )
 from .spectra import (
     cluster_multiplicities,
@@ -401,16 +402,14 @@ def _structure(run: _Run):
     model-vs-true diff, which reads the lattice when both graphs equal it.
 
     A graph passes decomposition when its rows equal the predicted rows
-    (powergraph._lattice_of), and then it has the claimed census, which is
-    printed as computed; a graph that differs names how many rows differ
-    and lists up to 8 of its missing and of its extra edges."""
+    (powergraph.verify_decomposition), and then it has the claimed census,
+    which is printed as computed; a graph that differs names how many rows
+    differ and lists up to 8 of its missing and of its extra edges."""
     mp = run.mp
     q = mp.rotation_order
-    diffs = {}  # empty for a graph that equals its prediction, compared as tuples
+    diffs = {}  # empty for a graph that equals its prediction
     for cname, g in run.graphs.items():
-        true, to_model = _lattice_of(g, run.k, run.p)
-        want = tuple(map(operator.xor, true, to_model)) if cname == "model" else true
-        diff = diffs[cname] = [] if g._rows == want else list(map(operator.xor, g._rows, want))
+        diff = diffs[cname] = verify_decomposition(g, run.k, run.p, cname)
         rows = len(diff) - diff.count(0)
         expected_rotation = math.comb(q, 2) if cname == "model" else mp.rotation_edge_count
         claimed = (
@@ -419,7 +418,7 @@ def _structure(run: _Run):
         )
         detail = None
         if rows:
-            extra = list(map(operator.and_, diff, map(g.row_mask, range(g.n))))
+            extra = list(map(operator.and_, diff, g._rows))
             missing = list(map(operator.xor, diff, extra))
             detail = {"missing": _sample(g.labels, missing), "extra": _sample(g.labels, extra)}
         yield Check(
@@ -435,10 +434,10 @@ def _structure(run: _Run):
         return
     # XOR rows; they are symmetric, so testing every row tests both ends
     model = run.graphs["model"]
-    diff = _diff_rows(model, run.graphs["true"]) if any(diffs.values()) else to_model
+    diff = _diff_rows(model, run.graphs["true"]) if any(diffs.values()) else _lattice(run.spec)[1]
     size = sum(map(int.bit_count, diff)) // 2
     expected_size = math.comb(q, 2) - mp.rotation_edge_count
-    # _lattice_of refuses a graph off the canonical order, in which
+    # verify_decomposition refuses a graph off the canonical order, in which
     # vertices 1 .. q - 1 are the rotations other than the identity
     outside_rotations = ~((1 << q) - 2)
     inside_rotations = not any(map(operator.and_, diff, itertools.repeat(outside_rotations)))
@@ -605,13 +604,18 @@ def sweep(
     constructions: Iterable[str] = CONSTRUCTIONS,
     jobs: int = 1,
 ) -> list[VerificationReport]:
-    """Verify every (k, p) pair of the two lists; rejects invalid parameters,
-    an order past the graph-order limit, jobs < 1 and a malformed matrix
-    cap up front.  jobs > 1 fans the pairs out to a pool of spawned worker
-    processes (fork is unsafe once the parent has threads); errors inside
-    one pair are contained in that pair's report."""
+    """Verify every (k, p) pair of the two lists; rejects jobs < 1, a value
+    repeated in either list, invalid parameters, an order past the
+    graph-order limit and a malformed matrix cap up front.  jobs > 1 fans
+    the pairs out to a pool of spawned worker processes (fork is unsafe
+    once the parent has threads); errors inside one pair are contained in
+    that pair's report."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    ks, ps = list(ks), list(ps)
+    for name, values in (("ks", ks), ("ps", ps)):
+        if repeats := [v for i, v in enumerate(values) if v in values[:i]]:
+            raise ValueError(f"{name} repeats the value {repeats[0]}")
     pairs = list(itertools.product(ks, ps))
     if not pairs:
         return []
@@ -671,11 +675,7 @@ def _parse_k_range(raw: str) -> list[int]:
 
 
 def _parse_int_list(raw: str, flag: str = "--p") -> list[int]:
-    tokens = [x for x in raw.split(",") if x]
-    values = [_int_token(flag, x) for x in tokens]
-    if repeats := [x for i, x in enumerate(tokens) if values[i] in values[:i]]:
-        raise ValueError(f"{flag} {repeats[0]!r} repeats an earlier value")
-    return values
+    return [_int_token(flag, x) for x in raw.split(",") if x]
 
 
 def _emit(payload: str, out: str | None) -> None:

@@ -116,7 +116,7 @@ def lattice_graph(k, p, construction):
     with no edges are the predicted rows themselves."""
     labels = canonical_order(SemidihedralType(k, p))
     empty = Graph(labels, [0] * len(labels))
-    return Graph(labels, verify_decomposition(empty, k, p)[construction])
+    return Graph(labels, verify_decomposition(empty, k, p, construction))
 
 
 # every (k, p) of the twisted family with n = 2^(k+1) p <= 256
@@ -212,7 +212,9 @@ class TestGraphBasics:
         rows = [g.row_mask(i) for i in range(g.n)]
         from_lists = Graph(list(g.labels), rows)
         assert from_lists == g and hash(from_lists) == hash(g)
-        assert verify_decomposition(from_lists, 2, 3) == verify_decomposition(g, 2, 3)
+        for construction in ("model", "true"):
+            got = verify_decomposition(from_lists, 2, 3, construction)
+            assert got == verify_decomposition(g, 2, 3, construction)
 
     def test_equality_and_hash(self):
         a = graph_with_edges([E(0, 0), E(0, 1)], [(0, 1)])
@@ -604,11 +606,11 @@ class TestDecomposition:
     def test_both_graphs_equal_their_lattice_graphs(self, k, p):
         builds = {"model": build_model_graph(k, p), "true": build_power_graph(SemidihedralType(k, p))}
         for construction, g in builds.items():
-            diff = verify_decomposition(g, k, p)
-            assert not any(diff[construction])
+            assert verify_decomposition(g, k, p, construction) == []
             # the other lattice graph differs, inside the rotations only
-            other = Graph(g.labels, diff["true" if construction == "model" else "model"])
-            assert other.edges() and all(g.labels[i].a == g.labels[j].a == 0 for i, j in other.edges())
+            other = "true" if construction == "model" else "model"
+            diff = Graph(g.labels, verify_decomposition(g, k, p, other))
+            assert diff.edges() and all(g.labels[i].a == g.labels[j].a == 0 for i, j in diff.edges())
             assert lattice_graph(k, p, construction) == g
 
     @pytest.mark.parametrize("k,p", [(2, 3), (2, 5), (3, 3), (2, 7), (4, 3), (3, 5)])
@@ -666,19 +668,28 @@ class TestDecomposition:
         monkeypatch.setattr(powergraph, "_model_parts", forbidden)
         powergraph._lattice.cache_clear()
         for k, p in [(2, 3), (3, 3)]:
-            assert not any(verify_decomposition(model_graphs[(k, p)], k, p)["model"])
-            assert not any(verify_decomposition(true_graphs[(k, p)], k, p)["true"])
+            assert verify_decomposition(model_graphs[(k, p)], k, p, "model") == []
+            assert verify_decomposition(true_graphs[(k, p)], k, p, "true") == []
         assert powergraph._lattice.cache_info().misses == 2
 
     def test_rejects_wrong_labels(self, model_graphs):
         with pytest.raises(ValueError):
-            verify_decomposition(model_graphs[(2, 5)], 2, 3)
+            verify_decomposition(model_graphs[(2, 5)], 2, 3, "model")
 
     def test_rejects_another_order_before_building_its_labels(self, model_graphs):
         canonical_order.cache_clear()
         with pytest.raises(ValueError, match="canonical vertex order"):
-            verify_decomposition(model_graphs[(2, 3)], 5, 3)
+            verify_decomposition(model_graphs[(2, 3)], 5, 3, "model")
         assert canonical_order.cache_info().misses == 0
+
+    def test_rejects_an_unknown_construction_before_any_other_work(self, model_graphs):
+        # refused ahead of the order check, the labels and the prediction
+        canonical_order.cache_clear()
+        powergraph._lattice.cache_clear()
+        for k in (2, 5):
+            with pytest.raises(ValueError, match="unknown construction 'clique'"):
+                verify_decomposition(model_graphs[(2, 3)], k, 3, "clique")
+        assert canonical_order.cache_info().misses == powergraph._lattice.cache_info().misses == 0
 
     @pytest.mark.parametrize("mutation", MUTATIONS)
     @pytest.mark.parametrize("construction", ["model", "true"])
@@ -690,7 +701,7 @@ class TestDecomposition:
         else:
             g = build_power_graph(SemidihedralType(k, p))
         bad = mutated(g, k, p, mutation)
-        moved = Graph(bad.labels, verify_decomposition(bad, k, p)[construction])
+        moved = Graph(bad.labels, verify_decomposition(bad, k, p, construction))
         assert [(bad.labels[i], bad.labels[j]) for i, j in moved.edges()] == list(graph_diff(g, bad))
         assert moved.edges()
 

@@ -540,15 +540,25 @@ class TestDiffCheck:
         assert (check.status, check.computed, check.detail) == reference_diff_check(model, mutated)
 
     def test_graphs_that_equal_the_lattice_read_it(self, monkeypatch):
-        # the pass path makes no XOR rows: neither the graphs' diff nor
-        # verify_decomposition runs, and the 19 reports keep their bytes
+        # the pass path makes no XOR rows: verify_decomposition runs once
+        # per graph and returns [], the graphs' diff never runs, and the
+        # 19 reports keep their bytes
         def forbidden(*args):
             raise AssertionError("a passing run made XOR rows")
 
         for module in (powergraph, verify_cli):
             monkeypatch.setattr(module, "_diff_rows", forbidden)
-        monkeypatch.setattr(powergraph, "verify_decomposition", forbidden)
+        calls = []
+        real = verify_cli.verify_decomposition
+
+        def spy(g, k, p, construction):
+            diff = real(g, k, p, construction)
+            calls.append((k, p, construction, diff))
+            return diff
+
+        monkeypatch.setattr(verify_cli, "verify_decomposition", spy)
         text = "".join(run_verification(k, p, kinds=()).to_json() for k, p in PAIRS_UNDER_CAP)
+        assert calls == [(k, p, c, []) for k, p in PAIRS_UNDER_CAP for c in ("model", "true")]
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "61a68d9fd6ee8e14508772c3481a403038d1110241a6e4e23c190c0ca3b47623"
         )
@@ -904,6 +914,24 @@ class TestSweep:
         parallel = sweep([2], [3, 5], kinds=(), jobs=2)
         assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "ks,ps,name,value",
+        [([2], [3, 3], "ps", 3), ([2, 3, 2], [5], "ks", 2)],
+        ids=["repeated-p", "repeated-k"],
+    )
+    def test_rejects_a_repeated_value_up_front(self, ks, ps, name, value, jobs, monkeypatch):
+        # a repeated value would run its pairs twice; no pair runs and no pool starts
+        import multiprocessing
+
+        def forbidden(*args):
+            raise AssertionError("the sweep started work")
+
+        monkeypatch.setattr(verify_cli, "_sweep_one", forbidden)
+        monkeypatch.setattr(multiprocessing, "get_context", forbidden)
+        with pytest.raises(ValueError, match=f"^{name} repeats the value {value}$"):
+            sweep(ks, ps, kinds=(), jobs=jobs)
+
     def test_rejects_jobs_below_one(self, capsys):
         for jobs in (0, -1):
             with pytest.raises(ValueError, match="jobs must be at least 1"):
@@ -1007,15 +1035,15 @@ class TestCliExitCodes:
         assert captured.err == f"powspec: error: {flag} {token!r} is not an integer\n"
 
     @pytest.mark.parametrize(
-        "k,p,flag,token",
-        [("2", "3,3", "--p", "3"), ("2,3,2", "3", "--k", "2"), ("2..3", "3,5,03", "--p", "03")],
+        "k,p,name,value",
+        [("2", "3,3", "ps", 3), ("2,3,2", "3", "ks", 2), ("2..3", "3,5,03", "ps", 3)],
     )
-    def test_sweep_cli_names_a_repeated_token(self, k, p, flag, token, capsys):
-        # a repeated pair would run twice and print two rows
+    def test_sweep_cli_names_a_repeated_token(self, k, p, name, value, capsys):
+        # a repeated pair would run twice and print two rows; sweep refuses it
         assert main(["sweep", "--k", k, "--p", p]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"powspec: error: {flag} {token!r} repeats an earlier value\n"
+        assert captured.err == f"powspec: error: {name} repeats the value {value}\n"
 
     @pytest.mark.parametrize("command", ["verify", "sweep"])
     def test_malformed_cap_is_usage_error(self, command, monkeypatch, capsys):
