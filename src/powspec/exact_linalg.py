@@ -12,8 +12,9 @@ Two independent exact routes to det(xI - A) live here.
   proposes the merges that form the twin classes, on the adjacency keys,
   and _check_twin_structure replays them, reads the cells and K off the
   replay (K by _quotient_counts, popcounts on the cell heads) and proves
-  everything about them that reads R only; the graph keeps the result.
-  The split's classes in powergraph are counted by the same
+  everything about them that reads R only; the graph keeps the result
+  (_graph_twins), whose K is also the adjacency quotient a run reads
+  lambda1 off.  The split's classes in powergraph are counted by the same
   _quotient_counts, on every member.  Per matrix, _twin_quotient proves the
   rest for its D and w, computes the roots and forms B = w K + diag(D).
   Any other graph-shaped A (n >= 2, int64 entries, every off-diagonal
@@ -553,6 +554,17 @@ def _proved_twins(rows: Sequence[int], diagonal: Sequence[int], w: int) -> _Twin
     return _check_twin_structure(rows, _twin_levels(rows, diagonal, w))
 
 
+def _graph_twins(graph) -> _Twins:
+    """(cells, K, proof) of the graph's twin classes, found on the
+    adjacency keys (D = 0, w = 1) and proved on its bit rows on the first
+    call, and kept in graph._twins for every later call.  K is the
+    quotient of the adjacency itself: A P = P K for the cell indicators P,
+    as every proved cell is a regular module."""
+    if graph._twins is None:
+        graph._twins = _proved_twins(graph._rows, [0] * graph.n, 1)
+    return graph._twins
+
+
 def _twin_quotient(twins: _Twins, diagonal: Sequence[int], w: int) -> tuple[IntMatrix, Counter[int]]:
     """(B, roots): the quotient of M = diag(D) + w A on proved twins of A,
     and the Counter of the roots r with their multiplicities, so that
@@ -613,10 +625,8 @@ def _char_poly_factored(m: IntMatrix) -> tuple[list[int], Counter[int]]:
     quotient, roots = m, Counter()
     graph, kind = getattr(m, "_source", (None, None))
     if graph is not None and m.n >= 2:
-        rows, diagonal, w = _graph_shape(graph, kind)
-        if graph._twins is None:
-            graph._twins = _proved_twins(rows, [0] * graph.n, 1)
-        quotient, roots = _twin_quotient(graph._twins, diagonal, w)
+        _, diagonal, w = _graph_shape(graph, kind)
+        quotient, roots = _twin_quotient(_graph_twins(graph), diagonal, w)
     elif (shape := _graph_rows(m)) is not None:
         quotient, roots = _twin_quotient(_proved_twins(*shape), *shape[1:])
     coeffs = kernels.charpoly_berkowitz(quotient.rows)
@@ -659,11 +669,12 @@ def char_poly_exact(m: IntMatrix) -> IntPolynomial:
     (R, D, w) is _graph_shape(graph, kind): the graph's rows, the
     diagonal and -1 for the Laplacian, 1 otherwise; _graph_rows does not
     run.  The classes are found on the adjacency keys (D = 0, w = 1) and
-    proved on R once, on the first call for the graph, which keeps them;
-    each of its three matrices takes only the per-kind step.  The degree
-    lemma in _twin_quotient shows why the adjacency's classes hold for
-    the Laplacians, and the per-kind step proves it on every call.  Any
-    other graph-shaped M is found on its own keys and proved, every call.
+    proved on R once, on the first call for the graph, which keeps them
+    (_graph_twins); each of its three matrices takes only the per-kind
+    step.  The degree lemma in _twin_quotient shows why the adjacency's
+    classes hold for the Laplacians, and the per-kind step proves it on
+    every call.  Any other graph-shaped M is found on its own keys and
+    proved, every call.
 
     Certificate, on the bit rows.  The finder only proposes merges; they
     are replayed from the singletons and never trusted, and the cells are

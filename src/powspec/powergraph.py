@@ -91,10 +91,11 @@ class Graph:
     in, so that graphs of equal labels and rows are == and hash alike.
     degrees holds the popcount of every row, counted once at build, for
     degree, edge_count and the Laplacian diagonals.  The one mutable
-    slot, _twins, is private to exact_linalg: None until char_poly_exact
-    first needs the graph's twin quotient, then that quotient, found and
-    proved on the rows and shared by the graph's three matrices.  It is
-    not part of ==, hash or the rows.
+    slot, _twins, is private to exact_linalg: None until
+    exact_linalg._graph_twins first needs the graph's twin quotient, then
+    that quotient, found and proved on the rows and shared by the graph's
+    three matrices and its spectral radius.  It is not part of ==, hash
+    or the rows.
     """
 
     __slots__ = ("labels", "_rows", "_index", "_twins", "degrees")

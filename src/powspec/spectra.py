@@ -4,17 +4,16 @@ The eigensolver is the one numeric component of the package.  Everything
 it reports is bounded by an explicit residual check, and downstream
 comparisons against closed forms carry their own tolerance, so a silent
 solver failure cannot masquerade as a verified claim.  A run hands it
-the numpy arrays of exact_linalg._matrix_array for the three matrices
-whose spectra it checks (the two adjacencies and the model Laplacian),
-and the small symmetrised quotients of quotient_eigenvalues for
-everything else it reads a top eigenvalue of.  Matrices of a common
-order go in as one stack, a 3-D array, so a run makes one solver call
-per matrix order: its order-n matrices together, the split's three 5 x 5
-quotients together, and the divisor-lattice quotient alone.  The solver
+one order-n matrix, the numpy array of exact_linalg._matrix_array for
+the model Laplacian, whose whole spectrum it checks, and the small
+symmetrised quotients of quotient_eigenvalues for every top eigenvalue
+it reads.  Matrices of a common order go in as one stack, a 3-D array:
+the split's three 5 x 5 quotients are one solver call.  The solver
 checks the order of its input against the matrix cap before any copy is
 made or any row of a matrix_of matrix is written.  The module builds no
-matrix of its own: a graph's spectral radius is the EigenResult.radius
-of the solve its caller hands in.
+matrix of its own: a graph's spectral radius is the top eigenvalue of
+the quotient of its proved twin cells (exact_linalg._graph_twins),
+which its caller hands in.
 """
 
 from __future__ import annotations

@@ -23,13 +23,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-import numpy as np
-
 from .exact_linalg import (
     IntPolynomial,
     MatrixCapExceeded,
     _check_cap,
     _graph_shape,
+    _graph_twins,
     _matrix_array,
     char_poly_exact,
     matrix_of,
@@ -223,8 +222,8 @@ class _Run:
     The claims are the factored closed forms, one per kind; a family
     expands one only when it compares against it.  skip(what) turns a
     heavy check into a notice past the matrix-order cap, decided once
-    before any of that work is done, and eigen solves the checked
-    order-n matrices in one stacked call.
+    before any of that work is done, and lambda1(construction) solves a
+    graph's twin quotient once for the spectral radius.
     """
 
     def __init__(self, k: int, p: int, kinds, constructions) -> None:
@@ -247,7 +246,7 @@ class _Run:
             self.cap = exc
         self.claims = {kind: _charpoly_formula(kind, k, p) for kind in self.kinds}
         self.notices: list[str] = []
-        self._eigen = None
+        self._lambda1: dict[str, float] = {}
 
     def skip(self, what: str) -> bool:
         """True, with a notice naming what, when the run is past the cap."""
@@ -255,16 +254,17 @@ class _Run:
             self.notices.append(f"{what} skipped: {self.cap}")
         return bool(self.cap)
 
-    def eigen(self, construction: str, kind: str):
-        """The eigensolve of a checked matrix, each adjacency or the model
-        Laplacian, asked for under the cap only; the first call solves all."""
-        if self._eigen is None:
-            wanted = [(c, "adjacency") for c in self.graphs if "adjacency" in self.kinds]
-            if "model" in self.graphs and "laplacian" in self.kinds:
-                wanted.append(("model", "laplacian"))
-            arrays = np.array([_matrix_array(self.graphs[c], m) for c, m in wanted], dtype=float)
-            self._eigen = dict(zip(wanted, symmetric_eigenvalues(arrays, NUMERIC_TOL)))
-        return self._eigen[construction, kind]
+    def lambda1(self, construction: str) -> float:
+        """The largest adjacency eigenvalue of a graph, solved once per
+        construction on K, the quotient of its proved twin cells
+        (exact_linalg._graph_twins, which char_poly_exact shares).  A P =
+        P K for the cell indicators P and A >= 0, so the top eigenvalue
+        of K is that of A (see quotient_eigenvalues): the same lambda1 as
+        a dense solve of A, from (2k + 4)^2 entries at most."""
+        if construction not in self._lambda1:
+            _, counts, _ = _graph_twins(self.graphs[construction])
+            self._lambda1[construction] = quotient_eigenvalues(counts, NUMERIC_TOL).eigenvalues[-1]
+        return self._lambda1[construction]
 
 
 def _counts(run: _Run):
@@ -361,7 +361,8 @@ def _laplacian(run: _Run):
     )
 
     if "model" in run.graphs and not run.skip("laplacian spectrum numeric check"):
-        eig = run.eigen("model", "laplacian")
+        # the run's one order-n eigensolve: a numeric cross-check of the table
+        eig = symmetric_eigenvalues(_matrix_array(run.graphs["model"], "laplacian"), NUMERIC_TOL)
         scale = max(1.0, max(abs(v) for v in eig.eigenvalues))
         clustered = cluster_multiplicities(eig.eigenvalues, CLUSTER_TOL * scale)
         ok, dev = summaries_match(clustered, spectrum, NUMERIC_TOL * scale)
@@ -465,15 +466,16 @@ def _sample(labels, rows) -> list[str]:
 
 
 def _radius(run: _Run):
-    """The spectral radius bracket of each construction, then the model's
-    split spectra, which reuse the model adjacency's eigensolve."""
+    """The spectral radius bracket of each construction, with lambda1 off
+    the graph's twin quotient (run.lambda1), then the model's split
+    spectra, which read the same model lambda1."""
     if "adjacency" not in run.kinds:
         return
     q = run.mp.rotation_order
     for cname in run.graphs:
         if run.skip(f"radius bounds for {cname}"):
             continue
-        lam1 = run.eigen(cname, "adjacency").radius
+        lam1 = run.lambda1(cname)
         if cname == "model":
             base = float(q - 1)
         else:
@@ -545,12 +547,12 @@ def _split_spectra_check(run: _Run) -> Check:
     star's quotient gives +-sqrt(q), and its q edges give trace(A^2) = 2q,
     so its other n - 2 eigenvalues are 0.  The rest must peak at
     (1 + sqrt(1 + 2q)) / 2, and the top eigenvalues must be subadditive
-    against the model adjacency's eigensolve (run.eigen); the caller
-    skips this past the matrix cap."""
+    against the model's lambda1, read off its twin quotient
+    (run.lambda1); the caller skips this past the matrix cap."""
     q = run.mp.rotation_order
     clique, star, rest = _model_parts(run.spec)
     problems, counts = _certify_split(clique, star, rest, run.graphs["model"])
-    whole = run.eigen("model", "adjacency")
+    full_peak = run.lambda1("model")
     solved = quotient_eigenvalues(list(counts.values()), NUMERIC_TOL) if counts else ()
     spectra = {name: result.eigenvalues for name, result in zip(counts, solved)}
     root_q = math.sqrt(q)
@@ -566,7 +568,7 @@ def _split_spectra_check(run: _Run) -> Check:
         rest_peak = spectra["rest"][-1]
         if abs(rest_peak - rest_peak_claim) > tol:
             problems.append(f"rest part peaks at {rest_peak}, claimed {rest_peak_claim}")
-        if "clique+star" in spectra and whole.eigenvalues[-1] > (
+        if "clique+star" in spectra and full_peak > (
             spectra["clique+star"][-1] + rest_peak + tol
         ):
             problems.append("top eigenvalue is not subadditive across the split")
@@ -581,7 +583,7 @@ def _split_spectra_check(run: _Run) -> Check:
         detail={
             "star_extremes": star_extremes,
             "rest_peak": rest_peak,
-            "full_peak": whole.eigenvalues[-1],
+            "full_peak": full_peak,
         },
     )
 

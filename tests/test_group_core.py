@@ -433,6 +433,20 @@ class TestPresentation:
         (item,) = [i for i in validate_presentation(spec).items if i.name == "rotation_order"]
         assert not item.ok
 
+    def test_group_order_fails_on_a_repeated_element(self, monkeypatch):
+        # |G| elements, one of them listed twice in place of another
+        def repeating(spec):
+            listed = elements(spec)
+            listed[-1] = listed[0]
+            return listed
+
+        spec = SemidihedralType(2, 3)
+        monkeypatch.setattr(group_core, "elements", repeating)
+        report = validate_presentation(spec)
+        (item,) = [i for i in report.items if i.name == "group_order"]
+        assert not item.ok and not report.ok
+        assert item.detail == f"{spec.order} elements"
+
     def test_rotation_order_does_not_walk_the_powers(self, monkeypatch):
         def forbidden(spec, x):
             raise AssertionError("the order of r is decided by O(log q) powers, not a walk")

@@ -176,6 +176,7 @@ class TestRunVerification:
             "quotient_eigenvalues",
             "_model_parts",
             "matrix_of",
+            "_graph_twins",
         ):
             spy(verify_cli, name)
         spy(spectra, "symmetric_eigenvalues")
@@ -280,29 +281,27 @@ class TestRunVerification:
     def test_each_matrix_is_eigensolved_once_per_run(self, monkeypatch):
         solved = eigensolve_calls(monkeypatch)
         run_verification(2, 3)
-        # one call per matrix order: the three order-n matrices whose
-        # spectra the run checks in one stack, the 5 x 5 quotients of the
-        # three split parts in another, and the 6 x 6 divisor-lattice
-        # quotient of P(C_12) alone; the split's whole matrix is the model
-        # adjacency, already solved
-        assert sorted(a.shape for a in solved) == [(3, 5, 5), (3, 24, 24), (6, 6)]
+        # one order-n solve, the model Laplacian; lambda1 of the model and
+        # of the true graph from their 5 x 5 and 8 x 8 twin quotients, the
+        # split parts' 5 x 5 quotients in one stack, and the 6 x 6
+        # divisor-lattice quotient of P(C_12); the split's whole matrix is
+        # the model adjacency, whose lambda1 is already solved
+        assert sorted(a.shape for a in solved) == [(3, 5, 5), (5, 5), (6, 6), (8, 8), (24, 24)]
         members = [m.tobytes() for a in solved for m in (a if a.ndim == 3 else [a])]
         assert len(set(members)) == len(members) == 7  # no matrix solved twice
-        (stack,) = [a for a in solved if a.shape[-1] == 24]
-        model, true = build_model_graph(2, 3), build_power_graph(SemidihedralType(2, 3))
-        want = [(model, "adjacency"), (true, "adjacency"), (model, "laplacian")]
-        for got, (g, kind) in zip(stack, want):
-            assert np.array_equal(got, exact_linalg._matrix_array(g, kind))
+        (laplacian,) = [a for a in solved if a.shape[-1] == 24]
+        model = build_model_graph(2, 3)
+        assert np.array_equal(laplacian, exact_linalg._matrix_array(model, "laplacian"))
 
     @pytest.mark.parametrize(
         "kinds,constructions,shapes",
         [
-            (("laplacian",), ("model", "true"), [(1, 24, 24)]),
+            (("laplacian",), ("model", "true"), [(24, 24)]),
             (("laplacian",), ("true",), []),
-            (("adjacency",), ("true",), [(1, 24, 24), (6, 6)]),
-            (("adjacency",), ("model",), [(1, 24, 24), (3, 5, 5)]),
+            (("adjacency",), ("true",), [(6, 6), (8, 8)]),
+            (("adjacency",), ("model",), [(3, 5, 5), (5, 5)]),
             (("signless",), ("model", "true"), []),
-            (("adjacency", "laplacian"), ("model",), [(2, 24, 24), (3, 5, 5)]),
+            (("adjacency", "laplacian"), ("model",), [(3, 5, 5), (5, 5), (24, 24)]),
         ],
     )
     def test_stack_holds_only_the_checked_matrices(self, monkeypatch, kinds, constructions, shapes):
@@ -333,14 +332,13 @@ class TestRunVerification:
         monkeypatch.delenv(CAP_ENV_VAR, raising=False)
         run_verification(2, 3)
         # one claim per kind serves charpoly, spectrum-divides and both
-        # constructions; the arrays are the two adjacencies eigensolved for
-        # the radius bracket (the model's eigensolve serves the split too) and the
-        # model laplacian of spectrum-numeric
+        # constructions; the one array is the model laplacian of
+        # spectrum-numeric, as lambda1 comes from the twin quotients
         assert calls == {
             "adjacency_charpoly_formula": 1,
             "laplacian_charpoly_formula": 1,
             "signless_charpoly_formula": 1,
-            "_matrix_array": 3,
+            "_matrix_array": 1,
             "ModelParameters": 1,
         }
 
@@ -651,7 +649,8 @@ def result_bits(results):
 
 
 class TestStackedSolves:
-    """A run's two stacks give, bit for bit, the results of single solves."""
+    """A stack gives, bit for bit, the results of single solves: three
+    order-n matrices, and the split's quotients, the stack a run makes."""
 
     @pytest.mark.parametrize("k,p", PAIRS_UNDER_CAP)
     def test_order_n_stack_is_the_single_solves(self, k, p):
@@ -730,11 +729,58 @@ class TestSplitSpectra:
         assert check.detail["rest_peak"] is None
 
 
+class TestSpectralRadius:
+    """lambda1 of each graph comes from its proved twin quotient: it is the
+    dense solve's radius, and no order-n matrix is solved for it."""
+
+    @pytest.mark.parametrize("k,p", PAIRS_UNDER_CAP)
+    def test_quotient_lambda1_is_the_dense_radius(self, monkeypatch, k, p):
+        graphs = {
+            "model": build_model_graph(k, p),
+            "true": build_power_graph(SemidihedralType(k, p)),
+        }
+        dense = {
+            cname: spectra.symmetric_eigenvalues(exact_linalg._matrix_array(g, "adjacency"))
+            for cname, g in graphs.items()
+        }
+        dense = {cname: result.radius for cname, result in dense.items()}
+        solved = eigensolve_calls(monkeypatch)
+        report = run_verification(k, p, kinds=("adjacency",))
+        assert solved and max(a.shape[-1] for a in solved) < 2 ** (k + 1) * p
+        radius_checks = [c for c in report.checks if c.name == "radius-bounds"]
+        lam1 = {c.construction: float(c.computed) for c in radius_checks}
+        (split,) = [c for c in report.checks if c.name == "split-spectra"]
+        assert lam1.keys() == dense.keys()
+        for cname, radius in dense.items():
+            assert abs(lam1[cname] - radius) <= 1e-12 * radius
+        assert abs(split.detail["full_peak"] - dense["model"]) <= 1e-12 * dense["model"]
+
+    @pytest.mark.parametrize("k,p", [(2, 3), (4, 3)])
+    def test_twins_are_proved_once_per_graph(self, monkeypatch, k, p):
+        proved = []
+        real = exact_linalg._proved_twins
+
+        def counting(rows, diagonal, w):
+            proved.append(rows)
+            return real(rows, diagonal, w)
+
+        monkeypatch.setattr(exact_linalg, "_proved_twins", counting)
+        monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+        report = run_verification(k, p)
+        assert report.counts() == {"pass": 20, "mismatch-reported": 5, "fail": 0}
+        model, true = build_model_graph(k, p), build_power_graph(SemidihedralType(k, p))
+        assert proved == [model._rows, true._rows]
+
+
 class TestReportBytes:
     """Report bytes over the family under the cap, pinned where they do not
-    depend on the eigensolver: the float fields of radius-bounds,
-    split-spectra and spectrum-numeric move in their last digits with the
-    BLAS build and its thread count, and every other byte is exact."""
+    depend on the eigensolver, and every other byte is exact.
+    spectrum-numeric's float fields come from the order-n solve of the
+    model Laplacian and move in their last digits with the BLAS thread
+    count.  radius-bounds and split-spectra read only quotient solves of
+    order 2k + 4 at most, which gave the same bytes under 1 and 2
+    OpenBLAS threads (a CI step compares them), but another BLAS build may
+    still move their last digits, so all three stay out of the hash."""
 
     FLOAT_CHECKS = {"radius-bounds", "split-spectra", "spectrum-numeric"}
 
