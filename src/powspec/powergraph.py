@@ -15,9 +15,11 @@ consumer (neighbors, edges, graph_diff, a run's model-vs-true-diff check)
 counts or walks the set bits of whole rows, so it costs O(n + edges)
 big-int steps, not n^2 index tests; the row popcounts, the degrees, are
 counted once per graph, and edge_count and the trace checks read them.
-The build writes each edge into both of its rows, and the loop and
-symmetry check tests each band of rows, unpacked, for a diagonal bit and
-against the transpose of the same band of columns.
+The build writes each edge into both of its rows.  Graph(...) checks the
+rows for loops and symmetry band by band, unpacked, against the
+transpose of the same band of columns, which costs O(n^2) bytes; a
+builder whose rows equal a lattice prediction proved loop-free and
+symmetric skips that check (Graph._proved).
 
 The model graph's edges are written once, as three parts of row masks
 (_model_parts): build_model_graph is their union, and _certify_split
@@ -25,9 +27,12 @@ checks the parts themselves for a run's split-spectra check.
 A run checks each graph row for row against the graph the divisor
 lattice of the rotation order predicts (verify_decomposition), written
 from the labels' exponents and gcd alone (_lattice), so it shares no
-code with either builder.  The parts and the prediction are made once
-per group, in one-entry caches; the identity compares row tuples, and
-when both graphs pass, the diff is the prediction's to_model rows.
+code with either builder.  Each predicted row is the entry of its
+vertex's key in a small key relation with one bit flipped, and the
+relation proves both predictions loop-free and symmetric in
+O(#keys^2 + n) steps (_proofs).  The parts and the prediction are made
+once per group, in one-entry caches; the identity compares row tuples,
+and when both graphs pass, the diff is the prediction's to_model rows.
 """
 
 from __future__ import annotations
@@ -70,9 +75,10 @@ __all__ = [
 _SYMMETRY_TILE = 256
 
 # The largest group order either builder accepts.  n packed rows of n
-# bits take n^2 / 8 bytes, held twice while the symmetry check runs, so a
-# larger order would exhaust memory rather than fail; the family the
-# verifier covers stops at n = 4096.
+# bits take n^2 / 8 bytes, and a structure run holds its two graphs and
+# the lattice prediction, so a larger order would exhaust memory rather
+# than fail.  The family's 694 pairs up to this order all pass structure
+# runs; at n = 16312, (2, 2039), one peaks at about 106 MiB.
 MAX_GRAPH_ORDER = 16384
 
 
@@ -89,6 +95,11 @@ class Graph:
 
     The labels and rows are kept as tuples, whatever sequences they come
     in, so that graphs of equal labels and rows are == and hash alike.
+    Graph(...) refuses rows of the wrong count, bits outside the vertex
+    range, repeated labels, loops and asymmetry, the last two by the
+    O(n^2) band check (_check_loops_and_symmetry).  Only the builders
+    skip the checks, through _proved, for rows equal to a prediction
+    that _lattice proved loop-free and symmetric.
     degrees holds the popcount of every row, counted once at build, for
     degree, edge_count and the Laplacian diagonals.  The one mutable
     slot, _twins, is private to exact_linalg: None until
@@ -111,11 +122,24 @@ class Graph:
         if row_masks and (min(row_masks) < 0 or max(row_masks) >> n):
             raise ValueError("adjacency row has bits outside the vertex range")
         _check_loops_and_symmetry(row_masks)
+        self._fill(labels, row_masks, index)
+
+    @classmethod
+    def _proved(cls, labels: tuple, rows: tuple, index: dict) -> "Graph":
+        """A builder's graph whose row tuple equals a lattice prediction
+        proved loop-free and symmetric (_lattice): the rows are known to be
+        in range, loop-free and symmetric, and the canonical labels
+        distinct, so no check runs; index is the builder's label index."""
+        graph = cls.__new__(cls)
+        graph._fill(labels, rows, index)
+        return graph
+
+    def _fill(self, labels: tuple, rows: tuple, index: dict) -> None:
         self.labels = labels
-        self._rows = row_masks
+        self._rows = rows
         self._index = index
         self._twins = None
-        self.degrees = tuple(map(int.bit_count, row_masks))
+        self.degrees = tuple(map(int.bit_count, rows))
 
     @property
     def n(self) -> int:
@@ -245,7 +269,8 @@ def build_power_graph(spec: GroupSpec) -> Graph:
     """
     _check_graph_order(spec.order)
     labels = canonical_order(spec)
-    position = dict(zip(labels, count())).__getitem__
+    index = dict(zip(labels, count()))
+    position = index.__getitem__
     rows = [0] * len(labels)
     for i, x in _to_walk(spec, labels, position, rows):
         if (rows[i] >> i) & 1:
@@ -266,7 +291,12 @@ def build_power_graph(spec: GroupSpec) -> Graph:
             rows[j] |= gen_mask
     # every vertex generates its own class, so its row holds its own bit,
     # and XOR with that bit clears the loop
-    return Graph(labels, tuple(map(operator.xor, rows, map((1).__lshift__, count()))))
+    rows = tuple(map(operator.xor, rows, map((1).__lshift__, count())))
+    if isinstance(spec, SemidihedralType):
+        true, _, (proved, _) = _lattice(spec)
+        if proved and rows == true:
+            return Graph._proved(labels, rows, index)
+    return Graph(labels, rows)
 
 
 def _look_up(position, x, pairs) -> list[int]:
@@ -338,7 +368,11 @@ def build_model_graph(k: int, p: int) -> Graph:
     _check_graph_order(spec.order)
     clique, star, rest = _model_parts(spec)
     rows = [c | s | r if s | r else c for c, s, r in zip(clique, star, rest)]
-    return Graph(canonical_order(spec), rows)
+    labels = canonical_order(spec)
+    true, to_model, (_, proved) = _lattice(spec)
+    if proved and _equals_model(rows, true, to_model):
+        return Graph._proved(labels, tuple(rows), dict(zip(labels, count())))
+    return Graph(labels, rows)
 
 
 def _certify_split(clique, star, rest, model: Graph) -> tuple[list[str], dict[str, list]]:
@@ -383,43 +417,76 @@ def edge_count(g: Graph) -> int:
 
 
 def verify_decomposition(g: Graph, k: int, p: int, construction: str) -> list[int]:
-    """[] when g's rows equal, as tuples, those of the graph that the
-    divisor lattice of q = 2^k p predicts (_lattice) for the construction,
-    "model" or "true"; else the n XOR rows of the two, whose set bits are
-    the edges one has and the other lacks.  An unknown construction is
-    refused first, and a graph of another order before the canonical
-    order of (k, p) is built."""
+    """[] when g's rows equal those of the graph that the divisor lattice
+    of q = 2^k p predicts (_lattice) for the construction, "model" or
+    "true"; else the n XOR rows of the two, whose set bits are the edges
+    one has and the other lacks.  An unknown construction is refused
+    first, and a graph of another order before the canonical order of
+    (k, p) is built.  The true rows are compared as tuples, the model's
+    row by row (_equals_model)."""
     if construction not in ("model", "true"):
         raise ValueError(f"unknown construction {construction!r}")
     spec = SemidihedralType(k, p)
     if g.n != spec.order or g.labels != canonical_order(spec):
         raise ValueError("graph does not carry the canonical vertex order for (k, p)")
-    true, to_model = _lattice(spec)
-    want = tuple(map(operator.xor, true, to_model)) if construction == "model" else true
-    return [] if g._rows == want else list(map(operator.xor, g._rows, want))
+    true, to_model, _ = _lattice(spec)
+    if construction == "true":
+        return [] if g._rows == true else list(map(operator.xor, g._rows, true))
+    if _equals_model(g._rows, true, to_model):
+        return []
+    return list(map(operator.xor, g._rows, map(operator.xor, true, to_model)))
+
+
+def _equals_model(rows, true, to_model) -> bool:
+    """Whether the n rows equal the predicted model rows, true[i] ^
+    to_model[i], compared one row at a time, so that the predicted model
+    rows, n^2 / 8 bytes, are never held at once."""
+    return all(map(operator.eq, rows, map(operator.xor, true, to_model)))
 
 
 @functools.lru_cache(maxsize=1)
-def _lattice(spec: SemidihedralType) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(true, to_model): the power graph's rows as the divisor lattice of
-    q predicts them, in canonical order, and per row what the model adds.
+def _lattice(spec: SemidihedralType) -> tuple[tuple[int, ...], tuple[int, ...], tuple[bool, bool]]:
+    """(true, to_model, proved): the power graph's rows as the divisor
+    lattice of q predicts them, in canonical order; per row what the model
+    adds; and, for the true and the model prediction, whether its rows are
+    proved loop-free and symmetric (_proofs).
+
+    Row i is the table entry of its key with one bit flipped, the entries
+    packed from the key relation (_key_relation, _tables), so that the
+    proof and the rows come from one source.  The model joins every two
+    rotations, so its row i is true[i] ^ to_model[i].  A run's two graphs
+    and both builders share the prediction, kept for the last group only,
+    as tuples that no reader can change; the key relation and the tables
+    are not kept.
+    """
+    held, key_index, flip = _key_relation(spec)
+    true_table, model_table = _tables(held, key_index)
+    to_model = list(map(operator.xor, true_table, model_table))
+    ranks = key_index.tolist()
+    true = tuple([true_table[c] ^ (1 << i) for c, i in zip(ranks, flip.tolist())])
+    return true, tuple(map(to_model.__getitem__, ranks)), _proofs(held, key_index, flip)
+
+
+def _key_relation(spec: SemidihedralType) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(held, key_index, flip) of the lattice prediction for spec.
 
     Only the labels' exponents (a, b) and gcd are read: nothing here calls
     the group law (_powers, _product) or reads the model's parts
     (_model_parts), so the prediction checks both builders independently.
     The rotation r^b has order d = q / gcd(b, q), and the flip s r^b has
-    order 4 when b is odd, 2 when it is even.  In the power graph two
-    rotations are joined exactly when one order divides the other; e is
-    joined to every flip, u (the rotation of order 2) to every order-4
-    flip, each order-4 flip to its pair partner s r^(b + q/2), its
-    inverse, and each order-2 flip to e only.  So row i is one table
-    entry, that of its key (a rotation's order; -1 for an order-4 flip, 0
-    for an order-2 flip), with one bit flipped: a rotation's own bit,
-    which its entry holds; an order-4 flip's partner; or e for an
-    order-2 flip, whose entry is empty.  The model joins every two
-    rotations, so its row i is true[i] ^ to_model[i].  A run's two graphs
-    share the prediction, kept for the last group only, as tuples that no
-    reader can change.
+    order 4 when b is odd, 2 when it is even.  A vertex's key is its
+    rotation's order, -1 for an order-4 flip and 0 for an order-2 flip;
+    key_index[i] is the rank of vertex i's key among the keys, ascending
+    (-1, 0, then the rotation orders).  held[c, x, y], for c = 0 (true)
+    and 1 (model), is set when a row of key x holds every vertex of key
+    y.  In the power graph two rotations are joined exactly when one
+    order divides the other; e is joined to every flip, u (the rotation
+    of order 2) to every order-4 flip, each order-4 flip to its pair
+    partner s r^(b + q/2), its inverse, and each order-2 flip to e only.
+    So row i is its key's entry with bit flip[i] flipped: a rotation's
+    own bit, which its entry holds; an order-4 flip's partner; or e for
+    an order-2 flip, whose entry is empty.  The model holds every rotation
+    key in every rotation key's entry.
     """
     n, q = spec.order, spec.rotation_order
     a, b = np.fromiter(chain.from_iterable(canonical_order(spec)), np.int64, 2 * n).reshape(n, 2).T
@@ -429,21 +496,54 @@ def _lattice(spec: SemidihedralType) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # the vertex itself, at the partner s r^(b + q/2), or at e
     position = np.empty(2 * q, np.int64)
     position[a * q + b] = np.arange(n)
-    bit = position[np.where(a, odd * (q + (b + q // 2) % q), b)].tolist()
-    # the vertex mask of each key, ascending: -1, 0, then the rotation orders
-    key_of = key.tolist()
-    keys = sorted(set(key_of))
-    packed = np.packbits(key == np.array(keys)[:, None], axis=1, bitorder="little")
-    of_key = {c: int.from_bytes(row.tobytes(), "little") for c, row in zip(keys, packed)}
-    orders = keys[2:]
-    table = {d: sum(of_key[c] for c in orders if d % c == 0 or c % d == 0) for d in orders}
-    table[1] |= of_key[-1] | of_key[0]  # e sees every flip
-    table[2] |= of_key[-1]  # u sees every order-4 flip
-    table[-1], table[0] = of_key[1] | of_key[2], 0
-    rotations = sum(map(of_key.__getitem__, orders))
-    to_model = {d: rotations & ~table[d] for d in orders} | {-1: 0, 0: 0}
-    true = tuple([table[c] ^ (1 << i) for c, i in zip(key_of, bit)])
-    return true, tuple(map(to_model.__getitem__, key_of))
+    flip = position[np.where(a, odd * (q + (b + q // 2) % q), b)]
+    keys = np.flatnonzero(np.bincount(key + 1)) - 1  # the keys present, ascending
+    quad, e, u = 0, 2, 3  # the ranks of the keys -1, 1 and 2; 0 has rank 1
+    divides = keys[e:] % keys[e:, None] == 0  # [x, y]: order x divides order y
+    held = np.zeros((2, len(keys), len(keys)), bool)
+    held[0, e:, e:] = divides | divides.T
+    held[0, e, :e] = held[0, u, quad] = held[0, quad, e : u + 1] = True
+    held[1] = held[0]
+    held[1, e:, e:] = True
+    return held, np.searchsorted(keys, key), flip
+
+
+def _tables(held: np.ndarray, key_index: np.ndarray) -> list[list[int]]:
+    """Per construction and key, the row mask of the key relation: bit j
+    of tables[c][x] is set when held[c, x, key_index[j]]."""
+    width, size = held.shape[1], (len(key_index) + 7) // 8
+    data = np.packbits(held[:, :, key_index], axis=2, bitorder="little").tobytes()
+    masks = [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+    return [masks[:width], masks[width:]]
+
+
+def _proofs(held: np.ndarray, key_index: np.ndarray, flip: np.ndarray) -> tuple[bool, ...]:
+    """Per construction c, whether the rows _tables(held, key_index)[c][
+    key_index[i]] ^ (1 << flip[i]) are loop-free and symmetric: exactly
+    the verdict of _check_loops_and_symmetry on them, in O(#keys^2 + n)
+    steps with no row unpacked.  flip holds vertex indices.
+
+    Bit j of row i is held[c, x, y] ^ [flip[i] = j], for x and y the keys
+    of i and j.  So no row has a loop when, per key x, the vertices that
+    flip their own bit are all sizes[x] of them where held[c, x, x] is
+    set and none where it is not.  For i != j, the bits (i, j) and
+    (j, i) differ when held[c, x, y] != held[c, y, x] or when exactly one
+    of flip[i] = j and flip[j] = i holds, an arc i -> flip[i] that
+    flip[flip[i]] does not return.  Such an arc is the one arc of its
+    vertex pair, so the rows are symmetric when, per pair of keys, the
+    arcs not returned number 0 where the relation is symmetric and every
+    vertex pair of the block, sizes[x] sizes[y], where it is not.
+    """
+    vertices, width = np.arange(len(key_index)), held.shape[1]
+    sizes = np.bincount(key_index, minlength=width)
+    own = np.bincount(key_index[flip == vertices], minlength=width)
+    loop_free = (held.diagonal(0, 1, 2) * sizes == own).all(axis=1)
+    lone = flip[flip] != vertices
+    arcs = np.bincount(key_index[lone] * width + key_index[flip[lone]], minlength=width * width)
+    arcs = arcs.reshape(width, width)
+    blocks = (held != held.transpose(0, 2, 1)) * (sizes[:, None] * sizes)
+    symmetric = (arcs + arcs.T == blocks).all(axis=(1, 2))
+    return tuple((loop_free & symmetric).tolist())
 
 
 def _label_pairs(labels, rows):

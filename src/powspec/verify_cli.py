@@ -12,10 +12,12 @@ errors.
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import json
 import math
 import operator
+import os
 import sys
 import traceback
 from collections import Counter
@@ -680,6 +682,13 @@ def _parse_int_list(raw: str, flag: str = "--p") -> list[int]:
     return [_int_token(flag, x) for x in raw.split(",") if x]
 
 
+def _check_out(out: str | None) -> None:
+    """Raise the FileNotFoundError that writing to out would raise when
+    its directory does not exist, so that a command fails before its work."""
+    if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+
+
 def _emit(payload: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(payload)
@@ -768,6 +777,11 @@ def _formula_json(k: int, p: int, kind: str) -> str:
 
 def _cmd_export(args) -> int:
     what, fmt = args.what, args.format
+    if what != "graph" and args.construction != "model":
+        raise ValueError(
+            f"{what} export has no closed form for --construction {args.construction}: "
+            "only the model has claimed closed forms"
+        )
     if what == "graph":
         if fmt not in ("dot", "json"):
             raise ValueError("graph export supports dot or json")
@@ -857,6 +871,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except (ValueError, OSError, MatrixCapExceeded, ArithmeticError) as exc:
         print(f"powspec: error: {exc}", file=sys.stderr)

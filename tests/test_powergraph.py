@@ -1,6 +1,8 @@
 import math
+import operator
 import random
 import re
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -20,6 +22,7 @@ from powspec.group_core import (
 from powspec.powergraph import (
     Graph,
     _bits,
+    _certify_split,
     _model_parts,
     build_model_graph,
     build_power_graph,
@@ -30,6 +33,7 @@ from powspec.powergraph import (
     to_dot,
     verify_decomposition,
 )
+from powspec.verify_cli import run_verification
 
 E = GroupElement
 
@@ -704,6 +708,130 @@ class TestDecomposition:
         moved = Graph(bad.labels, verify_decomposition(bad, k, p, construction))
         assert [(bad.labels[i], bad.labels[j]) for i, j in moved.edges()] == list(graph_diff(g, bad))
         assert moved.edges()
+
+
+def band_check_passes(rows) -> bool:
+    try:
+        powergraph._check_loops_and_symmetry(rows)
+    except ValueError:
+        return False
+    return True
+
+
+def key_relation_rows(held, key_index, flip):
+    """Per construction, row i = table[key_index[i]] ^ (1 << flip[i]), as _lattice writes it."""
+    return [
+        [table[c] ^ (1 << i) for c, i in zip(key_index.tolist(), flip.tolist())]
+        for table in powergraph._tables(held, key_index)
+    ]
+
+
+CORRUPTIONS = ["relation-entry", "symmetric-relation-pair", "retargeted-flip", "swapped-flips", "moved-vertex"]
+
+
+def corrupted(rng, held, key_index, flip, corruption):
+    """Copies of the key relation of _lattice with one corruption."""
+    held, key_index, flip = held.copy(), key_index.copy(), flip.copy()
+    n, width = len(key_index), held.shape[1]
+    c, x, y = rng.randrange(2), rng.randrange(width), rng.randrange(width)
+    if corruption == "relation-entry":
+        held[c, x, y] ^= True
+    elif corruption == "symmetric-relation-pair":
+        held[c, x, y] ^= True
+        held[c, y, x] ^= x != y
+    elif corruption == "retargeted-flip":
+        flip[rng.randrange(n)] = rng.randrange(n)
+    elif corruption == "swapped-flips":
+        i, j = rng.sample(range(n), 2)
+        flip[[i, j]] = flip[[j, i]]
+    else:  # a vertex moved to another key
+        i = rng.randrange(n)
+        key_index[i] = rng.choice([x for x in range(width) if x != key_index[i]])
+    return held, key_index, flip
+
+
+class TestLatticeProof:
+    """_lattice proves each prediction loop-free and symmetric on its key
+    relation, and a builder graph equal to a proved prediction skips the
+    band check (Graph._proved)."""
+
+    @pytest.mark.parametrize("k,p", PAIRS_UNDER_CAP)
+    def test_every_prediction_of_the_family_is_proved(self, k, p):
+        spec = SemidihedralType(k, p)
+        held, key_index, flip = powergraph._key_relation(spec)
+        rows = key_relation_rows(held, key_index, flip)
+        true, to_model, proved = powergraph._lattice(spec)
+        assert proved == (True, True)
+        assert tuple(rows[0]) == true and rows[1] == list(map(operator.xor, true, to_model))
+        assert all(map(band_check_passes, rows))
+
+    def test_the_proof_agrees_with_the_band_check_on_corrupted_relations(self):
+        # 5 corruptions x 4 groups x 120 seeded draws, both constructions
+        rng = random.Random(2039)
+        verdicts = Counter()
+        for k, p in [(2, 3), (2, 5), (3, 3), (2, 7)]:
+            relation = powergraph._key_relation(SemidihedralType(k, p))
+            for corruption in CORRUPTIONS:
+                for _ in range(120):
+                    bad = corrupted(rng, *relation, corruption)
+                    bands = tuple(map(band_check_passes, key_relation_rows(*bad)))
+                    for proof, band in zip(powergraph._proofs(*bad), bands):
+                        verdicts[corruption, proof, band] += 1
+        assert sum(verdicts.values()) == 2 * 2400
+        unsound = [key for key in verdicts if key[1] and not key[2]]
+        incomplete = [key for key in verdicts if key[2] and not key[1]]
+        assert unsound == [] and incomplete == []
+        # every corruption both breaks a prediction and leaves one whole
+        for corruption in CORRUPTIONS:
+            assert verdicts[corruption, True, True] and verdicts[corruption, False, False]
+
+    def test_builder_graphs_of_the_family_skip_the_band_check(self, monkeypatch):
+        lengths = []
+        real = powergraph._check_loops_and_symmetry
+        monkeypatch.setattr(
+            powergraph, "_check_loops_and_symmetry", lambda rows: lengths.append(len(rows)) or real(rows)
+        )
+        for k, p in PAIRS_UNDER_CAP:
+            spec = SemidihedralType(k, p)
+            graphs = build_model_graph(k, p), build_power_graph(spec)
+            assert lengths == []
+            for g in graphs:
+                # the builder's own rows, never the prediction's tuple
+                assert g._rows is not powergraph._lattice(spec)[0]
+                checked = Graph(g.labels, g._rows)
+                assert g == checked and g.degrees == checked.degrees
+                assert [g.index_of(x) for x in g.labels] == list(range(g.n))
+            lengths.clear()
+        build_power_graph(Cyclic(12))
+        assert lengths == [12]
+        spec = SemidihedralType(2, 3)
+        problems, _ = _certify_split(*_model_parts(spec), build_model_graph(2, 3))
+        assert problems == [] and lengths == [12, 24, 24]
+
+    def test_a_moved_prediction_edge_sends_the_builders_to_the_band_check(self, monkeypatch):
+        spec = SemidihedralType(2, 3)
+        true, to_model, proved = powergraph._lattice(spec)
+        q = spec.rotation_order
+        e, x, flat, other_flat = 0, q, q + q // 2, q + q // 2 + 1
+        rows = list(true)
+        for i, j in [(e, x), (flat, other_flat)]:  # e ~ x dropped, flat ~ other_flat added
+            rows[i] ^= 1 << j
+            rows[j] ^= 1 << i
+        assert band_check_passes(rows)
+        monkeypatch.setattr(powergraph, "_lattice", lambda spec: (tuple(rows), to_model, proved))
+        lengths = []
+        real = powergraph._check_loops_and_symmetry
+        monkeypatch.setattr(
+            powergraph, "_check_loops_and_symmetry", lambda rows: lengths.append(len(rows)) or real(rows)
+        )
+        report = run_verification(2, 3, kinds=())
+        assert lengths == [24, 24]
+        failed = {c.construction: c.detail for c in report.checks if c.status == "fail"}
+        labels = canonical_order(spec)
+        moved = {"missing": [f"{labels[e]} ~ {labels[x]}"], "extra": [f"{labels[flat]} ~ {labels[other_flat]}"]}
+        # the graph has e ~ x, which the moved prediction lacks, and lacks the edge it gained
+        named = {"missing": moved["extra"], "extra": moved["missing"]}
+        assert failed == {"model": named, "true": named}
 
 
 class TestGraphDiff:

@@ -1023,6 +1023,34 @@ class TestCliExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "No such file or directory" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--k", "2", "--p", "3"],
+            ["sweep", "--k", "2", "--p", "3,5,7"],
+            ["export", "--what", "graph", "--format", "dot", "--k", "2", "--p", "3"],
+            ["export", "--what", "spectrum", "--format", "csv", "--k", "2", "--p", "3"],
+            ["export", "--what", "formula", "--format", "json", "--k", "2", "--p", "3"],
+            ["formulas", "--k", "2", "--p", "3"],
+        ],
+        ids=["verify", "sweep", "export graph", "export spectrum", "export formula", "formulas"],
+    )
+    def test_out_into_a_missing_directory_exits_before_any_work(self, argv, monkeypatch, capsys, tmp_path):
+        work = []
+
+        def no_work(*args, **kwargs):
+            work.append(args)
+            raise AssertionError("a command worked before checking its --out directory")
+
+        # sweep catches what a run raises, so the calls are counted too
+        for name in ("run_verification", "build_model_graph", "laplacian_spectrum_formula", "_charpoly_forms"):
+            monkeypatch.setattr(verify_cli, name, no_work)
+        out = tmp_path / "missing" / "report.json"
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert work == [] and captured.out == ""
+        assert captured.err == f"powspec: error: [Errno 2] No such file or directory: '{out}'\n"
+
     def test_invalid_p_is_usage_error(self, capsys):
         assert main(["verify", "--k", "2", "--p", "9"]) == 2
         assert "error" in capsys.readouterr().err
@@ -1167,6 +1195,22 @@ class TestCliExports:
                      "--k", "2", "--p", "5"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["pairs"] == [[0, 1], [1, 10], [2, 5], [4, 5], [20, 17], [30, 1], [40, 1]]
+
+    @pytest.mark.parametrize("what,fmt", [("formula", "json"), ("spectrum", "csv"), ("spectrum", "json")])
+    def test_closed_forms_of_the_true_graph_are_refused(self, what, fmt, capsys):
+        argv = ["export", "--what", what, "--format", fmt, "--k", "2", "--p", "3"]
+        assert main([*argv, "--construction", "true"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"powspec: error: {what} export has no closed form for --construction true: "
+            "only the model has claimed closed forms\n"
+        )
+        # the model, the default, is unchanged
+        assert main([*argv, "--construction", "model"]) == 0
+        model = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == model != ""
 
     def test_formula_json(self, tmp_path):
         out = tmp_path / "f.json"
