@@ -21,18 +21,18 @@ transpose of the same band of columns, which costs O(n^2) bytes; a
 builder whose rows equal a lattice prediction proved loop-free and
 symmetric skips that check (Graph._proved).
 
-The model graph's edges are written once, as three parts of row masks
-(_model_parts): build_model_graph is their union, and _certify_split
-checks the parts themselves for a run's split-spectra check.
+The model graph's edges are written once, by build_model_graph, and a
+run's split-spectra check reads its clique, star and rest off the model
+graph's rows (_certify_split).
 A run checks each graph row for row against the graph the divisor
 lattice of the rotation order predicts (verify_decomposition), written
 from the labels' exponents and gcd alone (_lattice), so it shares no
 code with either builder.  Each predicted row is the entry of its
 vertex's key in a small key relation with one bit flipped, and the
 relation proves both predictions loop-free and symmetric in
-O(#keys^2 + n) steps (_proofs).  The parts and the prediction are made
-once per group, in one-entry caches; the identity compares row tuples,
-and when both graphs pass, the diff is the prediction's to_model rows.
+O(#keys^2 + n) steps (_proofs).  The prediction is made once per group,
+in a one-entry cache; the identity compares row tuples, and when both
+graphs pass, the diff is the prediction's to_model rows.
 """
 
 from __future__ import annotations
@@ -331,81 +331,62 @@ def _to_walk(spec: GroupSpec, labels, position, rows: list[int]):
         rows[j2] |= 1 << i
 
 
-@functools.lru_cache(maxsize=1)
-def _model_parts(spec: SemidihedralType) -> tuple[tuple[int, ...], ...]:
-    """The model graph's edges, the only place they are written down.
-
-    Three symmetric tuples of row masks in canonical order, pairwise
-    disjoint: the clique on the rotations, the star from the identity to
-    every flip, and the rest, which joins the central rotation to each
-    order-4 flip and each order-4 flip to its pair partner.  A run's model
-    build and split check both read them, so they are made once per group
-    and kept for the last group only: tuples, which no reader can change
-    for the next.
-    """
-    q = spec.rotation_order
-    half = q // 2
-    quads = ((1 << half) - 1) << q  # order-4 flips, vertices q .. q + half - 1
-    clique = [((1 << q) - 1) ^ (1 << i) for i in range(q)] + [0] * q
-    star = [((1 << q) - 1) << q] + [0] * (q - 1) + [0b1] * q
-    # q is a multiple of 4, so the pair partners q + 2t, q + 2t + 1 differ in bit 0
-    rest = [0, quads] + [0] * (q - 2)
-    rest += [0b10 | (1 << (a ^ 1)) for a in range(q, q + half)] + [0] * half
-    return tuple(clique), tuple(star), tuple(rest)
-
-
 def build_model_graph(k: int, p: int) -> Graph:
-    """The block-model graph behind the closed-form polynomials.
+    """The block-model graph behind the closed-form polynomials, the only
+    place its edges are written.
 
     Rotations form a clique; each order-4 flip pair attaches to the
     identity and the central rotation and closes internally (a 4-clique
-    with the core); each order-2 flip hangs off the identity alone.  The
-    rows are the union of the three _model_parts, built as a list; a row
-    that only the clique has bits in is the clique's own int, not a copy,
-    so the rotations' rows are held once.
+    with the core); each order-2 flip hangs off the identity alone.  Each
+    row is written once, in canonical order: e's, u's, the other
+    rotations', each order-4 flip's e, u and pair partner, and each
+    order-2 flip's e.
     """
     spec = SemidihedralType(k, p)
     _check_graph_order(spec.order)
-    clique, star, rest = _model_parts(spec)
-    rows = [c | s | r if s | r else c for c, s, r in zip(clique, star, rest)]
     labels = canonical_order(spec)
+    q = spec.rotation_order
+    half = q // 2
+    rotations = (1 << q) - 1
+    quads = ((1 << half) - 1) << q  # order-4 flips, vertices q .. q + half - 1
+    rows = [(1 << 2 * q) - 2, rotations ^ 0b10 | quads]
+    rows += [rotations ^ (1 << i) for i in range(2, q)]
+    # q is a multiple of 4, so the pair partners q + 2t, q + 2t + 1 differ in bit 0
+    rows += [0b11 | (1 << (a ^ 1)) for a in range(q, q + half)]
+    rows += [0b1] * half
     true, to_model, (_, proved) = _lattice(spec)
     if proved and _equals_model(rows, true, to_model):
         return Graph._proved(labels, tuple(rows), dict(zip(labels, count())))
     return Graph(labels, rows)
 
 
-def _certify_split(clique, star, rest, model: Graph) -> tuple[list[str], dict[str, list]]:
-    """(problems, counts) for the parts of _model_parts against the model
-    graph.  The parts must be pairwise disjoint with the model's rows as
-    their OR, and the star and the rest symmetric and loop-free, by the
-    band check of Graph (_check_loops_and_symmetry), so that clique+star,
-    the model's symmetric rows less the rest, is too; a loop in a part
-    also fails the reassembly, as the model has none.  Each of star, rest
-    and clique+star is divided by the five classes of the canonical order
-    (e, u, the other rotations, the order-4 flips, the order-2 flips):
-    counts holds K of every part that divides equitably, by
-    exact_linalg._quotient_counts on every row of each class, and
-    problems names every part that does not."""
-    n = len(star)
+def _certify_split(model: Graph) -> tuple[list[str], dict[str, list]]:
+    """(problems, counts) for the additive split of the model graph's
+    adjacency into clique + star + rest, read off its rows by the five
+    classes of the canonical order (e, u, the other rotations, the
+    order-4 flips, the order-2 flips).  The clique is each rotation's row
+    masked to the rotations; the star is e's row masked to the flips and
+    each flip's e bit; the rest is what remains of each row.  Both masks
+    pick symmetric blocks of a symmetric loop-free graph, so the three
+    parts are symmetric, loop-free and disjoint, and sum to the adjacency
+    matrix, by construction.  Each of star, rest and clique+star is
+    divided by the five classes: counts holds K of every part that
+    divides equitably, by exact_linalg._quotient_counts on every row of
+    each class, and problems names every part that does not."""
+    n, rows = model.n, model._rows
     q = n // 2
     bounds = (0, 1, 2, q, q + q // 2, n)
     classes = list(zip(bounds, bounds[1:]))
     masks = [(1 << hi) - (1 << lo) for lo, hi in classes]
-    problems = []
-    if any(a & b or a & c or b & c for a, b, c in zip(clique, star, rest)):
-        problems.append("split parts overlap")
-    if tuple([a | b | c for a, b, c in zip(clique, star, rest)]) != model._rows:
-        problems.append("split does not reassemble the adjacency matrix")
-    for name, rows in (("star", star), ("rest", rest)):
-        try:
-            _check_loops_and_symmetry(rows)
-        except ValueError:
-            problems.append(f"{name} part is not symmetric")
-    parts = {"star": star, "rest": rest, "clique+star": [a | b for a, b in zip(clique, star)]}
-    counts = {}
-    for name, rows in parts.items():
-        if (found := _quotient_counts(masks, [rows[lo:hi] for lo, hi in classes])) is None:
+    rotations, flips = (1 << q) - 1, (1 << n) - (1 << q)
+    star = [rows[0] & flips] + [0] * (q - 1) + [row & 1 for row in rows[q:]]
+    clique_star = [row & rotations for row in rows[:q]] + star[q:]
+    clique_star[0] |= star[0]
+    rest = list(map(operator.xor, rows, clique_star))
+    parts = {"star": star, "rest": rest, "clique+star": clique_star}
+    problems, counts = [], {}
+    for name, part in parts.items():
+        if (found := _quotient_counts(masks, [part[lo:hi] for lo, hi in classes])) is None:
             problems.append(f"{name} part is not equitable on the five classes")
         else:
             counts[name] = found
@@ -471,8 +452,9 @@ def _key_relation(spec: SemidihedralType) -> tuple[np.ndarray, np.ndarray, np.nd
     """(held, key_index, flip) of the lattice prediction for spec.
 
     Only the labels' exponents (a, b) and gcd are read: nothing here calls
-    the group law (_powers, _product) or reads the model's parts
-    (_model_parts), so the prediction checks both builders independently.
+    the group law (_powers, _product) or the model's rows
+    (build_model_graph), so the prediction checks both builders
+    independently.
     The rotation r^b has order d = q / gcd(b, q), and the flip s r^b has
     order 4 when b is odd, 2 when it is even.  A vertex's key is its
     rotation's order, -1 for an order-4 flip and 0 for an order-2 flip;

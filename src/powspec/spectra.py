@@ -116,12 +116,15 @@ def symmetric_eigenvalues(matrix, tol: float = 1e-9):
         w, v = np.linalg.eigh(members)
     except np.linalg.LinAlgError as exc:
         raise EigenSolveError(f"eigensolver did not converge: {exc}") from exc
-    # initial: an empty member has residual 0 and scale 1
-    residuals = np.max(np.linalg.norm(members @ v - v * w[:, None, :], axis=1), axis=1, initial=0.0)
-    scales = np.max(np.abs(w), axis=1, initial=1.0)
+    # the largest column norm, bit for bit, as sqrt is monotone: one
+    # reduction and one sqrt per member; initial: an empty member has 0
+    r = members @ v - v * w[:, None, :]
+    residuals = np.sqrt(np.max(np.add.reduce(r * r, axis=1), axis=1, initial=0.0))
     results = []
     # lists first: a tuple built from a generator of floats made peak RSS creep
-    for values, residual, scale in zip(w.tolist(), residuals.tolist(), scales.tolist()):
+    for values, residual in zip(w.tolist(), residuals.tolist()):
+        # the values ascend, so the largest |value| is at one end
+        scale = max(1.0, -values[0], values[-1]) if values else 1.0
         if residual > tol * scale:
             raise EigenSolveError(f"residual {residual} exceeds {tol} * {scale}")
         results.append(EigenResult(tuple(values), residual))

@@ -52,7 +52,6 @@ from .powergraph import (
     _diff_rows,
     _label_pairs,
     _lattice,
-    _model_parts,
     build_model_graph,
     build_power_graph,
     edge_count,
@@ -224,7 +223,7 @@ class _Run:
     The claims are the factored closed forms, one per kind; a family
     expands one only when it compares against it.  skip(what) turns a
     heavy check into a notice past the matrix-order cap, decided once
-    before any of that work is done, and lambda1(construction) solves a
+    before either graph is built, and lambda1(construction) solves a
     graph's twin quotient once for the spectral radius.
     """
 
@@ -234,18 +233,18 @@ class _Run:
         self.mp = ModelParameters(k, p)
         self.kinds = _normalize(kinds, MATRIX_KINDS, "matrix kind")
         constructions = _normalize(constructions, CONSTRUCTIONS, "construction")
-        self.graphs = {}
-        if "model" in constructions:
-            self.graphs["model"] = build_model_graph(k, p)
-        if "true" in constructions:
-            self.graphs["true"] = build_power_graph(self.spec)
-        self.m_counts = {name: edge_count(g) for name, g in self.graphs.items()}
         # every matrix a run writes has order n, every quotient it solves is smaller
         try:
             _check_cap(self.mp.vertex_count)
             self.cap = None
         except MatrixCapExceeded as exc:
             self.cap = exc
+        self.graphs = {}
+        if "model" in constructions:
+            self.graphs["model"] = build_model_graph(k, p)
+        if "true" in constructions:
+            self.graphs["true"] = build_power_graph(self.spec)
+        self.m_counts = {name: edge_count(g) for name, g in self.graphs.items()}
         self.claims = {kind: _charpoly_formula(kind, k, p) for kind in self.kinds}
         self.notices: list[str] = []
         self._lambda1: dict[str, float] = {}
@@ -539,21 +538,20 @@ def run_verification(
 
 
 def _split_spectra_check(run: _Run) -> Check:
-    """The additive split behind the radius bound, on the rows of
-    _model_parts, certified by powergraph._certify_split: the parts
-    reassemble the model, and star, rest and clique+star are each
-    equitable on the five canonical-order classes, or the check fails by
-    name.  A Perron vector x >= 0 of a part A with A P = P K gives the
-    eigenvector P^T x >= 0 of K^T, so the top eigenvalue of A is that of
-    its 5 x 5 quotient (one quotient_eigenvalues call for all three).  The
-    star's quotient gives +-sqrt(q), and its q edges give trace(A^2) = 2q,
-    so its other n - 2 eigenvalues are 0.  The rest must peak at
-    (1 + sqrt(1 + 2q)) / 2, and the top eigenvalues must be subadditive
-    against the model's lambda1, read off its twin quotient
-    (run.lambda1); the caller skips this past the matrix cap."""
+    """The additive split behind the radius bound, clique + star + rest,
+    read off the model graph's rows by powergraph._certify_split: star,
+    rest and clique+star must each be equitable on the five
+    canonical-order classes, or the check fails by name.  A Perron vector
+    x >= 0 of a part A with A P = P K gives the eigenvector P^T x >= 0 of
+    K^T, so the top eigenvalue of A is that of its 5 x 5 quotient (one
+    quotient_eigenvalues call for all three).  The star's quotient gives
+    +-sqrt(q), and its q edges, all at e, so counted by class e's row of
+    its K, give trace(A^2) = 2q, so its other n - 2 eigenvalues are 0.
+    The rest must peak at (1 + sqrt(1 + 2q)) / 2, and the top eigenvalues
+    must be subadditive against the model's lambda1, read off its twin
+    quotient (run.lambda1); the caller skips this past the matrix cap."""
     q = run.mp.rotation_order
-    clique, star, rest = _model_parts(run.spec)
-    problems, counts = _certify_split(clique, star, rest, run.graphs["model"])
+    problems, counts = _certify_split(run.graphs["model"])
     full_peak = run.lambda1("model")
     solved = quotient_eigenvalues(list(counts.values()), NUMERIC_TOL) if counts else ()
     spectra = {name: result.eigenvalues for name, result in zip(counts, solved)}
@@ -562,7 +560,7 @@ def _split_spectra_check(run: _Run) -> Check:
     star_extremes = rest_peak = None
     if "star" in spectra:
         low, high = star_extremes = [spectra["star"][0], spectra["star"][-1]]
-        edges = sum(row.bit_count() for row in star) // 2
+        edges = sum(counts["star"][0])
         if abs(low + root_q) > tol or abs(high - root_q) > tol or edges != q:
             problems.append("star spectrum is not {+-sqrt(q), 0}")
     rest_peak_claim = (1 + math.sqrt(1 + 2 * q)) / 2
@@ -683,10 +681,15 @@ def _parse_int_list(raw: str, flag: str = "--p") -> list[int]:
 
 
 def _check_out(out: str | None) -> None:
-    """Raise the FileNotFoundError that writing to out would raise when
-    its directory does not exist, so that a command fails before its work."""
-    if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
+    """Raise the OSError that opening out for writing would raise when out
+    is empty, lies in a directory that does not exist, or names a
+    directory, so that a command fails before its work."""
+    if out is None:
+        return
+    if not out or not os.path.isdir(os.path.dirname(out) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+    if os.path.isdir(out):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
 
 
 def _emit(payload: str, out: str | None) -> None:

@@ -36,8 +36,9 @@ from powspec.group_core import (
     inverse,
     multiply,
 )
-from powspec.powergraph import _model_parts, edge_count, graph_diff
+from powspec.powergraph import edge_count, graph_diff
 from powspec.spectra import laplacian_energy, symmetric_eigenvalues
+from reference_model import split_parts
 
 GRID = [(2, 3), (2, 5), (3, 3)]
 TOL = 1e-9
@@ -117,7 +118,7 @@ def test_criterion_5_radius_bracket(model_graphs):
 
 
 def test_criterion_6_split_part_spectra():
-    _, star_part, rest_part = map(_unpack, _model_parts(SemidihedralType(2, 3)))
+    _, star_part, rest_part = map(_unpack, split_parts(SemidihedralType(2, 3)))
     star = symmetric_eigenvalues(star_part, TOL).eigenvalues
     root = math.sqrt(12)
     expected = [-root] + [0.0] * 22 + [root]

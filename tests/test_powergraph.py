@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from powspec import group_core, powergraph
-from powspec.exact_linalg import matrix_of
+from powspec.exact_linalg import _quotient_counts, matrix_of
 from powspec.formulas import ModelParameters
 from powspec.group_core import (
     Cyclic,
@@ -23,7 +23,6 @@ from powspec.powergraph import (
     Graph,
     _bits,
     _certify_split,
-    _model_parts,
     build_model_graph,
     build_power_graph,
     canonical_order,
@@ -34,6 +33,7 @@ from powspec.powergraph import (
     verify_decomposition,
 )
 from powspec.verify_cli import run_verification
+from reference_model import split_parts
 
 E = GroupElement
 
@@ -534,22 +534,35 @@ class TestModelGraph:
 
 
 class TestModelParts:
-    """_model_parts is the one written description of the model's edges."""
+    """build_model_graph writes the model's rows once; a reference writer
+    of its three parts (split_parts) checks them, and the split that
+    _certify_split reads off them."""
 
-    @pytest.mark.parametrize("k,p", PAIRS_UNDER_CAP)
+    @pytest.mark.parametrize("k,p", PAIRS_UNDER_CAP + [(11, 3)])
     def test_parts_are_disjoint_and_symmetric(self, k, p):
-        clique, star, rest = _model_parts(SemidihedralType(k, p))
+        clique, star, rest = split_parts(SemidihedralType(k, p))
         for a, b in ((clique, star), (clique, rest), (star, rest)):
             assert all(x & y == 0 for x, y in zip(a, b))
         for part in (clique, star, rest):
             assert len(part) == 2 ** (k + 1) * p
-            assert bit_walk_transpose(part) == list(part)
+            assert band_check_passes(part)
 
-    @pytest.mark.parametrize("k,p", PAIRS_UNDER_CAP)
+    @pytest.mark.parametrize("k,p", PAIRS_UNDER_CAP + [(11, 3)])
     def test_union_is_the_model_graph(self, k, p):
         g = build_model_graph(k, p)
-        union = [a | b | c for a, b, c in zip(*_model_parts(SemidihedralType(k, p)))]
+        union = [a | b | c for a, b, c in zip(*split_parts(SemidihedralType(k, p)))]
         assert union == [g.row_mask(i) for i in range(g.n)]
+
+    @pytest.mark.parametrize("k,p", PAIRS_UNDER_CAP)
+    def test_the_split_read_off_the_model_is_the_reference_split(self, k, p):
+        clique, star, rest = split_parts(SemidihedralType(k, p))
+        q = len(star) // 2
+        bounds = (0, 1, 2, q, q + q // 2, 2 * q)
+        classes = list(zip(bounds, bounds[1:]))
+        masks = [(1 << hi) - (1 << lo) for lo, hi in classes]
+        parts = {"star": star, "rest": rest, "clique+star": [a | b for a, b in zip(clique, star)]}
+        expected = {name: _quotient_counts(masks, [rows[lo:hi] for lo, hi in classes]) for name, rows in parts.items()}
+        assert _certify_split(build_model_graph(k, p)) == ([], expected)
 
 
 def mutated(g, k, p, mutation):
@@ -662,14 +675,14 @@ class TestDecomposition:
         rotation_edges = sum(g.labels[i].a == g.labels[j].a == 0 for i, j in g.edges())
         assert rotation_edges == (66 if construction == "model" else 56)
 
-    def test_prediction_reads_no_group_law_and_no_model_parts(self, monkeypatch, model_graphs, true_graphs):
+    def test_prediction_reads_no_group_law_and_no_model_builder(self, monkeypatch, model_graphs, true_graphs):
         def forbidden(*args):
             raise AssertionError("the prediction called a builder's code")
 
         monkeypatch.setattr(group_core, "_powers", forbidden)
         monkeypatch.setattr(group_core, "_product", forbidden)
         monkeypatch.setattr(powergraph, "_powers", forbidden)
-        monkeypatch.setattr(powergraph, "_model_parts", forbidden)
+        monkeypatch.setattr(powergraph, "build_model_graph", forbidden)
         powergraph._lattice.cache_clear()
         for k, p in [(2, 3), (3, 3)]:
             assert verify_decomposition(model_graphs[(k, p)], k, p, "model") == []
@@ -804,9 +817,18 @@ class TestLatticeProof:
             lengths.clear()
         build_power_graph(Cyclic(12))
         assert lengths == [12]
-        spec = SemidihedralType(2, 3)
-        problems, _ = _certify_split(*_model_parts(spec), build_model_graph(2, 3))
-        assert problems == [] and lengths == [12, 24, 24]
+        problems, _ = _certify_split(build_model_graph(2, 3))
+        assert problems == [] and lengths == [12]
+
+    def test_full_runs_of_the_family_take_no_band_check(self, monkeypatch):
+        lengths = []
+        real = powergraph._check_loops_and_symmetry
+        monkeypatch.setattr(
+            powergraph, "_check_loops_and_symmetry", lambda rows: lengths.append(len(rows)) or real(rows)
+        )
+        reports = [run_verification(k, p) for k, p in PAIRS_UNDER_CAP]
+        assert all(report.status == "pass" for report in reports)
+        assert lengths == []
 
     def test_a_moved_prediction_edge_sends_the_builders_to_the_band_check(self, monkeypatch):
         spec = SemidihedralType(2, 3)

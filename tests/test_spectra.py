@@ -15,7 +15,7 @@ from powspec.exact_linalg import (
 )
 from powspec.formulas import ModelParameters, laplacian_spectrum_formula
 from powspec.group_core import GroupElement, SemidihedralType, is_odd_prime
-from powspec.powergraph import Graph, _model_parts
+from powspec.powergraph import Graph
 from powspec.spectra import (
     EigenSolveError,
     SpectrumEntry,
@@ -26,6 +26,7 @@ from powspec.spectra import (
     summaries_match,
     symmetric_eigenvalues,
 )
+from reference_model import split_parts
 
 
 def complete_graph(n):
@@ -54,7 +55,7 @@ def adjacency_radius(g):
 
 def dense_parts(k, p):
     """The model's clique, star and rest parts as dense 0/1 arrays."""
-    return [_unpack(part) for part in _model_parts(SemidihedralType(k, p))]
+    return [_unpack(part) for part in split_parts(SemidihedralType(k, p))]
 
 
 def random_symmetric(rng, n, lo=-4, hi=4):

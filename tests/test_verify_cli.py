@@ -37,6 +37,7 @@ from powspec.verify_cli import (
     sweep,
     sweep_summary_table,
 )
+from reference_model import split_parts
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report.schema.json"
 
@@ -174,7 +175,7 @@ class TestRunVerification:
             "char_poly_exact",
             "symmetric_eigenvalues",
             "quotient_eigenvalues",
-            "_model_parts",
+            "_certify_split",
             "matrix_of",
             "_graph_twins",
         ):
@@ -431,29 +432,20 @@ class TestRunVerification:
         assert canonical_order.cache_info().misses == 1  # the spec; no P(C_q) is built
 
     @pytest.mark.parametrize("kinds", [(), verify_cli.MATRIX_KINDS], ids=["structure", "full"])
-    def test_model_parts_are_made_once_per_run(self, kinds):
-        # the model build reads the parts, and a full run's split check
-        # too; both graphs' decomposition checks read the lattice
-        # prediction.  The run computes each once
-        caches = (powergraph._model_parts, powergraph._lattice)
-        for cache in caches:
-            cache.cache_clear()
+    def test_the_prediction_is_made_once_per_run(self, kinds):
+        # both builders and both graphs' decomposition checks read the
+        # lattice prediction; the run computes it once
+        cache = powergraph._lattice
+        cache.cache_clear()
         run_verification(2, 3, kinds=kinds)
-        spec = SemidihedralType(2, 3)
-        for cache in caches:
-            info = cache.cache_info()
-            assert (info.misses, info.currsize, info.maxsize) == (1, 1, 1)
-        parts = powergraph._model_parts(spec)
-        assert type(parts) is tuple and all(type(part) is tuple for part in parts)
-        # the model rows are the parts' union, a row the clique alone fills
-        # being the clique's own int
-        model = build_model_graph(2, 3)
-        assert all(model.row_mask(i) is parts[0][i] for i in range(2, 12))
-        # the next group's parts replace them, so one group's are kept at most
+        info = cache.cache_info()
+        assert (info.misses, info.currsize, info.maxsize) == (1, 1, 1)
+        prediction = powergraph._lattice(SemidihedralType(2, 3))
+        assert type(prediction) is tuple and all(type(part) is tuple for part in prediction)
+        # the next group's prediction replaces it, so one group's is kept at most
         run_verification(2, 5, kinds=kinds)
-        for cache in caches:
-            assert cache.cache_info().currsize == 1
-        assert powergraph._model_parts(spec) is not parts
+        assert cache.cache_info().currsize == 1
+        assert powergraph._lattice(SemidihedralType(2, 3)) is not prediction
 
 
 # every (k, p) of the twisted family with n = 2^(k+1) p <= 256
@@ -592,55 +584,43 @@ def split_check(k, p):
     return check
 
 
-def star_leaf_moved_to_u(clique, star, rest):
-    leaf = len(star) - 1  # an order-2 flip
-    star[0] ^= 1 << leaf
-    star[1] |= 1 << leaf
-    star[leaf] = 0b10
+def mutated_model(monkeypatch, mutation):
+    """Make the run's model graph the built one with the edges of
+    mutation(q), index pairs, toggled."""
+    real = verify_cli.build_model_graph
+
+    def build(k, p):
+        g = real(k, p)
+        rows = list(g._rows)
+        for i, j in mutation(g.n // 2):
+            rows[i] ^= 1 << j
+            rows[j] ^= 1 << i
+        return Graph(g.labels, rows)
+
+    monkeypatch.setattr(verify_cli, "build_model_graph", build)
 
 
-def rotation_edge_also_in_rest(clique, star, rest):
-    rest[2] |= 1 << 3
-    rest[3] |= 1 << 2
+# e = 0, u = 1, another rotation 2, the first order-4 flip pair q and
+# q + 1, the first order-2 flip q + q/2 and the last 2q - 1
+def quad_pair_edge_dropped(q):
+    return [(q, q + 1)]
 
 
-def flip_pair_edge_dropped(clique, star, rest):
-    a = len(star) // 2  # the first order-4 flip; its partner is a + 1
-    rest[a] &= ~(1 << (a + 1))
-    rest[a + 1] &= ~(1 << a)
+def quad_pair_edge_moved_to_a_rotation(q):
+    return [(q, q + 1), (q, 2)]
 
 
-def flip_pair_edge_moved_to_clique(clique, star, rest):
-    a = len(star) // 2
-    flip_pair_edge_dropped(clique, star, rest)
-    clique[a] |= 1 << (a + 1)
-    clique[a + 1] |= 1 << a
+def rotation_flat_edge_added(q):
+    return [(2, q + q // 2)]
 
 
-def star_half_edge_moved_to_clique(clique, star, rest):
-    leaf = len(star) - 1
-    star[0] &= ~(1 << leaf)
-    clique[0] |= 1 << leaf
+def star_leaf_moved_to_u(q):
+    return [(0, 2 * q - 1), (1, 2 * q - 1)]
 
 
-def rotation_matching_moved_to_star(clique, star, rest):
-    # equitable, and the star's quotient keeps its extremes +-sqrt(q), but
-    # the star gains (q - 2) / 2 edges and the eigenvalues +-1
-    for a in range(2, len(star) // 2, 2):
-        for x, y in ((a, a + 1), (a + 1, a)):
-            clique[x] &= ~(1 << y)
-            star[x] |= 1 << y
-
-
-def mutated_parts(monkeypatch, mutation):
-    real = verify_cli._model_parts
-
-    def parts(spec):
-        clique, star, rest = (list(part) for part in real(spec))
-        mutation(clique, star, rest)
-        return clique, star, rest
-
-    monkeypatch.setattr(verify_cli, "_model_parts", parts)
+def pendants_dropped(q):
+    # every part stays equitable, but the star keeps q/2 of its q edges
+    return [(0, j) for j in range(q + q // 2, 2 * q)]
 
 
 def result_bits(results):
@@ -670,8 +650,7 @@ class TestStackedSolves:
 
     @pytest.mark.parametrize("k,p", PAIRS_UNDER_CAP)
     def test_split_quotient_stack_is_the_single_solves(self, k, p):
-        parts = powergraph._model_parts(SemidihedralType(k, p))
-        problems, counts = powergraph._certify_split(*parts, build_model_graph(k, p))
+        problems, counts = powergraph._certify_split(build_model_graph(k, p))
         assert not problems and list(counts) == ["star", "rest", "clique+star"]
         tol = verify_cli.NUMERIC_TOL
         stacked = spectra.quotient_eigenvalues(list(counts.values()), tol)
@@ -680,14 +659,14 @@ class TestStackedSolves:
 
 
 class TestSplitSpectra:
-    """split-spectra reads the _model_parts rows and their 5 x 5 quotients."""
+    """split-spectra reads clique, star and rest off the model graph's
+    rows, and their 5 x 5 quotients."""
 
     @pytest.mark.parametrize("k,p", PAIRS_UNDER_CAP)
     def test_agrees_with_the_dense_split(self, k, p):
         check = split_check(k, p)
         assert check.status == "pass"
-        parts = powergraph._model_parts(SemidihedralType(k, p))
-        clique, star, rest = map(exact_linalg._unpack, parts)
+        clique, star, rest = map(exact_linalg._unpack, split_parts(SemidihedralType(k, p)))
         full = spectra.symmetric_eigenvalues(clique + star + rest).eigenvalues
         star = spectra.symmetric_eigenvalues(star).eigenvalues
         rest = spectra.symmetric_eigenvalues(rest).eigenvalues
@@ -701,31 +680,29 @@ class TestSplitSpectra:
     @pytest.mark.parametrize(
         "mutation,problem",
         [
-            (star_leaf_moved_to_u, "split does not reassemble the adjacency matrix"),
-            (rotation_edge_also_in_rest, "split parts overlap"),
-            (flip_pair_edge_dropped, "split does not reassemble the adjacency matrix"),
-            (flip_pair_edge_moved_to_clique, "rest part is not equitable on the five classes"),
-            (star_half_edge_moved_to_clique, "star part is not symmetric"),
-            (rotation_matching_moved_to_star, "star spectrum is not {+-sqrt(q), 0}"),
+            (quad_pair_edge_dropped, "rest part is not equitable on the five classes"),
+            (quad_pair_edge_moved_to_a_rotation, "rest part is not equitable on the five classes"),
+            (rotation_flat_edge_added, "rest part is not equitable on the five classes"),
+            (star_leaf_moved_to_u, "star part is not equitable on the five classes"),
+            (pendants_dropped, "star spectrum is not {+-sqrt(q), 0}"),
         ],
         ids=lambda v: getattr(v, "__name__", "problem"),
     )
-    def test_mutated_parts_fail(self, monkeypatch, capsys, mutation, problem):
-        mutated_parts(monkeypatch, mutation)
+    def test_mutated_model_graphs_fail(self, monkeypatch, capsys, mutation, problem):
+        mutated_model(monkeypatch, mutation)
         check = split_check(2, 3)
         assert check.status == "fail"
         assert problem in check.computed.split("; ")
         assert main(["verify", "--k", "2", "--p", "3"]) == 1
-        assert "[fail] split-spectra" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "[fail] split-spectra" in out and "[fail] decomposition (model)" in out
 
     def test_a_part_off_the_classes_is_named(self, monkeypatch):
-        mutated_parts(monkeypatch, flip_pair_edge_moved_to_clique)
+        mutated_model(monkeypatch, quad_pair_edge_moved_to_a_rotation)
         check = split_check(2, 3)
-        # the parts still reassemble, are disjoint and symmetric
-        assert check.computed == (
-            "rest part is not equitable on the five classes; "
-            "clique+star part is not equitable on the five classes"
-        )
+        # the clique and the star read only rotation pairs and e's flip
+        # edges, so the moved edge lands in the rest alone
+        assert check.computed == "rest part is not equitable on the five classes"
         assert check.detail["rest_peak"] is None
 
 
@@ -1045,11 +1022,15 @@ class TestCliExitCodes:
         # sweep catches what a run raises, so the calls are counted too
         for name in ("run_verification", "build_model_graph", "laplacian_spectrum_formula", "_charpoly_forms"):
             monkeypatch.setattr(verify_cli, name, no_work)
-        out = tmp_path / "missing" / "report.json"
-        assert main([*argv, "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert work == [] and captured.out == ""
-        assert captured.err == f"powspec: error: [Errno 2] No such file or directory: '{out}'\n"
+        # a file in a missing directory, a directory, and the empty path:
+        # the message is the one opening the path would give
+        for out in (str(tmp_path / "missing" / "report.json"), str(tmp_path), ""):
+            with pytest.raises(OSError) as opened:
+                open(out, "w")
+            assert main([*argv, "--out", out]) == 2
+            captured = capsys.readouterr()
+            assert work == [] and captured.out == ""
+            assert captured.err == f"powspec: error: {opened.value}\n"
 
     def test_invalid_p_is_usage_error(self, capsys):
         assert main(["verify", "--k", "2", "--p", "9"]) == 2
@@ -1121,10 +1102,14 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("command", ["verify", "sweep"])
     def test_malformed_cap_is_usage_error(self, command, monkeypatch, capsys):
+        # refused before either graph is built
+        built = []
+        monkeypatch.setattr(verify_cli, "build_model_graph", lambda k, p: built.append("model"))
+        monkeypatch.setattr(verify_cli, "build_power_graph", lambda spec: built.append("true"))
         monkeypatch.setenv(CAP_ENV_VAR, "abc")
         assert main([command, "--k", "2", "--p", "3"]) == 2
         captured = capsys.readouterr()
-        assert captured.out == ""
+        assert built == [] and captured.out == ""
         assert captured.err == (
             f"powspec: error: {CAP_ENV_VAR} must be an integer, got 'abc'\n"
         )
@@ -1146,9 +1131,8 @@ class TestCliExitCodes:
             built.append(spec)
             raise AssertionError("a graph was built past the graph-order limit")
 
-        # every graph build starts with one of these
+        # every graph build starts with the labels
         monkeypatch.setattr(powergraph, "canonical_order", no_graph)
-        monkeypatch.setattr(powergraph, "_model_parts", no_graph)
         assert main([*argv, "--p", "3"]) == 2
         captured = capsys.readouterr()
         assert built == [] and captured.out == ""
