@@ -127,7 +127,12 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class IntPolynomial:
-    """Integer polynomial, coefficients ascending; () is the zero polynomial."""
+    """Integer polynomial, coefficients ascending; () is the zero polynomial.
+
+    It has the operations a check reads: evaluation, the sign flip of
+    monic_normalized, the product and power of two polynomials (through
+    _kronecker_product) and exact division by x - r.
+    """
 
     coeffs: tuple[int, ...]
 
@@ -165,24 +170,8 @@ class IntPolynomial:
     def __neg__(self) -> "IntPolynomial":
         return IntPolynomial(tuple(-c for c in self.coeffs))
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial.from_coeffs(out)
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPolynomial.from_coeffs(c * other for c in self.coeffs)
+    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         return IntPolynomial(_kronecker_product(1, ((self.coeffs, 1), (other.coeffs, 1))))
-
-    __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "IntPolynomial":
         if e < 0:
@@ -286,7 +275,8 @@ def poly_x() -> IntPolynomial:
 
 @dataclass(frozen=True)
 class FactoredPolynomial:
-    """scalar * product of (base ** exponent), kept unexpanded."""
+    """scalar * product of (base ** exponent), kept unexpanded; expand()
+    is the one way to its coefficients or values."""
 
     scalar: int
     factors: tuple[tuple[IntPolynomial, int], ...]
@@ -306,12 +296,6 @@ class FactoredPolynomial:
         return IntPolynomial(
             _kronecker_product(self.scalar, [(base.coeffs, e) for base, e in self.factors])
         )
-
-    def __call__(self, x):
-        acc = self.scalar
-        for base, e in self.factors:
-            acc *= base(x) ** e
-        return acc
 
     def __str__(self) -> str:
         parts = [] if self.scalar == 1 else [str(self.scalar)]

@@ -13,7 +13,11 @@ checks the order of its input against the matrix cap before any copy is
 made or any row of a matrix_of matrix is written.  The module builds no
 matrix of its own: a graph's spectral radius is the top eigenvalue of
 the quotient of its proved twin cells (exact_linalg._graph_twins),
-which its caller hands in.
+which its caller hands in.  The solver's residual tolerance is one
+constant, NUMERIC_TOL, read at each call; verify_cli's numeric checks use
+the same number.  The energy and the CSV export are exact: they take
+the claimed integer table (Fraction entries too, for the energy) and
+refuse a float entry.
 """
 
 from __future__ import annotations
@@ -25,6 +29,10 @@ from typing import Sequence
 import numpy as np
 
 from .exact_linalg import IntMatrix, _check_cap
+
+
+# the relative residual bound of every solve, read at call time
+NUMERIC_TOL = 1e-9
 
 
 class EigenSolveError(RuntimeError):
@@ -46,13 +54,10 @@ class EigenResult:
 
 @dataclass(frozen=True)
 class SpectrumEntry:
-    """One eigenvalue with multiplicity; lo/hi record the cluster spread
-    when the entry came from numeric clustering."""
+    """One eigenvalue with its multiplicity."""
 
     value: object
     multiplicity: int
-    lo: float | None = None
-    hi: float | None = None
 
 
 @dataclass(frozen=True)
@@ -93,13 +98,13 @@ def _as_array(matrix) -> np.ndarray:
     return arr
 
 
-def symmetric_eigenvalues(matrix, tol: float = 1e-9):
+def symmetric_eigenvalues(matrix):
     """Eigenvalues of a real symmetric matrix, ascending, residual-checked.
 
     The residual is max over eigenpairs of ||M v - lambda v||, and the
-    result is rejected if it exceeds tol * max(1, ||M||).  The order is
-    checked against the cap before any copy is made or any row of a
-    matrix_of matrix is written.
+    result is rejected if it exceeds NUMERIC_TOL * max(1, ||M||).  The
+    order is checked against the cap before any copy is made or any row
+    of a matrix_of matrix is written.
 
     A stack is a 3-D array, s matrices of order n.  It gives a tuple of
     one EigenResult per member from one batched eigh, which runs LAPACK
@@ -125,8 +130,8 @@ def symmetric_eigenvalues(matrix, tol: float = 1e-9):
     for values, residual in zip(w.tolist(), residuals.tolist()):
         # the values ascend, so the largest |value| is at one end
         scale = max(1.0, -values[0], values[-1]) if values else 1.0
-        if residual > tol * scale:
-            raise EigenSolveError(f"residual {residual} exceeds {tol} * {scale}")
+        if residual > NUMERIC_TOL * scale:
+            raise EigenSolveError(f"residual {residual} exceeds {NUMERIC_TOL} * {scale}")
         results.append(EigenResult(tuple(values), residual))
     return tuple(results) if stack else results[0]
 
@@ -134,8 +139,7 @@ def symmetric_eigenvalues(matrix, tol: float = 1e-9):
 def cluster_multiplicities(values: Sequence[float], tol: float) -> SpectrumSummary:
     """Greedy merge of sorted values: a gap of at most tol joins a cluster.
 
-    Each cluster is reported by its mean together with the min and max it
-    absorbed, so the caller can see how tight the grouping actually was.
+    Each cluster is reported by its mean and its size.
     """
     vals = list(values)
     if any(b < a for a, b in zip(vals, vals[1:])):
@@ -147,19 +151,12 @@ def cluster_multiplicities(values: Sequence[float], tol: float) -> SpectrumSumma
         while j < len(vals) and vals[j] - vals[j - 1] <= tol:
             j += 1
         chunk = vals[i:j]
-        entries.append(
-            SpectrumEntry(
-                value=sum(chunk) / len(chunk),
-                multiplicity=len(chunk),
-                lo=chunk[0],
-                hi=chunk[-1],
-            )
-        )
+        entries.append(SpectrumEntry(sum(chunk) / len(chunk), len(chunk)))
         i = j
     return SpectrumSummary(tuple(entries))
 
 
-def quotient_eigenvalues(counts, tol: float = 1e-9) -> EigenResult:
+def quotient_eigenvalues(counts) -> EigenResult:
     """Eigenvalues of the quotient K of an equitable partition of a
     symmetric matrix A, residual-checked, from the symmetric S_IJ =
     sqrt(K_IJ K_JI).
@@ -174,7 +171,7 @@ def quotient_eigenvalues(counts, tol: float = 1e-9) -> EigenResult:
     gives one EigenResult per member, from one symmetric_eigenvalues call.
     """
     k = np.asarray(counts, dtype=float)
-    return symmetric_eigenvalues(np.sqrt(k * k.swapaxes(-1, -2)), tol)
+    return symmetric_eigenvalues(np.sqrt(k * k.swapaxes(-1, -2)))
 
 
 def laplacian_energy(
@@ -183,25 +180,20 @@ def laplacian_energy(
     """Sum of |mu - 2m/n| over the spectrum.
 
     with_multiplicity=False sums over distinct eigenvalues only, which is
-    one of the readings the energy investigation has to report.  Exact
-    inputs (ints or Fractions) get an exact Fraction back; float inputs
-    get a float.
+    one of the readings the energy investigation has to report.  The
+    entries must be ints or Fractions, and the result is an exact Fraction.
     """
     if spectrum.total != n:
         raise ValueError(f"spectrum multiplicities sum to {spectrum.total}, expected {n}")
-    exact = all(isinstance(e.value, (int, Fraction)) for e in spectrum.entries)
-    if exact:
-        # |mu - 2m/n| = |n mu - 2m| / n: one exact sum, one division
-        total = sum(
-            (e.multiplicity if with_multiplicity else 1) * abs(n * e.value - 2 * m)
-            for e in spectrum.entries
-        )
-        return Fraction(total, n)
-    shift_f = 2 * m / n
-    return sum(
-        (e.multiplicity if with_multiplicity else 1) * abs(float(e.value) - shift_f)
+    for e in spectrum.entries:
+        if not isinstance(e.value, (int, Fraction)):
+            raise ValueError(f"eigenvalue {e.value!r} is not an int or Fraction")
+    # |mu - 2m/n| = |n mu - 2m| / n: one exact sum, one division
+    total = sum(
+        (e.multiplicity if with_multiplicity else 1) * abs(n * e.value - 2 * m)
         for e in spectrum.entries
     )
+    return Fraction(total, n)
 
 
 def summaries_match(
@@ -219,14 +211,11 @@ def summaries_match(
 
 
 def spectrum_to_csv(spectrum: SpectrumSummary) -> str:
-    """CSV rows value,multiplicity; floats carry 17 significant digits."""
+    """CSV rows value,multiplicity of an integer table, such as the claimed
+    Laplacian spectrum; an entry that is not an int raises ValueError."""
     lines = ["value,multiplicity"]
     for e in spectrum.entries:
-        if isinstance(e.value, int):
-            val = str(e.value)
-        elif isinstance(e.value, Fraction) and e.value.denominator == 1:
-            val = str(e.value.numerator)
-        else:
-            val = format(float(e.value), ".17g")
-        lines.append(f"{val},{e.multiplicity}")
+        if not isinstance(e.value, int):
+            raise ValueError(f"the CSV export takes integer eigenvalues, got {e.value!r}")
+        lines.append(f"{e.value},{e.multiplicity}")
     return "\n".join(lines) + "\n"

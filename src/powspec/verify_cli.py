@@ -12,7 +12,6 @@ errors.
 from __future__ import annotations
 
 import argparse
-import errno
 import itertools
 import json
 import math
@@ -59,6 +58,7 @@ from .powergraph import (
     verify_decomposition,
 )
 from .spectra import (
+    NUMERIC_TOL,
     cluster_multiplicities,
     laplacian_energy,
     quotient_eigenvalues,
@@ -73,7 +73,6 @@ STATUS_MISMATCH = "mismatch-reported"
 
 MATRIX_KINDS = ("adjacency", "laplacian", "signless")
 CONSTRUCTIONS = ("model", "true")
-NUMERIC_TOL = 1e-9
 CLUSTER_TOL = 1e-6
 
 # Fixed registry tying each check to the closed-form claim it exercises.
@@ -223,8 +222,7 @@ class _Run:
     The claims are the factored closed forms, one per kind; a family
     expands one only when it compares against it.  skip(what) turns a
     heavy check into a notice past the matrix-order cap, decided once
-    before either graph is built, and lambda1(construction) solves a
-    graph's twin quotient once for the spectral radius.
+    before either graph is built.
     """
 
     def __init__(self, k: int, p: int, kinds, constructions) -> None:
@@ -247,25 +245,12 @@ class _Run:
         self.m_counts = {name: edge_count(g) for name, g in self.graphs.items()}
         self.claims = {kind: _charpoly_formula(kind, k, p) for kind in self.kinds}
         self.notices: list[str] = []
-        self._lambda1: dict[str, float] = {}
 
     def skip(self, what: str) -> bool:
         """True, with a notice naming what, when the run is past the cap."""
         if self.cap:
             self.notices.append(f"{what} skipped: {self.cap}")
         return bool(self.cap)
-
-    def lambda1(self, construction: str) -> float:
-        """The largest adjacency eigenvalue of a graph, solved once per
-        construction on K, the quotient of its proved twin cells
-        (exact_linalg._graph_twins, which char_poly_exact shares).  A P =
-        P K for the cell indicators P and A >= 0, so the top eigenvalue
-        of K is that of A (see quotient_eigenvalues): the same lambda1 as
-        a dense solve of A, from (2k + 4)^2 entries at most."""
-        if construction not in self._lambda1:
-            _, counts, _ = _graph_twins(self.graphs[construction])
-            self._lambda1[construction] = quotient_eigenvalues(counts, NUMERIC_TOL).eigenvalues[-1]
-        return self._lambda1[construction]
 
 
 def _counts(run: _Run):
@@ -363,7 +348,7 @@ def _laplacian(run: _Run):
 
     if "model" in run.graphs and not run.skip("laplacian spectrum numeric check"):
         # the run's one order-n eigensolve: a numeric cross-check of the table
-        eig = symmetric_eigenvalues(_matrix_array(run.graphs["model"], "laplacian"), NUMERIC_TOL)
+        eig = symmetric_eigenvalues(_matrix_array(run.graphs["model"], "laplacian"))
         scale = max(1.0, max(abs(v) for v in eig.eigenvalues))
         clustered = cluster_multiplicities(eig.eigenvalues, CLUSTER_TOL * scale)
         ok, dev = summaries_match(clustered, spectrum, NUMERIC_TOL * scale)
@@ -467,23 +452,30 @@ def _sample(labels, rows) -> list[str]:
 
 
 def _radius(run: _Run):
-    """The spectral radius bracket of each construction, with lambda1 off
-    the graph's twin quotient (run.lambda1), then the model's split
-    spectra, which read the same model lambda1."""
+    """The spectral radius bracket of each construction, then the model's
+    split spectra, which read the same model lambda1.
+
+    lambda1 is solved once per graph, on K, the quotient of its proved
+    twin cells (exact_linalg._graph_twins, which char_poly_exact shares).
+    A P = P K for the cell indicators P and A >= 0, so the top eigenvalue
+    of K is that of A (see quotient_eigenvalues): the same lambda1 as a
+    dense solve of A, from (2k + 4)^2 entries at most."""
     if "adjacency" not in run.kinds:
         return
     q = run.mp.rotation_order
-    for cname in run.graphs:
+    lambda1 = {}
+    for cname, g in run.graphs.items():
         if run.skip(f"radius bounds for {cname}"):
             continue
-        lam1 = run.lambda1(cname)
+        _, twin_counts, _ = _graph_twins(g)
+        lam1 = lambda1[cname] = quotient_eigenvalues(twin_counts).eigenvalues[-1]
         if cname == "model":
             base = float(q - 1)
         else:
             # lambda1 of P(C_q), the true graph inside <r>: the top
             # eigenvalue of its divisor-lattice quotient, built by no builder
             _, counts = run.mp.rotation_quotient
-            base = quotient_eigenvalues(counts, NUMERIC_TOL).eigenvalues[-1]
+            base = quotient_eigenvalues(counts).eigenvalues[-1]
         bounds = spectral_radius_bounds(run.k, run.p, base)
         tol = NUMERIC_TOL * max(1.0, lam1)
         ok = bounds.lower < lam1 <= bounds.upper_shifted_radical + tol
@@ -503,7 +495,7 @@ def _radius(run: _Run):
             },
         )
     if "model" in run.graphs and not run.skip("split spectra"):
-        yield _split_spectra_check(run)
+        yield _split_spectra_check(run, lambda1["model"])
 
 
 # the check families in report order; each yields its checks and may add notices
@@ -537,7 +529,7 @@ def run_verification(
     )
 
 
-def _split_spectra_check(run: _Run) -> Check:
+def _split_spectra_check(run: _Run, full_peak: float) -> Check:
     """The additive split behind the radius bound, clique + star + rest,
     read off the model graph's rows by powergraph._certify_split: star,
     rest and clique+star must each be equitable on the five
@@ -548,12 +540,12 @@ def _split_spectra_check(run: _Run) -> Check:
     +-sqrt(q), and its q edges, all at e, so counted by class e's row of
     its K, give trace(A^2) = 2q, so its other n - 2 eigenvalues are 0.
     The rest must peak at (1 + sqrt(1 + 2q)) / 2, and the top eigenvalues
-    must be subadditive against the model's lambda1, read off its twin
-    quotient (run.lambda1); the caller skips this past the matrix cap."""
+    must be subadditive against full_peak, the model's lambda1, which
+    _radius read off its twin quotient; the caller skips this past the
+    matrix cap."""
     q = run.mp.rotation_order
     problems, counts = _certify_split(run.graphs["model"])
-    full_peak = run.lambda1("model")
-    solved = quotient_eigenvalues(list(counts.values()), NUMERIC_TOL) if counts else ()
+    solved = quotient_eigenvalues(list(counts.values())) if counts else ()
     spectra = {name: result.eigenvalues for name, result in zip(counts, solved)}
     root_q = math.sqrt(q)
     tol = NUMERIC_TOL * max(1.0, float(q))
@@ -681,15 +673,17 @@ def _parse_int_list(raw: str, flag: str = "--p") -> list[int]:
 
 
 def _check_out(out: str | None) -> None:
-    """Raise the OSError that opening out for writing would raise when out
-    is empty, lies in a directory that does not exist, or names a
-    directory, so that a command fails before its work."""
+    """Raise the OSError that writing out would raise before a command does
+    its work, by letting open decide: out is opened for appending, which
+    leaves an existing file's bytes as they are, and a file this made is
+    removed again (where a dangling symbolic link points, not the link)."""
     if out is None:
         return
-    if not out or not os.path.isdir(os.path.dirname(out) or "."):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
-    if os.path.isdir(out):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+    existed = os.path.exists(out)
+    with open(out, "a"):
+        pass
+    if not existed:
+        os.remove(os.path.realpath(out))
 
 
 def _emit(payload: str, out: str | None) -> None:

@@ -104,7 +104,7 @@ def test_criterion_5_radius_bracket(model_graphs):
     notes = []
     for k, p in [(2, 3), (2, 5)]:
         q = 2**k * p
-        lam1 = symmetric_eigenvalues(_matrix_array(model_graphs[(k, p)], "adjacency"), TOL).radius
+        lam1 = symmetric_eigenvalues(_matrix_array(model_graphs[(k, p)], "adjacency")).radius
         bounds = spectral_radius_bounds(k, p, float(q - 1))
         tol = TOL * max(1.0, lam1)
         ok = ok and bounds.lower < lam1 <= bounds.upper_shifted_radical + tol
@@ -119,11 +119,11 @@ def test_criterion_5_radius_bracket(model_graphs):
 
 def test_criterion_6_split_part_spectra():
     _, star_part, rest_part = map(_unpack, split_parts(SemidihedralType(2, 3)))
-    star = symmetric_eigenvalues(star_part, TOL).eigenvalues
+    star = symmetric_eigenvalues(star_part).eigenvalues
     root = math.sqrt(12)
     expected = [-root] + [0.0] * 22 + [root]
     star_ok = max(abs(a - b) for a, b in zip(star, expected)) <= TOL
-    rest_peak = symmetric_eigenvalues(rest_part, TOL).eigenvalues[-1]
+    rest_peak = symmetric_eigenvalues(rest_part).eigenvalues[-1]
     claimed_peak = (1 + math.sqrt(1 + 24)) / 2
     rest_ok = abs(rest_peak - claimed_peak) <= TOL
     ok = star_ok and rest_ok
@@ -236,9 +236,9 @@ def test_criterion_9_property_suites(model_graphs, true_graphs):
             for j in range(i, n):
                 a[i, j] = a[j, i] = rng.randint(-4, 4)
                 b[i, j] = b[j, i] = rng.randint(-4, 4)
-        la = symmetric_eigenvalues(a, TOL).eigenvalues[-1]
-        lb = symmetric_eigenvalues(b, TOL).eigenvalues[-1]
-        lab = symmetric_eigenvalues(a + b, TOL).eigenvalues[-1]
+        la = symmetric_eigenvalues(a).eigenvalues[-1]
+        lb = symmetric_eigenvalues(b).eigenvalues[-1]
+        lab = symmetric_eigenvalues(a + b).eigenvalues[-1]
         weyl_ok = weyl_ok and lab <= la + lb + TOL * max(1.0, abs(la) + abs(lb))
 
     # the two exact charpoly routes agree on every suite matrix (orders <= 64)

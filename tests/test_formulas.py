@@ -6,8 +6,7 @@ import pytest
 from powspec.exact_linalg import _matrix_array, _quotient_counts
 from powspec.group_core import Cyclic, is_odd_prime
 from powspec.powergraph import build_power_graph, edge_count
-from powspec.spectra import quotient_eigenvalues, symmetric_eigenvalues
-from powspec.verify_cli import NUMERIC_TOL
+from powspec.spectra import NUMERIC_TOL, quotient_eigenvalues, symmetric_eigenvalues
 from powspec.formulas import (
     ModelParameters,
     RadiusBounds,
@@ -108,7 +107,7 @@ class TestModelParameters:
         every_row = [[g.row_mask(b) for b in members] for members in cells]
         assert _quotient_counts(masks, every_row) == list(counts)
         lam1 = symmetric_eigenvalues(_matrix_array(g, "adjacency")).radius
-        base = quotient_eigenvalues(counts, NUMERIC_TOL).eigenvalues[-1]
+        base = quotient_eigenvalues(counts).eigenvalues[-1]
         assert abs(base - lam1) <= NUMERIC_TOL * lam1
 
     def test_validation(self):

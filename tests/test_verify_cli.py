@@ -47,9 +47,9 @@ def eigensolve_calls(monkeypatch):
     solved = []
     real = spectra.symmetric_eigenvalues
 
-    def counting(matrix, tol=1e-9):
+    def counting(matrix):
         solved.append(np.asarray(matrix))
-        return real(matrix, tol)
+        return real(matrix)
 
     # quotient_eigenvalues looks the solver up in spectra, run_verification in verify_cli
     monkeypatch.setattr(spectra, "symmetric_eigenvalues", counting)
@@ -643,18 +643,16 @@ class TestStackedSolves:
             ],
             dtype=float,
         )
-        tol = verify_cli.NUMERIC_TOL
-        stacked = spectra.symmetric_eigenvalues(arrays, tol)
-        single = [spectra.symmetric_eigenvalues(a, tol) for a in arrays]
+        stacked = spectra.symmetric_eigenvalues(arrays)
+        single = [spectra.symmetric_eigenvalues(a) for a in arrays]
         assert result_bits(stacked) == result_bits(single)
 
     @pytest.mark.parametrize("k,p", PAIRS_UNDER_CAP)
     def test_split_quotient_stack_is_the_single_solves(self, k, p):
         problems, counts = powergraph._certify_split(build_model_graph(k, p))
         assert not problems and list(counts) == ["star", "rest", "clique+star"]
-        tol = verify_cli.NUMERIC_TOL
-        stacked = spectra.quotient_eigenvalues(list(counts.values()), tol)
-        single = [spectra.quotient_eigenvalues(c, tol) for c in counts.values()]
+        stacked = spectra.quotient_eigenvalues(list(counts.values()))
+        single = [spectra.quotient_eigenvalues(c) for c in counts.values()]
         assert result_bits(stacked) == result_bits(single)
 
 
@@ -932,10 +930,13 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep([1], [3])
 
-    def test_parallel_matches_serial(self):
-        serial = sweep([2], [3, 5], kinds=())
-        parallel = sweep([2], [3, 5], kinds=(), jobs=2)
-        assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
+    @pytest.mark.parametrize("kinds", [(), verify_cli.MATRIX_KINDS], ids=["structure", "all-kinds"])
+    def test_parallel_matches_serial(self, kinds):
+        # all kinds send the float fields of spectrum-numeric, radius-bounds
+        # and split-spectra through the spawned workers
+        serial = sweep([2], [3, 5], kinds=kinds)
+        parallel = sweep([2], [3, 5], kinds=kinds, jobs=2)
+        assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize(
@@ -1022,15 +1023,60 @@ class TestCliExitCodes:
         # sweep catches what a run raises, so the calls are counted too
         for name in ("run_verification", "build_model_graph", "laplacian_spectrum_formula", "_charpoly_forms"):
             monkeypatch.setattr(verify_cli, name, no_work)
-        # a file in a missing directory, a directory, and the empty path:
-        # the message is the one opening the path would give
-        for out in (str(tmp_path / "missing" / "report.json"), str(tmp_path), ""):
+        (tmp_path / "file.txt").write_text("")
+        before = sorted(tmp_path.rglob("*"))
+        # a file in a missing directory, a directory, the empty path, a
+        # missing directory with a trailing slash, a path under a regular
+        # file, and a regular file with a trailing slash: the message is the
+        # one opening the path would give, and no file is left behind
+        for out in (
+            str(tmp_path / "missing" / "report.json"),
+            str(tmp_path),
+            "",
+            str(tmp_path / "missing") + "/",
+            str(tmp_path / "file.txt" / "x"),
+            str(tmp_path / "file.txt") + "/",
+        ):
             with pytest.raises(OSError) as opened:
                 open(out, "w")
             assert main([*argv, "--out", out]) == 2
             captured = capsys.readouterr()
             assert work == [] and captured.out == ""
             assert captured.err == f"powspec: error: {opened.value}\n"
+            assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.skipif(
+        not hasattr(os, "geteuid") or os.geteuid() == 0,
+        reason="root writes into a directory whatever its permission bits",
+    )
+    def test_out_into_an_unwritable_directory_exits_before_any_work(self, monkeypatch, capsys, tmp_path):
+        def no_work(*args, **kwargs):
+            raise AssertionError("verify worked before checking its --out directory")
+
+        monkeypatch.setattr(verify_cli, "run_verification", no_work)
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        locked.chmod(0o500)
+        try:
+            out = str(locked / "report.json")
+            with pytest.raises(PermissionError) as opened:
+                open(out, "w")
+            assert main(["verify", "--k", "2", "--p", "3", "--out", out]) == 2
+            assert capsys.readouterr().err == f"powspec: error: {opened.value}\n"
+            assert list(locked.iterdir()) == []
+        finally:
+            locked.chmod(0o700)
+
+    def test_a_failed_command_leaves_the_out_path_as_it_was(self, capsys, tmp_path):
+        kept, new, link = tmp_path / "kept.json", tmp_path / "new.json", tmp_path / "link.json"
+        kept.write_bytes(b"an earlier report\n")
+        link.symlink_to(tmp_path / "target.json")  # dangling
+        for out in (kept, new, link):
+            assert main(["verify", "--k", "2", "--p", "9", "--out", str(out)]) == 2
+            assert "powspec: error: " in capsys.readouterr().err
+        assert kept.read_bytes() == b"an earlier report\n"
+        assert not new.exists()
+        assert link.is_symlink() and not (tmp_path / "target.json").exists()
 
     def test_invalid_p_is_usage_error(self, capsys):
         assert main(["verify", "--k", "2", "--p", "9"]) == 2
