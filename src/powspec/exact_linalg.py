@@ -13,10 +13,9 @@ Two independent exact routes to det(xI - A) live here.
   and _check_twin_structure replays them, reads the cells and K off the
   replay (K by _quotient_counts, popcounts on the cell heads) and proves
   everything about them that reads R only; the graph keeps the result
-  (_graph_twins), whose K is also the adjacency quotient a run reads
-  lambda1 off.  The split's classes in powergraph are counted by the same
-  _quotient_counts, on every member.  Per matrix, _twin_quotient proves the
-  rest for its D and w, computes the roots and forms B = w K + diag(D).
+  (_graph_twins), whose K a run reads lambda1 and the model's split off.
+  Per matrix, _twin_quotient proves the rest for its D and w, computes
+  the roots and forms B = w K + diag(D).
   Any other graph-shaped A (n >= 2, int64 entries, every off-diagonal
   entry 0 or one value w, a symmetric zero pattern) is read by
   _graph_rows and takes the same three steps, with nothing kept.  Any
@@ -419,21 +418,10 @@ def _graph_rows(m: IntMatrix) -> tuple[tuple[int, ...], list[int], int] | None:
     return tuple(rows), diagonal, w
 
 
-def _quotient_counts(
-    masks: Sequence[int], member_rows: Iterable[Iterable[int]]
-) -> list[tuple[int, ...]] | None:
-    """K of the cells with the given masks, when the rows given divide
-    equitably: K_IJ = popcount(row & masks[J]) for every row given for
-    cell I.  None when two rows of one cell have different counts.  Equal
-    rows have equal counts, so each distinct row of a cell is counted
-    once."""
-    counts = []
-    for rows in member_rows:
-        found = {tuple([(row & m).bit_count() for m in masks]) for row in set(rows)}
-        if len(found) != 1:
-            return None
-        counts.append(found.pop())
-    return counts
+def _quotient_counts(masks: Sequence[int], heads: Iterable[int]) -> list[tuple[int, ...]]:
+    """K_IJ = popcount(heads[I] & masks[J]), one head row per cell: the
+    quotient when the cells are regular modules, as the twin certificate proves."""
+    return [tuple([(row & m).bit_count() for m in masks]) for row in heads]
 
 
 def _twin_levels(rows: Sequence[int], diagonal: Sequence[int], w: int) -> list[_Merge]:
@@ -529,7 +517,7 @@ def _check_twin_structure(rows: Sequence[int], merges: Sequence[_Merge]) -> _Twi
         proof.append((heads, inners, len(members[0]) if closed else 0))
         masks[_union(members)] = union
     cells = sorted(masks)
-    counts = _quotient_counts([masks[cell] for cell in cells], [[rows[c[0]]] for c in cells])
+    counts = _quotient_counts([masks[cell] for cell in cells], [rows[c[0]] for c in cells])
     return cells, counts, proof
 
 

@@ -23,7 +23,7 @@ symmetric skips that check (Graph._proved).
 
 The model graph's edges are written once, by build_model_graph, and a
 run's split-spectra check reads its clique, star and rest off the model
-graph's rows (_certify_split).
+graph's certified twin quotient, block by block (_certify_split).
 A run checks each graph row for row against the graph the divisor
 lattice of the rotation order predicts (verify_decomposition), written
 from the labels' exponents and gcd alone (_lattice), so it shares no
@@ -46,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from . import group_core
-from .exact_linalg import _packed, _quotient_counts
+from .exact_linalg import _graph_shape, _graph_twins, _packed, _twin_quotient
 from .group_core import (
     Cyclic,
     GroupElement,
@@ -105,8 +105,8 @@ class Graph:
     slot, _twins, is private to exact_linalg: None until
     exact_linalg._graph_twins first needs the graph's twin quotient, then
     that quotient, found and proved on the rows and shared by the graph's
-    three matrices and its spectral radius.  It is not part of ==, hash
-    or the rows.
+    three matrices, its spectral radius and the model's split
+    (_certify_split).  It is not part of ==, hash or the rows.
     """
 
     __slots__ = ("labels", "_rows", "_index", "_twins", "degrees")
@@ -361,36 +361,31 @@ def build_model_graph(k: int, p: int) -> Graph:
 
 
 def _certify_split(model: Graph) -> tuple[list[str], dict[str, list]]:
-    """(problems, counts) for the additive split of the model graph's
-    adjacency into clique + star + rest, read off its rows by the five
-    classes of the canonical order (e, u, the other rotations, the
-    order-4 flips, the order-2 flips).  The clique is each rotation's row
-    masked to the rotations; the star is e's row masked to the flips and
-    each flip's e bit; the rest is what remains of each row.  Both masks
-    pick symmetric blocks of a symmetric loop-free graph, so the three
-    parts are symmetric, loop-free and disjoint, and sum to the adjacency
-    matrix, by construction.  Each of star, rest and clique+star is
-    divided by the five classes: counts holds K of every part that
-    divides equitably, by exact_linalg._quotient_counts on every row of
-    each class, and problems names every part that does not."""
-    n, rows = model.n, model._rows
-    q = n // 2
-    bounds = (0, 1, 2, q, q + q // 2, n)
-    classes = list(zip(bounds, bounds[1:]))
-    masks = [(1 << hi) - (1 << lo) for lo, hi in classes]
-    rotations, flips = (1 << q) - 1, (1 << n) - (1 << q)
-    star = [rows[0] & flips] + [0] * (q - 1) + [row & 1 for row in rows[q:]]
-    clique_star = [row & rotations for row in rows[:q]] + star[q:]
-    clique_star[0] |= star[0]
-    rest = list(map(operator.xor, rows, clique_star))
-    parts = {"star": star, "rest": rest, "clique+star": clique_star}
-    problems, counts = [], {}
-    for name, part in parts.items():
-        if (found := _quotient_counts(masks, [part[lo:hi] for lo, hi in classes])) is None:
-            problems.append(f"{name} part is not equitable on the five classes")
-        else:
-            counts[name] = found
-    return problems, counts
+    """(problems, counts) for the split of the model's adjacency into
+    clique + star + rest, read off its twin quotient with no bit row read.
+    The twin cells (exact_linalg._graph_twins) must be the five classes of
+    the canonical order, e, u, the other rotations, the order-4 and the
+    order-2 flips, else problems names their sizes.  K is the B of the
+    adjacency's own certificate (_twin_quotient), so the split does not
+    rest on the charpoly check.  A partition equitable for A is equitable
+    for every part made of whole blocks, so each part's quotient is K
+    masked block by block, and the rest is K less clique+star."""
+    twins = _graph_twins(model)
+    cells, q = twins[0], model.n // 2
+    bounds = (0, 1, 2, q, q + q // 2, 2 * q)
+    if cells != [tuple(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]:
+        return [f"twin cells of sizes {list(map(len, cells))} are not the five classes"], {}
+    counts = _twin_quotient(twins, _graph_shape(model, "adjacency")[1], 1)[0].rows
+
+    def part(keep):
+        return [tuple(c * keep(i, j) for j, c in enumerate(row)) for i, row in enumerate(counts)]
+
+    # the star keeps e's blocks with the flip cells 3 and 4, and clique+star
+    # those and every block of two rotation cells, 0, 1 and 2
+    star = part(lambda i, j: min(i, j) == 0 and max(i, j) > 2)
+    clique_star = part(lambda i, j: min(i, j) == 0 or max(i, j) < 3)
+    rest = [tuple(map(operator.sub, a, b)) for a, b in zip(counts, clique_star)]
+    return [], {"star": star, "rest": rest, "clique+star": clique_star}
 
 
 def edge_count(g: Graph) -> int:

@@ -531,38 +531,28 @@ def run_verification(
 
 def _split_spectra_check(run: _Run, full_peak: float) -> Check:
     """The additive split behind the radius bound, clique + star + rest,
-    read off the model graph's rows by powergraph._certify_split: star,
-    rest and clique+star must each be equitable on the five
-    canonical-order classes, or the check fails by name.  A Perron vector
-    x >= 0 of a part A with A P = P K gives the eigenvector P^T x >= 0 of
-    K^T, so the top eigenvalue of A is that of its 5 x 5 quotient (one
-    quotient_eigenvalues call for all three).  The star's quotient gives
-    +-sqrt(q), and its q edges, all at e, so counted by class e's row of
-    its K, give trace(A^2) = 2q, so its other n - 2 eigenvalues are 0.
+    whose 5 x 5 quotients powergraph._certify_split reads off the model's
+    twin quotient, or fails by name.  A Perron vector x >= 0 of a part A
+    with A P = P K gives the eigenvector P^T x >= 0 of K^T, so A's top
+    eigenvalue is its quotient's.  The star's gives +-sqrt(q), and its q
+    edges, all at e, give trace(A^2) = 2q: its other eigenvalues are 0.
     The rest must peak at (1 + sqrt(1 + 2q)) / 2, and the top eigenvalues
-    must be subadditive against full_peak, the model's lambda1, which
-    _radius read off its twin quotient; the caller skips this past the
-    matrix cap."""
+    be subadditive against full_peak, the model's lambda1."""
     q = run.mp.rotation_order
     problems, counts = _certify_split(run.graphs["model"])
-    solved = quotient_eigenvalues(list(counts.values())) if counts else ()
-    spectra = {name: result.eigenvalues for name, result in zip(counts, solved)}
     root_q = math.sqrt(q)
     tol = NUMERIC_TOL * max(1.0, float(q))
-    star_extremes = rest_peak = None
-    if "star" in spectra:
-        low, high = star_extremes = [spectra["star"][0], spectra["star"][-1]]
-        edges = sum(counts["star"][0])
-        if abs(low + root_q) > tol or abs(high - root_q) > tol or edges != q:
-            problems.append("star spectrum is not {+-sqrt(q), 0}")
     rest_peak_claim = (1 + math.sqrt(1 + 2 * q)) / 2
-    if "rest" in spectra:
-        rest_peak = spectra["rest"][-1]
+    star_extremes = rest_peak = None
+    if counts:
+        star, rest, clique_star = quotient_eigenvalues(list(counts.values()))
+        low, high = star_extremes = [star.eigenvalues[0], star.eigenvalues[-1]]
+        if abs(low + root_q) > tol or abs(high - root_q) > tol or sum(counts["star"][0]) != q:
+            problems.append("star spectrum is not {+-sqrt(q), 0}")
+        rest_peak = rest.eigenvalues[-1]
         if abs(rest_peak - rest_peak_claim) > tol:
             problems.append(f"rest part peaks at {rest_peak}, claimed {rest_peak_claim}")
-        if "clique+star" in spectra and full_peak > (
-            spectra["clique+star"][-1] + rest_peak + tol
-        ):
+        if full_peak > clique_star.eigenvalues[-1] + rest_peak + tol:
             problems.append("top eigenvalue is not subadditive across the split")
     return Check(
         name="split-spectra",
@@ -572,11 +562,7 @@ def _split_spectra_check(run: _Run, full_peak: float) -> Check:
         computed="; ".join(problems) if problems else "split reassembles and spectra agree",
         claimed=f"star +-sqrt({q}), rest peak {_fmt(rest_peak_claim)}, subadditive top",
         tolerance=_fmt(tol),
-        detail={
-            "star_extremes": star_extremes,
-            "rest_peak": rest_peak,
-            "full_peak": full_peak,
-        },
+        detail={"star_extremes": star_extremes, "rest_peak": rest_peak, "full_peak": full_peak},
     )
 
 
@@ -600,10 +586,12 @@ def sweep(
 ) -> list[VerificationReport]:
     """Verify every (k, p) pair of the two lists; rejects jobs < 1, a value
     repeated in either list, invalid parameters, an order past the
-    graph-order limit and a malformed matrix cap up front.  jobs > 1 fans
-    the pairs out to a pool of spawned worker processes (fork is unsafe
-    once the parent has threads); errors inside one pair are contained in
-    that pair's report."""
+    graph-order limit and a malformed matrix cap up front.  Errors inside
+    one pair are contained in its report.  jobs > 1 fans the pairs out to
+    spawned workers (fork is unsafe once the parent has threads), each of
+    which imports the caller's main module again: a script must call it
+    under an `if __name__ == "__main__":` guard, or the pool fails with
+    BrokenProcessPool."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     ks, ps = list(ks), list(ps)
@@ -764,6 +752,30 @@ def _charpoly_forms(kind: str, k: int, p: int) -> dict:
     }
 
 
+# The largest integer of each kind's factored claim, in absolute value, at q = 2^k p.
+_LARGEST = {
+    "adjacency": lambda q: q**3 // 4 - q**2 // 4 - q,
+    "laplacian": lambda q: 2 * q,  # also the claimed spectrum's largest
+    "signless": lambda q: 25 * q**3 - 135 * q**2 // 2 + 36 * q + 8,
+}
+
+
+def _check_digits(k: int, p: int, kinds: Iterable[str]) -> None:
+    """Validate (k, p), then refuse it, before any claim is built, when the
+    claims of kinds hold an integer longer than sys.get_int_max_str_digits()
+    (0: no limit); a q of more than 4 limit bits is refused uncubed.  The
+    expansions, under the cap, have at most 314 digits, below 640, the
+    least limit CPython accepts."""
+    validate_parameters(k, p)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bits = k + p.bit_length()  # of q = p << k
+    if limit and (bits > 4 * limit or max(_LARGEST[x](p << k) for x in kinds) >= 10**limit):
+        raise ValueError(
+            f"--k {k} --p {p} writes integers of more than {limit} digits, the interpreter's "
+            "limit for integer string conversion (sys.get_int_max_str_digits())"
+        )
+
+
 def _spectrum_pairs(spectrum) -> list:
     return [[int(v), m] for v, m in spectrum.pairs()]
 
@@ -791,6 +803,7 @@ def _cmd_export(args) -> int:
     elif what == "spectrum":
         if fmt not in ("csv", "json"):
             raise ValueError("spectrum export supports csv or json")
+        _check_digits(args.k, args.p, ("laplacian",))
         spectrum = laplacian_spectrum_formula(args.k, args.p)
         if fmt == "csv":
             payload = spectrum_to_csv(spectrum)
@@ -799,6 +812,7 @@ def _cmd_export(args) -> int:
     else:  # formula
         if fmt != "json":
             raise ValueError("formula export supports json only")
+        _check_digits(args.k, args.p, (args.matrix,))
         payload = _formula_json(args.k, args.p, args.matrix)
     _emit(payload, args.out)
     return 0
@@ -806,6 +820,7 @@ def _cmd_export(args) -> int:
 
 def _cmd_formulas(args) -> int:
     k, p = args.k, args.p
+    _check_digits(k, p, MATRIX_KINDS)
     mp = ModelParameters(k, p)
     spectrum = laplacian_spectrum_formula(k, p)
     data = {

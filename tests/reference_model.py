@@ -1,7 +1,10 @@
-"""A reference writer of the model graph, independent of build_model_graph.
+"""A reference writer of the model graph, independent of build_model_graph,
+and a reference counter of an equitable partition's quotient.
 
 It writes the model's edges as three parts of row masks, the additive
-split the split-spectra check reads off the model graph's rows.
+split whose quotients the split-spectra check reads off the model
+graph's twin quotient, and counts a quotient on every member of every
+cell, where the verifier counts one head per proved cell.
 """
 
 
@@ -19,3 +22,16 @@ def split_parts(spec):
     rest = [0, quads] + [0] * (q - 2)
     rest += [0b10 | (1 << (a ^ 1)) for a in range(q, q + half)] + [0] * half
     return tuple(clique), tuple(star), tuple(rest)
+
+
+def member_counts(masks, member_rows):
+    """K of the cells with the given masks, counted on every row given for
+    each cell, K_IJ = popcount(row & masks[J]), or None when two rows of
+    one cell have different counts."""
+    counts = []
+    for rows in member_rows:
+        found = {tuple((row & m).bit_count() for m in masks) for row in rows}
+        if len(found) != 1:
+            return None
+        counts.append(found.pop())
+    return counts

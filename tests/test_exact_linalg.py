@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from powspec import exact_linalg, kernels
+from powspec import exact_linalg, kernels, powergraph
 from powspec.exact_linalg import (
     CAP_ENV_VAR,
     FactoredPolynomial,
@@ -1050,61 +1050,25 @@ class TestTwinLevels:
         refuse_on(monkeypatch, m, [((0,), (1,), (2,))], "not twins")
 
 
-class CountedRow(int):
-    """An int row that counts the & taken on it, over all instances."""
-
-    ands = 0
-
-    def __and__(self, other):
-        CountedRow.ands += 1
-        return int(self) & other
-
-
 class TestQuotientCounts:
-    """_quotient_counts: K of an equitable partition, by popcounts on the
-    rows given for each cell, or None."""
+    """_quotient_counts: K of cells by popcounts on one head row per cell."""
 
     def test_contiguous_cells(self):
         # K_2 and K_3 apart, on the cells 0..1 and 2..4
         rows = row_masks(K_2_K_3)
-        got = exact_linalg._quotient_counts([0b00011, 0b11100], [rows[:2], rows[2:]])
+        got = exact_linalg._quotient_counts([0b00011, 0b11100], [rows[0], rows[2]])
         assert got == [(1, 0), (0, 2)]
 
     def test_non_contiguous_cells(self):
         # C_6 on its even and its odd vertices: a bipartite 2-regular split
         rows = row_masks(adjacency_of(6, [(i, (i + 1) % 6) for i in range(6)]))
         masks = [0b010101, 0b101010]
-        got = exact_linalg._quotient_counts(masks, [rows[0::2], rows[1::2]])
-        assert got == [(0, 2), (2, 0)]
-        # the same rows on the cells {0, 1, 2} and {3, 4, 5}, which are not
-        # equitable: vertex 0 has one neighbour in its cell, vertex 1 two
-        masks = [0b000111, 0b111000]
-        assert exact_linalg._quotient_counts(masks, [rows[:3], rows[3:]]) is None
-
-    @pytest.mark.parametrize("position", (1, 2))
-    def test_one_disagreeing_non_first_member_returns_none(self, position):
-        # the star's leaves agree; one leaf after the first, given one more
-        # bit in the leaves' cell, does not
-        rows = row_masks(STAR_3)
-        leaves = rows[1:]
-        leaves[position] |= 0b0010
-        masks = [0b0001, 0b1110]
-        assert exact_linalg._quotient_counts(masks, [rows[:1], leaves]) is None
-        assert exact_linalg._quotient_counts(masks, [rows[:1], rows[1:]]) == [(0, 3), (1, 0)]
-
-    def test_repeated_rows_are_counted_once(self):
-        rows = row_masks(K_5)
-        masks = [0b00011, 0b11100]
-        CountedRow.ands = 0
-        given = [[CountedRow(rows[0])] * 4, [CountedRow(rows[2])] * 7 + [CountedRow(rows[2])]]
-        assert exact_linalg._quotient_counts(masks, given) == [(1, 3), (2, 2)]
-        assert CountedRow.ands == 2 * len(masks)
+        assert exact_linalg._quotient_counts(masks, [rows[0], rows[1]]) == [(0, 2), (2, 0)]
 
     def test_one_cell(self):
-        # K_5 is one cell of closed twins: each member has 4 neighbours in it
+        # K_5 is one cell of closed twins: its head has 4 neighbours in it
         rows = row_masks(K_5)
-        assert exact_linalg._quotient_counts([0b11111], [rows]) == [(4,)]
-        assert exact_linalg._quotient_counts([0b11111], [rows[:1]]) == [(4,)]
+        assert exact_linalg._quotient_counts([0b11111], [rows[0]]) == [(4,)]
 
 
 class TestGraphRoute:
@@ -1134,11 +1098,19 @@ class TestGraphRoute:
         calls = count_calls(
             monkeypatch, "_twin_levels", "_check_twin_structure", "_twin_quotient", "_graph_rows"
         )
+        # the split certifies the model's kept twins for the adjacency once more
+        split = []
+        real = powergraph._twin_quotient
+        monkeypatch.setattr(
+            powergraph, "_twin_quotient", lambda twins, *args: split.append(twins) or real(twins, *args)
+        )
         run_verification(2, 3)
         assert calls == {"_twin_levels": 2, "_check_twin_structure": 2, "_twin_quotient": 6}
+        assert len(split) == 1 and len(split[0][0]) == 5
         calls.clear()
+        split.clear()
         run_verification(2, 3, kinds=())
-        assert calls == {}
+        assert calls == {} and split == []
 
     def test_a_fresh_graph_with_the_same_rows_recomputes(self, monkeypatch):
         calls = count_calls(monkeypatch, "_twin_levels", "_check_twin_structure")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from powspec import group_core, powergraph
-from powspec.exact_linalg import _quotient_counts, matrix_of
+from powspec.exact_linalg import _graph_twins, matrix_of
 from powspec.formulas import ModelParameters
 from powspec.group_core import (
     Cyclic,
@@ -33,7 +33,7 @@ from powspec.powergraph import (
     verify_decomposition,
 )
 from powspec.verify_cli import run_verification
-from reference_model import split_parts
+from reference_model import member_counts, split_parts
 
 E = GroupElement
 
@@ -535,8 +535,8 @@ class TestModelGraph:
 
 class TestModelParts:
     """build_model_graph writes the model's rows once; a reference writer
-    of its three parts (split_parts) checks them, and the split that
-    _certify_split reads off them."""
+    of its three parts (split_parts) checks them, and the split quotients
+    that _certify_split reads off the model's certified twin quotient."""
 
     @pytest.mark.parametrize("k,p", PAIRS_UNDER_CAP + [(11, 3)])
     def test_parts_are_disjoint_and_symmetric(self, k, p):
@@ -561,8 +561,25 @@ class TestModelParts:
         classes = list(zip(bounds, bounds[1:]))
         masks = [(1 << hi) - (1 << lo) for lo, hi in classes]
         parts = {"star": star, "rest": rest, "clique+star": [a | b for a, b in zip(clique, star)]}
-        expected = {name: _quotient_counts(masks, [rows[lo:hi] for lo, hi in classes]) for name, rows in parts.items()}
+        expected = {name: member_counts(masks, [rows[lo:hi] for lo, hi in classes]) for name, rows in parts.items()}
         assert _certify_split(build_model_graph(k, p)) == ([], expected)
+
+    def test_twin_cells_other_than_the_five_classes_are_named(self, monkeypatch):
+        real = _graph_twins(build_model_graph(2, 3))
+        cells, counts, proof = real
+        # the order-2 flips' cell cut in two, with K and the proof as they are
+        cut = cells[:4] + [cells[4][:1], cells[4][1:]]
+        monkeypatch.setattr(powergraph, "_graph_twins", lambda g: (cut, counts, proof))
+        problem = "twin cells of sizes [1, 1, 10, 6, 1, 5] are not the five classes"
+        assert _certify_split(build_model_graph(2, 3)) == ([problem], {})
+
+    def test_a_corrupted_head_count_is_refused(self, monkeypatch):
+        cells, counts, proof = _graph_twins(build_model_graph(2, 3))
+        (heads, inners, closed), *others = proof
+        corrupted = [(heads, [inners[0] + 1] + inners[1:], closed)] + others
+        monkeypatch.setattr(powergraph, "_graph_twins", lambda g: (cells, counts, corrupted))
+        with pytest.raises(ArithmeticError, match="differ in row sum"):
+            _certify_split(build_model_graph(2, 3))
 
 
 def mutated(g, k, p, mutation):

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -619,8 +620,13 @@ def star_leaf_moved_to_u(q):
 
 
 def pendants_dropped(q):
-    # every part stays equitable, but the star keeps q/2 of its q edges
+    # e loses its pendants and becomes u's twin
     return [(0, j) for j in range(q + q // 2, 2 * q)]
+
+
+def quads_cut_from_e(q):
+    # the twin cells stay the five classes, but the star keeps q/2 of its q edges
+    return [(0, j) for j in range(q, q + q // 2)]
 
 
 def result_bits(results):
@@ -657,8 +663,8 @@ class TestStackedSolves:
 
 
 class TestSplitSpectra:
-    """split-spectra reads clique, star and rest off the model graph's
-    rows, and their 5 x 5 quotients."""
+    """split-spectra reads the 5 x 5 quotients of clique, star and rest
+    off the model graph's certified twin quotient."""
 
     @pytest.mark.parametrize("k,p", PAIRS_UNDER_CAP)
     def test_agrees_with_the_dense_split(self, k, p):
@@ -678,11 +684,12 @@ class TestSplitSpectra:
     @pytest.mark.parametrize(
         "mutation,problem",
         [
-            (quad_pair_edge_dropped, "rest part is not equitable on the five classes"),
-            (quad_pair_edge_moved_to_a_rotation, "rest part is not equitable on the five classes"),
-            (rotation_flat_edge_added, "rest part is not equitable on the five classes"),
-            (star_leaf_moved_to_u, "star part is not equitable on the five classes"),
-            (pendants_dropped, "star spectrum is not {+-sqrt(q), 0}"),
+            (quad_pair_edge_dropped, "twin cells of sizes [1, 1, 10, 2, 4, 6] are not the five classes"),
+            (quad_pair_edge_moved_to_a_rotation, "twin cells of sizes [1, 1, 1, 9, 1, 1, 4, 6] are not the five classes"),
+            (rotation_flat_edge_added, "twin cells of sizes [1, 1, 1, 9, 6, 1, 5] are not the five classes"),
+            (star_leaf_moved_to_u, "twin cells of sizes [1, 1, 10, 6, 5, 1] are not the five classes"),
+            (pendants_dropped, "twin cells of sizes [2, 10, 6, 6] are not the five classes"),
+            (quads_cut_from_e, "star spectrum is not {+-sqrt(q), 0}"),
         ],
         ids=lambda v: getattr(v, "__name__", "problem"),
     )
@@ -695,13 +702,12 @@ class TestSplitSpectra:
         out = capsys.readouterr().out
         assert "[fail] split-spectra" in out and "[fail] decomposition (model)" in out
 
-    def test_a_part_off_the_classes_is_named(self, monkeypatch):
+    def test_twin_cells_off_the_classes_are_named_alone(self, monkeypatch):
         mutated_model(monkeypatch, quad_pair_edge_moved_to_a_rotation)
         check = split_check(2, 3)
-        # the clique and the star read only rotation pairs and e's flip
-        # edges, so the moved edge lands in the rest alone
-        assert check.computed == "rest part is not equitable on the five classes"
-        assert check.detail["rest_peak"] is None
+        # no part quotient is formed off cells that are not the five classes
+        assert check.computed == "twin cells of sizes [1, 1, 1, 9, 1, 1, 4, 6] are not the five classes"
+        assert check.detail["star_extremes"] is None and check.detail["rest_peak"] is None
 
 
 class TestSpectralRadius:
@@ -912,6 +918,10 @@ class TestSpectrumDivides:
 
 
 class TestSweep:
+    def test_the_docstring_names_the_main_guard_for_jobs(self):
+        assert 'if __name__ == "__main__":' in sweep.__doc__
+        assert "BrokenProcessPool" in sweep.__doc__
+
     def test_grid(self):
         reports = sweep([2, 3], [3, 5], kinds=())
         assert [r.n for r in reports] == [24, 40, 48, 80]
@@ -1301,6 +1311,89 @@ class TestCliExports:
             data = json.loads(capsys.readouterr().out)
             assert data["matrix"] == kind
             assert {"factored": data["factored"], "expanded": data["expanded"]} == charpoly[kind]
+
+
+def claim_ints(data):
+    """Every int that a JSON-like value holds, at any depth."""
+    if isinstance(data, dict):
+        data = list(data.values())
+    if isinstance(data, list):
+        return [v for item in data for v in claim_ints(item)]
+    return [data] if isinstance(data, int) and not isinstance(data, bool) else []
+
+
+@pytest.fixture
+def digit_limit():
+    """Set sys.set_int_max_str_digits for one test and restore it after."""
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+class TestDigitLimit:
+    """formulas and export --what formula|spectrum decide from (k, p),
+    before any claim is built, whether what they write passes the
+    interpreter's limit for integer string conversion."""
+
+    @pytest.mark.parametrize("k,p", PAIRS_UNDER_CAP + [(6, 3), (11, 3), (2, 2305843009213693951)])
+    def test_largest_is_the_largest_integer_written(self, k, p):
+        q = 2**k * p
+        for kind in verify_cli.MATRIX_KINDS:
+            factored = verify_cli._charpoly_forms(kind, k, p)["factored"]
+            assert max(map(abs, claim_ints(factored))) == verify_cli._LARGEST[kind](q), kind
+        spectrum = verify_cli._spectrum_pairs(laplacian_spectrum_formula(k, p))
+        assert max(claim_ints(spectrum)) == verify_cli._LARGEST["laplacian"](q)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["formulas"],
+            ["export", "--what", "spectrum", "--format", "csv"],
+            ["export", "--what", "spectrum", "--format", "json"],
+            ["export", "--what", "formula", "--format", "json", "--matrix", "adjacency"],
+            ["export", "--what", "formula", "--format", "json", "--matrix", "laplacian"],
+            ["export", "--what", "formula", "--format", "json", "--matrix", "signless"],
+        ],
+        ids=" ".join,
+    )
+    def test_past_the_limit_exits_2_before_any_claim(self, argv, digit_limit, monkeypatch, capsys):
+        digit_limit(4300)
+        for name in ("_charpoly_formula", "laplacian_spectrum_formula", "laplacian_energy_formula"):
+            monkeypatch.setattr(verify_cli, name, lambda *args, name=name: pytest.fail(f"{name} built"))
+        assert main([*argv, "--k", "100000000", "--p", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "powspec: error: --k 100000000 --p 3 writes integers of more than 4300 digits, the "
+            "interpreter's limit for integer string conversion (sys.get_int_max_str_digits())\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv,last",
+        [
+            (["formulas"], 4758),
+            (["export", "--what", "formula", "--format", "json", "--matrix", "adjacency"], 4760),
+            (["export", "--what", "formula", "--format", "json", "--matrix", "signless"], 4758),
+            (["export", "--what", "spectrum", "--format", "csv"], 14281),
+            (["export", "--what", "formula", "--format", "json", "--matrix", "laplacian"], 14281),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+    )
+    def test_the_last_k_written_and_the_first_refused(self, argv, last, digit_limit, capsys):
+        digit_limit(4300)
+        assert main([*argv, "--k", str(last), "--p", "3"]) == 0
+        out = capsys.readouterr().out
+        assert max(len(token) for token in re.findall(r"\d+", out)) == 4300
+        assert main([*argv, "--k", str(last + 1), "--p", "3"]) == 2
+        assert "more than 4300 digits" in capsys.readouterr().err
+        # with no limit, the refused pair is written
+        digit_limit(0)
+        assert main([*argv, "--k", str(last + 1), "--p", "3"]) == 0
+        assert max(len(token) for token in re.findall(r"\d+", capsys.readouterr().out)) == 4301
+
+    def test_invalid_parameters_are_named_first(self, capsys):
+        assert main(["formulas", "--k", "100000000", "--p", "9"]) == 2
+        assert capsys.readouterr().err == "powspec: error: p must be an odd prime, got 9\n"
 
 
 class TestConsoleScript:
